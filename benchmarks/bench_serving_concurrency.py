@@ -10,7 +10,7 @@ request stream two ways and measures what the concurrent front end
   invoking ``OptimizerService.optimize(query)`` per request, each a
   micro-batch of one (batch-1 forward passes every join step);
 - **concurrent** — 16 open-loop client threads submitting through the
-  front end, whose batch-or-timeout flusher (plus worker-side
+  front end, whose batch-behind-busy flusher (plus worker-side
   coalescing) manufactures micro-batches out of the unbatched traffic
   and dispatches them to fingerprint-sharded workers.
 

@@ -123,9 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
                        "process per shard (true CPU parallelism; "
                        "requires --concurrency > 1)")
     serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="batch-or-timeout deadline: a pending request "
-                       "is flushed after at most this long even without a "
-                       "full batch")
+                       help="bound on holding requests behind busy shards: a "
+                       "pending request is flushed after at most this long "
+                       "even without a full batch (an idle shard is "
+                       "dispatched to at once)")
     serve.add_argument("--expert-lane", choices=("bitset", "legacy"),
                        default="bitset",
                        help="expert join-search implementation behind the "
@@ -321,7 +322,7 @@ def _make_frontend(db, agent=None, featurizer=None, reward_source=None,
                    n_shards=2, max_batch=16, max_delay_ms=2.0,
                    expert_lane="bitset", telemetry=None, executor="thread",
                    **config_kwargs):
-    """A :class:`ServingFrontEnd` over ``db``: batch-or-timeout flusher
+    """A :class:`ServingFrontEnd` over ``db``: dispatch-on-idle flusher
     in front of ``n_shards`` fingerprint-sharded worker services
     (in-process threads by default; ``executor="process"`` spawns one
     worker process per shard behind the same API)."""

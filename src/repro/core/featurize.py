@@ -165,6 +165,16 @@ class QueryFeaturizer:
         return self._tree_size + self._graph_size + self._pred_size + self._sel_size
 
     @property
+    def tree_size(self) -> int:
+        """Length of the **tree block**. The state vector is laid out
+        ``[tree block | static block]``: the first ``tree_size`` entries
+        (the slot matrix, row-major) are all a join action can change;
+        the rest (join graph, predicate flags, selectivities) are fixed
+        by the query. :class:`EpisodeEncoder` exposes the two blocks;
+        whoever splits a weight matrix by them splits it here."""
+        return self._tree_size
+
+    @property
     def n_pair_actions(self) -> int:
         return len(self.pair_actions)
 
@@ -313,8 +323,15 @@ class EpisodeEncoder:
         self.cards = cards
         query = state.query
         flags, sels = f._predicate_features(query, cards)
-        self._static = np.concatenate([f._join_graph_features(query), flags, sels])
+        #: The state vector's last ``state_dim - tree_size`` entries;
+        #: never changes during the episode.
+        self.static_block = np.concatenate(
+            [f._join_graph_features(query), flags, sels]
+        )
         self._tree = np.zeros((f.max_relations, f._n_tables + 1))
+        #: The state vector's first ``tree_size`` entries: a flat *view*
+        #: of the slot matrix, so it is current after every :meth:`join`.
+        self.tree_block = self._tree.reshape(-1)
         for slot in state.occupied:
             self._refresh_row(slot)
         self._conn = np.zeros((f.max_relations, f.max_relations), dtype=bool)
@@ -356,9 +373,7 @@ class EpisodeEncoder:
 
     def vector(self) -> np.ndarray:
         """The full state vector (a fresh array, safe to store)."""
-        out = np.empty(self._tree.size + self._static.size)
-        self.vector_into(out)
-        return out
+        return np.concatenate([self.tree_block, self.static_block])
 
     def vector_into(self, out: np.ndarray) -> None:
         """Write the state vector into a caller-owned row.
@@ -367,9 +382,9 @@ class EpisodeEncoder:
         writing straight into the batch matrix skips the per-state
         concatenate-then-stack double copy of :meth:`vector`.
         """
-        split = self._tree.size
-        out[:split] = self._tree.ravel()
-        out[split:] = self._static
+        split = self.tree_block.size
+        out[:split] = self.tree_block
+        out[split:] = self.static_block
 
     def pair_mask(self, forbid_cross_products: bool = True) -> np.ndarray:
         """Validity mask over pair actions, from the cached connectivity."""

@@ -4,6 +4,9 @@ Layers follow a simple contract:
 
 - ``forward(x)`` consumes a batch ``(batch, features_in)`` and returns
   ``(batch, features_out)``, caching whatever it needs for backprop;
+- ``infer(x)`` is the same arithmetic with nothing cached: it writes no
+  attribute of the layer, so any number of threads may call it on one
+  shared layer at once (``backward`` must follow ``forward``, not this);
 - ``backward(grad_out)`` consumes the loss gradient w.r.t. the layer
   output and returns the gradient w.r.t. the layer input, accumulating
   parameter gradients in ``layer.grads``;
@@ -30,6 +33,9 @@ class Layer:
     """Base class for all layers."""
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -80,6 +86,9 @@ class Linear(Layer):
                 f"Linear expected {self.in_features} input features, got {x.shape[1]}"
             )
         self._x = x
+        return self.infer(x)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight + self.bias
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -126,6 +135,9 @@ class ReLU(Layer):
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0, x, 0.0)
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
@@ -139,8 +151,11 @@ class Tanh(Layer):
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._out = np.tanh(x)
+        self._out = self.infer(x)
         return self._out
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._out is None:
@@ -159,6 +174,11 @@ class Sequential(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.infer(x)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -71,6 +71,23 @@ class MLP:
 
     __call__ = forward
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` for callers that will not backpropagate: the
+        same arithmetic (bitwise the same output) with nothing stashed
+        on the layers, so it is re-entrant. :meth:`train_step` is the
+        only caller of ``backward`` and keeps the stashing pass."""
+        return self.net.infer(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+
+    def infer_after_input(self, pre: np.ndarray) -> np.ndarray:
+        """Finish an :meth:`infer` pass given ``pre``, the input layer's
+        output ``x @ W + b``. A caller that knows some input columns
+        stay constant over many passes (the serving rollout: a query's
+        static features during its episode) multiplies those columns
+        once and adds only the changing ones' product per pass."""
+        for layer in self.net.layers[1:]:
+            pre = layer.infer(pre)
+        return pre
+
     def train_step(
         self,
         x: np.ndarray,
@@ -90,6 +107,13 @@ class MLP:
     # ------------------------------------------------------------------
     # Surgery and transfer
     # ------------------------------------------------------------------
+    @property
+    def input_layer(self) -> Linear:
+        layer = self.net.layers[0]
+        if not isinstance(layer, Linear):
+            raise TypeError("input layer is not Linear")
+        return layer
+
     @property
     def output_layer(self) -> Linear:
         layer = self.net.layers[-1]

@@ -65,12 +65,15 @@ __all__ = [
 TELEMETRY_STAGES = (
     "queue_wait",
     "worker_queue",
+    "pickup",
     "serve",
     "cache_lookup",
     "policy_forward",
     "guardrail",
     "expert_dp",
     "plan_construction",
+    "transport",
+    "resolve",
 )
 
 

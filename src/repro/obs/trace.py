@@ -132,10 +132,15 @@ class Trace:
         return span
 
     def finish(self, **attrs) -> float:
-        """Close the root span; idempotent. Returns the total duration."""
+        """Close the root span, and with it any span still open (a stage
+        that lasts until the request resolves, or one an exception
+        skipped the end of); idempotent. Returns the total duration."""
         self.root.attrs.update(attrs)
         if self.root.duration_ms is None:
-            self.root.duration_ms = self.now_ms()
+            now = self.now_ms()
+            for span in self.root.walk():
+                if span.duration_ms is None:
+                    span.duration_ms = now - span.start_ms
         return self.root.duration_ms
 
     # -- reads ---------------------------------------------------------

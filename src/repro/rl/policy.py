@@ -30,13 +30,13 @@ class CategoricalPolicy:
         return self.net.out_features
 
     def probabilities(self, states: np.ndarray, masks: np.ndarray | None) -> np.ndarray:
-        logits = self.net.forward(states)
+        logits = self.net.infer(states)
         return masked_softmax(logits, self._fit_mask(masks, logits.shape))
 
     def log_probabilities(
         self, states: np.ndarray, masks: np.ndarray | None
     ) -> np.ndarray:
-        logits = self.net.forward(states)
+        logits = self.net.infer(states)
         return masked_log_softmax(logits, self._fit_mask(masks, logits.shape))
 
     def distributions(
@@ -47,9 +47,11 @@ class CategoricalPolicy:
         Callers that need both (sampling with log-prob bookkeeping,
         policy updates) should use this instead of calling
         :meth:`probabilities` and :meth:`log_probabilities` separately,
-        which would run the network twice on the same states.
+        which would run the network twice on the same states. Like the
+        other two it runs the stash-free :meth:`MLP.infer` (policy
+        updates backpropagate through ``MLP.train_step``'s own pass).
         """
-        logits = self.net.forward(states)
+        logits = self.net.infer(states)
         return masked_softmax_and_log(logits, self._fit_mask(masks, logits.shape))
 
     def act(
@@ -90,17 +92,24 @@ class CategoricalPolicy:
         if greedy:
             actions = np.argmax(probs, axis=1)
         else:
-            if rng is None:
-                raise ValueError("sampling mode needs an rng")
-            # Inverse-CDF sampling per row, vectorized. Scaling the draw
-            # by the row total keeps it strictly below the last cumsum
-            # entry, and counting entries <= draw skips zero-probability
-            # (masked) prefixes — so a masked action is never selected.
-            cumulative = np.cumsum(probs, axis=1)
-            draws = rng.random(len(states)) * cumulative[:, -1]
-            actions = (cumulative <= draws[:, None]).sum(axis=1)
+            actions = self.sample(probs, rng)
         picked_log_probs = log_probs[np.arange(len(states)), actions]
         return actions.astype(np.int64), picked_log_probs
+
+    @staticmethod
+    def sample(probs: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+        """One action per row of ``probs``, drawn by inverse CDF.
+
+        Scaling the draw by the row total keeps it strictly below the
+        last cumsum entry, and counting entries <= draw skips
+        zero-probability (masked) prefixes — so a masked action is
+        never selected.
+        """
+        if rng is None:
+            raise ValueError("sampling mode needs an rng")
+        cumulative = np.cumsum(probs, axis=1)
+        draws = rng.random(len(probs)) * cumulative[:, -1]
+        return (cumulative <= draws[:, None]).sum(axis=1)
 
     @staticmethod
     def _fit_mask(masks: np.ndarray | None, shape) -> np.ndarray | None:

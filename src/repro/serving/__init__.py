@@ -19,9 +19,9 @@ puts it behind a production-shaped ``optimize(query)`` API:
   fingerprints to worker shards;
 - :mod:`repro.serving.frontend` — :class:`ServingFrontEnd`, the
   concurrent queue-and-flush front end: ``submit()`` returns a future,
-  a background flusher batches on a batch-or-timeout deadline, and N
-  worker shards (each a private ``OptimizerService``) serve the
-  flushes;
+  a background flusher dispatches to idle shards at once and batches
+  behind busy ones, and N worker shards (each a private
+  ``OptimizerService``) serve the flushes;
 - :mod:`repro.serving.procpool` / :mod:`repro.serving.transport` /
   :mod:`repro.serving.shm` — the GIL escape: ``executor="process"``
   promotes each shard to a spawned worker process
@@ -68,7 +68,7 @@ from repro.serving.experience import ExperienceBuffer, is_degraded
 from repro.serving.faults import FaultConfig, FaultInjector, seeded_uniform
 from repro.serving.fingerprint import canonical_alias_map, canonical_text, fingerprint
 from repro.serving.frontend import FrontEndConfig, FrontEndStats, ServingFrontEnd
-from repro.serving.procpool import ProcessWorkerClient, SpanRecorder, WorkerSpec
+from repro.serving.procpool import ProcessWorkerClient, WorkerSpec
 from repro.serving.shm import ShmRing
 from repro.serving.transport import FrameConn, TransportStats
 from repro.serving.learning import (
@@ -118,7 +118,6 @@ __all__ = [
     "ShardFailed",
     "ShardSupervisor",
     "ShmRing",
-    "SpanRecorder",
     "TransportStats",
     "WorkerProcessDied",
     "WorkerSpec",

@@ -5,17 +5,20 @@ per-query loop (featurize → forward pass of batch 1 → join, repeated
 until one tree remains) wastes the policy network's ability to score a
 whole matrix of states in one call — ``CategoricalPolicy.probabilities``
 already takes ``(states, masks)`` arrays. This engine runs all active
-episodes in lockstep: at every round it stacks the state vectors of
-every unfinished query, makes one batched forward pass (chunked at
-``max_batch_size``), and applies each query's chosen join. Queries
+episodes in lockstep: at every round it stacks the changing part of the
+state of every unfinished query, makes one batched forward pass (chunked
+at ``max_batch_size``), and applies each query's chosen join. Queries
 retire as their forests collapse to a single tree, so a burst of mixed
 relation counts costs ``max(joins)`` forward passes instead of
-``sum(joins)``.
+``sum(joins)``. The pass is inference-only: nothing is stashed for
+backpropagation, and the part of the input layer that a query's static
+features feed is computed once per episode, not once per round.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
@@ -25,6 +28,7 @@ from repro.core.featurize import QueryFeaturizer, SlotState
 from repro.db.engine import Database
 from repro.db.plans import JoinTree
 from repro.db.query import Query
+from repro.nn.losses import masked_softmax_and_log
 from repro.obs.metrics import Histogram
 from repro.rl.env import Transition
 from repro.rl.policy import CategoricalPolicy
@@ -70,16 +74,18 @@ class MicroBatchEngine:
         self.forward_ms_hist = Histogram(
             "repro_policy_forward_pass_ms", "one batched policy forward pass"
         )
-        #: Optional lock serializing ``policy.act_batch`` calls. The nn
-        #: layers stash activations on ``self`` during ``forward`` (for
-        #: backprop), so a policy object shared by engines on different
-        #: threads needs its forward passes serialized; the concurrent
-        #: front end installs one lock per distinct policy object.
+        #: Optional lock held across each network pass. The pass itself
+        #: is re-entrant (``MLP.infer`` writes nothing on the layers);
+        #: the lock makes an in-place weight swap
+        #: (``OptimizerService.apply_policy_weights``) atomic against a
+        #: pass and keeps the retraining daemon's shadow ``deepcopy``
+        #: from snapshotting half-swapped weights. The concurrent front
+        #: end installs one lock per distinct policy object.
         self.inference_lock = None
         #: Optional :class:`~repro.serving.faults.FaultInjector`. When
         #: set, ``policy_nan``-kind faults corrupt one forward pass's
-        #: log-probs (keyed by forward ordinal) to exercise the NaN
-        #: guard below; ``None`` costs one attribute check per pass.
+        #: logits (keyed by forward ordinal) to exercise the NaN guard
+        #: below; ``None`` costs one attribute check per pass.
         self.fault_injector = None
 
     def rollout(
@@ -87,64 +93,106 @@ class MicroBatchEngine:
         queries: Sequence[Query],
         greedy: bool = True,
         rng: np.random.Generator | None = None,
+        record: bool = True,
     ) -> List[RolloutRecord]:
         """Roll every query to a complete join tree, batching inference.
 
         Each query gets a stateful :class:`EpisodeEncoder`, so per round
-        only the slot rows touched by the previous join are re-derived
-        instead of re-vectorizing every forest from scratch.
+        only the slot rows touched by the previous join are re-derived.
+        The network pass is split the same way: a query's static block
+        never changes during its episode, so its share of the input
+        layer (``static @ W[tree_size:] + b``) is computed once, and a
+        round multiplies only the tree block. Greedy actions are the
+        argmax over the logits of valid actions (first index wins a
+        tie); ``greedy=False`` samples from the same logits.
+
+        ``record=False`` skips building transitions (and the softmax
+        behind their log-probs) for callers that only want the trees.
         """
-        states = [SlotState(q, self.featurizer.max_relations) for q in queries]
+        featurizer, net = self.featurizer, self.policy.net
+        states = [SlotState(q, featurizer.max_relations) for q in queries]
         encoders = [
-            self.featurizer.encoder(s, self.db.cardinalities(q))
+            featurizer.encoder(s, self.db.cardinalities(q))
             for q, s in zip(queries, states)
         ]
         records = [RolloutRecord(query=q, tree=None) for q in queries]
         active = [i for i, s in enumerate(states) if not s.done]
-        state_dim = self.featurizer.state_dim
-        n_actions = self.featurizer.n_pair_actions
+        n_pairs = featurizer.n_pair_actions
+        if net.out_features < n_pairs:
+            raise ValueError(
+                f"featurizer has {n_pairs} pair actions but the network "
+                f"only {net.out_features}"
+            )
+        lock = self.inference_lock or nullcontext()
+        split = featurizer.tree_size
+        first = net.input_layer
+        if active:
+            with lock:
+                # Row slices of the live array are views, so an in-place
+                # hot-swap between passes is seen by the next pass.
+                w_tree, w_static = first.weight[:split], first.weight[split:]
+                pre = np.stack([e.static_block for e in encoders]) @ w_static
+                pre += first.bias
+        # Allocated once per rollout; every round overwrites its rows.
+        width = min(len(active), self.max_batch_size)
+        trees = np.empty((width, split))
+        # Columns past n_pairs (a grown action layer) stay invalid.
+        masks = np.zeros((width, net.out_features), dtype=bool)
+        hidden = np.empty((width, first.out_features))
+        row_ids = np.arange(width)
         while active:
             for start in range(0, len(active), self.max_batch_size):
                 chunk = active[start : start + self.max_batch_size]
-                feats = np.empty((len(chunk), state_dim))
-                masks = np.empty((len(chunk), n_actions), dtype=bool)
+                n = len(chunk)
                 for row, i in enumerate(chunk):
-                    encoders[i].vector_into(feats[row])
-                    encoders[i].pair_mask_into(masks[row], self.forbid_cross_products)
+                    trees[row] = encoders[i].tree_block
+                    encoders[i].pair_mask_into(
+                        masks[row, :n_pairs], self.forbid_cross_products
+                    )
+                valid = masks[:n]
                 fwd_start = time.perf_counter()
-                if self.inference_lock is not None:
-                    with self.inference_lock:
-                        actions, log_probs = self.policy.act_batch(
-                            feats, masks, rng, greedy
-                        )
-                else:
-                    actions, log_probs = self.policy.act_batch(feats, masks, rng, greedy)
+                with lock:
+                    np.matmul(trees[:n], w_tree, out=hidden[:n])
+                    hidden[:n] += pre[chunk]
+                    logits = net.infer_after_input(hidden[:n])
                 self.forward_ms_hist.observe(
                     (time.perf_counter() - fwd_start) * 1000.0
                 )
                 self.forward_passes += 1
-                self.states_scored += len(chunk)
+                self.states_scored += n
                 if self.fault_injector is not None and self.fault_injector.fires(
                     "policy_nan", f"fwd{self.forward_passes}"
                 ):
-                    log_probs = np.full_like(log_probs, np.nan)
-                if not np.all(np.isfinite(log_probs)):
-                    # A NaN/inf forward pass means corrupt weights or
-                    # activations — serving argmax over garbage would
-                    # pick arbitrary joins silently. Fail the batch so
-                    # the degradation ladder answers with a sound plan.
+                    logits = np.full_like(logits, np.nan)
+                masked = np.where(valid, logits, -np.inf)
+                best = masked.argmax(axis=1)
+                # argmax lands on a NaN or +inf if a valid action has
+                # one, and on -inf only if no action is valid.
+                if not np.isfinite(masked[row_ids[:n], best]).all():
+                    # Corrupt weights or activations — serving argmax
+                    # over garbage would pick arbitrary joins silently.
+                    # Fail the batch so the degradation ladder answers
+                    # with a sound plan.
                     raise FloatingPointError(
-                        "policy forward pass produced non-finite log-probs"
+                        "policy forward pass produced non-finite logits"
                     )
-                for row, i in enumerate(chunk):
-                    action = int(actions[row])
-                    records[i].transitions.append(
-                        Transition(
-                            feats[row], masks[row], action, 0.0, float(log_probs[row])
+                if record or not greedy:
+                    probs, log_probs = masked_softmax_and_log(logits, valid)
+                actions = best if greedy else self.policy.sample(probs, rng)
+                for row, (i, action) in enumerate(zip(chunk, actions.tolist())):
+                    encoder = encoders[i]
+                    if record:
+                        records[i].transitions.append(
+                            Transition(
+                                np.concatenate([trees[row], encoder.static_block]),
+                                masks[row, :n_pairs].copy(),
+                                action,
+                                0.0,
+                                float(log_probs[row, action]),
+                            )
                         )
-                    )
-                    encoders[i].join(*self.featurizer.decode_pair(action))
+                    encoder.join(*featurizer.decode_pair(action))
             active = [i for i in active if not states[i].done]
-        for record, state in zip(records, states):
-            record.tree = state.tree()
+        for finished, state in zip(records, states):
+            finished.tree = state.tree()
         return records

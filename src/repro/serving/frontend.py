@@ -1,4 +1,4 @@
-"""The concurrent serving front end: batch-or-timeout + sharded workers.
+"""The concurrent serving front end: dispatch-on-idle + sharded workers.
 
 ``OptimizerService`` answers a burst only when callers arrive
 pre-batched; production traffic arrives as independent concurrent
@@ -8,11 +8,14 @@ to queue-and-flush:
 1. ``submit(query)`` fingerprints the query, routes it to a worker
    shard via a consistent-hash ring, and returns a
    :class:`concurrent.futures.Future` immediately;
-2. a background **flusher** drains the pending queue on a
-   *batch-or-timeout* deadline — it flushes as soon as ``max_batch``
-   submissions accumulate, or when the oldest submission has waited
-   ``max_delay_ms``, whichever comes first — so a lone query is never
-   stuck waiting for filler and a burst is never served one by one;
+2. a background **flusher** drains the pending queue by
+   *dispatch-on-idle, batch-behind-busy*: it flushes the moment some
+   pending submission's shard has nothing queued and nothing in hand
+   (holding requests in front of an idle worker buys no batching, only
+   latency), and otherwise as soon as ``max_batch`` submissions
+   accumulate or the oldest has waited ``max_delay_ms`` behind busy
+   shards, whichever comes first — so a lone query costs the work it
+   needs and a burst is never served one by one;
 3. each flush is split by shard and dispatched to **N worker threads**,
    one :class:`~repro.serving.service.OptimizerService` each. Because
    the ring keys on the canonical query fingerprint, every
@@ -112,16 +115,14 @@ class FrontEndConfig:
     n_shards: int = 2
     #: Flush as soon as this many submissions are pending...
     max_batch: int = 32
-    #: ...or when the oldest pending submission has waited this long.
+    #: ...or when the oldest pending submission has waited this long
+    #: behind busy shards (a submission whose shard is idle is
+    #: dispatched at once, whatever this says).
     max_delay_ms: float = 2.0
     #: Backpressure: max submissions accepted but not yet resolved.
     max_pending: int = 65_536
     #: Virtual nodes per shard on the consistent-hash ring.
     hash_replicas: int = 64
-    #: Kept for config compatibility: submit-to-resolve percentiles now
-    #: come from a cumulative log-bucket histogram (fixed memory, no
-    #: window), so this knob no longer bounds anything.
-    latency_window: int = 8192
     #: Deadline attached to every submit() that does not bring its own
     #: (None = no deadline).
     default_deadline_ms: float | None = None
@@ -188,6 +189,8 @@ class FrontEndStats:
     flushes_size: int = 0
     #: ...by the max_delay deadline on a partial batch...
     flushes_deadline: int = 0
+    #: ...by a pending submission's shard sitting idle...
+    flushes_idle: int = 0
     #: ...or by drain()/close() forcing everything out.
     flushes_drain: int = 0
     #: Sum of flush sizes, for mean flush occupancy.
@@ -232,6 +235,7 @@ class FrontEndStats:
             "frontend_flushes": self.flushes,
             "frontend_flushes_size": self.flushes_size,
             "frontend_flushes_deadline": self.flushes_deadline,
+            "frontend_flushes_idle": self.flushes_idle,
             "frontend_flushes_drain": self.flushes_drain,
             "frontend_rejected": self.rejected,
             "frontend_load_shed": self.load_shed,
@@ -285,9 +289,10 @@ class ServingFrontEnd:
     ``services`` is one :class:`OptimizerService` per shard; use
     :meth:`build` to construct a standard set (shard-private planners,
     memos, and policy copies) from a database and an agent. Services
-    must not share mutable inference state — the constructor installs a
-    per-policy-object lock on each shard's micro-batch engine as a
-    safety net, so even a shared policy stays correct (just serialized).
+    must not share mutable planner or cache state; a policy object may
+    be shared (inference is re-entrant) — the constructor installs one
+    lock per distinct policy object on the shards' micro-batch engines,
+    which is what makes a weight swap atomic against their passes.
 
     ``service_factory(shard)`` (supplied by :meth:`build`) rebuilds a
     shard's service after a worker death; without one, a respawned
@@ -351,11 +356,10 @@ class ServingFrontEnd:
             "submit-to-resolve latency (queueing included)",
         )
         self._register_metrics()
-        # The nn layers stash forward activations on the policy object,
-        # so concurrent forward passes on one shared policy would read
-        # each other's state; one lock per distinct policy object keeps
-        # distinct-policy shards fully parallel and shared-policy
-        # setups merely serialized at the forward pass.
+        # One lock per distinct policy object: a hot-swap takes it to
+        # change the weights in place, so no pass on that policy — from
+        # whichever shards share it — sees half of a swap. Shards with
+        # private policies never contend.
         locks: Dict[int, threading.Lock] = {}
         for service in self.services:
             policy = service.engine.policy
@@ -442,6 +446,11 @@ class ServingFrontEnd:
             "repro_frontend_flushes_deadline_total",
             lambda: self.stats.flushes_deadline,
             "flushes triggered by the max_delay deadline",
+        )
+        reg.counter_fn(
+            "repro_frontend_flushes_idle_total",
+            lambda: self.stats.flushes_idle,
+            "flushes triggered by an idle shard with work pending",
         )
         reg.counter_fn(
             "repro_frontend_flushes_drain_total",
@@ -708,6 +717,11 @@ class ServingFrontEnd:
         names = canonical_alias_map(query)
         fp = fingerprint(query, names)
         shard = self.ring.shard_for(fp)
+        if deadline_ms is None:
+            deadline_ms = self.config.default_deadline_ms
+        # Stamped before the trace begins: ``queue_wait`` is measured
+        # from here, so it covers the trace from its first instant.
+        now = self.clock()
         trace = (
             self.telemetry.begin_trace(
                 "request", query=query.name, fingerprint=fp, shard=shard
@@ -715,9 +729,6 @@ class ServingFrontEnd:
             if self.telemetry is not None
             else None
         )
-        if deadline_ms is None:
-            deadline_ms = self.config.default_deadline_ms
-        now = self.clock()
         submission = _Submission(
             query=query,
             fp=fp,
@@ -903,6 +914,9 @@ class ServingFrontEnd:
                     if self._closing or self._flush_asap:
                         reason = "drain"
                         break
+                    if self._idle_shard_has_work():
+                        reason = "idle"
+                        break
                     remaining = deadline - self.clock()
                     if remaining <= 0:
                         reason = "deadline"
@@ -916,12 +930,36 @@ class ServingFrontEnd:
                     self.stats.flushes_size += 1
                 elif reason == "deadline":
                     self.stats.flushes_deadline += 1
+                elif reason == "idle":
+                    self.stats.flushes_idle += 1
                 else:
                     self.stats.flushes_drain += 1
                 down = set(self._down)
             # Dispatch outside the lock: queue puts never block, and
             # workers must be able to grab the lock to finish batches.
             self._dispatch(batch, reason, down)
+
+    def _idle_shard_has_work(self) -> bool:
+        """Does some pending submission's ring shard sit idle — up,
+        nothing queued, nothing in its worker's hands? Call with
+        ``self._work`` held.
+
+        Workers already coalesce their queue up to ``max_batch``, so
+        batching happens *behind busy shards*; a request held in front
+        of an idle one only waits. ``_holding`` is written by the
+        workers without this lock: a worker that has popped a batch but
+        not yet published it reads as idle, which makes a flush early,
+        never late or lost — the batch lands in that worker's queue and
+        its next coalescing pass takes it.
+        """
+        idle = [
+            shard
+            for shard in range(self.config.n_shards)
+            if shard not in self._down
+            and not self._holding[shard]
+            and self._queues[shard].empty()
+        ]
+        return bool(idle) and any(s.shard in idle for s in self._pending)
 
     def _dispatch(
         self, batch: List[_Submission], reason: str, down: Set[int]
@@ -1057,6 +1095,11 @@ class ServingFrontEnd:
                 submissions.extend(extra)
             self._serve_batch(shard, submissions)
             self._holding[shard] = []
+            if queue.empty():
+                # This shard just went idle: wake the flusher once per
+                # batch, so a flush held behind it leaves at once.
+                with self._work:
+                    self._work.notify_all()
 
     def _serve_batch(self, shard: int, submissions: List[_Submission]) -> None:
         # Transition futures to RUNNING; a future the caller already
@@ -1171,12 +1214,21 @@ class ServingFrontEnd:
             else max(0.0, (s.deadline - serve_start) * 1000.0)
             for s in ready
         ]
+        traces = [s.trace for s in ready]
+        for trace in traces:
+            if trace is not None:
+                # What the shard did between taking the batch off its
+                # queue and handing it to the service: cancellation and
+                # deadline checks, chaos draws (an injected spike sleeps
+                # here). The service opens ``serve`` first thing, so the
+                # root's children tile the request end to end.
+                trace.record("pickup", (self.clock() - picked_up) * 1000.0)
         try:
             served = service.optimize_batch(
                 [s.query for s in ready],
                 fingerprints=[s.fp for s in ready],
                 alias_maps=[s.alias_map for s in ready],
-                traces=[s.trace for s in ready],
+                traces=traces,
                 budgets_ms=budgets,
                 # Experience collection is the one non-idempotent side
                 # effect on this path: only attempt 1 collects, so a
@@ -1205,6 +1257,13 @@ class ServingFrontEnd:
             for s in ready:
                 self._resolve(s, error=exc)
         else:
+            for s in ready:
+                if s.trace is not None:
+                    # Left open: finishing the trace closes it, so it
+                    # runs from the service's return to the resolution
+                    # (the requests of the batch settled before this
+                    # one, and their callbacks, included).
+                    s.trace.start_span("resolve")
             self.breakers[shard].record_success()
             for s, plan in zip(ready, served):
                 if s.attempts > 1:

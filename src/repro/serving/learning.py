@@ -281,7 +281,7 @@ class EvalGate:
         oracle = self.oracle_costs()
         engine = MicroBatchEngine(policy, self.featurizer, self.db)
         try:
-            records = engine.rollout(self.holdout, greedy=True)
+            records = engine.rollout(self.holdout, greedy=True, record=False)
         except Exception:
             # Non-finite forward pass (poisoned weights) or any other
             # rollout failure: structurally unservable.
@@ -523,8 +523,9 @@ class RetrainingDaemon:
             status["poisoned"] = True
 
         # Shadow copy under the shard-0 inference lock: shard 0 serves
-        # the *original* policy object, and deep-copying a net mid-
-        # forward would snapshot half-written activation stashes.
+        # the *original* policy object, and a deep copy racing a hot-
+        # swap (rollback, a second daemon) would snapshot weights from
+        # two generations.
         lock = self.frontend.services[0].engine.inference_lock or nullcontext()
         with lock:
             shadow = copy.deepcopy(self.agent)

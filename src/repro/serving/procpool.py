@@ -32,10 +32,12 @@ oversubscribing the box is the classic multiprocess perf cliff. Override
 with ``REPRO_WORKER_BLAS_THREADS``; explicitly pre-set variables are
 respected.
 
-Tracing: the worker serves with a :class:`SpanRecorder` (a minimal
-stand-in for :class:`repro.obs.trace.Trace`) and ships the finished
-span events back with the batch reply; the proxy replays them into the
-request's real trace, so ``repro trace`` output is unchanged in process
+Tracing: the worker serves each traced request into a private
+:class:`repro.obs.trace.Trace` and ships its span tree back with the
+batch reply; the proxy grafts the tree into the request's real trace
+(worker clock aligned at the start of the proxy call) and adds a
+``transport`` span for what the call took beyond the worker's spans, so
+``repro trace`` shows the same nesting in process mode as in thread
 mode.
 """
 
@@ -51,6 +53,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.trace import Span, Trace
 from repro.serving.errors import WorkerProcessDied
 from repro.serving.faults import FaultConfig, FaultInjector
 from repro.serving.service import (
@@ -68,7 +71,6 @@ from repro.serving.transport import (
 __all__ = [
     "WorkerSpec",
     "ProcessWorkerClient",
-    "SpanRecorder",
     "worker_main",
     "WORKER_ENV_PINS",
     "worker_blas_threads",
@@ -157,73 +159,17 @@ class WorkerSpec:
 
 
 # ----------------------------------------------------------------------
-# Worker-side tracing
-# ----------------------------------------------------------------------
-class _RecSpan:
-    __slots__ = ("name", "attrs", "start_ms", "duration_ms")
-
-    def __init__(self, name: str, attrs: dict, start_ms: float) -> None:
-        self.name = name
-        self.attrs = attrs
-        self.start_ms = start_ms
-        self.duration_ms = 0.0
-
-
-class _RecRoot:
-    __slots__ = ("attrs", "children")
-
-    def __init__(self) -> None:
-        self.attrs: dict = {}
-        self.children: list = []
-
-
-class SpanRecorder:
-    """A pipe-sized stand-in for :class:`repro.obs.trace.Trace`.
-
-    Implements exactly the surface the service's serving path touches
-    (``root.attrs``, ``start_span``/``end_span``, ``record``) and keeps
-    a flat event list instead of a span tree — the parent proxy replays
-    the events into the request's real trace, where per-stage rollups
-    (``stage_durations`` sums by name) come out identical.
-    """
-
-    def __init__(self) -> None:
-        self._t0 = time.perf_counter()
-        self.root = _RecRoot()
-        self._spans: List[_RecSpan] = []
-
-    def now_ms(self) -> float:
-        return (time.perf_counter() - self._t0) * 1000.0
-
-    def start_span(self, name: str, parent=None, **attrs) -> _RecSpan:
-        span = _RecSpan(name, dict(attrs), self.now_ms())
-        return span
-
-    def end_span(self, span: _RecSpan) -> _RecSpan:
-        span.duration_ms = self.now_ms() - span.start_ms
-        self._spans.append(span)
-        return span
-
-    def record(self, name: str, duration_ms: float, parent=None, **attrs):
-        span = _RecSpan(name, dict(attrs), self.now_ms())
-        span.duration_ms = float(duration_ms)
-        self._spans.append(span)
-        return span
-
-    def payload(self) -> dict:
-        """Snapshot for the reply frame (attrs copied: callers may have
-        mutated span attrs after ``end_span``)."""
-        return {
-            "spans": [
-                (s.name, s.duration_ms, dict(s.attrs)) for s in self._spans
-            ],
-            "root": dict(self.root.attrs),
-        }
-
-
-# ----------------------------------------------------------------------
 # Worker process entrypoint
 # ----------------------------------------------------------------------
+def _trace_payload(trace: Trace) -> dict:
+    """What the worker ships back for one traced request: its span tree
+    (offsets from when the worker took the batch) and the attributes
+    the service stamped on the root."""
+    trace.finish()
+    root = trace.root.to_dict()
+    return {"spans": root.get("children", []), "root": root.get("attrs", {})}
+
+
 def _build_worker_service(spec: WorkerSpec) -> OptimizerService:
     from repro.optimizer.memo import SubPlanCostMemo
     from repro.optimizer.planner import Planner
@@ -382,7 +328,7 @@ def worker_main(
             if kind != K_BATCH:
                 continue
             recorders = [
-                SpanRecorder() if want else None for want in msg["trace"]
+                Trace("worker") if want else None for want in msg["trace"]
             ]
             try:
                 plans = service.optimize_batch(
@@ -407,7 +353,7 @@ def worker_main(
             reply = {
                 "plans": plans,
                 "events": [
-                    rec.payload() if rec is not None else None
+                    _trace_payload(rec) if rec is not None else None
                     for rec in recorders
                 ],
                 "version": service.policy_version,
@@ -594,6 +540,7 @@ class ProcessWorkerClient:
         budgets_ms: Sequence[float | None] | None = None,
         collect=True,
     ) -> list:
+        began = time.perf_counter()
         want = (
             [t is not None for t in traces]
             if traces is not None
@@ -616,20 +563,30 @@ class ProcessWorkerClient:
             raise reply
         plans = reply["plans"]
         self.policy_version = reply["version"]
+        self._mirror(queries, plans)
         if traces is not None:
             for trace, events in zip(traces, reply["events"]):
                 if trace is None or events is None:
                     continue
-                for name, duration_ms, attrs in events["spans"]:
-                    clean = {
-                        k: v
-                        for k, v in attrs.items()
-                        if k not in ("name", "duration_ms", "parent")
-                    }
-                    trace.record(name, duration_ms, **clean)
                 for key, value in events["root"].items():
                     trace.root.attrs.setdefault(key, value)
-        self._mirror(queries, plans)
+                call_ms = (time.perf_counter() - began) * 1000.0
+                # The worker's clock is aligned at the start of this
+                # call: its spans keep their offsets from each other and
+                # sit early by the outbound trip.
+                called_ms = trace.now_ms() - call_ms
+                spanned_ms = 0.0
+                for child in events["spans"]:
+                    span = Span.from_dict(child)
+                    for node in span.walk():
+                        node.start_ms += called_ms
+                    trace.root.children.append(span)
+                    spanned_ms += span.duration_ms
+                # All this call took beyond what the worker spanned:
+                # marshalling, pipe and shm both ways, this bookkeeping.
+                trace.record(
+                    "transport", max(0.0, call_ms - spanned_ms), start_ms=called_ms
+                )
         return plans
 
     def optimize(self, query):

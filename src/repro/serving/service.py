@@ -150,10 +150,6 @@ class ServingConfig:
     forbid_cross_products: bool = False
     collect_experience: bool = True
     experience_capacity: int = 10_000
-    #: Kept for config compatibility: request-latency percentiles now
-    #: come from a cumulative log-bucket histogram (fixed memory, no
-    #: window), so this knob no longer bounds anything.
-    latency_window: int = 8192
     #: Max queries queued via :meth:`OptimizerService.submit` awaiting a
     #: :meth:`~OptimizerService.flush` — backpressure instead of an
     #: unbounded pending list.
@@ -596,6 +592,22 @@ class OptimizerService:
         if not queries:
             return []
         start = time.perf_counter()
+        owns_traces = False
+        if traces is None:
+            if self.telemetry is not None and self.telemetry.enabled:
+                traces = [
+                    self.telemetry.begin_trace("optimize", query=q.name)
+                    for q in queries
+                ]
+                owns_traces = True
+            else:
+                traces = [None] * len(queries)
+        # Opened first and closed last: a caller that spans its own work
+        # around this call (the front end) is left no gap to explain.
+        serve_spans = [
+            t.start_span("serve", batch_size=len(queries)) if t is not None else None
+            for t in traces
+        ]
         budgets = (
             list(budgets_ms) if budgets_ms is not None else [None] * len(queries)
         )
@@ -610,20 +622,6 @@ class OptimizerService:
                 return None
             return budget - (time.perf_counter() - start) * 1000.0
 
-        owns_traces = False
-        if traces is None:
-            if self.telemetry is not None and self.telemetry.enabled:
-                traces = [
-                    self.telemetry.begin_trace("optimize", query=q.name)
-                    for q in queries
-                ]
-                owns_traces = True
-            else:
-                traces = [None] * len(queries)
-        serve_spans = [
-            t.start_span("serve", batch_size=len(queries)) if t is not None else None
-            for t in traces
-        ]
         # Plans computed in this batch are cached only if the database
         # statistics do not move underneath it — a refresh_statistics
         # racing the batch must not have its invalidation undone by a
@@ -699,7 +697,10 @@ class OptimizerService:
             records = None
             degrade_reason = None
             try:
-                records = self.engine.rollout([queries[i] for i in indices])
+                records = self.engine.rollout(
+                    [queries[i] for i in indices],
+                    record=self.experience is not None,
+                )
             except Exception as exc:
                 # The lockstep rollout failed for the whole miss set
                 # (non-finite forward pass, injected fault, encoder
@@ -710,13 +711,15 @@ class OptimizerService:
             for i in indices:
                 if traces[i] is not None:
                     # The rollout is one lockstep pass over every miss in
-                    # the burst; each participant's trace carries the full
-                    # rollout duration plus how many rode along.
+                    # the burst: each participant waited for all of it
+                    # (the duration), and cost the shard its share of it
+                    # (amortized_ms — these sum to the time spent).
                     traces[i].record(
                         "policy_forward",
                         roll_ms,
                         parent=serve_spans[i],
                         rollout_batch=len(indices),
+                        amortized_ms=round(roll_ms / len(indices), 4),
                         failed=records is None,
                     )
             groups: List[tuple] = []
@@ -783,13 +786,6 @@ class OptimizerService:
             self.stats.requests += 1
             self._count(source)
             self.request_ms_hist.observe(latency_ms)
-            trace = traces[idx]
-            if trace is not None:
-                span = serve_spans[idx]
-                span.attrs["source"] = source
-                trace.end_span(span)
-                if owns_traces:
-                    self.telemetry.finish_trace(trace, source=source)
             served.append(
                 ServedPlan(
                     query_name=query.name,
@@ -803,6 +799,12 @@ class OptimizerService:
                     estimator_lane=lane,
                 )
             )
+        for trace, span, plan in zip(traces, serve_spans, served):
+            if trace is not None:
+                span.attrs["source"] = plan.source
+                trace.end_span(span)
+                if owns_traces:
+                    self.telemetry.finish_trace(trace, source=plan.source)
         return served
 
     # ------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Test helpers: a brute-force reference for query results.
+"""Test helpers: a brute-force reference for query results, and two
+tools for steering the serving front end's threads.
 
 The brute-force evaluator joins row-index tuples with plain Python
 loops, independent of any executor code, and is used to validate plan
@@ -8,6 +9,8 @@ execution end-to-end on small databases.
 from __future__ import annotations
 
 import itertools
+import threading
+import time
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -68,3 +71,30 @@ def brute_force_groups(db: Database, query: Query) -> int:
         )
         keys.add(key)
     return len(keys)
+
+
+def wait_until(predicate, timeout=5.0, interval=0.001) -> bool:
+    """Poll until ``predicate()`` holds; False if it never did."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval)
+    return bool(predicate())
+
+
+def stall_services(frontend, release: threading.Event, sleep_s=0.05):
+    """Wrap every shard service's optimize_batch to wait on an event
+    (bounded by repeated short sleeps so tests cannot hang forever).
+    While a shard waits there its worker holds the batch, so the shard
+    is busy: later submissions for it stay in the pending queue."""
+    for service in frontend.services:
+        original = service.optimize_batch
+
+        def stalled(*args, _original=original, **kwargs):
+            deadline = time.monotonic() + 10.0
+            while not release.is_set() and time.monotonic() < deadline:
+                time.sleep(sleep_s)
+            return _original(*args, **kwargs)
+
+        service.optimize_batch = stalled

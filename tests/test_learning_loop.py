@@ -3,7 +3,6 @@ the exact-DP eval gate, degraded-serve exclusion from replay, and the
 retraining daemon's promote / reject / hot-swap / rollback lifecycle."""
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -28,20 +27,12 @@ from repro.serving import (
     ServingFrontEnd,
     is_degraded,
 )
+from tests.helpers import wait_until
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
 SQLS = (CHAIN, BC, AB)
-
-
-def wait_until(predicate, timeout=5.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,9 @@ from repro.serving import (
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
+#: What a thread-mode request's root span holds, in order: the front
+#: end's stages around the service's ``serve``.
+FRONTEND_STAGES = ["queue_wait", "worker_queue", "pickup", "serve", "resolve"]
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +78,9 @@ class TestFrontEndTracing:
             assert root.attrs["fingerprint"] == plan.fingerprint
             assert root.attrs["shard"] in (0, 1)
             child_names = [c.name for c in root.children]
-            assert child_names[:3] == ["queue_wait", "worker_queue", "serve"]
-            serve = root.children[2]
+            # The root's children tile the request end to end.
+            assert child_names == FRONTEND_STAGES
+            serve = root.children[FRONTEND_STAGES.index("serve")]
             serve_names = [c.name for c in serve.children]
             assert serve_names[0] == "cache_lookup"
             assert serve.children[0].attrs["hit"] is False  # cold cache
@@ -93,13 +97,20 @@ class TestFrontEndTracing:
     def test_span_sums_explain_the_end_to_end_latency(
         self, small_db, agent, featurizer
     ):
+        # No flush timer pads the sum: a lone request is dispatched at
+        # once, the three repeats are cache hits of well under 1 ms, and
+        # the spans must still account for each of them.
         telemetry = Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=10_000.0))
         frontend = make_frontend(small_db, agent, featurizer, telemetry)
         with frontend:
             for i in range(4):
                 frontend.optimize(parse_query(BC, f"cov{i}"), timeout=10.0)
-        for trace in telemetry.store.all():
+        traces = telemetry.store.all()
+        assert len(traces) == 4
+        for trace in traces:
             assert trace.coverage() >= 0.9, trace.format()
+            queue_wait = trace.root.children[0]
+            assert queue_wait.attrs["reason"] == "idle"
 
     def test_cache_hit_is_visible_in_the_trace(
         self, small_db, agent, featurizer
@@ -111,7 +122,7 @@ class TestFrontEndTracing:
             hit_plan = frontend.optimize(parse_query(BC, "warm"), timeout=10.0)
         assert hit_plan.source == "cache"
         trace = telemetry.store.all()[-1]
-        serve = trace.root.children[2]
+        serve = trace.root.children[FRONTEND_STAGES.index("serve")]
         assert serve.children[0].name == "cache_lookup"
         assert serve.children[0].attrs["hit"] is True
         # A cache hit never runs the policy.
@@ -165,9 +176,7 @@ class TestSloCapture:
         # The embedded trace is a complete, reparseable span tree.
         embedded = Trace.from_dict(slow[0]["trace"])
         assert embedded.root.attrs["query"] == "slow0"
-        assert [c.name for c in embedded.root.children][:3] == [
-            "queue_wait", "worker_queue", "serve",
-        ]
+        assert [c.name for c in embedded.root.children] == FRONTEND_STAGES
 
     def test_under_slo_unsampled_requests_are_dropped(
         self, small_db, agent, featurizer
@@ -235,6 +244,32 @@ class TestServiceEvents:
         guardrail = [c for c in serve.children if c.name == "guardrail"][0]
         assert [c.name for c in guardrail.children] == ["expert_dp"]
         assert guardrail.children[0].attrs["dp_subsets"] > 0
+
+    def test_policy_forward_span_carries_the_amortized_share(
+        self, small_db, agent, featurizer
+    ):
+        # Three misses roll out in one lockstep pass: each waited for
+        # all of it (the duration) and cost a third of it.
+        telemetry = Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=10_000.0))
+        service = self.make_service(small_db, agent, featurizer, telemetry)
+        service.optimize_batch(
+            [parse_query(BC, "bc"), parse_query(AB, "ab"), parse_query(CHAIN, "abc")]
+        )
+        spans = [
+            span
+            for trace in telemetry.store.all()
+            for span in trace.root.walk()
+            if span.name == "policy_forward"
+        ]
+        assert len(spans) == 3
+        for span in spans:
+            assert span.attrs["rollout_batch"] == 3
+            assert span.attrs["amortized_ms"] == pytest.approx(
+                span.duration_ms / 3, abs=1e-4
+            )
+        assert sum(s.attrs["amortized_ms"] for s in spans) == pytest.approx(
+            spans[0].duration_ms, abs=1e-3
+        )
 
     def test_statistics_invalidation_emits_event(
         self, small_db, agent, featurizer

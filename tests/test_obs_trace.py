@@ -76,6 +76,18 @@ class TestTrace:
         first = trace.finish()
         assert trace.finish() == first
 
+    def test_finish_closes_spans_left_open(self):
+        # A stage that lasts until the request resolves is started and
+        # never ended: it ends where the root does, and so does a nested
+        # span an exception skipped the end of.
+        clock = fake_clock([0.0, 0.010, 0.020, 0.050])
+        trace = Trace("request", clock=clock)
+        resolve = trace.start_span("resolve")  # at 10 ms
+        nested = trace.start_span("inner", parent=resolve)  # at 20 ms
+        assert trace.finish() == pytest.approx(50.0)
+        assert resolve.duration_ms == pytest.approx(40.0)
+        assert nested.duration_ms == pytest.approx(30.0)
+
     def test_dict_round_trip_preserves_tree(self):
         trace = Trace("request", trace_id="42", sampled=False)
         serve = trace.start_span("serve", batch_size=2)

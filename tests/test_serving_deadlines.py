@@ -21,6 +21,7 @@ from repro.serving import (
     ServingConfig,
     ServingFrontEnd,
 )
+from tests.helpers import stall_services, wait_until
 
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 
@@ -50,21 +51,6 @@ def make_frontend(small_db, agent, featurizer, **config_kwargs):
     )
 
 
-def stall_services(frontend, release: threading.Event, sleep_s=0.05):
-    """Wrap every shard service's optimize_batch to wait on an event
-    (bounded by repeated short sleeps so tests cannot hang forever)."""
-    for service in frontend.services:
-        original = service.optimize_batch
-
-        def stalled(*args, _original=original, **kwargs):
-            deadline = time.monotonic() + 10.0
-            while not release.is_set() and time.monotonic() < deadline:
-                time.sleep(sleep_s)
-            return _original(*args, **kwargs)
-
-        service.optimize_batch = stalled
-
-
 class TestDeadlines:
     def test_expires_mid_queue_fail_fast(self, small_db, agent, featurizer):
         # max_delay far beyond the deadline: the flusher must wake at
@@ -72,16 +58,30 @@ class TestDeadlines:
         frontend = make_frontend(
             small_db, agent, featurizer, max_batch=64, max_delay_ms=5000.0
         )
-        with frontend:
-            # Pre-expired relative to the flush that will carry it.
-            start = time.monotonic()
-            future = frontend.submit(parse_query(BC, "hurried"), deadline_ms=30.0)
-            with pytest.raises(DeadlineExceeded) as excinfo:
-                future.result(timeout=5.0)
-            elapsed = time.monotonic() - start
+        release = threading.Event()
+        stall_services(frontend, release)
+        try:
+            with frontend:
+                # An idle shard is dispatched to at once, so keep the
+                # shard busy: only then does a request wait in the
+                # pending queue at all.
+                blocker = frontend.submit(parse_query(BC, "blocker"))
+                assert wait_until(lambda: frontend._holding[0])
+                start = time.monotonic()
+                future = frontend.submit(
+                    parse_query(BC, "hurried"), deadline_ms=30.0
+                )
+                with pytest.raises(DeadlineExceeded) as excinfo:
+                    future.result(timeout=5.0)
+                elapsed = time.monotonic() - start
+                release.set()
+                assert blocker.result(timeout=5.0).cost > 0
+        finally:
+            release.set()
         assert excinfo.value.stage == "queue"
         assert elapsed < 2.0  # nowhere near the 5s flush delay
         assert frontend.stats.deadline_expired == 1
+        assert frontend.stats.flushes_idle == 1  # the blocker's flush only
         assert frontend._outstanding == set()
 
     def test_expires_mid_serve_at_worker_pickup(self, small_db, agent, featurizer):

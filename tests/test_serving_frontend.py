@@ -1,6 +1,6 @@
-"""Tests for the concurrent serving front end: batch-or-timeout
-flushing, consistent-hash sharding, lifecycle (drain/close), and the
-per-shard counter rollup."""
+"""Tests for the concurrent serving front end: flushing (full batch,
+idle shard, drain), consistent-hash sharding, lifecycle (drain/close),
+and the per-shard counter rollup."""
 
 import threading
 import time
@@ -21,6 +21,7 @@ from repro.serving import (
     ServingFrontEnd,
     fingerprint,
 )
+from tests.helpers import stall_services, wait_until
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 CHAIN_RENAMED = (
@@ -112,14 +113,20 @@ class TestBatchOrTimeout:
     def test_lone_query_flushed_within_deadline_without_filler(
         self, small_db, agent, featurizer
     ):
+        # A delay that would blow the test budget if waited on: both
+        # shards are idle, so the lone query is dispatched at once.
         frontend = make_frontend(
-            small_db, agent, featurizer, max_batch=64, max_delay_ms=50.0
+            small_db, agent, featurizer, max_batch=64, max_delay_ms=1900.0
         )
         with frontend:
+            start = time.monotonic()
             future = frontend.submit(parse_query(CHAIN, "lone"))
             served = future.result(timeout=1.8)
+            elapsed = time.monotonic() - start
         assert served.query_name == "lone"
-        assert frontend.stats.flushes_deadline == 1
+        assert elapsed < 0.5  # far below max_delay_ms
+        assert frontend.stats.flushes_idle == 1
+        assert frontend.stats.flushes_deadline == 0
         assert frontend.stats.flushes_size == 0
         # The flush carried exactly the one query — no filler batch.
         assert frontend.stats.occupancy_sum == 1
@@ -250,16 +257,31 @@ class TestLifecycle:
         self, small_db, agent, featurizer
     ):
         frontend = make_frontend(
-            small_db, agent, featurizer, max_batch=64, max_delay_ms=150.0
+            small_db, agent, featurizer, n_shards=1, max_batch=64,
+            max_delay_ms=150.0,
         )
-        with frontend:
-            doomed = frontend.submit(parse_query(BC, "doomed"))
-            assert doomed.cancel()  # still pending: cancellable
-            # The worker must survive the cancelled future and keep
-            # serving the shard.
-            assert frontend.optimize(parse_query(BC, "ok"), timeout=2.0).cost > 0
-            frontend.drain(timeout=1.9)
+        release = threading.Event()
+        stall_services(frontend, release)
+        try:
+            with frontend:
+                # Dispatch to an idle shard is immediate, so a future is
+                # only "still pending" behind a busy shard: stall it.
+                blocker = frontend.submit(parse_query(BC, "blocker"))
+                assert wait_until(lambda: frontend._holding[0])
+                doomed = frontend.submit(parse_query(BC, "doomed"))
+                assert doomed.cancel()  # still pending: cancellable
+                release.set()
+                assert blocker.result(timeout=2.0).cost > 0
+                # The worker must survive the cancelled future and keep
+                # serving the shard.
+                assert (
+                    frontend.optimize(parse_query(BC, "ok"), timeout=2.0).cost > 0
+                )
+                frontend.drain(timeout=1.9)
+        finally:
+            release.set()
         assert doomed.cancelled()
+        assert frontend._outstanding == set()
 
     def test_refresh_statistics_reaches_every_shard(
         self, small_db, agent, featurizer

@@ -7,7 +7,6 @@ respawn rejoining at the live policy version)."""
 
 import multiprocessing
 import pickle
-import time
 
 import numpy as np
 import pytest
@@ -34,20 +33,12 @@ from repro.serving import (
     ShmRing,
     WorkerProcessDied,
 )
+from tests.helpers import wait_until
 
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 ABC = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 LIVE_VERSION = 2
-
-
-def wait_until(predicate, timeout=30.0, interval=0.02):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 def plan_repr(plan) -> str:
@@ -426,7 +417,8 @@ class TestProcessFrontEnd:
             victim.kill()  # real SIGKILL against the worker process
             assert wait_until(
                 lambda: frontend.stats.worker_restarts >= 1
-                and all(s.is_alive() for s in frontend.services)
+                and all(s.is_alive() for s in frontend.services),
+                timeout=30.0,
             ), "supervisor did not respawn the killed worker"
 
             # The replacement is a different proxy/process that must

@@ -2,7 +2,6 @@
 an injectable clock), worker kill/respawn/reroute, and failure routing
 when every shard is gone."""
 
-import time
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from repro.serving import (
     ShardFailed,
     fingerprint,
 )
+from tests.helpers import wait_until
 
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
@@ -49,15 +49,6 @@ def make_frontend(small_db, agent, featurizer, **config_kwargs):
         serving_config=ServingConfig(regression_threshold=1.5),
         config=FrontEndConfig(**config_kwargs),
     )
-
-
-def wait_until(predicate, timeout=5.0, interval=0.01):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return predicate()
 
 
 class FakeClock:
