@@ -79,10 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig3c = sub.add_parser("fig3c", help="planning-time sweep")
     fig3c.add_argument("--max-relations", type=int, default=14)
-    fig3c.add_argument("--expert-lane", choices=("bitset", "legacy"),
-                       default="bitset",
-                       help="expert join-search implementation: the bitset "
-                       "fast lane (default) or the seed DP enumerator")
 
     lfd = sub.add_parser("lfd", help="§5.1 learning from demonstration")
     lfd.add_argument("--episodes", type=int, default=120)
@@ -127,10 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "pending request is flushed after at most this long "
                        "even without a full batch (an idle shard is "
                        "dispatched to at once)")
-    serve.add_argument("--expert-lane", choices=("bitset", "legacy"),
-                       default="bitset",
-                       help="expert join-search implementation behind the "
-                       "guardrail fallback (bitset fast lane by default)")
     serve.add_argument("--estimator",
                        choices=("histogram", "learned", "pessimistic"),
                        default="histogram",
@@ -287,12 +279,10 @@ def _cmd_info(args) -> int:
 
 
 def _make_service(db, agent=None, planner=None, featurizer=None,
-                  reward_source=None, expert_lane="bitset", telemetry=None,
-                  **config_kwargs):
+                  reward_source=None, telemetry=None, **config_kwargs):
     """An :class:`OptimizerService` over ``db`` (untrained policy unless
     an agent is given — counters and routing behave the same either way)."""
     from repro.core.featurize import QueryFeaturizer
-    from repro.optimizer import Planner, SubPlanCostMemo
     from repro.rl.ppo import PPOAgent
     from repro.serving import OptimizerService, ServingConfig
 
@@ -301,16 +291,10 @@ def _make_service(db, agent=None, planner=None, featurizer=None,
         agent = PPOAgent(
             featurizer.state_dim, featurizer.n_pair_actions, np.random.default_rng(0)
         )
-    # The bitset fast lane makes exhaustive DP affordable up to the
-    # PostgreSQL default of 12 relations; the legacy lane keeps the old
-    # conservative threshold.
-    threshold = 12 if expert_lane == "bitset" else 8
     return OptimizerService(
         db,
         agent,
-        planner=planner
-        or Planner(db, geqo_threshold=threshold, cost_memo=SubPlanCostMemo(),
-                   expert_lane=expert_lane),
+        planner=planner,
         featurizer=featurizer,
         config=ServingConfig(**config_kwargs),
         reward_source=reward_source,
@@ -320,8 +304,7 @@ def _make_service(db, agent=None, planner=None, featurizer=None,
 
 def _make_frontend(db, agent=None, featurizer=None, reward_source=None,
                    n_shards=2, max_batch=16, max_delay_ms=2.0,
-                   expert_lane="bitset", telemetry=None, executor="thread",
-                   **config_kwargs):
+                   telemetry=None, executor="thread", **config_kwargs):
     """A :class:`ServingFrontEnd` over ``db``: dispatch-on-idle flusher
     in front of ``n_shards`` fingerprint-sharded worker services
     (in-process threads by default; ``executor="process"`` spawns one
@@ -344,13 +327,6 @@ def _make_frontend(db, agent=None, featurizer=None, reward_source=None,
             n_shards=n_shards, max_batch=max_batch, max_delay_ms=max_delay_ms,
             executor=executor,
         ),
-        # Keyword recipe instead of a closure: the same planner is built
-        # per shard in either mode, and the kwargs pickle across the
-        # spawn boundary in process mode (a planner_factory cannot).
-        planner_kwargs={
-            "geqo_threshold": 12 if expert_lane == "bitset" else 8,
-            "expert_lane": expert_lane,
-        },
         reward_source=reward_source,
         telemetry=telemetry,
     )
@@ -473,9 +449,7 @@ def _trained_setup(args, episodes: int):
     from repro.workloads import job_lite_workload
 
     db = _database(args)
-    lane = getattr(args, "expert_lane", "bitset")
-    planner = Planner(db, geqo_threshold=12 if lane == "bitset" else 8,
-                      cost_memo=SubPlanCostMemo(), expert_lane=lane)
+    planner = Planner(db, cost_memo=SubPlanCostMemo())
     baseline = ExpertBaseline(db, planner)
     workload = job_lite_workload(variants=("a", "b", "c")).filter(
         lambda q: q.n_relations <= 11
@@ -552,11 +526,7 @@ def _cmd_fig3c(args) -> int:
     from repro.workloads.generator import RandomQueryGenerator
 
     db = _database(args)
-    # Same lane-dependent threshold as the serving paths: the bitset
-    # lane sweeps exhaustive DP up to the PostgreSQL default.
-    planner = Planner(db,
-                      geqo_threshold=12 if args.expert_lane == "bitset" else 8,
-                      expert_lane=args.expert_lane)
+    planner = Planner(db)
     gen = RandomQueryGenerator(db)
     rng = np.random.default_rng(0)
     featurizer = QueryFeaturizer(db.schema, max_relations=args.max_relations)
@@ -1017,7 +987,6 @@ def _serve_drift(args, db, env, agent, trainer, baseline, telemetry=None):
         n_shards=args.shards,
         max_batch=args.burst,
         max_delay_ms=args.max_delay_ms,
-        expert_lane=getattr(args, "expert_lane", "bitset"),
         telemetry=telemetry,
         executor=getattr(args, "executor", "thread"),
         cache_capacity=args.cache_capacity,
@@ -1144,7 +1113,6 @@ def _serve_concurrent(args, db, env, agent, stream, telemetry=None):
         n_shards=args.shards,
         max_batch=args.burst,
         max_delay_ms=args.max_delay_ms,
-        expert_lane=getattr(args, "expert_lane", "bitset"),
         telemetry=telemetry,
         executor=executor,
         cache_capacity=args.cache_capacity,

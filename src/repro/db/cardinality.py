@@ -81,7 +81,6 @@ __all__ = [
     "CardinalityModel",
     "HistogramEstimator",
     "PessimisticEstimator",
-    "CardinalityEstimator",
     "QueryCardinalities",
     "q_error",
 ]
@@ -255,14 +254,6 @@ class HistogramEstimator(CardinalityModel):
     """
 
     lane = "histogram"
-
-
-#: Deprecated alias — the concrete class was renamed when the abstract
-#: :class:`CardinalityModel` interface was extracted. Import
-#: :class:`HistogramEstimator` (or the interface) instead; this name is
-#: kept so external code and pickles keep working, and will be removed
-#: once nothing constructs it directly.
-CardinalityEstimator = HistogramEstimator
 
 
 class PessimisticEstimator(CardinalityModel):

@@ -70,7 +70,7 @@ class PlanningTimeout(RuntimeError):
 
 @dataclass
 class DPStats:
-    """Cumulative expert-lane counters (one instance per planner)."""
+    """Cumulative expert DP counters (one instance per planner)."""
 
     #: Connected subsets enumerated across all DP runs (singletons included).
     subsets_enumerated: int = 0

@@ -13,10 +13,11 @@ candidate join the cheapest of the hash/merge/nested-loop formulas on
 *estimated* input and output rows. Physical operator selection proper
 happens afterwards in :mod:`repro.optimizer.physical`.
 
-:func:`selinger_dp` here is the *legacy reference lane*, kept verbatim
-as the parity oracle; production planning goes through the bitset fast
-lane in :mod:`repro.optimizer.bitset_dp` (``selinger_dp_bitset``),
-which the greedy and GEQO searches below also ride.
+:func:`selinger_dp` here is the seed enumerator, kept verbatim as the
+reference the tests and ``benchmarks/bench_planner.py`` compare
+against; nothing in production calls it. The planner runs
+``selinger_dp_bitset`` (:mod:`repro.optimizer.bitset_dp`), which the
+greedy and GEQO searches below also ride.
 """
 
 from __future__ import annotations

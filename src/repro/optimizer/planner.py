@@ -5,24 +5,21 @@ GEQO threshold, genetic search at or above it — like PostgreSQL), then
 physical selection, and reports the wall-clock planning time — the
 quantity on the y-axis of Figure 3c.
 
-Join-order search runs on the **bitset fast lane** by default
+Join-order search runs on the bitset DP
 (:mod:`repro.optimizer.bitset_dp`): integer-mask DP with memoized
 subset cardinalities and branch-and-bound pruning seeded from a greedy
-plan. In ``exact`` mode (default) it is plan-identical to the legacy
-``selinger_dp``; construct with ``expert_lane="legacy"`` to get the
-seed enumerator back. The planner also keeps expert-lane observability
-counters (subsets enumerated, entries pruned, per-plan latency
-percentiles) that the serving layer rolls up.
+plan. In ``exact`` mode (default) it is plan-identical to the seed
+enumerator ``join_search.selinger_dp``, which the tests keep as the
+reference it is compared against. The planner also keeps expert
+observability counters (subsets enumerated, entries pruned, per-plan
+latency histogram) that the serving layer rolls up.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import zlib
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List
 
 import numpy as np
 
@@ -31,17 +28,14 @@ from repro.db.costmodel import PlanCost
 from repro.db.engine import Database
 from repro.db.plans import JoinTree, PhysicalPlan
 from repro.db.query import Query
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.optimizer.bitset_dp import (
     DPStats,
     PlanningTimeout,
     fast_greedy_bottom_up,
     selinger_dp_bitset,
 )
-from repro.optimizer.join_search import (
-    geqo_join_search,
-    selinger_dp,
-)
+from repro.optimizer.join_search import geqo_join_search
 from repro.optimizer.memo import SubPlanCostMemo, tree_keys
 from repro.optimizer.physical import build_physical_plan
 
@@ -49,6 +43,24 @@ __all__ = ["Planner", "PlannerResult", "PlanningTimeout"]
 
 #: PostgreSQL switches from exhaustive search to GEQO at 12 relations.
 DEFAULT_GEQO_THRESHOLD = 12
+
+#: The expert's pull-style metrics, one row each: (registry name,
+#: ``counters()`` key, kind, help, how to read it off a planner). A
+#: serving shard registers them (and ``expert_ms_hist``) in its metrics
+#: registry and renders its ``counters()`` from the key column.
+PLANNER_METRIC_ROWS = (
+    ("repro_expert_dp_subsets_total", "dp_subsets_enumerated", "counter",
+     "connected subsets enumerated by the bitset DP",
+     lambda p: p.dp_stats.subsets_enumerated),
+    ("repro_expert_dp_pruned_total", "dp_pruned", "counter",
+     "DP entries removed by branch-and-bound",
+     lambda p: p.dp_stats.entries_pruned),
+    ("repro_expert_dp_bound_fallbacks_total", "dp_bound_fallbacks", "counter",
+     "inexact-mode searches answered by the greedy bound",
+     lambda p: p.dp_stats.bound_fallbacks),
+    ("repro_expert_plans_total", "expert_plans", "counter",
+     "expert join-order searches run", lambda p: p.expert_plans),
+)
 
 
 @dataclass(frozen=True)
@@ -72,10 +84,8 @@ class Planner:
         geqo_threshold: int = DEFAULT_GEQO_THRESHOLD,
         bushy: bool = False,
         cost_memo: SubPlanCostMemo | None = None,
-        expert_lane: str = "bitset",
         exact: bool = True,
         prune: bool = True,
-        latency_window: int = 4096,
     ) -> None:
         """``bushy=False`` (default) restricts the expert to left-deep
         join trees — the classic System R heuristic. This is what gives
@@ -90,54 +100,31 @@ class Planner:
         trees (a converged policy, a replayed cache entry) are costed
         once. Clear it whenever the database is re-ANALYZEd.
 
-        ``expert_lane`` selects the DP implementation: ``"bitset"``
-        (default) is the mask-native fast lane, ``"legacy"`` the seed
-        enumerator. ``prune`` enables branch-and-bound on the fast
-        lane; with ``exact=True`` (default) pruning removes only
-        provably dominated entries, so the chosen plan is identical to
-        the legacy lane's. ``exact=False`` trades the optimality
+        ``prune`` enables branch-and-bound in the DP; with
+        ``exact=True`` (default) pruning removes only provably
+        dominated entries, so the chosen plan is identical to the
+        unpruned enumerator's. ``exact=False`` trades the optimality
         guarantee for harder pruning (never worse than the greedy
-        bound). ``latency_window`` bounds the per-plan latency samples
-        kept for the ``expert_plan_ms`` percentile counters."""
+        bound)."""
         if geqo_threshold < 2:
             raise ValueError("geqo_threshold must be at least 2")
-        if expert_lane not in ("bitset", "legacy"):
-            raise ValueError(f"unknown expert_lane {expert_lane!r}")
         self.db = db
         self.geqo_threshold = geqo_threshold
         self.bushy = bushy
         self.cost_memo = cost_memo
-        self.expert_lane = expert_lane
         self.exact = exact
         self.prune = prune
-        #: Cumulative fast-lane counters (``repro info --probe``).
+        #: Cumulative DP counters (``repro info --probe``).
         self.dp_stats = DPStats()
         self.expert_plans = 0
-        self._expert_ms: deque = deque(maxlen=latency_window)
-        #: Guards the latency samples: a monitoring thread may snapshot
-        #: them (front-end counter rollup) while a worker shard plans.
-        self._expert_ms_lock = threading.Lock()
         #: The histogram behind the ``expert_plan_ms_*`` percentiles —
         #: the same log-bucket implementation the serving layer uses for
         #: request latencies, so every reported percentile in the stack
         #: shares one method and one error bound (see
-        #: :mod:`repro.obs.metrics`). The raw-sample deque stays only as
-        #: a bounded forensic window (``expert_latency_samples``).
+        #: :mod:`repro.obs.metrics`).
         self.expert_ms_hist = Histogram(
             "repro_expert_plan_ms", "expert join-order search latency"
         )
-
-    def __getstate__(self) -> dict:
-        """The lock is process-local; the latency window travels (plain
-        deque of floats). Lets a planner ride inside a picklable object
-        graph (reward baselines in a process-mode ``WorkerSpec``)."""
-        state = dict(self.__dict__)
-        state["_expert_ms_lock"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._expert_ms_lock = threading.Lock()
 
     @staticmethod
     def _deadline_hook(budget_ms: float | None):
@@ -161,94 +148,36 @@ class Planner:
     ) -> JoinTree:
         """Join-order search only (the first stage of Figure 8).
 
-        Below the threshold: exhaustive DP (bitset fast lane unless
-        ``expert_lane="legacy"``). At or above it: GEQO-style genetic
-        search, seeded deterministically per query name so planning is
-        reproducible.
+        Below the threshold: exhaustive bitset DP. At or above it:
+        GEQO-style genetic search, seeded deterministically per query
+        name so planning is reproducible.
 
-        ``budget_ms`` bounds the bitset DP's wall clock via its
-        check-deadline hook; past the budget the search raises
-        :class:`PlanningTimeout` (bitset lane only — the legacy
-        enumerator and GEQO are not interruptible, and callers that set
-        budgets run the bitset lane). A timed-out search records neither
-        a plan nor a latency sample.
+        ``budget_ms`` bounds the DP's wall clock via its check-deadline
+        hook; past the budget the search raises
+        :class:`PlanningTimeout` (GEQO is not interruptible). A
+        timed-out search records neither a plan nor a latency sample.
         """
         start = time.perf_counter()
         cards = self.db.cardinalities(query)
         if query.n_relations < self.geqo_threshold:
-            if self.expert_lane == "bitset":
-                tree = selinger_dp_bitset(
-                    query,
-                    cards,
-                    self.db.cost_params,
-                    bushy=self.bushy,
-                    prune=self.prune,
-                    exact=self.exact,
-                    stats=self.dp_stats,
-                    check_deadline=self._deadline_hook(budget_ms),
-                )
-            else:
-                tree = selinger_dp(
-                    query, cards, self.db.cost_params, bushy=self.bushy
-                )
+            tree = selinger_dp_bitset(
+                query,
+                cards,
+                self.db.cost_params,
+                bushy=self.bushy,
+                prune=self.prune,
+                exact=self.exact,
+                stats=self.dp_stats,
+                check_deadline=self._deadline_hook(budget_ms),
+            )
         else:
             seed = zlib.crc32(query.name.encode())
             tree = geqo_join_search(
                 query, cards, self.db.cost_params, rng=np.random.default_rng(seed)
             )
         self.expert_plans += 1
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self.expert_ms_hist.observe(elapsed_ms)
-        with self._expert_ms_lock:
-            self._expert_ms.append(elapsed_ms)
+        self.expert_ms_hist.observe((time.perf_counter() - start) * 1000.0)
         return tree
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def expert_latency_samples(self) -> List[float]:
-        """Recent per-plan join-search latencies (ms), newest last."""
-        with self._expert_ms_lock:
-            return list(self._expert_ms)
-
-    def counters(self) -> Dict[str, float]:
-        """Expert-lane counters for the serving rollup.
-
-        Percentiles come from the shared log-bucket histogram (see
-        ``expert_ms_hist``), the same implementation and error bound as
-        the request-latency percentiles.
-        """
-        out = self.dp_stats.as_dict()
-        out["expert_plans"] = float(self.expert_plans)
-        out["expert_plan_ms_p50"] = round(self.expert_ms_hist.quantile(0.50), 4)
-        out["expert_plan_ms_p95"] = round(self.expert_ms_hist.quantile(0.95), 4)
-        return out
-
-    def register_metrics(self, registry: MetricsRegistry) -> None:
-        """Expose the expert lane in a shard's metrics registry:
-        pull-style counters over the exact DP stats plus the owned
-        latency histogram (so registry merges pool shards exactly)."""
-        registry.counter_fn(
-            "repro_expert_dp_subsets_total",
-            lambda: self.dp_stats.subsets_enumerated,
-            "connected subsets enumerated by the bitset DP",
-        )
-        registry.counter_fn(
-            "repro_expert_dp_pruned_total",
-            lambda: self.dp_stats.entries_pruned,
-            "DP entries removed by branch-and-bound",
-        )
-        registry.counter_fn(
-            "repro_expert_dp_bound_fallbacks_total",
-            lambda: self.dp_stats.bound_fallbacks,
-            "inexact-mode searches answered by the greedy bound",
-        )
-        registry.counter_fn(
-            "repro_expert_plans_total",
-            lambda: self.expert_plans,
-            "expert join-order searches run",
-        )
-        registry.register(self.expert_ms_hist)
 
     # ------------------------------------------------------------------
     def complete_plan(

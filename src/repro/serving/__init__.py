@@ -26,9 +26,9 @@ puts it behind a production-shaped ``optimize(query)`` API:
   :mod:`repro.serving.shm` — the GIL escape: ``executor="process"``
   promotes each shard to a spawned worker process
   (:class:`ProcessWorkerClient` proxies it), speaking a length-prefixed
-  pipe protocol with large buffers diverted through shared-memory
-  rings, with a control channel for stats-epoch bumps, policy
-  hot-swaps, breaker state, and chaos arming;
+  pipe protocol, with a control channel for stats-epoch bumps, policy
+  hot-swaps, guardrail-threshold sync, and chaos arming whose large
+  buffers (weights, experience drains) go through shared-memory rings;
 - :mod:`repro.serving.errors` — the typed failure hierarchy
   (:class:`OptimizeError` and friends) every refused or abandoned
   request resolves with;

@@ -40,7 +40,7 @@ import hashlib
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 __all__ = ["FaultConfig", "FaultInjector", "seeded_uniform"]
 
@@ -101,7 +101,7 @@ class FaultInjector:
     """Deterministic, thread-safe fault scheduler.
 
     ``fires(kind, key)`` is pure given ``(config.seed, kind, key)`` —
-    the counters/log it updates are bookkeeping for tests and reports,
+    the counters it updates are bookkeeping for tests and reports,
     not inputs to the decision.
     """
 
@@ -109,7 +109,6 @@ class FaultInjector:
         self.config = config or FaultConfig()
         self._lock = threading.Lock()
         self._fired: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
-        self._log: List[Tuple[str, str]] = []
 
     def fires(self, kind: str, key: str) -> bool:
         """Should fault ``kind`` fire at injection site ``key``?"""
@@ -120,18 +119,11 @@ class FaultInjector:
         if fired:
             with self._lock:
                 self._fired[kind] += 1
-                self._log.append((kind, key))
         return fired
 
     def fired_counts(self) -> Dict[str, int]:
         with self._lock:
             return dict(self._fired)
-
-    def fired_log(self) -> List[Tuple[str, str]]:
-        """Every (kind, key) that fired, in observation order. Order can
-        differ run-to-run under concurrency; the *set* cannot."""
-        with self._lock:
-            return list(self._log)
 
     def total_fired(self) -> int:
         with self._lock:

@@ -93,11 +93,14 @@ from repro.serving.service import (
     OptimizerService,
     ServedPlan,
     ServingConfig,
-    legacy_counters,
+    counter_values,
+    latency_summary,
+    register_metric_rows,
+    render_counters,
 )
 from repro.serving.sharding import HashRing
 from repro.serving.supervisor import CircuitBreaker, ShardSupervisor
-from repro.serving.transport import TransportStats
+from repro.serving.transport import TRANSPORT_METRIC_ROWS, TransportStats
 
 __all__ = ["FrontEndConfig", "FrontEndStats", "ServingFrontEnd"]
 
@@ -105,6 +108,8 @@ __all__ = ["FrontEndConfig", "FrontEndStats", "ServingFrontEnd"]
 _STOP = object()
 #: Sentinel crashing a worker thread on purpose (tests, chaos drills).
 _KILL = object()
+#: retry_after hint handed to shed callers.
+_SHED_RETRY_AFTER_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -121,8 +126,6 @@ class FrontEndConfig:
     max_delay_ms: float = 2.0
     #: Backpressure: max submissions accepted but not yet resolved.
     max_pending: int = 65_536
-    #: Virtual nodes per shard on the consistent-hash ring.
-    hash_replicas: int = 64
     #: Deadline attached to every submit() that does not bring its own
     #: (None = no deadline).
     default_deadline_ms: float | None = None
@@ -134,13 +137,10 @@ class FrontEndConfig:
     backoff_cap_ms: float = 100.0
     #: Shed load once inflight reaches this fraction of max_pending.
     shed_watermark: float = 0.9
-    #: retry_after hint handed to shed callers.
-    shed_retry_after_s: float = 0.05
     #: Per-shard circuit breaker: consecutive failures to trip, cooldown
     #: before half-open probes.
     breaker_failure_threshold: int = 5
     breaker_cooldown_s: float = 1.0
-    breaker_probe_limit: int = 1
     #: Run the supervisor thread that respawns dead workers.
     supervise: bool = True
     supervisor_interval_s: float = 0.05
@@ -229,26 +229,51 @@ class FrontEndStats:
             else 0.0
         )
 
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "frontend_submitted": self.submitted,
-            "frontend_flushes": self.flushes,
-            "frontend_flushes_size": self.flushes_size,
-            "frontend_flushes_deadline": self.flushes_deadline,
-            "frontend_flushes_idle": self.flushes_idle,
-            "frontend_flushes_drain": self.flushes_drain,
-            "frontend_rejected": self.rejected,
-            "frontend_load_shed": self.load_shed,
-            "frontend_retries": self.retries,
-            "frontend_retries_exhausted": self.retries_exhausted,
-            "frontend_deadline_expired": self.deadline_expired,
-            "frontend_rerouted": self.rerouted,
-            "frontend_worker_restarts": self.worker_restarts,
-            "frontend_circuit_opens": self.circuit_opens,
-            "frontend_batch_occupancy_mean": round(self.batch_occupancy_mean, 2),
-            "frontend_served_batches": self.served_batches,
-            "frontend_served_occupancy_mean": round(self.served_occupancy_mean, 2),
-        }
+
+#: The flusher/queue metrics, one row each — (registry name,
+#: ``counters()`` key or None, kind, help, how to read it off the front
+#: end) — registered and rendered like the shard tables in
+#: :mod:`repro.serving.service`.
+_FRONTEND_ROWS = (
+    ("repro_frontend_submitted_total", "frontend_submitted", "counter",
+     "submissions accepted", lambda f: f.stats.submitted),
+    ("repro_frontend_flushes_total", "frontend_flushes", "counter",
+     "flusher dispatches", lambda f: f.stats.flushes),
+    ("repro_frontend_flushes_size_total", "frontend_flushes_size", "counter",
+     "flushes triggered by a full batch", lambda f: f.stats.flushes_size),
+    ("repro_frontend_flushes_deadline_total", "frontend_flushes_deadline",
+     "counter", "flushes triggered by the max_delay deadline",
+     lambda f: f.stats.flushes_deadline),
+    ("repro_frontend_flushes_idle_total", "frontend_flushes_idle", "counter",
+     "flushes triggered by an idle shard with work pending",
+     lambda f: f.stats.flushes_idle),
+    ("repro_frontend_flushes_drain_total", "frontend_flushes_drain", "counter",
+     "flushes forced by drain()/close()", lambda f: f.stats.flushes_drain),
+    ("repro_frontend_rejected_total", "frontend_rejected", "counter",
+     "submissions rejected at admission", lambda f: f.stats.rejected),
+    ("repro_frontend_load_shed_total", "frontend_load_shed", "counter",
+     "submissions shed past the pending watermark", lambda f: f.stats.load_shed),
+    ("repro_frontend_retries_total", "frontend_retries", "counter",
+     "retry attempts scheduled", lambda f: f.stats.retries),
+    ("repro_frontend_retries_exhausted_total", "frontend_retries_exhausted",
+     "counter", "requests that failed every allowed attempt",
+     lambda f: f.stats.retries_exhausted),
+    ("repro_frontend_deadline_expired_total", "frontend_deadline_expired",
+     "counter", "requests failed on an expired deadline budget",
+     lambda f: f.stats.deadline_expired),
+    ("repro_frontend_rerouted_total", "frontend_rerouted", "counter",
+     "dispatches rerouted to a fallback shard", lambda f: f.stats.rerouted),
+    ("repro_frontend_worker_restarts_total", "frontend_worker_restarts",
+     "counter", "dead workers respawned", lambda f: f.stats.worker_restarts),
+    ("repro_frontend_circuit_opens_total", "frontend_circuit_opens", "counter",
+     "circuit-breaker trips to open", lambda f: f.stats.circuit_opens),
+    ("repro_frontend_served_batches_total", "frontend_served_batches", "counter",
+     "worker micro-batches actually served", lambda f: f.stats.served_batches),
+    ("repro_frontend_inflight", None, "gauge",
+     "submissions accepted but not yet resolved", lambda f: f._inflight),
+    ("repro_frontend_down_shards", None, "gauge",
+     "shards whose worker is dead and awaiting respawn", lambda f: len(f._down)),
+)
 
 
 @dataclass(eq=False)
@@ -281,6 +306,15 @@ class _Submission:
     settled: bool = False
     #: Whether the future already moved to RUNNING (set once, first pickup).
     started: bool = False
+
+    def identity(self) -> Dict[str, object]:
+        """Which request this is, as every structured error carries it."""
+        return {
+            "query_name": self.query.name,
+            "fingerprint": self.fp,
+            "shard": self.shard,
+            "attempts": self.attempts,
+        }
 
 
 class ServingFrontEnd:
@@ -315,7 +349,7 @@ class ServingFrontEnd:
                 f"{len(services)} services were given"
             )
         self.services = list(services)
-        self.ring = HashRing(self.config.n_shards, self.config.hash_replicas)
+        self.ring = HashRing(self.config.n_shards)
         self.stats = FrontEndStats()
         self.clock = time.monotonic
         self._service_factory = service_factory
@@ -393,7 +427,6 @@ class ServingFrontEnd:
             CircuitBreaker(
                 failure_threshold=self.config.breaker_failure_threshold,
                 cooldown_s=self.config.breaker_cooldown_s,
-                probe_limit=self.config.breaker_probe_limit,
                 on_transition=self._breaker_callback(shard),
             )
             for shard in range(self.config.n_shards)
@@ -424,125 +457,19 @@ class ServingFrontEnd:
             self.supervisor.start()
 
     def _register_metrics(self) -> None:
-        """Expose the flusher/queue stats as pull-style registry metrics
-        (same pattern as ``OptimizerService._register_metrics``)."""
-        reg = self.registry
-        reg.counter_fn(
-            "repro_frontend_submitted_total",
-            lambda: self.stats.submitted,
-            "submissions accepted",
-        )
-        reg.counter_fn(
-            "repro_frontend_flushes_total",
-            lambda: self.stats.flushes,
-            "flusher dispatches",
-        )
-        reg.counter_fn(
-            "repro_frontend_flushes_size_total",
-            lambda: self.stats.flushes_size,
-            "flushes triggered by a full batch",
-        )
-        reg.counter_fn(
-            "repro_frontend_flushes_deadline_total",
-            lambda: self.stats.flushes_deadline,
-            "flushes triggered by the max_delay deadline",
-        )
-        reg.counter_fn(
-            "repro_frontend_flushes_idle_total",
-            lambda: self.stats.flushes_idle,
-            "flushes triggered by an idle shard with work pending",
-        )
-        reg.counter_fn(
-            "repro_frontend_flushes_drain_total",
-            lambda: self.stats.flushes_drain,
-            "flushes forced by drain()/close()",
-        )
-        reg.counter_fn(
-            "repro_frontend_rejected_total",
-            lambda: self.stats.rejected,
-            "submissions rejected at admission",
-        )
-        reg.counter_fn(
-            "repro_frontend_load_shed_total",
-            lambda: self.stats.load_shed,
-            "submissions shed past the pending watermark",
-        )
-        reg.counter_fn(
-            "repro_frontend_retries_total",
-            lambda: self.stats.retries,
-            "retry attempts scheduled",
-        )
-        reg.counter_fn(
-            "repro_frontend_retries_exhausted_total",
-            lambda: self.stats.retries_exhausted,
-            "requests that failed every allowed attempt",
-        )
-        reg.counter_fn(
-            "repro_frontend_deadline_expired_total",
-            lambda: self.stats.deadline_expired,
-            "requests failed on an expired deadline budget",
-        )
-        reg.counter_fn(
-            "repro_frontend_rerouted_total",
-            lambda: self.stats.rerouted,
-            "dispatches rerouted to a fallback shard",
-        )
-        reg.counter_fn(
-            "repro_frontend_worker_restarts_total",
-            lambda: self.stats.worker_restarts,
-            "dead workers respawned",
-        )
-        reg.counter_fn(
-            "repro_frontend_circuit_opens_total",
-            lambda: self.stats.circuit_opens,
-            "circuit-breaker trips to open",
-        )
-        reg.counter_fn(
-            "repro_frontend_served_batches_total",
-            lambda: self.stats.served_batches,
-            "worker micro-batches actually served",
-        )
-        reg.gauge_fn(
-            "repro_frontend_inflight",
-            lambda: self._inflight,
-            "submissions accepted but not yet resolved",
-        )
-        reg.gauge_fn(
-            "repro_frontend_down_shards",
-            lambda: len(self._down),
-            "shards whose worker is dead and awaiting respawn",
-        )
+        """Expose the flusher/queue stats (and, in process mode, the
+        shared transport counters) as pull-style registry metrics."""
+        register_metric_rows(self.registry, _FRONTEND_ROWS, self)
         if self.transport is not None:
-            transport = self.transport
-            reg.counter_fn(
-                "repro_transport_frames_total",
-                lambda: transport.frames_sent,
-                "frames sent over worker pipes",
-            )
-            reg.counter_fn(
-                "repro_transport_bytes_pipe_total",
-                lambda: transport.bytes_pipe,
-                "bytes shipped in-band over worker pipes",
-            )
-            reg.counter_fn(
-                "repro_transport_bytes_shm_total",
-                lambda: transport.bytes_shm,
-                "bytes shipped out-of-band through shm rings",
-            )
-            reg.counter_fn(
-                "repro_transport_shm_fallbacks_total",
-                lambda: transport.shm_fallbacks,
-                "out-of-band buffers that fell back to in-band transfer",
-            )
-            reg.counter_fn(
-                "repro_transport_control_roundtrips_total",
-                lambda: transport.control_roundtrips,
-                "control-channel RPC round-trips",
+            register_metric_rows(
+                self.registry, TRANSPORT_METRIC_ROWS, self.transport
             )
 
     def _breaker_callback(self, shard: int):
         """on_transition hook for shard ``shard``'s breaker. Runs under
-        the breaker's lock — must not call back into the breaker."""
+        the breaker's lock — must not call back into the breaker, nor
+        block: ``allow()`` on the routing path waits on that lock, so
+        no RPC to the (possibly stopped) worker belongs here."""
 
         def on_transition(old: str, new: str) -> None:
             if new == "open":
@@ -555,13 +482,6 @@ class ServingFrontEnd:
             elif new == "closed" and old == "half_open":
                 if self.telemetry is not None and self.telemetry.enabled:
                     self.telemetry.events.emit("circuit_close", shard=shard)
-            # Process mode: push the breaker state to the worker over
-            # its control channel (shows up in the worker's heartbeat
-            # payload / forensics). Best-effort: a dead worker is the
-            # usual *reason* the breaker moved.
-            service = self.services[shard]
-            if isinstance(service, ProcessWorkerClient):
-                service.notify_breaker(new)
 
         return on_transition
 
@@ -767,7 +687,7 @@ class ServingFrontEnd:
         if self._inflight >= shed_at:
             self.stats.rejected += 1
             self.stats.load_shed += 1
-            hint = self.config.shed_retry_after_s
+            hint = _SHED_RETRY_AFTER_S
             if self.telemetry is not None and self.telemetry.enabled:
                 # Rate-limited: a sustained overload sheds thousands of
                 # submissions per second; one event a second with a
@@ -979,10 +899,7 @@ class ServingFrontEnd:
                         f"deadline expired after {waited:.1f}ms in the "
                         "pending queue",
                         stage="queue",
-                        query_name=s.query.name,
-                        fingerprint=s.fp,
-                        shard=s.shard,
-                        attempts=s.attempts,
+                        **s.identity(),
                     ),
                     counter="deadline_expired",
                 )
@@ -1040,18 +957,12 @@ class ServingFrontEnd:
                 )
             raise ShardFailed(
                 "every worker shard is down",
-                query_name=s.query.name,
-                fingerprint=s.fp,
-                shard=s.shard,
-                attempts=s.attempts,
+                **s.identity(),
                 retry_after_s=hint,
             )
         raise CircuitOpen(
             "every live shard's circuit breaker is open",
-            query_name=s.query.name,
-            fingerprint=s.fp,
-            shard=s.shard,
-            attempts=s.attempts,
+            **s.identity(),
             retry_after_s=min(waits),
         )
 
@@ -1135,10 +1046,7 @@ class ServingFrontEnd:
                         "deadline budget exhausted when the shard picked "
                         "the request up",
                         stage="serve",
-                        query_name=s.query.name,
-                        fingerprint=s.fp,
-                        shard=shard,
-                        attempts=s.attempts,
+                        **s.identity(),
                     ),
                     counter="deadline_expired",
                 )
@@ -1168,10 +1076,7 @@ class ServingFrontEnd:
                     s,
                     InjectedFault(
                         f"chaos: injected worker fault on shard {shard}",
-                        query_name=s.query.name,
-                        fingerprint=s.fp,
-                        shard=shard,
-                        attempts=s.attempts,
+                        **s.identity(),
                     ),
                 )
             # The breaker tracks *shard* health, not per-request noise:
@@ -1286,10 +1191,7 @@ class ServingFrontEnd:
             exhausted = RetriesExhausted(
                 f"request {s.query.name!r} failed all "
                 f"{s.attempts} attempts (last: {error.code})",
-                query_name=s.query.name,
-                fingerprint=s.fp,
-                shard=s.shard,
-                attempts=s.attempts,
+                **s.identity(),
             )
             exhausted.__cause__ = error
             self._resolve(s, error=exhausted, counter="retries_exhausted")
@@ -1315,10 +1217,7 @@ class ServingFrontEnd:
                     f"deadline would expire during the attempt-"
                     f"{s.attempts + 1} backoff",
                     stage="queue",
-                    query_name=s.query.name,
-                    fingerprint=s.fp,
-                    shard=s.shard,
-                    attempts=s.attempts,
+                    **s.identity(),
                 ),
                 counter="deadline_expired",
             )
@@ -1349,10 +1248,7 @@ class ServingFrontEnd:
             s,
             error=ServiceClosed(
                 "front end closed while the request awaited its retry",
-                query_name=s.query.name,
-                fingerprint=s.fp,
-                shard=s.shard,
-                attempts=s.attempts,
+                **s.identity(),
             ),
         )
 
@@ -1395,10 +1291,7 @@ class ServingFrontEnd:
                 s,
                 ShardFailed(
                     f"worker shard {shard} died mid-batch: {exc!r}",
-                    query_name=s.query.name,
-                    fingerprint=s.fp,
-                    shard=shard,
-                    attempts=s.attempts,
+                    **s.identity(),
                 ),
             )
         if requeued:
@@ -1588,10 +1481,7 @@ class ServingFrontEnd:
                         error=DeadlineExceeded(
                             "request deadline expired during drain",
                             stage="drain",
-                            query_name=s.query.name,
-                            fingerprint=s.fp,
-                            shard=s.shard,
-                            attempts=s.attempts,
+                            **s.identity(),
                         ),
                         counter="deadline_expired",
                     )
@@ -1663,10 +1553,7 @@ class ServingFrontEnd:
                 s,
                 error=ServiceClosed(
                     "front end closed before the request resolved",
-                    query_name=s.query.name,
-                    fingerprint=s.fp,
-                    shard=s.shard,
-                    attempts=s.attempts,
+                    **s.identity(),
                 ),
             )
         # Process mode: pull one last metric/fault snapshot into each
@@ -1734,17 +1621,8 @@ class ServingFrontEnd:
         return out
 
     def latency_summary(self) -> Dict[str, float]:
-        """p50/p95/mean submit-to-resolve latency (queueing included),
-        from the shared log-bucket histogram (worst-case percentile
-        error documented in :mod:`repro.obs.metrics`; mean is exact)."""
-        hist = self.latency_ms_hist
-        if not hist.count:
-            return {"p50_ms": 0.0, "p95_ms": 0.0, "mean_ms": 0.0}
-        return {
-            "p50_ms": hist.quantile(0.50),
-            "p95_ms": hist.quantile(0.95),
-            "mean_ms": hist.mean,
-        }
+        """p50/p95/mean submit-to-resolve latency (queueing included)."""
+        return latency_summary(self.latency_ms_hist)
 
     def metrics_registry(self) -> MetricsRegistry:
         """One merged registry over the whole stack: front-end queue
@@ -1761,18 +1639,31 @@ class ServingFrontEnd:
     def counters(self) -> Dict[str, float]:
         """Front-end stats plus every shard's counters rolled up.
 
-        The rollup is :meth:`MetricsRegistry.merge` over the shard
-        registries rendered through the same legacy view the shards use
-        — summed counts, rates recomputed from summed numerators and
-        denominators, percentiles from the pooled histogram. Per-shard
-        request counts are also exposed (``shard0_requests``, ...),
-        which is how an operator sees the consistent-hash load split.
+        One :meth:`MetricsRegistry.merge` over the shard registries and
+        the front end's own, rendered through the key column of the
+        metric tables — summed counts, rates recomputed from summed
+        numerators and denominators, percentiles from the pooled
+        histogram. Per-shard request counts are also exposed
+        (``shard0_requests``, ...), which is how an operator sees the
+        consistent-hash load split.
         """
-        merged = MetricsRegistry.merge(service.registry for service in self.services)
-        rolled = legacy_counters(merged)
+        # Shard registries first: in process mode each is a control
+        # round-trip, which the transport rows read after it then show.
+        merged = MetricsRegistry.merge(
+            [service.registry for service in self.services] + [self.registry]
+        )
+        rolled = render_counters(merged)
         for shard, service in enumerate(self.services):
             rolled[f"shard{shard}_requests"] = service.stats.requests
-        rolled.update(self.stats.as_dict())
+        rolled.update(
+            counter_values(merged, _FRONTEND_ROWS + TRANSPORT_METRIC_ROWS, cast=int)
+        )
+        rolled["frontend_batch_occupancy_mean"] = round(
+            self.stats.batch_occupancy_mean, 2
+        )
+        rolled["frontend_served_occupancy_mean"] = round(
+            self.stats.served_occupancy_mean, 2
+        )
         rolled["frontend_shards"] = self.config.n_shards
         rolled["frontend_breakers_open"] = sum(
             1 for breaker in self.breakers if breaker.state != "closed"
@@ -1783,7 +1674,6 @@ class ServingFrontEnd:
                 for s in self.services
                 if isinstance(s, ProcessWorkerClient) and s.is_alive()
             )
-            rolled.update(self.transport.as_dict())
         return rolled
 
     def fault_fired_counts(self) -> Dict[str, int]:

@@ -64,6 +64,7 @@ from repro.core.checkpoint import save_agent
 from repro.db.query import Query
 from repro.obs.metrics import MetricsRegistry, quantile_from_counts
 from repro.serving.batching import MicroBatchEngine
+from repro.serving.service import register_metric_rows
 
 __all__ = [
     "AdaptiveGuardrail",
@@ -325,6 +326,26 @@ class EvalGate:
         )
 
 
+#: The daemon's pull-style metrics, in the row format of
+#: :mod:`repro.serving.service` (none of them is a ``counters()`` key).
+_DAEMON_ROWS = (
+    ("repro_policy_version", None, "gauge",
+     "currently-serving policy generation (monotonic)", lambda d: d.version),
+    ("repro_guardrail_threshold", None, "gauge",
+     "adaptive guardrail cost-ratio threshold (0 until fitted)",
+     lambda d: d.guardrail_threshold or 0.0),
+    ("repro_learning_cycles_total", None, "counter",
+     "retraining cycles run", lambda d: d.cycles),
+    ("repro_learning_promotions_total", None, "counter",
+     "gated candidates promoted and hot-swapped", lambda d: d.promotions),
+    ("repro_learning_rejections_total", None, "counter",
+     "candidates refused by the eval gate", lambda d: d.rejections),
+    ("repro_learning_rollbacks_total", None, "counter",
+     "automatic rollbacks within the observation window",
+     lambda d: d.rollbacks),
+)
+
+
 class RetrainingDaemon:
     """Drives the closed loop over a :class:`ServingFrontEnd`.
 
@@ -402,38 +423,8 @@ class RetrainingDaemon:
 
     # ------------------------------------------------------------------
     def _register_metrics(self) -> None:
-        reg = self.registry
-        reg.gauge_fn(
-            "repro_policy_version",
-            lambda: self.version,
-            "currently-serving policy generation (monotonic)",
-        )
-        reg.gauge_fn(
-            "repro_guardrail_threshold",
-            lambda: self.guardrail_threshold or 0.0,
-            "adaptive guardrail cost-ratio threshold (0 until fitted)",
-        )
-        reg.counter_fn(
-            "repro_learning_cycles_total",
-            lambda: self.cycles,
-            "retraining cycles run",
-        )
-        reg.counter_fn(
-            "repro_learning_promotions_total",
-            lambda: self.promotions,
-            "gated candidates promoted and hot-swapped",
-        )
-        reg.counter_fn(
-            "repro_learning_rejections_total",
-            lambda: self.rejections,
-            "candidates refused by the eval gate",
-        )
-        reg.counter_fn(
-            "repro_learning_rollbacks_total",
-            lambda: self.rollbacks,
-            "automatic rollbacks within the observation window",
-        )
-        self.retrain_ms_hist = reg.histogram(
+        register_metric_rows(self.registry, _DAEMON_ROWS, self)
+        self.retrain_ms_hist = self.registry.histogram(
             "repro_learning_retrain_ms",
             "wall-clock of one shadow replay + gate evaluation",
         )

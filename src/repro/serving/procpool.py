@@ -14,8 +14,7 @@ promotes each shard to a **worker process** behind the same
   serves micro-batches off one framed pipe, plus a **control thread**
   on a second pipe for statistics-epoch bumps, policy hot-swaps (weights
   broadcast through the shm ring, version ack'd), guardrail threshold
-  sync, circuit-breaker notices, chaos arming, and metric/experience
-  snapshots.
+  sync, chaos arming, and metric/experience snapshots.
 - :class:`ProcessWorkerClient` is the parent-side proxy that presents
   the exact attribute surface the front end, supervisor, and retraining
   daemon already program against (``optimize_batch``, ``stats``,
@@ -49,7 +48,7 @@ import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.obs.metrics import Histogram, MetricsRegistry
@@ -62,11 +61,7 @@ from repro.serving.service import (
     ServingConfig,
 )
 from repro.serving.shm import ShmRing
-from repro.serving.transport import (
-    DEFAULT_SHM_THRESHOLD,
-    FrameConn,
-    TransportStats,
-)
+from repro.serving.transport import FrameConn, TransportStats
 
 __all__ = [
     "WorkerSpec",
@@ -75,6 +70,10 @@ __all__ = [
     "WORKER_ENV_PINS",
     "worker_blas_threads",
 ]
+
+#: Per-direction capacity of a worker's control rings (weights
+#: broadcasts in, experience drains out).
+_RING_CAPACITY = 8 << 20
 
 # -- frame kinds -------------------------------------------------------
 K_BATCH = 1  # parent -> worker: serve a micro-batch
@@ -152,10 +151,6 @@ class WorkerSpec:
     #: its ``db`` reference dedupes against :attr:`db` in the same
     #: pickle graph, so it does not ship a second database copy).
     reward_source: object = None
-    #: Per-direction control-ring capacity (weights broadcasts, metric
-    #: and experience snapshots travel here out-of-band).
-    ring_capacity: int = 8 << 20
-    shm_threshold: int = DEFAULT_SHM_THRESHOLD
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +196,6 @@ def _control_dispatch(service: OptimizerService, op: str, kwargs: dict):
             "pid": os.getpid(),
             "version": service.policy_version,
             "stats_epoch": service.db.stats_epoch,
-            "breaker": getattr(service, "breaker_state", "closed"),
         }
     if op == "apply_weights":
         service.apply_policy_weights(kwargs["params"], kwargs["version"])
@@ -216,15 +210,9 @@ def _control_dispatch(service: OptimizerService, op: str, kwargs: dict):
             tables=kwargs["tables"],
         )
         return service.db.stats_epoch
-    if op == "invalidate":
-        service.invalidate_statistics_caches(tables=kwargs["tables"])
-        return service.db.stats_epoch
     if op == "set_threshold":
         service.router.set_threshold(kwargs["threshold"])
         return kwargs["threshold"]
-    if op == "breaker":
-        service.breaker_state = kwargs["state"]
-        return True
     if op == "install_faults":
         service.install_fault_injector(FaultInjector(kwargs["config"]))
         return True
@@ -290,17 +278,12 @@ def worker_main(
 
     service = _build_worker_service(spec)
     # Parent produces into ring_in (weights), worker produces into
-    # ring_out (metric/experience snapshots); each end attaches to the
-    # segments the parent created and owns.
+    # ring_out (experience drains); each end attaches to the segments
+    # the parent created and owns.
     ring_in = ShmRing(name=ring_in_name)
     ring_out = ShmRing(name=ring_out_name)
-    req = FrameConn(req_conn, shm_threshold=spec.shm_threshold)
-    ctl = FrameConn(
-        ctl_conn,
-        send_ring=ring_out,
-        recv_ring=ring_in,
-        shm_threshold=spec.shm_threshold,
-    )
+    req = FrameConn(req_conn)
+    ctl = FrameConn(ctl_conn, send_ring=ring_out, recv_ring=ring_in)
     control = threading.Thread(
         target=_control_loop,
         args=(service, ctl),
@@ -433,7 +416,6 @@ class ProcessWorkerClient:
         transport: TransportStats | None = None,
         telemetry=None,
     ) -> None:
-        self.spec = spec
         self.shard = spec.shard
         self.db = spec.db
         self.featurizer = spec.featurizer
@@ -464,8 +446,8 @@ class ProcessWorkerClient:
         self._ctl_lock = threading.Lock()
 
         ctx = mp.get_context("spawn")
-        self._ring_in = ShmRing(capacity=spec.ring_capacity, create=True)
-        self._ring_out = ShmRing(capacity=spec.ring_capacity, create=True)
+        self._ring_in = ShmRing(capacity=_RING_CAPACITY, create=True)
+        self._ring_out = ShmRing(capacity=_RING_CAPACITY, create=True)
         parent_req, child_req = ctx.Pipe(duplex=True)
         parent_ctl, child_ctl = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(
@@ -486,15 +468,12 @@ class ProcessWorkerClient:
         # EOF here instead of a silent hang.
         child_req.close()
         child_ctl.close()
-        self._req = FrameConn(
-            parent_req, stats=self.transport, shm_threshold=spec.shm_threshold
-        )
+        self._req = FrameConn(parent_req, stats=self.transport)
         self._ctl = FrameConn(
             parent_ctl,
             send_ring=self._ring_in,
             recv_ring=self._ring_out,
             stats=self.transport,
-            shm_threshold=spec.shm_threshold,
         )
 
     # -- process facts -------------------------------------------------
@@ -589,42 +568,12 @@ class ProcessWorkerClient:
                 )
         return plans
 
-    def optimize(self, query):
-        return self.optimize_batch([query])[0]
-
     def _mirror(self, queries, plans) -> None:
         self.stats.requests += len(queries)
         self.stats.batches += 1
         for plan in plans:
-            source = plan.source
-            if source == "cache":
-                self.stats.cache_served += 1
-            elif source == "policy":
-                self.stats.policy_served += 1
-            elif source == "fallback":
-                self.stats.fallbacks += 1
-            elif source == "expert":
-                self.stats.expert_served += 1
-            elif source.startswith("degraded_"):
-                self.stats.degraded_served += 1
-                rung = source[len("degraded_") :]
-                if rung == "cache":
-                    self.stats.degraded_cache += 1
-                elif rung == "dp":
-                    self.stats.degraded_dp += 1
-                elif rung == "greedy":
-                    self.stats.degraded_greedy += 1
+            self.stats.count(plan.source)
             self.request_ms_hist.observe(plan.latency_ms)
-
-    def latency_summary(self) -> Dict[str, float]:
-        hist = self.request_ms_hist
-        if not hist.count:
-            return {"p50_ms": 0.0, "p95_ms": 0.0, "mean_ms": 0.0}
-        return {
-            "p50_ms": hist.quantile(0.50),
-            "p95_ms": hist.quantile(0.95),
-            "mean_ms": hist.mean,
-        }
 
     # -- control channel -----------------------------------------------
     def _control(self, op: str, safe: bool = False, **kwargs):
@@ -687,9 +636,6 @@ class ProcessWorkerClient:
         self.policy_version = int(acked)
         self._applied_weights = (dict(params), self.policy_version)
 
-    def invalidate_statistics_caches(self, tables=None) -> None:
-        self._control("invalidate", tables=list(tables) if tables else None)
-
     def remote_refresh_statistics(
         self, seed: int = 1, sample_size: int = 30_000, tables=None
     ) -> int:
@@ -719,14 +665,6 @@ class ProcessWorkerClient:
             self._last_fault_counts = dict(out)
         return dict(self._last_fault_counts)
 
-    def notify_breaker(self, state: str) -> None:
-        """Push the parent-side circuit breaker state to the worker (it
-        shows up in the worker's ping payload / forensics)."""
-        self._control("breaker", safe=True, state=state)
-
-    def drain_experience(self) -> list:
-        return self.experience.drain() if self.experience is not None else []
-
     @property
     def registry(self) -> MetricsRegistry:
         """The worker's metric registry, snapshotted over the control
@@ -739,12 +677,6 @@ class ProcessWorkerClient:
         return self._last_registry
 
     # -- lifecycle -----------------------------------------------------
-    def respawn_spec(self) -> WorkerSpec:
-        """The spec a replacement worker should start from: same recipe,
-        but at this proxy's last-known policy version (the supervisor's
-        ``policy_sync`` then brings it fully current)."""
-        return replace(self.spec, policy_version=self.policy_version)
-
     def shutdown(self, timeout: float = 2.0) -> None:
         """Stop the child and release transport resources. Idempotent;
         escalates clean-exit -> SIGTERM -> SIGKILL."""
@@ -767,5 +699,3 @@ class ProcessWorkerClient:
         for ring in (self._ring_in, self._ring_out):
             ring.close()
             ring.unlink()
-
-    close = shutdown

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Sequence
-
-import numpy as np
 
 from repro.core.featurize import QueryFeaturizer
 from repro.core.rewards import CostModelReward, PlanOutcome
@@ -35,9 +34,9 @@ from repro.db.engine import Database
 from repro.db.plans import JoinTree, PhysicalPlan
 from repro.db.query import Query
 from repro.obs import Telemetry
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.optimizer.memo import SubPlanCostMemo
-from repro.optimizer.planner import Planner, PlanningTimeout
+from repro.optimizer.planner import PLANNER_METRIC_ROWS, Planner, PlanningTimeout
 from repro.rl.env import Trajectory
 from repro.serving.batching import MicroBatchEngine, RolloutRecord
 from repro.serving.cache import PlanCache
@@ -49,62 +48,160 @@ __all__ = [
     "ServingConfig",
     "ServedPlan",
     "OptimizerService",
-    "legacy_counters",
+    "register_metric_rows",
+    "counter_values",
+    "render_counters",
+    "latency_summary",
 ]
 
-#: Registry metric name -> the legacy ``counters()`` key it backs. One
-#: table shared by :meth:`OptimizerService.counters` and
-#: :meth:`~repro.serving.frontend.ServingFrontEnd.counters` — the
-#: single home of the rollup rules that used to be hand-rolled in both.
-#: Keys whose metric is absent from the registry (no memo attached, no
-#: experience buffer) are simply omitted, preserving the old dict shape.
-_LEGACY_COUNTER_KEYS = (
-    ("repro_serving_requests_total", "requests"),
-    ("repro_serving_batches_total", "batches"),
-    ("repro_serving_cache_served_total", "served_from_cache"),
-    ("repro_serving_policy_served_total", "served_from_policy"),
-    ("repro_serving_fallback_served_total", "served_from_fallback"),
-    ("repro_serving_expert_served_total", "served_from_expert"),
-    ("repro_guardrail_decisions_total", "guardrail_decisions"),
-    ("repro_policy_forward_passes_total", "forward_passes"),
-    ("repro_policy_states_scored_total", "states_scored"),
-    ("repro_cache_entries", "cache_size"),
-    ("repro_cache_hits_total", "cache_hits"),
-    ("repro_cache_misses_total", "cache_misses"),
-    ("repro_cache_evictions_total", "cache_evictions"),
-    ("repro_cache_expirations_total", "cache_expirations"),
-    ("repro_cache_invalidations_total", "cache_invalidations"),
-    ("repro_cache_invalidations_partial_total", "cache_invalidations_partial"),
-    ("repro_costmemo_hits_total", "costmemo_hits"),
-    ("repro_costmemo_misses_total", "costmemo_misses"),
-    ("repro_costmemo_evictions_total", "costmemo_evictions"),
-    (
-        "repro_costmemo_invalidations_partial_total",
-        "costmemo_invalidations_partial",
+# ----------------------------------------------------------------------
+# Metric tables. Each count the serving stack exposes is one row
+# ``(registry name, counters() key or None, kind, help, read)`` in its
+# owner's table: ``register_metric_rows`` turns the rows into
+# pull-style registry metrics (``read(owner)`` on every scrape — the
+# exact stats objects stay the single source of truth and the hot path
+# gains no writes), and ``counter_values`` renders the key column of
+# ``counters()`` from a registry, a shard's own or a merge of many. A
+# row whose key is ``None`` is a registry metric only.
+# ----------------------------------------------------------------------
+_SERVICE_ROWS = (
+    ("repro_serving_requests_total", "requests", "counter",
+     "requests served", lambda s: s.stats.requests),
+    ("repro_serving_batches_total", "batches", "counter",
+     "micro-batches served", lambda s: s.stats.batches),
+    ("repro_serving_cache_served_total", "served_from_cache", "counter",
+     "requests answered from the plan cache", lambda s: s.stats.cache_served),
+    ("repro_serving_policy_served_total", "served_from_policy", "counter",
+     "requests answered by the learned policy", lambda s: s.stats.policy_served),
+    ("repro_serving_fallback_served_total", "served_from_fallback", "counter",
+     "requests answered by the guardrail fallback", lambda s: s.stats.fallbacks),
+    ("repro_serving_expert_served_total", "served_from_expert", "counter",
+     "oversize requests routed straight to the expert",
+     lambda s: s.stats.expert_served),
+    ("repro_guardrail_decisions_total", "guardrail_decisions", "counter",
+     "learned-vs-expert comparisons made", lambda s: s.router.decisions),
+    ("repro_guardrail_timeouts_total", "guardrail_timeouts", "counter",
+     "guardrail comparisons skipped on expert-search timeout",
+     lambda s: s.router.timeouts),
+    ("repro_serving_degraded_total", "served_degraded", "counter",
+     "requests answered by the degradation ladder",
+     lambda s: s.stats.degraded_served),
+    ("repro_serving_degraded_cache_total", "degraded_cache", "counter",
+     "degraded requests answered from the expert memo",
+     lambda s: s.stats.degraded_cache),
+    ("repro_serving_degraded_dp_total", "degraded_dp", "counter",
+     "degraded requests answered by the budgeted DP rung",
+     lambda s: s.stats.degraded_dp),
+    ("repro_serving_degraded_greedy_total", "degraded_greedy", "counter",
+     "degraded requests answered by the greedy floor",
+     lambda s: s.stats.degraded_greedy),
+    ("repro_policy_forward_passes_total", "forward_passes", "counter",
+     "batched policy forward passes", lambda s: s.engine.forward_passes),
+    ("repro_policy_states_scored_total", "states_scored", "counter",
+     "states scored across forward passes", lambda s: s.engine.states_scored),
+    ("repro_cache_entries", "cache_size", "gauge",
+     "live plan-cache entries", lambda s: len(s.cache)),
+    ("repro_cache_hits_total", "cache_hits", "counter",
+     "plan-cache hits", lambda s: s.cache.stats.hits),
+    ("repro_cache_misses_total", "cache_misses", "counter",
+     "plan-cache misses", lambda s: s.cache.stats.misses),
+    ("repro_cache_evictions_total", "cache_evictions", "counter",
+     "LRU evictions", lambda s: s.cache.stats.evictions),
+    ("repro_cache_expirations_total", "cache_expirations", "counter",
+     "TTL expirations", lambda s: s.cache.stats.expirations),
+    ("repro_cache_invalidations_total", "cache_invalidations", "counter",
+     "entries dropped by full invalidation",
+     lambda s: s.cache.stats.invalidations),
+    ("repro_cache_invalidations_partial_total", "cache_invalidations_partial",
+     "counter", "entries dropped by table-scoped invalidation",
+     lambda s: s.cache.stats.invalidations_partial),
+)
+#: Read off the planner's sub-plan cost memo, when it has one.
+_COSTMEMO_ROWS = (
+    ("repro_costmemo_hits_total", "costmemo_hits", "counter",
+     "sub-plan memo hits", lambda m: m.hits),
+    ("repro_costmemo_misses_total", "costmemo_misses", "counter",
+     "sub-plan memo misses", lambda m: m.misses),
+    ("repro_costmemo_evictions_total", "costmemo_evictions", "counter",
+     "sub-plan memo evictions", lambda m: m.evictions),
+    ("repro_costmemo_invalidations_partial_total",
+     "costmemo_invalidations_partial", "counter",
+     "memo entries dropped by table-scoped invalidation",
+     lambda m: m.invalidations_partial),
+    ("repro_costmemo_entries", "costmemo_size", "gauge",
+     "live memo entries", len),
+)
+#: Read off the experience buffer, when experience is collected.
+_EXPERIENCE_ROWS = (
+    ("repro_experience_entries", "experience_size", "gauge",
+     "trajectories buffered for retraining", len),
+    ("repro_experience_added_total", "experience_added", "counter",
+     "trajectories collected", lambda e: e.added),
+    ("repro_experience_dropped_total", "experience_dropped", "counter",
+     "trajectories dropped by the ring bound", lambda e: e.dropped),
+    ("repro_experience_degraded_tagged_total", "experience_degraded_tagged",
+     "counter",
+     "buffered trajectories tagged as degraded serves (excluded from retraining)",
+     lambda e: e.degraded_tagged),
+)
+#: Read off the database (``db_metrics`` shards only).
+_ESTIMATOR_ROWS = (
+    ("repro_estimator_estimates_total", "estimator_estimates", "counter",
+     "alias-set cardinality estimates served",
+     lambda db: db.estimator().counts.get("estimates", 0)),
+    ("repro_estimator_fallbacks_total", "estimator_fallbacks", "counter",
+     "estimates answered by the histogram fallback",
+     lambda db: db.estimator().counts.get("fallbacks", 0)),
+    ("repro_estimator_stale_fallbacks_total", "estimator_stale_fallbacks",
+     "counter", "fallbacks forced by post-ANALYZE epoch staleness",
+     lambda db: db.estimator().counts.get("stale_fallbacks", 0)),
+    ("repro_estimator_stale", None, "gauge",
+     "1 when the active lane holds estimates stale vs table epochs",
+     lambda db: 1.0 if db.estimator_probe().get("stale") else 0.0),
+    *(
+        (f"repro_estimator_lane_{lane}", None, "gauge",
+         f"1 when the {lane} cardinality lane is active",
+         lambda db, lane=lane: 1.0 if db.estimator_lane == lane else 0.0)
+        for lane in ("histogram", "learned", "pessimistic")
     ),
-    ("repro_costmemo_entries", "costmemo_size"),
-    ("repro_experience_entries", "experience_size"),
-    ("repro_experience_added_total", "experience_added"),
-    ("repro_experience_dropped_total", "experience_dropped"),
-    ("repro_experience_degraded_tagged_total", "experience_degraded_tagged"),
-    ("repro_expert_dp_subsets_total", "dp_subsets_enumerated"),
-    ("repro_expert_dp_pruned_total", "dp_pruned"),
-    ("repro_expert_dp_bound_fallbacks_total", "dp_bound_fallbacks"),
-    ("repro_expert_plans_total", "expert_plans"),
-    ("repro_serving_degraded_total", "served_degraded"),
-    ("repro_serving_degraded_cache_total", "degraded_cache"),
-    ("repro_serving_degraded_dp_total", "degraded_dp"),
-    ("repro_serving_degraded_greedy_total", "degraded_greedy"),
-    ("repro_guardrail_timeouts_total", "guardrail_timeouts"),
-    ("repro_estimator_estimates_total", "estimator_estimates"),
-    ("repro_estimator_fallbacks_total", "estimator_fallbacks"),
-    ("repro_estimator_stale_fallbacks_total", "estimator_stale_fallbacks"),
+)
+#: Everything a shard's ``counters()`` reads off its registry.
+_SHARD_ROWS = (
+    _SERVICE_ROWS
+    + _COSTMEMO_ROWS
+    + _EXPERIENCE_ROWS
+    + _ESTIMATOR_ROWS
+    + PLANNER_METRIC_ROWS
 )
 
 
-def legacy_counters(registry: MetricsRegistry) -> Dict[str, float]:
-    """The classic operator ``counters()`` dict, derived from a metrics
-    registry (a shard's own, or :meth:`MetricsRegistry.merge` of many).
+def register_metric_rows(registry: MetricsRegistry, rows, owner) -> None:
+    """Expose ``owner``'s exact counts in ``registry``, one pull-style
+    metric per row."""
+    for name, _key, kind, help, read in rows:
+        make = registry.counter_fn if kind == "counter" else registry.gauge_fn
+        make(name, partial(read, owner), help)
+
+
+def counter_values(registry: MetricsRegistry, rows, cast=float) -> Dict[str, float]:
+    """The ``counters()`` key column of ``rows`` read off ``registry``.
+    Rows whose metric the registry does not hold (no memo attached, no
+    experience buffer, no transport) are omitted."""
+    out: Dict[str, float] = {}
+    for name, key, *_ in rows:
+        metric = registry.get(name) if key is not None else None
+        if metric is not None:
+            out[key] = cast(metric.value)
+    return out
+
+
+def _rate(part: float, whole: float) -> float:
+    return round(part / whole, 4) if whole else 0.0
+
+
+def render_counters(registry: MetricsRegistry) -> Dict[str, float]:
+    """The operator ``counters()`` dict of a shard, derived from a
+    metrics registry (its own, or :meth:`MetricsRegistry.merge` of many).
 
     Count-like values come straight from the (summed) metrics; the
     derived rates are recomputed from the summed numerators and
@@ -112,29 +209,34 @@ def legacy_counters(registry: MetricsRegistry) -> Dict[str, float]:
     average of averages. Percentiles come from the pooled
     ``repro_expert_plan_ms`` histogram.
     """
-    out: Dict[str, float] = {}
-    for metric_name, key in _LEGACY_COUNTER_KEYS:
-        metric = registry.get(metric_name)
-        if metric is not None:
-            out[key] = metric.value
-    lookups = out.get("cache_hits", 0) + out.get("cache_misses", 0)
-    out["cache_hit_rate"] = (
-        round(out.get("cache_hits", 0) / lookups, 4) if lookups else 0.0
-    )
-    requests = out.get("requests", 0)
-    out["fallback_rate"] = (
-        round(out.get("served_from_fallback", 0) / requests, 4) if requests else 0.0
+    out = counter_values(registry, _SHARD_ROWS)
+    hits = out.get("cache_hits", 0)
+    out["cache_hit_rate"] = _rate(hits, hits + out.get("cache_misses", 0))
+    out["fallback_rate"] = _rate(
+        out.get("served_from_fallback", 0), out.get("requests", 0)
     )
     if "costmemo_hits" in out:
-        memo_lookups = out["costmemo_hits"] + out.get("costmemo_misses", 0)
-        out["costmemo_hit_rate"] = (
-            round(out["costmemo_hits"] / memo_lookups, 4) if memo_lookups else 0.0
+        out["costmemo_hit_rate"] = _rate(
+            out["costmemo_hits"],
+            out["costmemo_hits"] + out.get("costmemo_misses", 0),
         )
     expert_hist = registry.get("repro_expert_plan_ms")
     if expert_hist is not None:
         out["expert_plan_ms_p50"] = round(expert_hist.quantile(0.50), 4)
         out["expert_plan_ms_p95"] = round(expert_hist.quantile(0.95), 4)
     return out
+
+
+def latency_summary(hist: Histogram) -> Dict[str, float]:
+    """p50/p95/mean (ms) of a latency histogram (worst-case percentile
+    error documented in :mod:`repro.obs.metrics`; the mean is exact)."""
+    if not hist.count:
+        return {"p50_ms": 0.0, "p95_ms": 0.0, "mean_ms": 0.0}
+    return {
+        "p50_ms": hist.quantile(0.50),
+        "p95_ms": hist.quantile(0.95),
+        "mean_ms": hist.mean,
+    }
 
 
 @dataclass(frozen=True)
@@ -150,10 +252,6 @@ class ServingConfig:
     forbid_cross_products: bool = False
     collect_experience: bool = True
     experience_capacity: int = 10_000
-    #: Max queries queued via :meth:`OptimizerService.submit` awaiting a
-    #: :meth:`~OptimizerService.flush` — backpressure instead of an
-    #: unbounded pending list.
-    max_pending: int = 4096
     #: Wall-clock cap on the degradation ladder's budgeted-DP rung (the
     #: non-exact pruned bitset search run when the policy failed). The
     #: request's own remaining deadline budget tightens it further.
@@ -196,6 +294,18 @@ class _CacheEntry:
     alias_map: Dict[str, str]
 
 
+#: ``ServedPlan.source`` -> the :class:`ServiceStats` fields it bumps.
+_SOURCE_FIELDS = {
+    "cache": ("cache_served",),
+    "policy": ("policy_served",),
+    "fallback": ("fallbacks",),
+    "expert": ("expert_served",),
+    "degraded_cache": ("degraded_served", "degraded_cache"),
+    "degraded_dp": ("degraded_served", "degraded_dp"),
+    "degraded_greedy": ("degraded_served", "degraded_greedy"),
+}
+
+
 @dataclass
 class ServiceStats:
     requests: int = 0
@@ -214,6 +324,14 @@ class ServiceStats:
     @property
     def fallback_rate(self) -> float:
         return self.fallbacks / self.requests if self.requests else 0.0
+
+    def count(self, source: str) -> None:
+        """Book one served plan under its :attr:`ServedPlan.source` —
+        the shard's own stats and the process proxy's parent-side
+        mirror both count through here. An unknown source is a
+        ``KeyError``."""
+        for name in _SOURCE_FIELDS[source]:
+            setattr(self, name, getattr(self, name) + 1)
 
 
 def _rename_tree(tree: JoinTree, rename: Dict[str, str]) -> JoinTree:
@@ -294,200 +412,25 @@ class OptimizerService:
             "per-request serve latency (batch-attributed)",
         )
         self._register_metrics()
-        self._pending: List[Query] = []
-        #: Identities of queries in the pending window, for an O(1)
-        #: duplicate-submission check (objects stay alive in _pending,
-        #: so ids cannot be recycled while tracked here).
-        self._pending_ids: set = set()
-        self._closed = False
 
     def _register_metrics(self) -> None:
-        """Expose every serving stat as a pull-style registry metric.
-
-        The existing exact stats objects (locked dataclasses, engine
-        attributes, container lengths) stay the single source of truth;
-        the registry reads them through callbacks, so nothing is counted
-        twice and the hot path gains no new writes.
-        """
+        """Expose every serving stat as a pull-style registry metric,
+        one per row of the tables at the top of this module (memo,
+        experience and database rows only when this shard has one),
+        plus the latency histograms the engine and the planner own (so
+        registry merges pool shards exactly)."""
         reg = self.registry
-        reg.counter_fn(
-            "repro_serving_requests_total",
-            lambda: self.stats.requests,
-            "requests served",
-        )
-        reg.counter_fn(
-            "repro_serving_batches_total",
-            lambda: self.stats.batches,
-            "micro-batches served",
-        )
-        reg.counter_fn(
-            "repro_serving_cache_served_total",
-            lambda: self.stats.cache_served,
-            "requests answered from the plan cache",
-        )
-        reg.counter_fn(
-            "repro_serving_policy_served_total",
-            lambda: self.stats.policy_served,
-            "requests answered by the learned policy",
-        )
-        reg.counter_fn(
-            "repro_serving_fallback_served_total",
-            lambda: self.stats.fallbacks,
-            "requests answered by the guardrail fallback",
-        )
-        reg.counter_fn(
-            "repro_serving_expert_served_total",
-            lambda: self.stats.expert_served,
-            "oversize requests routed straight to the expert",
-        )
-        reg.counter_fn(
-            "repro_guardrail_decisions_total",
-            lambda: self.router.decisions,
-            "learned-vs-expert comparisons made",
-        )
-        reg.counter_fn(
-            "repro_guardrail_timeouts_total",
-            lambda: self.router.timeouts,
-            "guardrail comparisons skipped on expert-search timeout",
-        )
-        reg.counter_fn(
-            "repro_serving_degraded_total",
-            lambda: self.stats.degraded_served,
-            "requests answered by the degradation ladder",
-        )
-        reg.counter_fn(
-            "repro_serving_degraded_cache_total",
-            lambda: self.stats.degraded_cache,
-            "degraded requests answered from the expert memo",
-        )
-        reg.counter_fn(
-            "repro_serving_degraded_dp_total",
-            lambda: self.stats.degraded_dp,
-            "degraded requests answered by the budgeted DP rung",
-        )
-        reg.counter_fn(
-            "repro_serving_degraded_greedy_total",
-            lambda: self.stats.degraded_greedy,
-            "degraded requests answered by the greedy floor",
-        )
-        reg.counter_fn(
-            "repro_policy_forward_passes_total",
-            lambda: self.engine.forward_passes,
-            "batched policy forward passes",
-        )
-        reg.counter_fn(
-            "repro_policy_states_scored_total",
-            lambda: self.engine.states_scored,
-            "states scored across forward passes",
-        )
+        for rows, owner in (
+            (_SERVICE_ROWS, self),
+            (PLANNER_METRIC_ROWS, self.planner),
+            (_COSTMEMO_ROWS, self.planner.cost_memo),
+            (_EXPERIENCE_ROWS, self.experience),
+            (_ESTIMATOR_ROWS, self.db if self.db_metrics else None),
+        ):
+            if owner is not None:
+                register_metric_rows(reg, rows, owner)
         reg.register(self.engine.forward_ms_hist)
-        reg.gauge_fn(
-            "repro_cache_entries", lambda: len(self.cache), "live plan-cache entries"
-        )
-        cache_stats = self.cache.stats
-        reg.counter_fn(
-            "repro_cache_hits_total", lambda: cache_stats.hits, "plan-cache hits"
-        )
-        reg.counter_fn(
-            "repro_cache_misses_total", lambda: cache_stats.misses, "plan-cache misses"
-        )
-        reg.counter_fn(
-            "repro_cache_evictions_total",
-            lambda: cache_stats.evictions,
-            "LRU evictions",
-        )
-        reg.counter_fn(
-            "repro_cache_expirations_total",
-            lambda: cache_stats.expirations,
-            "TTL expirations",
-        )
-        reg.counter_fn(
-            "repro_cache_invalidations_total",
-            lambda: cache_stats.invalidations,
-            "entries dropped by full invalidation",
-        )
-        reg.counter_fn(
-            "repro_cache_invalidations_partial_total",
-            lambda: cache_stats.invalidations_partial,
-            "entries dropped by table-scoped invalidation",
-        )
-        memo = getattr(self.planner, "cost_memo", None)
-        if memo is not None:
-            reg.counter_fn(
-                "repro_costmemo_hits_total", lambda: memo.hits, "sub-plan memo hits"
-            )
-            reg.counter_fn(
-                "repro_costmemo_misses_total",
-                lambda: memo.misses,
-                "sub-plan memo misses",
-            )
-            reg.counter_fn(
-                "repro_costmemo_evictions_total",
-                lambda: memo.evictions,
-                "sub-plan memo evictions",
-            )
-            reg.counter_fn(
-                "repro_costmemo_invalidations_partial_total",
-                lambda: memo.invalidations_partial,
-                "memo entries dropped by table-scoped invalidation",
-            )
-            reg.gauge_fn(
-                "repro_costmemo_entries", lambda: len(memo), "live memo entries"
-            )
-        if self.experience is not None:
-            experience = self.experience
-            reg.gauge_fn(
-                "repro_experience_entries",
-                lambda: len(experience),
-                "trajectories buffered for retraining",
-            )
-            reg.counter_fn(
-                "repro_experience_added_total",
-                lambda: experience.added,
-                "trajectories collected",
-            )
-            reg.counter_fn(
-                "repro_experience_dropped_total",
-                lambda: experience.dropped,
-                "trajectories dropped by the ring bound",
-            )
-            reg.counter_fn(
-                "repro_experience_degraded_tagged_total",
-                lambda: experience.degraded_tagged,
-                "buffered trajectories tagged as degraded serves "
-                "(excluded from retraining)",
-            )
-        if self.db_metrics:
-            db = self.db
-            reg.counter_fn(
-                "repro_estimator_estimates_total",
-                lambda: db.estimator().counts.get("estimates", 0),
-                "alias-set cardinality estimates served",
-            )
-            reg.counter_fn(
-                "repro_estimator_fallbacks_total",
-                lambda: db.estimator().counts.get("fallbacks", 0),
-                "estimates answered by the histogram fallback",
-            )
-            reg.counter_fn(
-                "repro_estimator_stale_fallbacks_total",
-                lambda: db.estimator().counts.get("stale_fallbacks", 0),
-                "fallbacks forced by post-ANALYZE epoch staleness",
-            )
-            reg.gauge_fn(
-                "repro_estimator_stale",
-                lambda: 1.0 if db.estimator_probe().get("stale") else 0.0,
-                "1 when the active lane holds estimates stale vs table epochs",
-            )
-            for lane in ("histogram", "learned", "pessimistic"):
-                reg.gauge_fn(
-                    f"repro_estimator_lane_{lane}",
-                    lambda lane=lane: 1.0 if db.estimator_lane == lane else 0.0,
-                    f"1 when the {lane} cardinality lane is active",
-                )
-        register_planner = getattr(self.planner, "register_metrics", None)
-        if register_planner is not None:
-            register_planner(reg)
+        reg.register(self.planner.expert_ms_hist)
 
     # ------------------------------------------------------------------
     # Request paths
@@ -495,51 +438,6 @@ class OptimizerService:
     def optimize(self, query: Query) -> ServedPlan:
         """Answer one request (a micro-batch of one)."""
         return self.optimize_batch([query])[0]
-
-    def submit(self, query: Query) -> int:
-        """Queue a request for the next :meth:`flush`; returns its slot.
-
-        The slot is the query's index in the list :meth:`flush` returns
-        — results always come back in submit order. Raises
-        ``RuntimeError`` once the service is closed or the pending queue
-        is full (``ServingConfig.max_pending``), and ``ValueError`` on a
-        duplicate submission of the same query object within one
-        pending window (a double-submit bug in the caller: each slot
-        must resolve to exactly one request).
-        """
-        if self._closed:
-            raise RuntimeError("submit() after close(): service no longer accepts work")
-        if len(self._pending) >= self.config.max_pending:
-            raise RuntimeError(
-                f"pending queue full ({self.config.max_pending}); flush() first"
-            )
-        if id(query) in self._pending_ids:
-            raise ValueError(
-                f"query {query.name!r} already submitted in this pending window"
-            )
-        self._pending.append(query)
-        self._pending_ids.add(id(query))
-        return len(self._pending) - 1
-
-    def flush(self) -> List[ServedPlan]:
-        """Serve every queued request as one micro-batch.
-
-        Plans come back in submit order: ``flush()[slot]`` is the
-        answer for the submission that returned ``slot``.
-        """
-        pending, self._pending = self._pending, []
-        self._pending_ids.clear()
-        return self.optimize_batch(pending) if pending else []
-
-    def close(self) -> List[ServedPlan]:
-        """Serve whatever is still pending, then refuse new work.
-
-        Idempotent; returns the final flush so no submitted query is
-        ever silently dropped.
-        """
-        served = self.flush()
-        self._closed = True
-        return served
 
     def install_fault_injector(self, injector) -> None:
         """Arm the chaos harness on this service and its engine."""
@@ -627,9 +525,10 @@ class OptimizerService:
         # racing the batch must not have its invalidation undone by a
         # late insert of a pre-ANALYZE plan.
         epoch = self.db.stats_epoch
-        # One version stamp per batch: every answer in this burst was
-        # produced by the weights live at batch start (the swap lock
-        # excludes mid-rollout weight mutation).
+        # One version stamp per batch: the version live at batch start.
+        # The inference lock is held per forward pass, not per rollout,
+        # so a hot-swap can land between two rounds of this batch's
+        # rollout; its answers still carry this stamp.
         version = self.policy_version
         # Likewise one cardinality-lane stamp: estimator swaps go
         # through use_estimator()'s epoch bump, so a mid-batch swap
@@ -784,7 +683,7 @@ class OptimizerService:
         for idx, (query, fp) in enumerate(zip(queries, fps)):
             source, plan, cost, decision = answers[idx]
             self.stats.requests += 1
-            self._count(source)
+            self.stats.count(source)
             self.request_ms_hist.observe(latency_ms)
             served.append(
                 ServedPlan(
@@ -1056,36 +955,9 @@ class OptimizerService:
             )
         )
 
-    def _count(self, source: str) -> None:
-        if source == "cache":
-            self.stats.cache_served += 1
-        elif source == "policy":
-            self.stats.policy_served += 1
-        elif source == "fallback":
-            self.stats.fallbacks += 1
-        elif source.startswith("degraded_"):
-            self.stats.degraded_served += 1
-            if source == "degraded_cache":
-                self.stats.degraded_cache += 1
-            elif source == "degraded_dp":
-                self.stats.degraded_dp += 1
-            else:
-                self.stats.degraded_greedy += 1
-        else:
-            self.stats.expert_served += 1
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
-    def policy_weights(self) -> Dict[str, "np.ndarray"]:
-        """Copies of the serving policy's parameter arrays, keyed by
-        layer name — the broadcast payload for :meth:`apply_policy_weights`
-        (snapshotted once per swap; plain ``{name: ndarray}`` so it
-        crosses process boundaries out-of-band, never re-pickled per
-        shard)."""
-        params = self.engine.policy.net.net.params
-        return {name: np.copy(arr) for name, arr in params.items()}
-
     def apply_policy_weights(
         self, params: Dict[str, "np.ndarray"], version: int
     ) -> None:
@@ -1155,22 +1027,13 @@ class OptimizerService:
             )
 
     def latency_summary(self) -> Dict[str, float]:
-        """p50/p95/mean per-request latency (ms), from the shared
-        log-bucket histogram (worst-case percentile error documented in
-        :mod:`repro.obs.metrics`; the mean is exact)."""
-        hist = self.request_ms_hist
-        if not hist.count:
-            return {"p50_ms": 0.0, "p95_ms": 0.0, "mean_ms": 0.0}
-        return {
-            "p50_ms": hist.quantile(0.50),
-            "p95_ms": hist.quantile(0.95),
-            "mean_ms": hist.mean,
-        }
+        """p50/p95/mean per-request latency (ms), batch-attributed."""
+        return latency_summary(self.request_ms_hist)
 
     def counters(self) -> Dict[str, float]:
-        """Everything an operator can inspect (``repro info``) — the
-        legacy dict shape, derived from the metrics registry."""
-        return legacy_counters(self.registry)
+        """Everything an operator can inspect (``repro info``),
+        derived from the metrics registry."""
+        return render_counters(self.registry)
 
     def metrics_registry(self) -> MetricsRegistry:
         """This service's registry merged with the trace-derived

@@ -11,18 +11,21 @@ is used only as a picklable fd carrier for ``spawn``, never for its own
 wire format, so the protocol is self-contained (the door to a network
 front end: the same frames work on a socket fd).
 
-Payloads are pickled at protocol 5 with **out-of-band buffers**: every
-buffer ≥ ``shm_threshold`` (an ``EpisodeEncoder`` feature matrix, a
-policy-weight tensor, a trajectory's state stack) is diverted into the
-direction's :class:`~repro.serving.shm.ShmRing` and replaced on the
-wire by an ``(offset, length)`` descriptor — the hot path never pickles
-a float matrix. Buffers that do not fit the ring fall back to in-band
+Payloads are pickled at protocol 5 with **out-of-band buffers**: on an
+endpoint that has rings attached, every buffer ≥ ``shm_threshold`` is
+diverted into the direction's :class:`~repro.serving.shm.ShmRing` and
+replaced on the wire by an ``(offset, length)`` descriptor. Only the
+control pipe has rings: a hot-swap's policy-weight tensors and the
+state stacks of drained experience go through them. The request pipe
+is built without rings and carries pickled ``Query`` / ``ServedPlan``
+objects in-band. Buffers that do not fit the ring fall back to in-band
 bytes (counted, so the fallback is observable), which keeps the ring a
 pure fast path.
 
 :class:`TransportStats` counts frames and bytes per lane (pipe vs shm)
-plus control-channel round-trips; the front end surfaces the rollup
-through ``counters()`` → ``repro info --probe``.
+plus control-channel round-trips; :data:`TRANSPORT_METRIC_ROWS` names
+each count once, for the front end's registry and ``counters()`` →
+``repro info --probe``.
 """
 
 from __future__ import annotations
@@ -31,11 +34,16 @@ import os
 import pickle
 import struct
 import threading
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.serving.shm import ShmRing
 
-__all__ = ["FrameConn", "TransportStats", "DEFAULT_SHM_THRESHOLD"]
+__all__ = [
+    "FrameConn",
+    "TransportStats",
+    "TRANSPORT_METRIC_ROWS",
+    "DEFAULT_SHM_THRESHOLD",
+]
 
 #: Buffers at or above this size are diverted to the shm ring.
 DEFAULT_SHM_THRESHOLD = 1024
@@ -77,16 +85,26 @@ class TransportStats:
         with self._lock:
             self.control_roundtrips += 1
 
-    def as_dict(self) -> Dict[str, float]:
-        with self._lock:
-            return {
-                "transport_frames_sent": self.frames_sent,
-                "transport_frames_received": self.frames_received,
-                "transport_bytes_pipe": self.bytes_pipe,
-                "transport_bytes_shm": self.bytes_shm,
-                "transport_shm_fallbacks": self.shm_fallbacks,
-                "transport_control_roundtrips": self.control_roundtrips,
-            }
+
+#: One row per transport count: (registry name, ``counters()`` key,
+#: kind, help, how to read it off a :class:`TransportStats`).
+TRANSPORT_METRIC_ROWS = (
+    ("repro_transport_frames_total", "transport_frames_sent", "counter",
+     "frames sent over worker pipes", lambda t: t.frames_sent),
+    ("repro_transport_frames_received_total", "transport_frames_received",
+     "counter", "frames received over worker pipes",
+     lambda t: t.frames_received),
+    ("repro_transport_bytes_pipe_total", "transport_bytes_pipe", "counter",
+     "bytes shipped in-band over worker pipes", lambda t: t.bytes_pipe),
+    ("repro_transport_bytes_shm_total", "transport_bytes_shm", "counter",
+     "bytes shipped out-of-band through shm rings", lambda t: t.bytes_shm),
+    ("repro_transport_shm_fallbacks_total", "transport_shm_fallbacks", "counter",
+     "out-of-band buffers that fell back to in-band transfer",
+     lambda t: t.shm_fallbacks),
+    ("repro_transport_control_roundtrips_total", "transport_control_roundtrips",
+     "counter", "control-channel RPC round-trips",
+     lambda t: t.control_roundtrips),
+)
 
 
 def _write_exact(fd: int, data: bytes) -> None:

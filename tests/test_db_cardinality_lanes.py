@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from repro.db.cardinality import (
-    CardinalityEstimator,
     CardinalityModel,
     HistogramEstimator,
     PessimisticEstimator,
@@ -66,7 +65,6 @@ def _fitted_learned(db, epochs=40):
 
 class TestInterface:
     def test_deprecated_alias_is_histogram(self):
-        assert CardinalityEstimator is HistogramEstimator
         assert issubclass(HistogramEstimator, CardinalityModel)
         assert issubclass(PessimisticEstimator, CardinalityModel)
         assert issubclass(LearnedEstimator, CardinalityModel)

@@ -365,35 +365,61 @@ class TestSlotStateConnectivity:
 class TestPlannerLanes:
     @pytest.mark.parametrize("shape", ["chain", "star", "clique"])
     def test_lane_parity_at_switchover_boundary(self, wide_db, shape):
-        """Below the threshold both lanes run DP and agree; at the
-        threshold both switch to the same seeded GEQO."""
+        """Below the threshold the planner runs DP and agrees with the
+        seed enumerator; at the threshold it switches to seeded GEQO."""
         below = shape_query(shape, 5, f"{shape}-below")
         at = shape_query(shape, 6, f"{shape}-at")
-        fast = Planner(wide_db, geqo_threshold=6, expert_lane="bitset")
-        legacy = Planner(wide_db, geqo_threshold=6, expert_lane="legacy")
-        r_fast, r_legacy = fast.optimize(below), legacy.optimize(below)
-        assert r_fast.used_exhaustive_search and r_legacy.used_exhaustive_search
-        assert r_fast.join_tree.render() == r_legacy.join_tree.render()
-        assert r_fast.cost.total == r_legacy.cost.total
-        g_fast, g_legacy = fast.optimize(at), legacy.optimize(at)
-        assert not g_fast.used_exhaustive_search
-        assert not g_legacy.used_exhaustive_search
-        assert g_fast.join_tree.render() == g_legacy.join_tree.render()
-
-    def test_rejects_unknown_lane(self, wide_db):
-        with pytest.raises(ValueError):
-            Planner(wide_db, expert_lane="quantum")
+        planner = Planner(wide_db, geqo_threshold=6)
+        seed_tree = selinger_dp(
+            below, wide_db.cardinalities(below), wide_db.cost_params, bushy=False
+        )
+        result = planner.optimize(below)
+        assert result.used_exhaustive_search
+        assert result.join_tree.render() == seed_tree.render()
+        assert result.cost.total == planner.evaluate_tree(seed_tree, below).cost.total
+        genetic = planner.optimize(at)
+        assert not genetic.used_exhaustive_search
+        assert planner.optimize(at).join_tree.render() == genetic.join_tree.render()
 
     def test_counters_populated(self, wide_db):
+        from repro.core.featurize import QueryFeaturizer
+        from repro.rl.ppo import PPOAgent
+        from repro.serving import OptimizerService
+
         planner = Planner(wide_db, geqo_threshold=8)
-        query = shape_query("chain", 6, "counters")
-        planner.optimize(query)
-        counters = planner.counters()
+        featurizer = QueryFeaturizer(wide_db.schema, max_relations=6)
+        agent = PPOAgent(
+            featurizer.state_dim, featurizer.n_pair_actions, np.random.default_rng(3)
+        )
+        service = OptimizerService(
+            wide_db, agent, planner=planner, featurizer=featurizer
+        )
+        planner.optimize(shape_query("chain", 6, "counters"))
+        counters = service.counters()
         assert counters["dp_subsets_enumerated"] > 0
         assert counters["expert_plans"] == 1.0
         assert counters["expert_plan_ms_p50"] > 0.0
         assert counters["expert_plan_ms_p95"] >= counters["expert_plan_ms_p50"]
-        assert len(planner.expert_latency_samples()) == 1
+        assert planner.expert_ms_hist.count == 1
+
+    def test_planner_with_memo_round_trips_through_pickle(self, wide_db):
+        """A planner rides in ``WorkerSpec.reward_source`` across the
+        spawn boundary: it must pickle with its counts and a memo (which
+        restarts cold by design), and plan identically on the other
+        side."""
+        import pickle
+
+        planner = Planner(wide_db, geqo_threshold=8, cost_memo=SubPlanCostMemo())
+        query = shape_query("star", 5, "pickled")
+        first = planner.optimize(query)
+        clone = pickle.loads(pickle.dumps(planner))
+        assert clone.expert_plans == 1
+        assert clone.expert_ms_hist.count == 1
+        assert len(planner.cost_memo) > 0 and len(clone.cost_memo) == 0
+        again = clone.optimize(query)
+        assert again.join_tree.render() == first.join_tree.render()
+        assert again.cost.total == first.cost.total
+        assert clone.expert_plans == 2 and planner.expert_plans == 1
 
     def test_memo_bridge_answers_repeat_expert_plans(self, wide_db):
         memo = SubPlanCostMemo()

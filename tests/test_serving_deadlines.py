@@ -127,6 +127,8 @@ class TestDeadlines:
                 with pytest.raises(DeadlineExceeded) as excinfo:
                     stuck.result()
                 assert excinfo.value.stage == "drain"
+                # Before the ``with`` exits: close() waits for the worker.
+                release.set()
         finally:
             release.set()
         frontend.close()

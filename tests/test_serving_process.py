@@ -431,6 +431,19 @@ class TestProcessFrontEnd:
         finally:
             frontend.close()
 
+    def test_breaker_transitions_make_no_control_roundtrip(self, proc_frontend):
+        """The breaker calls its transition hook under its own lock, so
+        the hook must not do a blocking RPC to the worker whose failures
+        moved the breaker (a stopped worker would wedge ``allow()``)."""
+        breaker = proc_frontend.breakers[0]
+        before = proc_frontend.transport.control_roundtrips
+        for _ in range(breaker.failure_threshold):
+            breaker.record_failure()
+        assert breaker.state == "open"
+        breaker.reset()
+        assert breaker.state == "closed"
+        assert proc_frontend.transport.control_roundtrips == before
+
     def test_stats_epoch_bump_orders_before_next_serve(self, proc_frontend):
         query = parse_query(ABC, "abc-epoch")
         first = proc_frontend.optimize(query, timeout=60.0)

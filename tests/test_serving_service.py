@@ -1,15 +1,25 @@
 """Tests for the serving subsystem: micro-batching, guardrail routing,
 experience round-trip, and the OptimizerService front end."""
 
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import ExpertBaseline, Trainer, TrainingConfig
 from repro.core.featurize import QueryFeaturizer
 from repro.db.query import parse_query
+from repro.obs.metrics import Histogram
 from repro.optimizer.planner import Planner
 from repro.rl.ppo import PPOAgent
-from repro.serving import MicroBatchEngine, OptimizerService, ServingConfig
+from repro.serving import (
+    MicroBatchEngine,
+    OptimizerService,
+    ProcessWorkerClient,
+    ServingConfig,
+)
+from repro.serving.service import ServiceStats
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 CHAIN_RENAMED = "SELECT * FROM a AS u, b AS v, c AS w2 WHERE w2.b_id = v.id AND v.a_id = u.id"
@@ -290,56 +300,6 @@ class TestExperienceRoundTrip:
 
 
 class TestServiceFrontEnd:
-    def test_submit_flush_micro_batches(self, small_db, agent, featurizer):
-        service = make_service(small_db, agent, featurizer)
-        service.submit(parse_query(CHAIN, "chain"))
-        service.submit(parse_query(BC, "bc"))
-        served = service.flush()
-        assert len(served) == 2
-        assert service.stats.batches == 1
-        assert service.flush() == []
-
-    def test_flush_returns_plans_in_submit_order(
-        self, small_db, agent, featurizer
-    ):
-        service = make_service(small_db, agent, featurizer)
-        names = ["chain", "bc", "ab", "bc2"]
-        slots = [
-            service.submit(parse_query(sql, name))
-            for sql, name in zip((CHAIN, BC, AB, BC), names)
-        ]
-        assert slots == [0, 1, 2, 3]
-        served = service.flush()
-        assert [s.query_name for s in served] == names
-
-    def test_duplicate_submission_raises(self, small_db, agent, featurizer):
-        service = make_service(small_db, agent, featurizer)
-        query = parse_query(BC, "bc")
-        service.submit(query)
-        with pytest.raises(ValueError, match="already submitted"):
-            service.submit(query)
-        # A distinct object for the same SQL is a new request, not a dup.
-        service.submit(parse_query(BC, "bc"))
-        assert len(service.flush()) == 2
-
-    def test_submit_after_close_raises(self, small_db, agent, featurizer):
-        service = make_service(small_db, agent, featurizer)
-        service.submit(parse_query(BC, "bc"))
-        served = service.close()  # final flush serves what was queued
-        assert [s.query_name for s in served] == ["bc"]
-        with pytest.raises(RuntimeError, match="close"):
-            service.submit(parse_query(AB, "ab"))
-        assert service.close() == []  # idempotent
-
-    def test_pending_queue_is_bounded(self, small_db, agent, featurizer):
-        service = make_service(small_db, agent, featurizer, max_pending=2)
-        service.submit(parse_query(BC, "bc0"))
-        service.submit(parse_query(BC, "bc1"))
-        with pytest.raises(RuntimeError, match="full"):
-            service.submit(parse_query(BC, "bc2"))
-        service.flush()
-        service.submit(parse_query(BC, "bc3"))  # room again after flush
-
     def test_single_relation_query(self, small_db, agent, featurizer):
         service = make_service(small_db, agent, featurizer)
         served = service.optimize(parse_query("SELECT * FROM a WHERE a.x > 3", "s"))
@@ -360,3 +320,33 @@ class TestServiceFrontEnd:
         for key in ("requests", "cache_hit_rate", "fallback_rate",
                     "served_from_policy", "forward_passes"):
             assert key in counters
+
+
+class TestServiceStats:
+    #: ServedPlan.source -> the stats fields one served plan bumps.
+    SOURCES = {
+        "cache": ("cache_served",),
+        "policy": ("policy_served",),
+        "fallback": ("fallbacks",),
+        "expert": ("expert_served",),
+        "degraded_cache": ("degraded_served", "degraded_cache"),
+        "degraded_dp": ("degraded_served", "degraded_dp"),
+        "degraded_greedy": ("degraded_served", "degraded_greedy"),
+    }
+
+    def test_count_books_each_source_once_for_shard_and_process_mirror(self):
+        for source, fields in self.SOURCES.items():
+            expected = {**asdict(ServiceStats()), **dict.fromkeys(fields, 1)}
+            # What a thread shard's optimize_batch does per served plan...
+            shard = ServiceStats()
+            shard.count(source)
+            assert asdict(shard) == expected, source
+            # ...and what the process proxy books from a batch reply.
+            proxy = SimpleNamespace(
+                stats=ServiceStats(), request_ms_hist=Histogram("repro_test_ms")
+            )
+            plan = SimpleNamespace(source=source, latency_ms=1.0)
+            ProcessWorkerClient._mirror(proxy, ["q"], [plan])
+            assert asdict(proxy.stats) == {**expected, "requests": 1, "batches": 1}
+        with pytest.raises(KeyError):
+            ServiceStats().count("mystery")
