@@ -33,10 +33,11 @@ The bench asserts
 A **process-chaos lane** then re-runs the stream with
 ``executor="process"`` and ``worker_kill`` armed: real SIGKILLs against
 spawned shard processes. It asserts at least one kill fired, the same
->= 99.5% success / zero-unresolved-futures floor, plan parity on
-untouched traffic, and — after broadcasting a simulated promotion to
-version 2 before the stream — that every worker standing at the end
-(including any supervisor respawn) serves at that live version.
+>= 99.5% success / zero-unresolved-futures floor and plan parity on
+untouched traffic. Both chaos lanes hot-swap a simulated promotion to
+version 2 through the front end before the stream and assert that
+every shard standing at the end (including any supervisor respawn)
+serves at that live version.
 
 Results merge into ``BENCH_serving.json`` under a ``"faults"`` section
 (read-modify-write: the concurrency bench's sections are preserved).
@@ -55,8 +56,6 @@ import sys
 import threading
 import time
 from pathlib import Path
-
-import numpy as np
 
 # Allow running as a plain script without PYTHONPATH=src.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -110,16 +109,11 @@ def run_chaos(
         worker_kill_rate=kill_rate,
         seed=seed,
     )))
-    if executor == "process":
-        # Simulate a prior hot-swap: broadcast the live weights at
-        # LIVE_VERSION so a SIGKILL'd shard's respawn has something to
-        # rejoin (its spec would otherwise rebuild at version 1).
-        params = {
-            name: np.copy(arr)
-            for name, arr in setup.agent.policy.net.net.params.items()
-        }
-        for service in frontend.services:
-            service.apply_policy_weights(params, LIVE_VERSION)
+    # A prior hot-swap: every shard — and every respawn — serves the
+    # live weights as LIVE_VERSION.
+    frontend.apply_policy_weights(
+        setup.agent.policy.net.net.params, LIVE_VERSION
+    )
     futures = [None] * len(queries)
 
     def client(offset: int) -> None:
@@ -161,14 +155,11 @@ def run_chaos(
         process_state = {
             "worker_kills": injected.get("worker_kill", 0),
             "worker_respawns": stats.worker_restarts,
-            "live_version": LIVE_VERSION,
-            "policy_versions_at_end": [
-                s.policy_version for s in frontend.services
-            ],
             "workers_alive_at_end": [
                 s.is_alive() for s in frontend.services
             ],
         }
+    versions_at_end = [s.policy_version for s in frontend.services]
     frontend.close()
 
     clean_plans = {
@@ -206,6 +197,8 @@ def run_chaos(
         "frontend_worker_restarts": stats.worker_restarts,
         "frontend_circuit_opens": stats.circuit_opens,
         "breakers_open_at_end": breakers_open,
+        "live_version": LIVE_VERSION,
+        "policy_versions_at_end": versions_at_end,
     }
     if process_state is not None:
         result.update(process_state)
@@ -328,6 +321,10 @@ def main(argv=None) -> int:
     )
     assert chaos["total_injected"] >= 1, (
         "the chaos run injected nothing — the harness is not wired in"
+    )
+    assert set(chaos["policy_versions_at_end"]) == {chaos["live_version"]}, (
+        f"thread shards not at the live policy version: "
+        f"{chaos['policy_versions_at_end']} vs {chaos['live_version']}"
     )
     # Process-executor chaos: SIGKILL is survivable, futures resolve,
     # and the supervisor's respawn rejoins at the live policy version.

@@ -934,11 +934,7 @@ def _serve_synchronous(args, db, env, agent, stream, telemetry=None):
     for burst_start in range(0, len(stream), args.burst):
         service.optimize_batch(stream[burst_start : burst_start + args.burst])
     total_s = time.perf_counter() - start
-    episodes = (
-        service.experience.drain()
-        if service.experience is not None and len(service.experience)
-        else []
-    )
+    episodes = service.drain_experience()
     return (
         total_s,
         service.latency_summary(),

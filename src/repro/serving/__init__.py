@@ -14,7 +14,8 @@ puts it behind a production-shaped ``optimize(query)`` API:
 - :mod:`repro.serving.experience` — replay buffer of served rollouts
   for hands-free retraining via ``Trainer.replay``;
 - :mod:`repro.serving.service` — :class:`OptimizerService`, the
-  synchronous engine that wires the four together (one per shard);
+  synchronous engine that wires the four together (one per shard), and
+  :class:`Shard`, the contract everything above a shard programs to;
 - :mod:`repro.serving.sharding` — consistent-hash ring routing query
   fingerprints to worker shards;
 - :mod:`repro.serving.frontend` — :class:`ServingFrontEnd`, the
@@ -25,10 +26,11 @@ puts it behind a production-shaped ``optimize(query)`` API:
 - :mod:`repro.serving.procpool` / :mod:`repro.serving.transport` /
   :mod:`repro.serving.shm` — the GIL escape: ``executor="process"``
   promotes each shard to a spawned worker process
-  (:class:`ProcessWorkerClient` proxies it), speaking a length-prefixed
-  pipe protocol, with a control channel for stats-epoch bumps, policy
-  hot-swaps, guardrail-threshold sync, and chaos arming whose large
-  buffers (weights, experience drains) go through shared-memory rings;
+  (:class:`ProcessWorkerClient` implements :class:`Shard` for it),
+  speaking a length-prefixed pipe protocol, with a control channel for
+  stats-epoch bumps, policy hot-swaps, guardrail-threshold sync, and
+  chaos arming whose large buffers (weights, experience drains) go
+  through shared-memory rings;
 - :mod:`repro.serving.errors` — the typed failure hierarchy
   (:class:`OptimizeError` and friends) every refused or abandoned
   request resolves with;
@@ -79,7 +81,7 @@ from repro.serving.learning import (
     RetrainingDaemon,
 )
 from repro.serving.router import GuardrailDecision, GuardrailRouter
-from repro.serving.service import OptimizerService, ServedPlan, ServingConfig
+from repro.serving.service import OptimizerService, ServedPlan, ServingConfig, Shard
 from repro.serving.sharding import HashRing
 from repro.serving.supervisor import CircuitBreaker, ShardSupervisor
 
@@ -115,6 +117,7 @@ __all__ = [
     "ServiceClosed",
     "ServingConfig",
     "ServingFrontEnd",
+    "Shard",
     "ShardFailed",
     "ShardSupervisor",
     "ShmRing",

@@ -13,12 +13,16 @@ relation counts costs ``max(joins)`` forward passes instead of
 ``sum(joins)``. The pass is inference-only: nothing is stashed for
 backpropagation, and the part of the input layer that a query's static
 features feed is computed once per episode, not once per round.
+
+One rollout reads one policy: ``rollout`` takes the policy object once,
+and a hot-swap publishes a *new* object instead of writing into a
+serving one — the next rollout sees it, a running one cannot, and
+nothing on this path takes a lock.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
@@ -67,21 +71,11 @@ class MicroBatchEngine:
         #: Forward passes made / states scored, for throughput reporting.
         self.forward_passes = 0
         self.states_scored = 0
-        #: Per-forward-pass wall-clock latency, inference-lock wait
-        #: included when shards share one policy — contention is part
-        #: of what an operator needs to see here. Shares the serving
+        #: Per-forward-pass wall-clock latency. Shares the serving
         #: stack's log-bucket histogram implementation.
         self.forward_ms_hist = Histogram(
             "repro_policy_forward_pass_ms", "one batched policy forward pass"
         )
-        #: Optional lock held across each network pass. The pass itself
-        #: is re-entrant (``MLP.infer`` writes nothing on the layers);
-        #: the lock makes an in-place weight swap
-        #: (``OptimizerService.apply_policy_weights``) atomic against a
-        #: pass and keeps the retraining daemon's shadow ``deepcopy``
-        #: from snapshotting half-swapped weights. The concurrent front
-        #: end installs one lock per distinct policy object.
-        self.inference_lock = None
         #: Optional :class:`~repro.serving.faults.FaultInjector`. When
         #: set, ``policy_nan``-kind faults corrupt one forward pass's
         #: logits (keyed by forward ordinal) to exercise the NaN guard
@@ -94,6 +88,7 @@ class MicroBatchEngine:
         greedy: bool = True,
         rng: np.random.Generator | None = None,
         record: bool = True,
+        policy: CategoricalPolicy | None = None,
     ) -> List[RolloutRecord]:
         """Roll every query to a complete join tree, batching inference.
 
@@ -108,8 +103,14 @@ class MicroBatchEngine:
 
         ``record=False`` skips building transitions (and the softmax
         behind their log-probs) for callers that only want the trees.
+
+        ``policy`` is the generation to roll out with (a caller that
+        stamps answers with a version passes the policy it read with
+        that version); omitted, ``self.policy`` as bound right now.
         """
-        featurizer, net = self.featurizer, self.policy.net
+        if policy is None:
+            policy = self.policy
+        featurizer, net = self.featurizer, policy.net
         states = [SlotState(q, featurizer.max_relations) for q in queries]
         encoders = [
             featurizer.encoder(s, self.db.cardinalities(q))
@@ -123,16 +124,14 @@ class MicroBatchEngine:
                 f"featurizer has {n_pairs} pair actions but the network "
                 f"only {net.out_features}"
             )
-        lock = self.inference_lock or nullcontext()
         split = featurizer.tree_size
         first = net.input_layer
         if active:
-            with lock:
-                # Row slices of the live array are views, so an in-place
-                # hot-swap between passes is seen by the next pass.
-                w_tree, w_static = first.weight[:split], first.weight[split:]
-                pre = np.stack([e.static_block for e in encoders]) @ w_static
-                pre += first.bias
+            # Row slices are views of this generation's array: no copy,
+            # and every round below multiplies the same weights.
+            w_tree, w_static = first.weight[:split], first.weight[split:]
+            pre = np.stack([e.static_block for e in encoders]) @ w_static
+            pre += first.bias
         # Allocated once per rollout; every round overwrites its rows.
         width = min(len(active), self.max_batch_size)
         trees = np.empty((width, split))
@@ -151,10 +150,9 @@ class MicroBatchEngine:
                     )
                 valid = masks[:n]
                 fwd_start = time.perf_counter()
-                with lock:
-                    np.matmul(trees[:n], w_tree, out=hidden[:n])
-                    hidden[:n] += pre[chunk]
-                    logits = net.infer_after_input(hidden[:n])
+                np.matmul(trees[:n], w_tree, out=hidden[:n])
+                hidden[:n] += pre[chunk]
+                logits = net.infer_after_input(hidden[:n])
                 self.forward_ms_hist.observe(
                     (time.perf_counter() - fwd_start) * 1000.0
                 )
@@ -178,7 +176,7 @@ class MicroBatchEngine:
                     )
                 if record or not greedy:
                     probs, log_probs = masked_softmax_and_log(logits, valid)
-                actions = best if greedy else self.policy.sample(probs, rng)
+                actions = best if greedy else policy.sample(probs, rng)
                 for row, (i, action) in enumerate(zip(chunk, actions.tolist())):
                     encoder = encoders[i]
                     if record:

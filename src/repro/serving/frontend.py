@@ -48,7 +48,10 @@ Fault tolerance is layered on the same path:
 - **Supervision** — every way a worker thread can die funnels into a
   death handler that fails over its queue and wakes the
   :class:`~repro.serving.supervisor.ShardSupervisor`, which respawns
-  the shard with a rebuilt service (fresh policy copy and caches).
+  the shard with a rebuilt service (fresh policy copy and caches) and
+  replays the **live serving state** onto it — the last hot-swap and
+  guardrail threshold, which only the front end's
+  ``apply_policy_weights`` / ``set_guardrail_threshold`` change.
 
 Every accepted submission is registered in an outstanding set and
 resolved exactly once through one choke point (``_resolve``), so no
@@ -93,6 +96,7 @@ from repro.serving.service import (
     OptimizerService,
     ServedPlan,
     ServingConfig,
+    Shard,
     counter_values,
     latency_summary,
     register_metric_rows,
@@ -320,13 +324,12 @@ class _Submission:
 class ServingFrontEnd:
     """Queue-and-flush concurrency over per-shard optimizer services.
 
-    ``services`` is one :class:`OptimizerService` per shard; use
-    :meth:`build` to construct a standard set (shard-private planners,
-    memos, and policy copies) from a database and an agent. Services
-    must not share mutable planner or cache state; a policy object may
-    be shared (inference is re-entrant) — the constructor installs one
-    lock per distinct policy object on the shards' micro-batch engines,
-    which is what makes a weight swap atomic against their passes.
+    ``services`` is one :class:`~repro.serving.service.Shard` per
+    shard (an :class:`OptimizerService`, or the proxy of one in a worker
+    process); use :meth:`build` to construct a standard set
+    (shard-private planners, memos, and policy copies) from a database
+    and an agent. Services must not share mutable planner or cache
+    state, nor serve a policy object that something trains in place.
 
     ``service_factory(shard)`` (supplied by :meth:`build`) rebuilds a
     shard's service after a worker death; without one, a respawned
@@ -335,7 +338,7 @@ class ServingFrontEnd:
 
     def __init__(
         self,
-        services: Sequence[OptimizerService],
+        services: Sequence[Shard],
         config: FrontEndConfig | None = None,
         telemetry: Telemetry | None = None,
         service_factory=None,
@@ -355,12 +358,15 @@ class ServingFrontEnd:
         self._service_factory = service_factory
         #: Armed via :meth:`install_fault_injector`; None = no chaos.
         self.fault_injector: FaultInjector | None = None
-        #: ``callable(service, shard)`` run on every respawned shard's
-        #: rebuilt service before its worker thread starts. The
-        #: retraining daemon installs one so a shard that died is
-        #: brought to the *current* promoted policy version instead of
-        #: rejoining at the factory's original weights.
-        self.policy_sync = None
+        #: The live serving state: the arguments of the last hot-swap,
+        #: ``(params, version)``, and of the last guardrail push,
+        #: ``(threshold,)`` — ``None`` until there was one — kept to
+        #: replay onto rebuilt shards. ``_live_lock`` orders a broadcast
+        #: against a rebuilt shard's publication into ``services``; it
+        #: is never taken on the request path.
+        self._live_lock = threading.Lock()
+        self._live_weights: Optional[tuple] = None
+        self._live_threshold: Optional[tuple] = None
         #: Extra registries merged into :meth:`metrics_registry` —
         #: subsystems that ride on the front end (the retraining
         #: daemon) surface their metrics here without owning a shard.
@@ -390,16 +396,6 @@ class ServingFrontEnd:
             "submit-to-resolve latency (queueing included)",
         )
         self._register_metrics()
-        # One lock per distinct policy object: a hot-swap takes it to
-        # change the weights in place, so no pass on that policy — from
-        # whichever shards share it — sees half of a swap. Shards with
-        # private policies never contend.
-        locks: Dict[int, threading.Lock] = {}
-        for service in self.services:
-            policy = service.engine.policy
-            service.engine.inference_lock = locks.setdefault(
-                id(policy), threading.Lock()
-            )
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
         self._pending: Deque[_Submission] = deque()
@@ -505,8 +501,9 @@ class ServingFrontEnd:
 
         Each shard gets its own :class:`~repro.optimizer.planner.Planner`
         (with a private sub-plan cost memo) and its own deep copy of the
-        policy, so shards never contend on mutable planner or inference
-        state. ``planner_factory()`` overrides the per-shard planner;
+        policy — shard 0 included, so the agent stays its trainer's
+        alone and no shard serves arrays that something else writes.
+        ``planner_factory()`` overrides the per-shard planner;
         ``planner_kwargs`` are extra ``Planner(...)`` arguments — the
         picklable alternative a process-mode shard can carry across the
         spawn boundary (closures cannot). The same recipe is installed
@@ -583,21 +580,8 @@ class ServingFrontEnd:
                 db_metrics=(shard == 0),
             )
 
-        services = [
-            OptimizerService(
-                db,
-                policy if shard == 0 else copy.deepcopy(policy),
-                planner=make_planner(),
-                featurizer=featurizer,
-                config=serving_config,
-                reward_source=reward_source,
-                telemetry=telemetry,
-                db_metrics=(shard == 0),
-            )
-            for shard in range(config.n_shards)
-        ]
         return cls(
-            services,
+            [make_service(shard) for shard in range(config.n_shards)],
             config=config,
             telemetry=telemetry,
             service_factory=make_service,
@@ -608,6 +592,37 @@ class ServingFrontEnd:
         self.fault_injector = injector
         for service in self.services:
             service.install_fault_injector(injector)
+
+    # ------------------------------------------------------------------
+    # Live serving state: broadcast, remember, replay
+    # ------------------------------------------------------------------
+    def apply_policy_weights(self, params: Dict[str, object], version: int) -> None:
+        """Hot-swap every shard to ``params`` as generation ``version``
+        (served from each shard's next batch on, see
+        :meth:`OptimizerService.apply_policy_weights`). A shard whose
+        worker process is gone is skipped with an event; the front end
+        keeps its own copy of the swap (the caller may reuse ``params``)
+        and :meth:`_restart_shard` replays it onto every shard rebuilt
+        from now on, under either executor, daemon or no daemon."""
+        params = {name: arr.copy() for name, arr in params.items()}
+        with self._live_lock:
+            for shard, service in enumerate(self.services):
+                try:
+                    service.apply_policy_weights(params, version)
+                except WorkerProcessDied:
+                    if self.telemetry is not None and self.telemetry.enabled:
+                        self.telemetry.events.emit(
+                            "policy_swap_shard_skipped", shard=shard, version=version
+                        )
+            self._live_weights = (params, version)
+
+    def set_guardrail_threshold(self, threshold: float | None) -> None:
+        """Set every shard's learned-vs-expert cost-ratio threshold, now
+        and on every shard rebuilt from now on."""
+        with self._live_lock:
+            for service in self.services:
+                service.set_guardrail_threshold(threshold)
+            self._live_threshold = (threshold,)
 
     # ------------------------------------------------------------------
     # Request path
@@ -1325,9 +1340,14 @@ class ServingFrontEnd:
         With a service factory the shard's service is rebuilt from
         scratch — fresh policy copy, planner, caches — because a worker
         that died mid-batch may hold arbitrarily corrupt state (the
-        restarted shard's counters restart with it). Without one, the
-        surviving service object is reused. Either way the breaker is
-        force-closed and routing returns to normal.
+        restarted shard's counters restart with it), and brought to the
+        live serving state: fault injector, guardrail threshold, last
+        hot-swap. Replay and publication share one hold of
+        ``_live_lock``, so a broadcast racing the respawn is either
+        replayed or reaches the published shard. Without a factory the
+        surviving service object (every broadcast reached it) is
+        reused. Either way the breaker is force-closed and routing
+        returns to normal.
         """
         with self._work:
             if self._closing or shard not in self._down:
@@ -1337,37 +1357,29 @@ class ServingFrontEnd:
             service = self._service_factory(shard)
             if service.telemetry is None:
                 service.telemetry = self.telemetry
-            # The rebuilt policy is a private copy: private lock.
-            service.engine.inference_lock = threading.Lock()
             if self.fault_injector is not None:
                 service.install_fault_injector(self.fault_injector)
-            if isinstance(service, ProcessWorkerClient) and isinstance(
-                old, ProcessWorkerClient
-            ):
-                # Carry forward what the old worker had been told since
-                # its spawn: the guardrail threshold and the last
-                # hot-swapped weights, so the replacement rejoins at the
-                # live policy version even without a retraining daemon
-                # (policy_sync, when wired, re-confirms right after).
-                if old.router.threshold is not None:
-                    service.router.set_threshold(old.router.threshold)
-                if old._applied_weights is not None:
-                    params, version = old._applied_weights
-                    try:
-                        service.apply_policy_weights(params, version)
-                    except Exception:
-                        pass  # fresh worker still serves at spec version
-            self.services[shard] = service
             if isinstance(old, ProcessWorkerClient):
                 # Reap the zombie and release its pipes and rings (the
                 # restarted shard's counters restart with it, same as a
                 # rebuilt thread-mode service).
                 old.shutdown()
-        if self.policy_sync is not None:
-            # Rejoin at the current promoted policy version before any
-            # request reaches the rebuilt service (its worker thread
-            # has not started; no lock needed on the fresh engine).
-            self.policy_sync(self.services[shard], shard)
+            with self._live_lock:
+                if self._live_threshold is not None:
+                    service.set_guardrail_threshold(*self._live_threshold)
+                if self._live_weights is not None:
+                    try:
+                        service.apply_policy_weights(*self._live_weights)
+                    except WorkerProcessDied:
+                        # The replacement is dead already: release it;
+                        # the shard stays down and the next tick retries.
+                        service.shutdown()
+                        raise
+                    if self.telemetry is not None and self.telemetry.enabled:
+                        self.telemetry.events.emit(
+                            "policy_sync", shard=shard, version=self._live_weights[1]
+                        )
+                self.services[shard] = service
         thread = threading.Thread(
             target=self._worker_loop,
             args=(shard,),
@@ -1616,8 +1628,7 @@ class ServingFrontEnd:
         shard (feed to ``Trainer.replay`` for hands-free retraining)."""
         out = []
         for service in self.services:
-            if service.experience is not None:
-                out.extend(service.experience.drain())
+            out.extend(service.drain_experience())
         return out
 
     def latency_summary(self) -> Dict[str, float]:

@@ -21,10 +21,11 @@ exemplars named in the ROADMAP:
   regression budget — or that produces any non-finite rollout — is
   refused with a ``policy_update_rejected`` event. Rejected weights are
   discarded; they never receive a version and can never be served;
-- **atomic versioned hot-swap**: promoted weights are copied *in
-  place* into every shard's policy network under that shard's
-  inference lock (object identity is preserved, so nothing else needs
-  rewiring), the monotonic ``policy_version`` is bumped, and a
+- **atomic versioned hot-swap**: promoted weights go to the front end,
+  which has every shard build its next policy generation off the
+  serving path and publish it by rebinding one reference — a batch
+  runs start to finish on one generation and is stamped with that
+  generation's monotonic ``policy_version`` — and a
   statistics-epoch-stamped checkpoint is written through
   :func:`~repro.core.checkpoint.save_agent` so a restarted service
   resumes the lineage;
@@ -38,12 +39,14 @@ exemplars named in the ROADMAP:
   from observed (predicted cost → actual latency) pairs: a log-log
   least-squares fit ``latency ≈ a · cost^b`` turns the operator's
   *latency headroom* into the cost ratio that spends exactly that
-  headroom, pushed to every shard's router via ``set_threshold``.
+  headroom, pushed through the front end's
+  ``set_guardrail_threshold``.
 
-Supervision integration: the daemon installs itself as the front end's
-``policy_sync`` hook, so a shard respawned after a worker death rejoins
-at the **current** promoted version instead of the factory's original
-weights.
+The front end owns what is live: it remembers the last swap and
+threshold the daemon pushed and replays them onto any shard respawned
+after a worker death, so the daemon has no supervision hook. The agent
+is the daemon's alone — no shard serves its arrays — and every write to
+it, like the shadow copy taken from it, happens under the swap lock.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ import math
 import threading
 import time
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -352,9 +354,9 @@ class RetrainingDaemon:
     Deterministic by construction: :meth:`maybe_run` is a synchronous
     entry point (the drift bench and CLI call it between bursts), and
     :meth:`start` wraps the same method in a polling background thread
-    for always-on deployments. All mutation of serving state — weight
-    swaps, version bumps, threshold pushes, shard rejoin syncs — is
-    serialized under one swap lock.
+    for always-on deployments. All mutation of the agent and of the
+    lineage — weight swaps, version bumps — is serialized under one
+    swap lock.
     """
 
     def __init__(
@@ -416,10 +418,8 @@ class RetrainingDaemon:
         self._stop = threading.Event()
         self.registry = MetricsRegistry()
         self._register_metrics()
-        # Ride on the front end: metrics merge into `repro metrics`,
-        # respawned shards rejoin at the current version.
+        # Ride on the front end: metrics merge into `repro metrics`.
         frontend.extra_registries.append(self.registry)
-        frontend.policy_sync = self._sync_shard
 
     # ------------------------------------------------------------------
     def _register_metrics(self) -> None:
@@ -513,12 +513,10 @@ class RetrainingDaemon:
             drained = [_poison(t) for t in drained]
             status["poisoned"] = True
 
-        # Shadow copy under the shard-0 inference lock: shard 0 serves
-        # the *original* policy object, and a deep copy racing a hot-
-        # swap (rollback, a second daemon) would snapshot weights from
-        # two generations.
-        lock = self.frontend.services[0].engine.inference_lock or nullcontext()
-        with lock:
+        # Under the swap lock: a copy racing a swap's in-place write to
+        # the agent (a rollback from another thread) would snapshot
+        # weights from two generations.
+        with self._swap_lock:
             shadow = copy.deepcopy(self.agent)
         if self.current_score is None or self.gate._oracle_epoch != self.db.stats_epoch:
             # The shadow still carries the live weights: score it before
@@ -632,8 +630,7 @@ class RetrainingDaemon:
             return
         previous = self.guardrail_threshold
         self.guardrail_threshold = threshold
-        for service in self.frontend.services:
-            service.router.set_threshold(threshold)
+        self.frontend.set_guardrail_threshold(threshold)
         self._emit(
             "guardrail_threshold_update",
             threshold=round(threshold, 4),
@@ -652,16 +649,14 @@ class RetrainingDaemon:
         cycle: int | None,
         kind: str = "policy_swap",
     ) -> int:
-        """Broadcast vetted weights to every shard, bump the version,
+        """Hand vetted weights to the front end as the next version,
         checkpoint, and arm the rollback watch.
 
-        The payload is snapshotted **once** (``{name: array}``) and
-        handed to each shard's ``apply_policy_weights`` — thread shards
-        copy it in place under their inference lock; process shards ship
-        it over the control channel (out-of-band through the shm ring)
-        and ack the version. A shard that died mid-broadcast is skipped:
-        its supervisor respawn rejoins through ``policy_sync`` at the
-        version promoted here, so no shard can serve stale weights.
+        :meth:`ServingFrontEnd.apply_policy_weights` copies the payload
+        once, has every live shard publish it as its next generation,
+        and replays it onto any shard respawned later — so a shard that
+        died mid-broadcast rejoins at the version promoted here and no
+        shard can serve stale weights.
         """
         with self._swap_lock:
             rng = self.trainer.rng
@@ -672,26 +667,12 @@ class RetrainingDaemon:
                 self.current_score,
             )
             version = self.version + 1
-            params = {
-                name: np.copy(arr)
-                for name, arr in policy_net.net.params.items()
-            }
-            # The agent's nets first: shard 0 usually *is* the agent's
-            # policy net (identity-preserved by build()), and a dead
-            # process shard must still leave the parent at the promoted
-            # weights; the value net serves nowhere.
+            # The agent carries the lineage (next shadow, checkpoint,
+            # rollback target); no shard serves its arrays.
             self.agent.policy_net.copy_weights_from(policy_net)
             if value_net is not None:
                 self.agent.value_net.copy_weights_from(value_net)
-            for shard, service in enumerate(self.frontend.services):
-                try:
-                    service.apply_policy_weights(params, version)
-                except Exception:
-                    # Worker process gone mid-broadcast; the respawned
-                    # shard is policy_sync'd to `version` before it
-                    # serves again.
-                    self._emit("policy_swap_shard_skipped", shard=shard,
-                               version=version)
+            self.frontend.apply_policy_weights(policy_net.net.params, version)
             self.version = version
             self.promoted_versions.add(version)
             if kind == "policy_swap":
@@ -830,22 +811,6 @@ class RetrainingDaemon:
             served_since_swap=served_since,
         )
         return status
-
-    # ------------------------------------------------------------------
-    # Supervision hook
-    # ------------------------------------------------------------------
-    def _sync_shard(self, service, shard: int) -> None:
-        """``ServingFrontEnd.policy_sync``: bring a respawned shard's
-        rebuilt service to the current promoted weights and version
-        before its worker thread starts."""
-        with self._swap_lock:
-            params = {
-                name: np.copy(arr)
-                for name, arr in self.agent.policy_net.net.params.items()
-            }
-            version = self.version
-        service.apply_policy_weights(params, version)
-        self._emit("policy_sync", shard=shard, version=version)
 
     # ------------------------------------------------------------------
     def as_dict(self) -> dict:

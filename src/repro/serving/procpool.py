@@ -15,14 +15,13 @@ promotes each shard to a **worker process** behind the same
   on a second pipe for statistics-epoch bumps, policy hot-swaps (weights
   broadcast through the shm ring, version ack'd), guardrail threshold
   sync, chaos arming, and metric/experience snapshots.
-- :class:`ProcessWorkerClient` is the parent-side proxy that presents
-  the exact attribute surface the front end, supervisor, and retraining
-  daemon already program against (``optimize_batch``, ``stats``,
-  ``registry``, ``experience``, ``router.set_threshold``,
-  ``apply_policy_weights``, …), so every layer above is executor-
-  agnostic. The front end's shard *threads* block in ``os.read`` on the
-  reply pipe — which releases the GIL — while the children roll out
-  policies truly in parallel.
+- :class:`ProcessWorkerClient` is the parent-side proxy: it implements
+  the :class:`~repro.serving.service.Shard` contract by forwarding each
+  member to the worker's service (it impersonates none of the service's
+  parts), and adds the process facts — pid, liveness, kill, shutdown.
+  The front end's shard *threads* block in ``os.read`` on the reply
+  pipe — which releases the GIL — while the children roll out policies
+  truly in parallel.
 
 BLAS pinning: each child is started with ``OMP_NUM_THREADS=1`` (and the
 OpenBLAS/MKL/veclib/numexpr equivalents) exported *before* the spawn,
@@ -49,12 +48,12 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Span, Trace
 from repro.serving.errors import WorkerProcessDied
-from repro.serving.faults import FaultConfig, FaultInjector
+from repro.serving.faults import FaultInjector
 from repro.serving.service import (
     OptimizerService,
     ServiceStats,
@@ -145,8 +144,6 @@ class WorkerSpec:
     featurizer: object
     serving_config: ServingConfig = field(default_factory=ServingConfig)
     planner_kwargs: Dict[str, object] = field(default_factory=dict)
-    policy_version: int = 1
-    fault_config: Optional[FaultConfig] = None
     #: Optional reward object for experience collection (must pickle;
     #: its ``db`` reference dedupes against :attr:`db` in the same
     #: pickle graph, so it does not ship a second database copy).
@@ -172,7 +169,7 @@ def _build_worker_service(spec: WorkerSpec) -> OptimizerService:
     planner = Planner(
         spec.db, cost_memo=SubPlanCostMemo(), **dict(spec.planner_kwargs)
     )
-    service = OptimizerService(
+    return OptimizerService(
         spec.db,
         spec.policy,
         planner=planner,
@@ -180,14 +177,6 @@ def _build_worker_service(spec: WorkerSpec) -> OptimizerService:
         config=spec.serving_config,
         reward_source=spec.reward_source,
     )
-    service.policy_version = spec.policy_version
-    # The control thread hot-swaps weights while the request loop rolls
-    # out: same single-policy/many-threads hazard the front end guards,
-    # solved with the same lock.
-    service.engine.inference_lock = threading.Lock()
-    if spec.fault_config is not None:
-        service.install_fault_injector(FaultInjector(spec.fault_config))
-    return service
 
 
 def _control_dispatch(service: OptimizerService, op: str, kwargs: dict):
@@ -211,7 +200,7 @@ def _control_dispatch(service: OptimizerService, op: str, kwargs: dict):
         )
         return service.db.stats_epoch
     if op == "set_threshold":
-        service.router.set_threshold(kwargs["threshold"])
+        service.set_guardrail_threshold(kwargs["threshold"])
         return kwargs["threshold"]
     if op == "install_faults":
         service.install_fault_injector(FaultInjector(kwargs["config"]))
@@ -222,9 +211,7 @@ def _control_dispatch(service: OptimizerService, op: str, kwargs: dict):
     if op == "metrics":
         return service.registry.dump_state()
     if op == "drain_experience":
-        if service.experience is None:
-            return []
-        return service.experience.drain()
+        return service.drain_experience()
     raise ValueError(f"unknown control op: {op!r}")
 
 
@@ -355,59 +342,19 @@ def worker_main(
 # ----------------------------------------------------------------------
 # Parent-side proxy
 # ----------------------------------------------------------------------
-class _RemoteRouter:
-    """Guardrail-threshold surface of the in-worker router."""
-
-    def __init__(self, client: "ProcessWorkerClient") -> None:
-        self._client = client
-        self.threshold: Optional[float] = None
-
-    def set_threshold(self, threshold: float) -> None:
-        # safe: a threshold push must not crash on a SIGKILL'd shard —
-        # the respawn path replays the last threshold to the new worker.
-        self.threshold = threshold
-        self._client._control("set_threshold", safe=True, threshold=threshold)
-
-
-class _RemoteExperience:
-    """Drain-only view of the in-worker experience buffer. The
-    trajectories' state stacks come back out-of-band through the shm
-    ring — the parent never pickles a float matrix to collect them."""
-
-    def __init__(self, client: "ProcessWorkerClient") -> None:
-        self._client = client
-        self.drained = 0
-
-    def drain(self) -> list:
-        out = self._client._control("drain_experience", safe=True)
-        if out is None:
-            return []
-        self.drained += len(out)
-        return out
-
-
-class _EngineStub:
-    """Stands in for :class:`MicroBatchEngine` on the proxy: the front
-    end keys per-policy inference locks by ``id(engine.policy)`` and
-    installs the lock here; each worker process serializes its own
-    forward passes, so the parent-side lock has nothing to exclude."""
-
-    def __init__(self) -> None:
-        self.policy = object()  # unique identity -> unique lock
-        self.inference_lock = None
-        self.fault_injector = None
-
-
 class ProcessWorkerClient:
     """Parent-side handle to one shard worker process.
 
-    Presents the ``OptimizerService`` surface the front end programs
-    against. ``optimize_batch`` is a blocking request/reply over the
-    framed request pipe (the calling shard *thread* sleeps in
-    ``os.read``, releasing the GIL); everything operational rides the
-    control pipe. Raises :class:`WorkerProcessDied` when the child is
-    gone — the front end's shard-death path (supervisor respawn,
-    held-request failover) takes it from there.
+    Implements :class:`~repro.serving.service.Shard`.
+    ``optimize_batch`` is a blocking request/reply over the framed
+    request pipe (the calling shard *thread* sleeps in ``os.read``,
+    releasing the GIL); everything operational rides the control pipe.
+    Raises :class:`WorkerProcessDied` when the child is gone — the
+    front end's shard-death path (supervisor respawn, held-request
+    failover) takes it from there. State pushes
+    (:meth:`set_guardrail_threshold`, :meth:`install_fault_injector`)
+    and snapshot reads answer quietly on a dead worker: the front end
+    replays the live state onto its replacement.
     """
 
     def __init__(
@@ -432,14 +379,9 @@ class ProcessWorkerClient:
             "repro_serving_request_ms",
             "per-request serve latency (batch-attributed)",
         )
-        self.policy_version = spec.policy_version
-        self.engine = _EngineStub()
-        self.router = _RemoteRouter(self)
-        self.experience = (
-            _RemoteExperience(self) if spec.serving_config.collect_experience else None
-        )
+        #: As of the last batch reply, ping or hot-swap ack.
+        self.policy_version = 1
         self.fault_injector = None
-        self._applied_weights = None  # last (params, version) hot-swapped in
         self._last_fault_counts: Dict[str, int] = {}
         self._last_registry = MetricsRegistry()
         self._closed = False
@@ -628,13 +570,19 @@ class ProcessWorkerClient:
             self._ctl_lock.release()
 
     def apply_policy_weights(self, params: Dict[str, object], version: int) -> None:
-        """Hot-swap: broadcast the promoted weights (out-of-band via the
-        shm ring) and adopt the ack'd version. The applied snapshot is
-        kept so a respawned replacement can rejoin at the live weights
-        even without a retraining daemon's ``policy_sync``."""
+        """Hot-swap: ship the promoted weights (out-of-band via the shm
+        ring) and adopt the ack'd version."""
         acked = self._control("apply_weights", params=params, version=version)
         self.policy_version = int(acked)
-        self._applied_weights = (dict(params), self.policy_version)
+
+    def set_guardrail_threshold(self, threshold: float | None) -> None:
+        self._control("set_threshold", safe=True, threshold=threshold)
+
+    def drain_experience(self) -> list:
+        """The worker's collected trajectories; their state stacks come
+        back out-of-band through the shm ring — the parent never
+        pickles a float matrix to collect them."""
+        return self._control("drain_experience", safe=True) or []
 
     def remote_refresh_statistics(
         self, seed: int = 1, sample_size: int = 30_000, tables=None

@@ -22,11 +22,11 @@ request.
 
 from __future__ import annotations
 
+import copy
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Sequence
+from typing import Dict, List, Protocol, Sequence
 
 from repro.core.featurize import QueryFeaturizer
 from repro.core.rewards import CostModelReward, PlanOutcome
@@ -47,6 +47,7 @@ from repro.serving.router import GuardrailDecision, GuardrailRouter
 __all__ = [
     "ServingConfig",
     "ServedPlan",
+    "Shard",
     "OptimizerService",
     "register_metric_rows",
     "counter_values",
@@ -334,6 +335,46 @@ class ServiceStats:
             setattr(self, name, getattr(self, name) + 1)
 
 
+class Shard(Protocol):
+    """All that the front end, its supervisor and the retraining daemon
+    use of ``frontend.services[i]``, the same under both executors:
+    :class:`OptimizerService` is a shard served in-process, and
+    :class:`~repro.serving.procpool.ProcessWorkerClient` forwards every
+    member to the service inside its worker process. Orchestration code
+    never reaches through a shard into its parts (engine, router,
+    caches, buffers). What only a worker *process* has — ``pid``,
+    ``exitcode()``, ``is_alive()``, ``ping()``, ``kill()``,
+    ``shutdown()``, ``remote_refresh_statistics()`` (it owns a database
+    copy), ``fault_fired_counts()``, ``transport`` — stays on the proxy
+    and is all an ``isinstance`` check on a shard may be about."""
+
+    db: Database
+    featurizer: QueryFeaturizer
+    telemetry: Telemetry | None
+    stats: ServiceStats
+    request_ms_hist: Histogram
+    registry: MetricsRegistry
+    policy_version: int
+
+    def optimize_batch(
+        self,
+        queries: Sequence[Query],
+        fingerprints: Sequence[str] | None = None,
+        alias_maps: Sequence[Dict[str, str]] | None = None,
+        traces: Sequence | None = None,
+        budgets_ms: Sequence[float | None] | None = None,
+        collect=True,
+    ) -> List[ServedPlan]: ...
+
+    def apply_policy_weights(self, params: Dict[str, object], version: int) -> None: ...
+
+    def set_guardrail_threshold(self, threshold: float | None) -> None: ...
+
+    def drain_experience(self) -> List[Trajectory]: ...
+
+    def install_fault_injector(self, injector) -> None: ...
+
+
 def _rename_tree(tree: JoinTree, rename: Dict[str, str]) -> JoinTree:
     """Rebuild a join tree with every leaf alias translated."""
     if tree.is_leaf:
@@ -368,7 +409,7 @@ class OptimizerService:
         self.db_metrics = db_metrics
         # Agents (PPO/REINFORCE) carry their CategoricalPolicy in .policy;
         # a bare policy object is accepted too.
-        self.policy = getattr(agent_or_policy, "policy", agent_or_policy)
+        policy = getattr(agent_or_policy, "policy", agent_or_policy)
         self.planner = planner or Planner(db, cost_memo=SubPlanCostMemo())
         self.featurizer = featurizer or QueryFeaturizer(db.schema)
         self.config = config or ServingConfig()
@@ -381,7 +422,7 @@ class OptimizerService:
         )
         self.router = GuardrailRouter(self.planner, self.config.regression_threshold)
         self.engine = MicroBatchEngine(
-            self.policy,
+            policy,
             self.featurizer,
             db,
             max_batch_size=self.config.max_batch_size,
@@ -402,10 +443,11 @@ class OptimizerService:
         #: :meth:`optimize_batch`); it also cascades to the micro-batch
         #: engine for ``policy_nan`` faults.
         self.fault_injector = None
-        #: Generation of the weights currently serving. The retraining
-        #: daemon bumps this under the engine's inference lock at every
-        #: hot-swap/rollback; requests snapshot it per batch.
-        self.policy_version = 1
+        #: The serving generation ``(policy, version)``: read once per
+        #: batch, replaced whole by :meth:`apply_policy_weights`.
+        #: Generation 1 is the caller's own policy object (in-place
+        #: training between calls is served); later ones are private.
+        self._generation = (policy, 1)
         self.registry = MetricsRegistry()
         self.request_ms_hist = self.registry.histogram(
             "repro_serving_request_ms",
@@ -431,6 +473,11 @@ class OptimizerService:
                 register_metric_rows(reg, rows, owner)
         reg.register(self.engine.forward_ms_hist)
         reg.register(self.planner.expert_ms_hist)
+
+    @property
+    def policy_version(self) -> int:
+        """Generation of the weights now serving (1 = as deployed)."""
+        return self._generation[1]
 
     # ------------------------------------------------------------------
     # Request paths
@@ -525,11 +572,11 @@ class OptimizerService:
         # racing the batch must not have its invalidation undone by a
         # late insert of a pre-ANALYZE plan.
         epoch = self.db.stats_epoch
-        # One version stamp per batch: the version live at batch start.
-        # The inference lock is held per forward pass, not per rollout,
-        # so a hot-swap can land between two rounds of this batch's
-        # rollout; its answers still carry this stamp.
-        version = self.policy_version
+        # One generation per batch, policy and version read together:
+        # the rollout runs every round on this policy, so the batch's
+        # plans, traces and trajectories carry the version of the
+        # weights that produced them. A swap landing now serves the next.
+        policy, version = self._generation
         # Likewise one cardinality-lane stamp: estimator swaps go
         # through use_estimator()'s epoch bump, so a mid-batch swap
         # behaves like the stats race above (guarded cache puts skip).
@@ -599,6 +646,7 @@ class OptimizerService:
                 records = self.engine.rollout(
                     [queries[i] for i in indices],
                     record=self.experience is not None,
+                    policy=policy,
                 )
             except Exception as exc:
                 # The lockstep rollout failed for the whole miss set
@@ -634,6 +682,7 @@ class OptimizerService:
                         parent=serve_spans[first],
                         budget_ms=remaining(first),
                         collect=collects[first],
+                        version=version,
                     )
                     groups.append((idxs, answer, entry))
             else:
@@ -787,6 +836,7 @@ class OptimizerService:
         parent=None,
         budget_ms: float | None = None,
         collect: bool = True,
+        version: int = 1,
     ) -> tuple:
         query = record.query
         build_start = time.perf_counter()
@@ -848,7 +898,7 @@ class OptimizerService:
         if self.db.stats_epoch == epoch:
             self.cache.put(fp, entry, tables=query.relations.values())
         if collect and self.experience is not None and record.transitions:
-            self._collect(record, learned.plan, fp, source)
+            self._collect(record, learned.plan, fp, source, version)
         return (source, entry.plan, entry.cost, decision), entry
 
     def _serve_degraded(
@@ -930,7 +980,12 @@ class OptimizerService:
         return (source, entry.plan, entry.cost, None), entry
 
     def _collect(
-        self, record: RolloutRecord, learned_plan: PhysicalPlan, fp: str, source: str
+        self,
+        record: RolloutRecord,
+        learned_plan: PhysicalPlan,
+        fp: str,
+        source: str,
+        version: int,
     ) -> None:
         """Score the *learned* plan (even when the expert was served) and
         store the rollout as a terminal-reward trajectory."""
@@ -950,7 +1005,7 @@ class OptimizerService:
                     "fingerprint": fp,
                     "source": source,
                     "degraded": source.startswith("degraded"),
-                    "policy_version": self.policy_version,
+                    "policy_version": version,
                 },
             )
         )
@@ -961,25 +1016,39 @@ class OptimizerService:
     def apply_policy_weights(
         self, params: Dict[str, "np.ndarray"], version: int
     ) -> None:
-        """Install promoted weights in place and adopt their version.
+        """Hot-swap: serve ``params`` as generation ``version`` from
+        the next batch on.
 
-        The executor-agnostic half of a hot-swap: the retraining daemon
-        calls this directly on thread-mode shards and the process-mode
-        proxy forwards it over the control channel. Copies under the
-        engine's inference lock (when installed) so no forward pass sees
-        half-swapped weights; shapes must match exactly — promotion
-        never changes the serving architecture.
+        The generation is built here, off the serving path — a private
+        copy of the current policy with ``params`` copied in (the caller
+        keeps its arrays, which may be read-only views of received
+        bytes) — and published by rebinding one reference: no array a
+        running rollout reads is ever written, so nothing is locked.
+        Names and shapes must match exactly.
         """
-        lock = self.engine.inference_lock
-        ctx = lock if lock is not None else nullcontext()
-        target = self.engine.policy.net.net.params
+        fresh = copy.deepcopy(self.engine.policy)
+        target = fresh.net.net.params
         unknown = set(params) - set(target)
         if unknown:
             raise KeyError(f"unknown policy parameters: {sorted(unknown)}")
-        with ctx:
-            for name, arr in params.items():
-                target[name][...] = arr
-            self.policy_version = version
+        for name, arr in params.items():
+            if arr.shape != target[name].shape:
+                raise ValueError(
+                    f"policy parameter {name!r} has shape {arr.shape}, "
+                    f"serving {target[name].shape}"
+                )
+            target[name][...] = arr
+        self.engine.policy = fresh
+        self._generation = (fresh, version)
+
+    def set_guardrail_threshold(self, threshold: float | None) -> None:
+        """Replace the live learned-vs-expert cost-ratio threshold."""
+        self.router.set_threshold(threshold)
+
+    def drain_experience(self) -> List[Trajectory]:
+        """Remove and return the collected trajectories, oldest first
+        (empty when this service does not collect)."""
+        return self.experience.drain() if self.experience is not None else []
 
     def refresh_statistics(
         self,

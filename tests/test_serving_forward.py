@@ -254,14 +254,9 @@ class TestHotSwap:
             imdb, old, featurizer=featurizer,
             config=ServingConfig(regression_threshold=None),
         )
-        service.engine.inference_lock = threading.Lock()
-        weight = old.net.input_layer.weight
         assert_matches(service.engine.rollout(sample), before)
         service.apply_policy_weights(
             {k: v.copy() for k, v in new.net.net.params.items()}, version=2
         )
-        # Swapped in place: the engine's row-slice views are of this
-        # array, so the very next pass multiplies the new weights.
-        assert old.net.input_layer.weight is weight
         assert_matches(service.engine.rollout(sample), after)
         assert service.policy_version == 2

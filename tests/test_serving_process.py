@@ -2,8 +2,8 @@
 everything that crosses the spawn boundary or a worker pipe, the
 shared-memory ring and framed transport underneath it, hash-ring
 determinism across processes, and the process-mode front end end to
-end (plan parity with thread shards, stats-epoch ordering, SIGKILL
-respawn rejoining at the live policy version)."""
+end (plan parity with thread shards, stats-epoch ordering; the SIGKILL
+respawn rejoining at the live state is in ``test_serving_hotswap.py``)."""
 
 import multiprocessing
 import pickle
@@ -24,7 +24,6 @@ from repro.serving import (
     InjectedFault,
     LoadShedded,
     OptimizeError,
-    ProcessWorkerClient,
     RetriesExhausted,
     ServiceClosed,
     ServingConfig,
@@ -33,12 +32,10 @@ from repro.serving import (
     ShmRing,
     WorkerProcessDied,
 )
-from tests.helpers import wait_until
 
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 ABC = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
-LIVE_VERSION = 2
 
 
 def plan_repr(plan) -> str:
@@ -393,43 +390,6 @@ class TestProcessFrontEnd:
         assert clone.attempts == plan.attempts
         assert clone.policy_version == plan.policy_version
         assert plan_repr(clone) == plan_repr(plan)
-
-    def test_sigkill_respawn_rejoins_at_live_policy_version(
-        self, proc_db, proc_agent, proc_featurizer
-    ):
-        frontend = build_frontend(
-            proc_db, proc_agent, proc_featurizer, "process",
-            supervisor_interval_s=0.05,
-        )
-        try:
-            params = {
-                name: np.copy(arr)
-                for name, arr in proc_agent.policy.net.net.params.items()
-            }
-            for service in frontend.services:
-                service.apply_policy_weights(params, LIVE_VERSION)
-            assert all(
-                s.policy_version == LIVE_VERSION for s in frontend.services
-            )
-
-            victim = frontend.services[0]
-            assert isinstance(victim, ProcessWorkerClient)
-            victim.kill()  # real SIGKILL against the worker process
-            assert wait_until(
-                lambda: frontend.stats.worker_restarts >= 1
-                and all(s.is_alive() for s in frontend.services),
-                timeout=30.0,
-            ), "supervisor did not respawn the killed worker"
-
-            # The replacement is a different proxy/process that must
-            # have been caught up to the hot-swapped weights.
-            assert all(
-                s.policy_version == LIVE_VERSION for s in frontend.services
-            )
-            plan = frontend.optimize(parse_query(BC, "bc-postkill"), timeout=60.0)
-            assert plan.plan is not None
-        finally:
-            frontend.close()
 
     def test_breaker_transitions_make_no_control_roundtrip(self, proc_frontend):
         """The breaker calls its transition hook under its own lock, so
