@@ -66,6 +66,7 @@ TELEMETRY_STAGES = (
     "queue_wait",
     "worker_queue",
     "pickup",
+    "turn_wait",
     "serve",
     "cache_lookup",
     "policy_forward",

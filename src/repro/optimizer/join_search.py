@@ -310,40 +310,48 @@ def geqo_join_search(
     pool_size = pool_size or max(16, 4 * n)
     generations = generations or max(40, 8 * n)
     adjacency = ctx.adjacency
+    scan_costs = [ctx.scan_cost(i) for i in range(n)]
+    #: Cost of joining relation ``idx`` onto the prefix set ``mask``:
+    #: the same for every permutation that reaches that set, in any
+    #: order.
+    step_costs: Dict[Tuple[int, int], float] = {}
 
-    def fitness(perm: np.ndarray) -> float:
-        first = int(perm[0])
-        total = ctx.scan_cost(first)
+    # tests/test_optimizer_geqo_parity.py holds this search to the trees
+    # *and* the generator state of the loop it replaced: the draws below
+    # keep their order and arguments, and ``fitness`` adds the same
+    # terms in the same order.
+    def fitness(perm: List[int]) -> float:
+        first = perm[0]
+        total = scan_costs[first]
         mask = 1 << first
-        for raw in perm[1:]:
-            idx = int(raw)
-            bit = 1 << idx
-            total += ctx.scan_cost(idx)
-            total += ctx.join_cost(mask, bit, bool(adjacency[idx] & mask))
-            mask |= bit
+        for idx in perm[1:]:
+            step = step_costs.get((mask, idx))
+            if step is None:
+                step = ctx.join_cost(mask, 1 << idx, bool(adjacency[idx] & mask))
+                step_costs[(mask, idx)] = step
+            total += scan_costs[idx]
+            total += step
+            mask |= 1 << idx
         return total
 
-    pool = [rng.permutation(n) for _ in range(pool_size)]
+    pool = [rng.permutation(n).tolist() for _ in range(pool_size)]
     scores = np.array([fitness(p) for p in pool])
 
-    def ox_crossover(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def ox_crossover(a: List[int], b: List[int]) -> List[int]:
         lo, hi = sorted(rng.choice(n, size=2, replace=False))
-        child = np.full(n, -1)
-        child[lo : hi + 1] = a[lo : hi + 1]
-        fill = [g for g in b if g not in set(child[lo : hi + 1].tolist())]
-        pos = 0
-        for i in range(n):
-            if child[i] == -1:
-                child[i] = fill[pos]
-                pos += 1
-        return child
+        kept = a[lo : hi + 1]
+        in_kept = set(kept)
+        fill = [g for g in b if g not in in_kept]
+        return fill[:lo] + kept + fill[lo:]
 
-    ranks = np.arange(pool_size, dtype=np.float64)
+    # rank-biased parent choice (fitter ranks more likely)
+    weights = (pool_size - np.arange(pool_size, dtype=np.float64)) ** 2
+    weights /= weights.sum()
+    # The ranking and the worst individual only move when a child
+    # enters the pool.
+    order = np.argsort(scores)
+    worst = int(np.argmax(scores))
     for _ in range(generations):
-        order = np.argsort(scores)
-        # rank-biased parent choice (fitter ranks more likely)
-        weights = (pool_size - ranks) ** 2
-        weights /= weights.sum()
         pa = pool[order[rng.choice(pool_size, p=weights)]]
         pb = pool[order[rng.choice(pool_size, p=weights)]]
         child = ox_crossover(pa, pb)
@@ -351,10 +359,11 @@ def geqo_join_search(
             i, j = rng.choice(n, size=2, replace=False)
             child[i], child[j] = child[j], child[i]
         child_score = fitness(child)
-        worst = int(np.argmax(scores))
         if child_score < scores[worst]:
             pool[worst] = child
             scores[worst] = child_score
+            order = np.argsort(scores)
+            worst = int(np.argmax(scores))
 
     best = pool[int(np.argmin(scores))]
     return JoinTree.left_deep([ctx.aliases[i] for i in best])

@@ -22,7 +22,11 @@ to queue-and-flush:
    fingerprint-equivalent query lands on the same shard's plan cache,
    guardrail memo, and experience buffer — shard-private caches need no
    cross-shard coherence, yet still see every repeat of "their" query
-   shapes.
+   shapes. In-process shards take **turns** running their service
+   (:class:`_Turn`, first come first served): two threads computing at
+   once under the GIL each take about twice as long, so nothing is
+   gained by letting them, and everything around the service call —
+   queueing, coalescing, checks, resolution — still overlaps.
 
 Fault tolerance is layered on the same path:
 
@@ -71,6 +75,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from queue import Empty, SimpleQueue
 from typing import Deque, Dict, List, Optional, Sequence, Set
@@ -149,10 +154,12 @@ class FrontEndConfig:
     supervise: bool = True
     supervisor_interval_s: float = 0.05
     #: Shard executor: ``"thread"`` keeps every shard in-process
-    #: (shared GIL — cheap, but rollouts interleave); ``"process"``
-    #: spawns one worker process per shard behind the same hash ring,
-    #: so shards roll out truly in parallel. Only :meth:`ServingFrontEnd.build`
-    #: acts on this — a hand-assembled service list decides for itself.
+    #: (shared GIL — cheap, and the shards take turns computing);
+    #: ``"process"`` spawns one worker process per shard behind the same
+    #: hash ring, so shards roll out truly in parallel.
+    #: :meth:`ServingFrontEnd.build` picks the shard type from this; a
+    #: hand-assembled service list decides that for itself, and this
+    #: then only says whether its shards take turns.
     executor: str = "thread"
     #: Process mode: how often the supervisor heartbeats each worker
     #: process (a hung worker that misses one beat is SIGKILL'd and
@@ -273,11 +280,58 @@ _FRONTEND_ROWS = (
      "circuit-breaker trips to open", lambda f: f.stats.circuit_opens),
     ("repro_frontend_served_batches_total", "frontend_served_batches", "counter",
      "worker micro-batches actually served", lambda f: f.stats.served_batches),
+    ("repro_frontend_turn_waits_total", "frontend_turn_waits", "counter",
+     "served batches that waited for another thread shard's turn to end",
+     lambda f: f._turn.waits if f._turn is not None else 0),
     ("repro_frontend_inflight", None, "gauge",
      "submissions accepted but not yet resolved", lambda f: f._inflight),
     ("repro_frontend_down_shards", None, "gauge",
      "shards whose worker is dead and awaiting respawn", lambda f: len(f._down)),
 )
+
+
+class _Turn:
+    """First-come-first-served mutual exclusion between thread shards.
+
+    Two threads that both run the service do not share the interpreter
+    evenly: every numpy call drops the GIL, so they hand it back and
+    forth thousands of times per request and each needs about twice the
+    wall time for the same work. A shard thread therefore holds the
+    turn while its service computes, and the others block here.
+
+    ``release`` hands the turn straight to the longest waiter without
+    ever marking it free, so the releasing thread cannot take it again
+    ahead of a sibling that was already waiting (a plain
+    ``threading.Lock`` lets it barge).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._held = False
+        #: One locked gate per waiting thread, oldest first.
+        self._waiters: Deque[threading.Lock] = deque()
+        #: Acquisitions that had to wait. Guarded by ``_lock``.
+        self.waits = 0
+
+    def acquire(self) -> bool:
+        """Block until the turn is this thread's; True if it waited."""
+        with self._lock:
+            if not self._held:
+                self._held = True
+                return False
+            gate = threading.Lock()
+            gate.acquire()
+            self._waiters.append(gate)
+            self.waits += 1
+        gate.acquire()
+        return True
+
+    def release(self) -> None:
+        with self._lock:
+            if self._waiters:
+                self._waiters.popleft().release()
+            else:
+                self._held = False
 
 
 @dataclass(eq=False)
@@ -394,6 +448,15 @@ class ServingFrontEnd:
         self.latency_ms_hist = self.registry.histogram(
             "repro_request_latency_ms",
             "submit-to-resolve latency (queueing included)",
+        )
+        #: Thread shards compute one at a time (see :class:`_Turn`);
+        #: process shards only block on a pipe here and take no turn.
+        self._turn: Optional[_Turn] = (
+            _Turn() if self.config.executor == "thread" else None
+        )
+        self.turn_wait_ms_hist = self.registry.histogram(
+            "repro_frontend_turn_wait_ms",
+            "wait for the thread shards' turn, per served batch",
         )
         self._register_metrics()
         self._lock = threading.Lock()
@@ -1027,6 +1090,30 @@ class ServingFrontEnd:
                 with self._work:
                     self._work.notify_all()
 
+    @contextmanager
+    def _in_turn(self, traces: Sequence[object], asked: float):
+        """Hold the thread shards' turn for the body — the service call
+        and nothing else — and yield ``(had to wait, time granted)``.
+        The wait since ``asked`` goes on ``traces`` as ``turn_wait``.
+        However the body ends (return, exception, a batch that takes
+        the worker down), the turn is free again before anything is
+        resolved or retried. Process shards take no turn."""
+        turn = self._turn
+        if turn is None:
+            yield False, self.clock()
+            return
+        contended = turn.acquire()
+        granted = self.clock()
+        waited_ms = (granted - asked) * 1000.0
+        try:
+            for trace in traces:
+                if trace is not None:
+                    trace.record("turn_wait", waited_ms)
+            yield contended, granted
+        finally:
+            turn.release()
+            self.turn_wait_ms_hist.observe(waited_ms)
+
     def _serve_batch(self, shard: int, submissions: List[_Submission]) -> None:
         # Transition futures to RUNNING; a future the caller already
         # cancelled is released here, and one already settled elsewhere
@@ -1127,34 +1214,51 @@ class ServingFrontEnd:
             ]
             if killed:
                 service.kill()
-        serve_start = self.clock()
-        budgets = [
-            None
-            if s.deadline is None
-            else max(0.0, (s.deadline - serve_start) * 1000.0)
-            for s in ready
-        ]
         traces = [s.trace for s in ready]
+        asked = self.clock()
         for trace in traces:
             if trace is not None:
                 # What the shard did between taking the batch off its
-                # queue and handing it to the service: cancellation and
+                # queue and asking for its turn: cancellation and
                 # deadline checks, chaos draws (an injected spike sleeps
-                # here). The service opens ``serve`` first thing, so the
-                # root's children tile the request end to end.
-                trace.record("pickup", (self.clock() - picked_up) * 1000.0)
+                # here). ``turn_wait`` follows and the service opens
+                # ``serve`` first thing, so the root's children tile the
+                # request end to end.
+                trace.record("pickup", (asked - picked_up) * 1000.0)
+        overdue: List[_Submission] = []
         try:
-            served = service.optimize_batch(
-                [s.query for s in ready],
-                fingerprints=[s.fp for s in ready],
-                alias_maps=[s.alias_map for s in ready],
-                traces=traces,
-                budgets_ms=budgets,
-                # Experience collection is the one non-idempotent side
-                # effect on this path: only attempt 1 collects, so a
-                # retry can never double-count a trajectory.
-                collect=[s.attempts == 1 for s in ready],
-            )
+            with self._in_turn(traces, asked) as (contended, serve_start):
+                if contended:
+                    # Budgets are what is left now that the turn is
+                    # granted; a deadline that passed during the wait is
+                    # an expiry, not a late serve on a zero budget.
+                    overdue = [
+                        s
+                        for s in ready
+                        if s.deadline is not None and serve_start >= s.deadline
+                    ]
+                    if overdue:
+                        ready = [s for s in ready if s not in overdue]
+                        traces = [s.trace for s in ready]
+                        if not ready:
+                            return
+                budgets = [
+                    None
+                    if s.deadline is None
+                    else max(0.0, (s.deadline - serve_start) * 1000.0)
+                    for s in ready
+                ]
+                served = service.optimize_batch(
+                    [s.query for s in ready],
+                    fingerprints=[s.fp for s in ready],
+                    alias_maps=[s.alias_map for s in ready],
+                    traces=traces,
+                    budgets_ms=budgets,
+                    # Experience collection is the one non-idempotent
+                    # side effect on this path: only attempt 1 collects,
+                    # so a retry can never double-count a trajectory.
+                    collect=[s.attempts == 1 for s in ready],
+                )
         except WorkerProcessDied as exc:
             # The shard's process is gone. Back off the held requests
             # like any retryable failure, then die like the process did:
@@ -1189,6 +1293,18 @@ class ServingFrontEnd:
                 if s.attempts > 1:
                     plan = replace(plan, attempts=s.attempts)
                 self._resolve(s, plan=plan)
+        finally:
+            for s in overdue:
+                self._resolve(
+                    s,
+                    error=DeadlineExceeded(
+                        "deadline budget exhausted while the shard waited "
+                        "for its turn",
+                        stage="serve",
+                        **s.identity(),
+                    ),
+                    counter="deadline_expired",
+                )
         with self._work:
             self.stats.served_batches += 1
             self.stats.served_occupancy_sum += len(ready)

@@ -1,8 +1,9 @@
 """Process workers: the GIL escape hatch for the sharded front end.
 
-Thread-mode sharding (``executor="thread"``) interleaves every shard's
-numpy rollouts on one interpreter lock, so adding shards buys memory
-isolation and fault containment but almost no throughput. This module
+Thread-mode sharding (``executor="thread"``) runs every shard's numpy
+rollouts on one interpreter lock (one shard at a time: the front end
+makes them take turns), so adding shards buys memory isolation and
+fault containment but almost no throughput. This module
 promotes each shard to a **worker process** behind the same
 :class:`~repro.serving.sharding.HashRing`:
 

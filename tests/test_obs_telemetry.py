@@ -24,7 +24,9 @@ BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
 #: What a thread-mode request's root span holds, in order: the front
 #: end's stages around the service's ``serve``.
-FRONTEND_STAGES = ["queue_wait", "worker_queue", "pickup", "serve", "resolve"]
+FRONTEND_STAGES = [
+    "queue_wait", "worker_queue", "pickup", "turn_wait", "serve", "resolve",
+]
 
 
 @pytest.fixture(scope="module")

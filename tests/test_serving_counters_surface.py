@@ -1,8 +1,9 @@
 """Golden test for the operator surface: ``ServingFrontEnd.counters()``
 and ``metrics_registry().names()`` on one fixed probe, under both
 executors, against literals recorded at commit 3056a3f (before the
-``counters()`` renderers were collapsed into one). Keys, values and
-value types are pinned; registry names may only be added to."""
+``counters()`` renderers were collapsed into one), plus the turn
+metrics the thread shards' turn added since. Keys, values and value
+types are pinned; registry names may only be added to."""
 
 import numpy as np
 import pytest
@@ -70,6 +71,7 @@ COUNTS = {
     "frontend_served_occupancy_mean": 1.0,
     "frontend_shards": 2,
     "frontend_submitted": 2,
+    "frontend_turn_waits": 0,
     "frontend_worker_restarts": 0,
     "guardrail_decisions": 1.0,
     "guardrail_timeouts": 0.0,
@@ -142,6 +144,8 @@ REGISTRY_NAMES = [
     "repro_frontend_retries_total",
     "repro_frontend_served_batches_total",
     "repro_frontend_submitted_total",
+    "repro_frontend_turn_wait_ms",
+    "repro_frontend_turn_waits_total",
     "repro_frontend_worker_restarts_total",
     "repro_guardrail_decisions_total",
     "repro_guardrail_timeouts_total",
@@ -247,7 +251,7 @@ def surface(request):
 
 def test_counter_keys_are_the_parents(surface):
     expected = sorted([*surface["counts"], *surface["measured"]])
-    assert len(expected) == (70 if "transport_frames_sent" in expected else 63)
+    assert len(expected) == (71 if "transport_frames_sent" in expected else 64)
     assert sorted(surface["counters"]) == expected
 
 
