@@ -60,12 +60,13 @@ __all__ = [
 
 
 class PlanningTimeout(RuntimeError):
-    """The DP's ``check_deadline`` hook signalled that the caller's time
-    budget ran out mid-search. The search aborts immediately; callers on
-    the degradation ladder catch this and fall to the next rung. Raised
-    by the *hook*, re-raised unchanged by the DP — no partial plan is
-    returned, because an interrupted wave's table entries are not a
-    valid plan space."""
+    """The join search's ``check_deadline`` hook signalled that the
+    caller's time budget ran out mid-search. The search aborts
+    immediately; callers on the degradation ladder catch this and fall
+    to the next rung. Raised by the *hook*, re-raised unchanged by the
+    DP or GEQO — no partial plan is returned, because an interrupted
+    wave's table entries (or a half-bred pool) are not a finished
+    search."""
 
 
 @dataclass

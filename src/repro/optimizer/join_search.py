@@ -23,7 +23,8 @@ greedy and GEQO searches below also ride.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from bisect import bisect_right
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -275,6 +276,44 @@ def greedy_bottom_up(
     return fast_greedy_bottom_up(query, cards, params)
 
 
+#: ``Generator.choice``'s tolerance on ``sum(p) - 1``.
+_P_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_cdf(p: np.ndarray) -> List[float]:
+    """The cumulative table ``rng.choice(len(p), p=p)`` rebuilds on
+    every call, built once: ``bisect_right(cdf, rng.random())`` then
+    returns the same index from the same draw. ``p`` is validated here
+    as ``choice`` would, since nothing checks it per draw."""
+    if p.ndim != 1 or not p.size:
+        raise ValueError("probabilities must be a non-empty 1-d array")
+    if not (p >= 0).all():  # also rejects NaN
+        raise ValueError("probabilities must be non-negative numbers")
+    if abs(math.fsum(p.tolist()) - 1.0) > _P_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def choose_two(rng: np.random.Generator, n: int) -> Tuple[int, int]:
+    """``rng.choice(n, size=2, replace=False)`` written out: numpy's own
+    algorithm, so the same draws give the same ordered pair, without
+    its per-call set-up.
+
+    Floyd's sampling picks from ``[0, n-2]`` and then ``[0, n-1]``; a
+    collision takes ``n - 1`` instead. One Fisher-Yates step then swaps
+    the pair when its draw from ``[0, 1]`` is 0.
+    """
+    first = int(rng.integers(0, n - 1))
+    second = int(rng.integers(0, n))
+    if second == first:
+        second = n - 1
+    if rng.integers(0, 2) == 0:
+        return second, first
+    return first, second
+
+
 def geqo_join_search(
     query: Query,
     cards: QueryCardinalities,
@@ -282,6 +321,7 @@ def geqo_join_search(
     rng: np.random.Generator | None = None,
     pool_size: int | None = None,
     generations: int | None = None,
+    check_deadline: Callable[[], None] | None = None,
 ) -> JoinTree:
     """Genetic join-order search, modeled on PostgreSQL's GEQO.
 
@@ -296,6 +336,11 @@ def geqo_join_search(
     a learned optimizer exploits on big queries (Figure 3b), and the
     pool×generations work is why expert planning time keeps growing
     with the relation count (Figure 3c).
+
+    ``check_deadline`` (optional) is called once the pool is scored and
+    then once per generation; it aborts the search by raising (the
+    planner passes the same hook its DP uses). It draws nothing, so the
+    search's plan and generator state do not depend on it.
     """
     from repro.optimizer.bitset_dp import FastJoinContext
 
@@ -318,8 +363,10 @@ def geqo_join_search(
 
     # tests/test_optimizer_geqo_parity.py holds this search to the trees
     # *and* the generator state of the loop it replaced: the draws below
-    # keep their order and arguments, and ``fitness`` adds the same
-    # terms in the same order.
+    # keep their order and consume what that loop's ``choice`` and
+    # ``uniform`` calls consumed (tests/test_optimizer_geqo_draws.py
+    # pins each replacement against numpy), and ``fitness`` adds the
+    # same terms in the same order.
     def fitness(perm: List[int]) -> float:
         first = perm[0]
         total = scan_costs[first]
@@ -336,9 +383,11 @@ def geqo_join_search(
 
     pool = [rng.permutation(n).tolist() for _ in range(pool_size)]
     scores = np.array([fitness(p) for p in pool])
+    if check_deadline is not None:
+        check_deadline()
 
     def ox_crossover(a: List[int], b: List[int]) -> List[int]:
-        lo, hi = sorted(rng.choice(n, size=2, replace=False))
+        lo, hi = sorted(choose_two(rng, n))
         kept = a[lo : hi + 1]
         in_kept = set(kept)
         fill = [g for g in b if g not in in_kept]
@@ -347,16 +396,19 @@ def geqo_join_search(
     # rank-biased parent choice (fitter ranks more likely)
     weights = (pool_size - np.arange(pool_size, dtype=np.float64)) ** 2
     weights /= weights.sum()
+    cdf = choice_cdf(weights)
     # The ranking and the worst individual only move when a child
     # enters the pool.
     order = np.argsort(scores)
     worst = int(np.argmax(scores))
     for _ in range(generations):
-        pa = pool[order[rng.choice(pool_size, p=weights)]]
-        pb = pool[order[rng.choice(pool_size, p=weights)]]
+        if check_deadline is not None:
+            check_deadline()
+        pa = pool[order[bisect_right(cdf, rng.random())]]
+        pb = pool[order[bisect_right(cdf, rng.random())]]
         child = ox_crossover(pa, pb)
-        if rng.uniform() < 0.1:  # swap mutation
-            i, j = rng.choice(n, size=2, replace=False)
+        if rng.random() < 0.1:  # swap mutation
+            i, j = choose_two(rng, n)
             child[i], child[j] = child[j], child[i]
         child_score = fitness(child)
         if child_score < scores[worst]:

@@ -152,13 +152,14 @@ class Planner:
         GEQO-style genetic search, seeded deterministically per query
         name so planning is reproducible.
 
-        ``budget_ms`` bounds the DP's wall clock via its check-deadline
-        hook; past the budget the search raises
-        :class:`PlanningTimeout` (GEQO is not interruptible). A
+        ``budget_ms`` bounds the search's wall clock via a check-deadline
+        hook, which the DP checks per wave and GEQO per generation; past
+        the budget the search raises :class:`PlanningTimeout`. A
         timed-out search records neither a plan nor a latency sample.
         """
         start = time.perf_counter()
         cards = self.db.cardinalities(query)
+        check_deadline = self._deadline_hook(budget_ms)
         if query.n_relations < self.geqo_threshold:
             tree = selinger_dp_bitset(
                 query,
@@ -168,12 +169,16 @@ class Planner:
                 prune=self.prune,
                 exact=self.exact,
                 stats=self.dp_stats,
-                check_deadline=self._deadline_hook(budget_ms),
+                check_deadline=check_deadline,
             )
         else:
             seed = zlib.crc32(query.name.encode())
             tree = geqo_join_search(
-                query, cards, self.db.cost_params, rng=np.random.default_rng(seed)
+                query,
+                cards,
+                self.db.cost_params,
+                rng=np.random.default_rng(seed),
+                check_deadline=check_deadline,
             )
         self.expert_plans += 1
         self.expert_ms_hist.observe((time.perf_counter() - start) * 1000.0)

@@ -27,10 +27,11 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, List
 
+from repro.db.plans import JoinTree
 from repro.db.predicates import predicate_signature as _selection_signature
 from repro.db.query import Query
 
-__all__ = ["canonical_alias_map", "canonical_text", "fingerprint"]
+__all__ = ["canonical_alias_map", "canonical_text", "fingerprint", "translate_tree"]
 
 
 def _digest(text: str) -> str:
@@ -139,3 +140,22 @@ def fingerprint(query: Query, alias_map: Dict[str, str] | None = None) -> str:
     recomputing the canonicalization when both are needed.
     """
     return _digest(canonical_text(query, alias_map))
+
+
+def translate_tree(
+    tree: JoinTree, origin_map: Dict[str, str], alias_map: Dict[str, str]
+) -> JoinTree:
+    """A join tree planned for one query, rewritten into the aliases of
+    a fingerprint-equivalent one: ``origin_map`` and ``alias_map`` are
+    the two queries' :func:`canonical_alias_map`."""
+    # canonical name -> requester alias, composed with the origin's
+    # alias -> canonical map, gives origin alias -> requester alias.
+    requester_of = {canon: alias for alias, canon in alias_map.items()}
+    rename = {origin: requester_of[canon] for origin, canon in origin_map.items()}
+
+    def walk(node: JoinTree) -> JoinTree:
+        if node.is_leaf:
+            return JoinTree.leaf(rename[node.alias])
+        return JoinTree.join(walk(node.left), walk(node.right))
+
+    return walk(tree)

@@ -5,8 +5,11 @@ PostgreSQL on standby, Bao only picks among hinted plans the expert
 already vetted. Here the guardrail compares the learned plan's
 predicted cost against the expert planner's plan for the same query and
 serves the expert plan whenever the predicted regression exceeds a
-threshold. Expert results are memoized per fingerprint so the guardrail
-adds at most one expert optimization per distinct query shape.
+threshold. Expert results are memoized per fingerprint (an LRU as large
+as the plan cache) so the guardrail adds at most one expert
+optimization per recently seen query shape. A memoized plan is kept
+with the aliases of the query it was planned for and is rewritten into
+each requester's own aliases before it is served.
 
 The threshold is live-tunable: the retraining daemon's adaptive
 guardrail (:mod:`repro.serving.learning`) fits observed
@@ -19,13 +22,48 @@ call — every decision is made against one consistent value.
 from __future__ import annotations
 
 import threading
+import time
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable
+from typing import Dict, FrozenSet, Iterable, Tuple
 
+from repro.db.plans import JoinTree
 from repro.db.query import Query
 from repro.optimizer.planner import Planner, PlannerResult, PlanningTimeout
+from repro.serving.fingerprint import translate_tree
 
-__all__ = ["GuardrailDecision", "GuardrailRouter"]
+__all__ = ["GuardrailDecision", "GuardrailRouter", "evaluate_in_aliases"]
+
+#: One memoized expert answer: the result, the alias -> canonical map of
+#: the query it was planned for, and the base tables it reads (so a
+#: table-scoped statistics refresh can evict surgically).
+_Memo = Tuple[PlannerResult, Dict[str, str], FrozenSet[str]]
+
+
+def evaluate_in_aliases(
+    planner: Planner,
+    query: Query,
+    names: Dict[str, str],
+    tree: JoinTree,
+    origin: Dict[str, str],
+    trace=None,
+    parent=None,
+) -> PlannerResult:
+    """A join order planned for a fingerprint-equivalent query (whose
+    alias map is ``origin``) as a completed, costed plan over
+    ``query``'s own aliases (``names``). Serves both a renamed
+    plan-cache hit and a renamed twin's expert-memo hit; with a
+    ``trace``, records the ``plan_construction`` span."""
+    start = time.perf_counter()
+    result = planner.evaluate_tree(translate_tree(tree, origin, names), query)
+    if trace is not None:
+        trace.record(
+            "plan_construction",
+            (time.perf_counter() - start) * 1000.0,
+            parent=parent,
+            renamed_hit=True,
+        )
+    return result
 
 
 @dataclass(frozen=True)
@@ -51,81 +89,132 @@ class GuardrailRouter:
         self,
         planner: Planner,
         regression_threshold: float | None = 1.2,
+        capacity: int = 512,
     ) -> None:
         """``regression_threshold`` is the max tolerated ratio of learned
         predicted cost to expert cost; ``None`` disables the guardrail
-        entirely (the expert is never even consulted)."""
+        entirely (the expert is never even consulted). ``capacity``
+        bounds the expert memo (least recently used out first); the
+        service passes its plan cache's capacity."""
         if regression_threshold is not None and regression_threshold <= 0:
             raise ValueError("regression_threshold must be positive or None")
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
         self.planner = planner
         self.regression_threshold = regression_threshold
+        self.capacity = capacity
         self.decisions = 0
         self.fallbacks = 0
         #: Guardrail comparisons skipped because the budgeted expert
         #: search timed out (the learned plan is served unguarded).
         self.timeouts = 0
         # The memo may be invalidated from an operator thread while a
-        # worker thread is filling it; guard both maps together.
+        # worker thread is filling it.
         self._lock = threading.Lock()
-        self._expert_results: Dict[str, PlannerResult] = {}
-        #: Which base tables each memoized expert plan reads, so a
-        #: table-scoped statistics refresh can evict surgically.
-        self._tables: Dict[str, FrozenSet[str]] = {}
+        #: fingerprint -> memoized expert answer, least recently used first.
+        self._memo: "OrderedDict[str, _Memo]" = OrderedDict()
 
-    def peek(self, key: str) -> PlannerResult | None:
-        """The memoized expert plan for ``key``, if one exists — no
-        planning, no blocking beyond the dict get. The degradation
-        ladder's first rung: a cached expert answer beats re-planning
-        when the policy just failed."""
+    def __len__(self) -> int:
         with self._lock:
-            return self._expert_results.get(key)
+            return len(self._memo)
+
+    def _recall(self, key: str) -> _Memo | None:
+        """The memo entry for ``key``, now the most recently used."""
+        with self._lock:
+            memo = self._memo.get(key)
+            if memo is not None:
+                self._memo.move_to_end(key)
+            return memo
+
+    def _in_aliases(
+        self, query: Query, names: Dict[str, str], memo: _Memo, trace, parent
+    ) -> PlannerResult:
+        """A memoized result as a plan over ``query``'s own aliases."""
+        result, origin, _tables = memo
+        if origin == names:
+            return result
+        return evaluate_in_aliases(
+            self.planner, query, names, result.join_tree, origin, trace, parent
+        )
+
+    def peek(
+        self, query: Query, key: str, names: Dict[str, str], trace=None, parent=None
+    ) -> PlannerResult | None:
+        """The memoized expert plan for fingerprint ``key`` over
+        ``query``'s aliases (``names`` is its canonical alias map), if
+        one exists — never a search. The degradation ladder's first
+        rung: a cached expert answer beats re-planning when the policy
+        just failed."""
+        memo = self._recall(key)
+        if memo is None:
+            return None
+        return self._in_aliases(query, names, memo, trace, parent)
+
+    def _memoized(
+        self,
+        query: Query,
+        key: str,
+        names: Dict[str, str],
+        trace,
+        parent,
+        budget_ms: float | None,
+    ) -> _Memo:
+        """The memo entry for ``key``, running the expert on a miss."""
+        memo = self._recall(key)
+        if memo is not None:
+            return memo
+        # Optimize outside the lock: the expert search is the slow part
+        # and must not serialize unrelated shards.
+        epoch = self.planner.db.stats_epoch
+        subsets_before = self.planner.dp_stats.subsets_enumerated
+        span = (
+            trace.start_span("expert_dp", parent=parent, fingerprint=key)
+            if trace is not None
+            else None
+        )
+        try:
+            result = self.planner.optimize(query, budget_ms=budget_ms)
+        finally:
+            if span is not None:
+                span.attrs["dp_subsets"] = (
+                    self.planner.dp_stats.subsets_enumerated - subsets_before
+                )
+                trace.end_span(span)
+        memo = (result, names, frozenset(query.relations.values()))
+        with self._lock:
+            if self.planner.db.stats_epoch == epoch:
+                # Don't memoize a plan computed under statistics an
+                # ANALYZE replaced mid-optimization: it would survive
+                # the invalidation that just ran.
+                self._memo[key] = memo
+                self._memo.move_to_end(key)
+                while len(self._memo) > self.capacity:
+                    self._memo.popitem(last=False)
+        return memo
 
     def expert_result(
         self,
         query: Query,
-        key: str | None = None,
+        key: str,
+        names: Dict[str, str],
         trace=None,
         parent=None,
         budget_ms: float | None = None,
     ) -> PlannerResult:
-        """The expert plan for ``query``, memoized by fingerprint.
+        """The expert plan for ``query``, memoized by fingerprint ``key``
+        and served over ``query``'s own aliases (``names`` is its
+        :func:`~repro.serving.fingerprint.canonical_alias_map`).
 
         With a ``trace`` attached, an actual planner run (memo miss)
         records an ``expert_dp`` span under ``parent`` carrying the DP
-        subset-enumeration delta; memo hits record nothing — the lookup
-        is a dict get. ``budget_ms`` bounds the search wall clock; a
+        subset-enumeration delta; a memo hit records a
+        ``plan_construction`` span only when it is rewritten for a
+        renamed twin. ``budget_ms`` bounds the search wall clock; a
         :class:`~repro.optimizer.planner.PlanningTimeout` propagates
         (nothing is memoized — a timeout is not an answer).
         """
-        key = key or query.name
-        with self._lock:
-            result = self._expert_results.get(key)
-        if result is None:
-            # Optimize outside the lock: the expert search is the slow
-            # part and must not serialize unrelated shards.
-            epoch = self.planner.db.stats_epoch
-            subsets_before = self.planner.dp_stats.subsets_enumerated
-            span = (
-                trace.start_span("expert_dp", parent=parent, fingerprint=key)
-                if trace is not None
-                else None
-            )
-            try:
-                result = self.planner.optimize(query, budget_ms=budget_ms)
-            finally:
-                if span is not None:
-                    span.attrs["dp_subsets"] = (
-                        self.planner.dp_stats.subsets_enumerated - subsets_before
-                    )
-                    trace.end_span(span)
-            with self._lock:
-                if self.planner.db.stats_epoch == epoch:
-                    # Don't memoize a plan computed under statistics an
-                    # ANALYZE replaced mid-optimization: it would
-                    # survive the invalidation that just ran.
-                    self._expert_results[key] = result
-                    self._tables[key] = frozenset(query.relations.values())
-        return result
+        memo = self._memoized(query, key, names, trace, parent, budget_ms)
+        return self._in_aliases(query, names, memo, trace, parent)
 
     def set_threshold(self, regression_threshold: float | None) -> None:
         """Replace the live regression threshold (adaptive guardrail).
@@ -141,11 +230,15 @@ class GuardrailRouter:
         self,
         query: Query,
         learned_cost: float,
-        key: str | None = None,
+        key: str,
+        names: Dict[str, str],
         trace=None,
         parent=None,
         budget_ms: float | None = None,
     ) -> GuardrailDecision:
+        """Judge ``learned_cost`` against the expert's cost for
+        ``query`` (planned on a memo miss). Only the cost is read, so a
+        renamed twin's memo hit is not rewritten here."""
         self.decisions += 1
         threshold = self.regression_threshold
         if threshold is None:
@@ -156,9 +249,9 @@ class GuardrailRouter:
                 threshold=None,
             )
         try:
-            expert_cost = self.expert_result(
-                query, key, trace=trace, parent=parent, budget_ms=budget_ms
-            ).cost.total
+            expert_cost = self._memoized(
+                query, key, names, trace, parent, budget_ms
+            )[0].cost.total
         except PlanningTimeout:
             # The guardrail is advisory; out of budget, serving the
             # learned plan unguarded beats missing the deadline.
@@ -182,21 +275,17 @@ class GuardrailRouter:
     def invalidate(self) -> None:
         """Drop memoized expert plans (statistics changed under them)."""
         with self._lock:
-            self._expert_results.clear()
-            self._tables.clear()
+            self._memo.clear()
 
     def invalidate_tables(self, tables: Iterable[str]) -> int:
         """Drop only expert plans reading any of ``tables``."""
         changed = frozenset(tables)
         with self._lock:
             doomed = [
-                key
-                for key, tagged in self._tables.items()
-                if tagged & changed
+                key for key, (_r, _n, tagged) in self._memo.items() if tagged & changed
             ]
             for key in doomed:
-                del self._expert_results[key]
-                del self._tables[key]
+                del self._memo[key]
             return len(doomed)
 
     @property

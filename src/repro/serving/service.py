@@ -42,7 +42,11 @@ from repro.serving.batching import MicroBatchEngine, RolloutRecord
 from repro.serving.cache import PlanCache
 from repro.serving.experience import ExperienceBuffer
 from repro.serving.fingerprint import canonical_alias_map, fingerprint
-from repro.serving.router import GuardrailDecision, GuardrailRouter
+from repro.serving.router import (
+    GuardrailDecision,
+    GuardrailRouter,
+    evaluate_in_aliases,
+)
 
 __all__ = [
     "ServingConfig",
@@ -375,15 +379,6 @@ class Shard(Protocol):
     def install_fault_injector(self, injector) -> None: ...
 
 
-def _rename_tree(tree: JoinTree, rename: Dict[str, str]) -> JoinTree:
-    """Rebuild a join tree with every leaf alias translated."""
-    if tree.is_leaf:
-        return JoinTree.leaf(rename[tree.alias])
-    return JoinTree.join(
-        _rename_tree(tree.left, rename), _rename_tree(tree.right, rename)
-    )
-
-
 class OptimizerService:
     """Fronts the learned policy and the expert planner behind one API."""
 
@@ -420,7 +415,11 @@ class OptimizerService:
             ttl_s=self.config.cache_ttl_s,
             clock=clock,
         )
-        self.router = GuardrailRouter(self.planner, self.config.regression_threshold)
+        self.router = GuardrailRouter(
+            self.planner,
+            self.config.regression_threshold,
+            capacity=self.config.cache_capacity,
+        )
         self.engine = MicroBatchEngine(
             policy,
             self.featurizer,
@@ -768,23 +767,9 @@ class OptimizerService:
         aliases when the hit came from an alias-renamed equivalent."""
         if names == entry.alias_map:
             return ("cache", entry.plan, entry.cost, None)
-        # canonical name -> requester alias, composed with the origin's
-        # alias -> canonical map, gives origin alias -> requester alias.
-        requester_of = {canon: alias for alias, canon in names.items()}
-        rename = {
-            origin_alias: requester_of[canon]
-            for origin_alias, canon in entry.alias_map.items()
-        }
-        tree = _rename_tree(entry.tree, rename)
-        build_start = time.perf_counter()
-        result = self.planner.evaluate_tree(tree, query)
-        if trace is not None:
-            trace.record(
-                "plan_construction",
-                (time.perf_counter() - build_start) * 1000.0,
-                parent=parent,
-                renamed_hit=True,
-            )
+        result = evaluate_in_aliases(
+            self.planner, query, names, entry.tree, entry.alias_map, trace, parent
+        )
         return ("cache", result.plan, result.cost.total, None)
 
     def _expert_direct(
@@ -802,7 +787,7 @@ class OptimizerService:
         (whose greedy floor always answers)."""
         try:
             result = self.router.expert_result(
-                query, fp, trace=trace, parent=parent, budget_ms=budget_ms
+                query, fp, names, trace=trace, parent=parent, budget_ms=budget_ms
             )
         except PlanningTimeout as exc:
             answer, _entry = self._serve_degraded(
@@ -854,6 +839,7 @@ class OptimizerService:
             query,
             learned.cost.total,
             fp,
+            names,
             trace=trace,
             parent=guard_span,
             budget_ms=budget_ms,
@@ -872,7 +858,9 @@ class OptimizerService:
             )
         else:
             source = "fallback"
-            expert = self.router.expert_result(query, fp, trace=trace, parent=parent)
+            expert = self.router.expert_result(
+                query, fp, names, trace=trace, parent=parent
+            )
             entry = _CacheEntry(
                 plan=expert.plan,
                 cost=expert.cost.total,
@@ -916,8 +904,8 @@ class OptimizerService:
 
         1. **Memoized expert plan** (``degraded_cache``): the guardrail
            already paid for an expert plan of this fingerprint — serve
-           it (only when its aliases match the requester's; the memo
-           stores no alias map).
+           it, rewritten into the requester's aliases when a renamed
+           twin planned it.
         2. **Budgeted DP** (``degraded_dp``): a non-exact, hard-pruned
            bitset search under ``ServingConfig.degraded_dp_budget_ms``
            (tightened by the request's remaining deadline), interrupted
@@ -947,10 +935,8 @@ class OptimizerService:
             if trace is not None
             else None
         )
-        cached = self.router.peek(fp)
-        if cached is not None and set(cached.join_tree.aliases) == set(
-            query.relations
-        ):
+        cached = self.router.peek(query, fp, names, trace=trace, parent=span)
+        if cached is not None:
             source = "degraded_cache"
             result = cached
         else:
