@@ -67,7 +67,7 @@ from repro.serving import (
 from repro.workloads import job_lite_workload, make_imdb_database
 
 #: Disjoint JOB-lite join-graph regions (company/keyword-centric vs
-#: cast/person-centric) — the same split the CLI's ``--drift`` uses.
+#: cast/person-centric): the workload before and after the drift.
 FAMILIES_A = (1, 2, 4, 5, 11, 15)
 FAMILIES_B = (6, 8, 9, 10, 17, 20)
 MAX_RELATIONS = 10

@@ -283,7 +283,8 @@ def main(argv=None) -> int:
           f"{chaos['served_degraded']} degraded serves, "
           f"{chaos['served_retried']} requests served on a later attempt")
     print(f"plan parity held on {len(clean_plans)} non-faulted requests; "
-          f"p95 ratio {p95_ratio:.2f}x (budget 1.5x)")
+          f"p95 ratio {p95_ratio:.2f}x (budget 1.5x, asserted in full "
+          "mode only)")
     print(f"\nprocess chaos: {proc_chaos['success_rate'] * 100:.1f}% success, "
           f"{proc_chaos['worker_kills']} SIGKILL(s), "
           f"{proc_chaos['worker_respawns']} respawn(s), versions at end "

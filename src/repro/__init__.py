@@ -22,8 +22,8 @@ Subpackages
   hands-free retraining.
 
 Command line: ``python -m repro --help`` regenerates the paper's
-figures from the terminal; ``python -m repro serve-bench`` drives the
-serving layer. See README.md.
+figures from the terminal; ``benchmarks/perf/run.py`` drives the
+serving layer under load. See README.md.
 """
 
 __version__ = "1.0.0"

@@ -12,14 +12,15 @@ code. Commands mirror the benchmark harness but expose the knobs
 - ``lfd``        — §5.1 learning-from-demonstration comparison,
 - ``bootstrap``  — §5.2 reward-switch comparison,
 - ``incremental``— §5.3 curricula comparison,
-- ``serve-bench``— drive a synthetic request stream through the
-  optimizer service (throughput, latency percentiles, cache hit rate,
-  fallback rate, per-stage latency breakdown, hands-free retraining
-  from served experience),
 - ``metrics``    — serve sample queries and print the unified metrics
   registry (Prometheus text exposition or JSON snapshot),
 - ``trace``      — print the slowest per-request span trees, from a
-  live probe or a trace JSONL written by ``serve-bench``.
+  live probe or a trace JSONL written by ``TraceStore.write_jsonl``.
+
+Serving load (throughput, latency, chaos, drift) is driven by the
+benchmarks, not from here: ``benchmarks/perf/run.py``,
+``benchmarks/bench_serving_faults.py`` and
+``benchmarks/bench_learning_loop.py``.
 """
 
 from __future__ import annotations
@@ -90,84 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     inc = sub.add_parser("incremental", help="§5.3 curricula comparison")
     inc.add_argument("--episodes-per-phase", type=int, default=60)
 
-    serve = sub.add_parser(
-        "serve-bench",
-        help="benchmark the optimizer service on a synthetic request stream",
-    )
-    serve.add_argument("--requests", type=int, default=256,
-                       help="total requests in the stream")
-    serve.add_argument("--burst", type=int, default=32,
-                       help="concurrent requests per micro-batch")
-    serve.add_argument("--episodes", type=int, default=100,
-                       help="pre-training episodes for the served policy")
-    serve.add_argument("--cache-capacity", type=int, default=512)
-    serve.add_argument("--threshold", type=float, default=1.5,
-                       help="guardrail fallback threshold (learned/expert cost)")
-    serve.add_argument("--zipf", type=float, default=1.3,
-                       help="request-stream skew (Zipf exponent, >1)")
-    serve.add_argument("--concurrency", type=int, default=1,
-                       help="client threads driving the stream; >1 serves "
-                       "through the concurrent front end (default 1: the "
-                       "synchronous optimize_batch path)")
-    serve.add_argument("--shards", type=int, default=2,
-                       help="worker shards behind the front end "
-                       "(consistent-hashed by query fingerprint)")
-    serve.add_argument("--executor", choices=("thread", "process"),
-                       default="thread",
-                       help="shard execution mode: in-process threads "
-                       "(default, GIL-shared) or one spawned worker "
-                       "process per shard (true CPU parallelism; "
-                       "requires --concurrency > 1)")
-    serve.add_argument("--max-delay-ms", type=float, default=2.0,
-                       help="bound on holding requests behind busy shards: a "
-                       "pending request is flushed after at most this long "
-                       "even without a full batch (an idle shard is "
-                       "dispatched to at once)")
-    serve.add_argument("--estimator",
-                       choices=("histogram", "learned", "pessimistic"),
-                       default="histogram",
-                       help="cardinality lane behind every cost estimate: "
-                       "the seed histogram formula (default), the learned "
-                       "residual net (trained on executor truth before "
-                       "serving starts), or the MCV upper-bound lane")
-    serve.add_argument("--no-telemetry", action="store_true",
-                       help="disable tracing and events (metrics counters "
-                       "stay on; used to measure telemetry overhead)")
-    serve.add_argument("--sample-rate", type=float, default=1.0,
-                       help="fraction of request traces retained "
-                       "(SLO-exceeding traces are always retained)")
-    serve.add_argument("--slo-ms", type=float, default=100.0,
-                       help="latency SLO: slower requests are logged as "
-                       "slow-query events with their full trace")
-    serve.add_argument("--trace-out", metavar="PATH",
-                       help="write retained traces as JSONL")
-    serve.add_argument("--events-out", metavar="PATH",
-                       help="append structured events as JSONL")
-    serve.add_argument("--metrics-out", metavar="PATH",
-                       help="write the merged metrics snapshot as JSON")
-    serve.add_argument("--chaos", action="store_true",
-                       help="inject seeded faults (worker crashes, latency "
-                       "spikes, policy NaNs, stats-epoch races) into the "
-                       "serving stack; requires --concurrency > 1")
-    serve.add_argument("--chaos-rate", type=float, default=0.05,
-                       help="per-request probability of each fault kind "
-                       "when --chaos is on")
-    serve.add_argument("--chaos-seed", type=int, default=0,
-                       help="fault-injection seed (decoupled from --seed so "
-                       "the request stream stays fixed across chaos runs)")
-    serve.add_argument("--drift", action="store_true",
-                       help="closed-loop mode: shift the workload to a "
-                       "disjoint query-family mix mid-run and let the "
-                       "gated retraining daemon adapt the served policy "
-                       "(hot-swap, rollback, adaptive guardrail)")
-    serve.add_argument("--retrain-every", type=int, default=64,
-                       metavar="K",
-                       help="drift mode: run one retraining cycle every K "
-                       "served requests")
-    serve.add_argument("--smoke", action="store_true",
-                       help="CI preset: tiny stream, 100%% sampling, tight "
-                       "SLO, telemetry artifacts written and self-checked")
-
     metrics = sub.add_parser(
         "metrics",
         help="serve sample queries and print the unified metrics registry",
@@ -190,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "traces when no --input file is given")
     trace.add_argument("--input", metavar="PATH",
                        help="read traces from a JSONL file written by "
-                       "serve-bench --trace-out instead of probing")
+                       "TraceStore.write_jsonl instead of probing")
     trace.add_argument("--slo-ms", type=float, default=100.0)
     return parser
 
@@ -278,37 +201,13 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _make_service(db, agent=None, planner=None, featurizer=None,
-                  reward_source=None, telemetry=None, **config_kwargs):
-    """An :class:`OptimizerService` over ``db`` (untrained policy unless
-    an agent is given — counters and routing behave the same either way)."""
-    from repro.core.featurize import QueryFeaturizer
-    from repro.rl.ppo import PPOAgent
-    from repro.serving import OptimizerService, ServingConfig
-
-    featurizer = featurizer or QueryFeaturizer(db.schema)
-    if agent is None:
-        agent = PPOAgent(
-            featurizer.state_dim, featurizer.n_pair_actions, np.random.default_rng(0)
-        )
-    return OptimizerService(
-        db,
-        agent,
-        planner=planner,
-        featurizer=featurizer,
-        config=ServingConfig(**config_kwargs),
-        reward_source=reward_source,
-        telemetry=telemetry,
-    )
-
-
-def _make_frontend(db, agent=None, featurizer=None, reward_source=None,
-                   n_shards=2, max_batch=16, max_delay_ms=2.0,
-                   telemetry=None, executor="thread", **config_kwargs):
-    """A :class:`ServingFrontEnd` over ``db``: dispatch-on-idle flusher
-    in front of ``n_shards`` fingerprint-sharded worker services
-    (in-process threads by default; ``executor="process"`` spawns one
-    worker process per shard behind the same API)."""
+def _make_frontend(db, agent=None, featurizer=None, telemetry=None,
+                   executor="thread"):
+    """A :class:`ServingFrontEnd` over ``db`` (untrained policy unless an
+    agent is given — counters and routing behave the same either way):
+    dispatch-on-idle flusher in front of two fingerprint-sharded worker
+    services (in-process threads by default; ``executor="process"``
+    spawns one worker process per shard behind the same API)."""
     from repro.core.featurize import QueryFeaturizer
     from repro.rl.ppo import PPOAgent
     from repro.serving import FrontEndConfig, ServingConfig, ServingFrontEnd
@@ -322,24 +221,20 @@ def _make_frontend(db, agent=None, featurizer=None, reward_source=None,
         db,
         agent,
         featurizer=featurizer,
-        serving_config=ServingConfig(**config_kwargs),
+        serving_config=ServingConfig(),
         config=FrontEndConfig(
-            n_shards=n_shards, max_batch=max_batch, max_delay_ms=max_delay_ms,
-            executor=executor,
+            n_shards=2, max_batch=16, max_delay_ms=2.0, executor=executor,
         ),
-        reward_source=reward_source,
         telemetry=telemetry,
     )
 
 
-def _make_telemetry(sample_rate=1.0, slo_ms=100.0, seed=0, events_path=None):
-    """The shared telemetry spine for one CLI serving stack."""
+def _make_telemetry(slo_ms, seed):
+    """The shared telemetry spine for one CLI serving stack: every
+    request's trace is retained."""
     from repro.obs import Telemetry, TelemetryConfig
 
-    return Telemetry(TelemetryConfig(
-        sample_rate=sample_rate, slo_ms=slo_ms, seed=seed,
-        events_path=events_path,
-    ))
+    return Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=slo_ms, seed=seed))
 
 
 def _probe_telemetry(args, telemetry):
@@ -642,568 +537,6 @@ def _cmd_incremental(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.core.reporting import ascii_table
-
-    if args.smoke:
-        # CI preset: small enough to finish in seconds, 100% sampling so
-        # every request leaves a trace, and an SLO tight enough that the
-        # slow-query lane is provably exercised.
-        args.requests = 32
-        args.burst = 8
-        args.episodes = 4
-        args.concurrency = 4
-        args.shards = 2
-        args.sample_rate = 1.0
-        args.slo_ms = min(args.slo_ms, 0.5)
-        args.trace_out = args.trace_out or "TRACES_serving.jsonl"
-        args.events_out = args.events_out or "EVENTS_serving.jsonl"
-        args.metrics_out = args.metrics_out or "METRICS_serving.json"
-        if args.drift:
-            # The closed loop needs enough traffic for several gated
-            # retraining cycles on each side of the shift.
-            args.requests = 96
-            args.retrain_every = min(args.retrain_every, 16)
-
-    # Validate before the (expensive) database build and pre-training.
-    if args.zipf <= 1.0:
-        print("serve-bench: --zipf must be > 1", file=sys.stderr)
-        return 2
-    if args.threshold <= 0:
-        print("serve-bench: --threshold must be positive", file=sys.stderr)
-        return 2
-    if args.requests < 0 or args.burst < 1 or args.cache_capacity < 1:
-        print("serve-bench: --requests must be >= 0, --burst and "
-              "--cache-capacity >= 1", file=sys.stderr)
-        return 2
-    if args.concurrency < 1 or args.shards < 1 or args.max_delay_ms < 0:
-        print("serve-bench: --concurrency and --shards must be >= 1, "
-              "--max-delay-ms >= 0", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.sample_rate <= 1.0:
-        print("serve-bench: --sample-rate must be in [0, 1]", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.chaos_rate <= 1.0:
-        print("serve-bench: --chaos-rate must be in [0, 1]", file=sys.stderr)
-        return 2
-    if args.chaos and args.concurrency < 2 and not args.drift:
-        print("serve-bench: --chaos needs the concurrent front end "
-              "(pass --concurrency > 1)", file=sys.stderr)
-        return 2
-    if args.executor == "process" and args.concurrency < 2 and not args.drift:
-        print("serve-bench: --executor process needs the concurrent "
-              "front end (pass --concurrency > 1)", file=sys.stderr)
-        return 2
-    if args.retrain_every < 1:
-        print("serve-bench: --retrain-every must be >= 1", file=sys.stderr)
-        return 2
-    if args.drift and args.requests < 2 * args.retrain_every:
-        print("serve-bench: --drift needs --requests >= 2x "
-              "--retrain-every (one retraining cycle per phase)",
-              file=sys.stderr)
-        return 2
-
-    telemetry = None
-    if not args.no_telemetry:
-        telemetry = _make_telemetry(
-            sample_rate=args.sample_rate, slo_ms=args.slo_ms,
-            seed=args.seed, events_path=args.events_out,
-        )
-
-    db, env, agent, trainer, _baseline, _log = _trained_setup(args, args.episodes)
-    # Swap the cardinality lane before any service is built; the swap's
-    # epoch bump flushes estimates the policy pre-training memoized.
-    _apply_estimator(db, args.estimator, seed=args.seed)
-
-    # Synthetic request stream: Zipf-skewed repetition over the workload,
-    # like production traffic where a few query shapes dominate.
-    rng = np.random.default_rng(args.seed)
-    workload = env.workload
-    stream = [
-        workload[int((rank - 1) % len(workload))]
-        for rank in rng.zipf(args.zipf, size=args.requests)
-    ]
-
-    drift_report = None
-    if args.drift:
-        total_s, latency, counters, registry, drift_report = _serve_drift(
-            args, db, env, agent, trainer, _baseline, telemetry
-        )
-        episodes = []  # the daemon consumed the experience buffers
-        fault_report = None
-    elif args.concurrency > 1:
-        total_s, latency, counters, episodes, registry, fault_report = (
-            _serve_concurrent(args, db, env, agent, stream, telemetry)
-        )
-    else:
-        total_s, latency, counters, episodes, registry = _serve_synchronous(
-            args, db, env, agent, stream, telemetry
-        )
-        fault_report = None
-
-    print(ascii_table(
-        ["metric", "value"],
-        [
-            ("throughput (req/s)", f"{args.requests / total_s:.1f}"),
-            ("p50 latency (ms)", f"{latency['p50_ms']:.2f}"),
-            ("p95 latency (ms)", f"{latency['p95_ms']:.2f}"),
-            ("cache hit rate", f"{counters['cache_hit_rate'] * 100:.1f}%"),
-            ("fallback rate", f"{counters['fallback_rate'] * 100:.1f}%"),
-            ("expert plan p50 (ms)",
-             f"{counters.get('expert_plan_ms_p50', 0.0):.2f}"),
-            ("expert plan p95 (ms)",
-             f"{counters.get('expert_plan_ms_p95', 0.0):.2f}"),
-            ("dp subsets enumerated",
-             f"{counters.get('dp_subsets_enumerated', 0.0):.0f}"),
-            ("dp entries pruned", f"{counters.get('dp_pruned', 0.0):.0f}"),
-        ],
-    ))
-    print("\nservice counters:")
-    print(ascii_table(["counter", "value"], sorted(counters.items())))
-    _print_estimator_probe(db)
-
-    if drift_report is not None:
-        loop = drift_report["loop"]
-        threshold = loop["guardrail_threshold"]
-        print(f"\nhands-free learning loop (retrain every "
-              f"{args.retrain_every} requests, shift after "
-              f"{drift_report['shift_after']}):")
-        print(ascii_table(
-            ["metric", "value"],
-            [
-                ("policy version", f"{loop['policy_version']}"),
-                ("retraining cycles", f"{loop['cycles']}"),
-                ("gated promotions", f"{loop['promotions']}"),
-                ("rejected updates", f"{loop['rejections']}"),
-                ("rollbacks", f"{loop['rollbacks']}"),
-                ("poisoned cycles", f"{loop['poisoned_cycles']}"),
-                ("gate score (cost / exact DP)",
-                 "n/a" if loop["current_score"] is None
-                 else f"{loop['current_score']:.3f}"),
-                ("adaptive guardrail threshold",
-                 "unfitted" if threshold is None else f"{threshold:.3f}"),
-                ("rel. cost, first post-shift window",
-                 f"{drift_report['post_shift_first']:.3f}"),
-                ("rel. cost, last post-shift window",
-                 f"{drift_report['post_shift_last']:.3f}"),
-            ],
-        ))
-
-    if fault_report is not None:
-        print(f"\nchaos (rate {args.chaos_rate:.2%} per fault kind, "
-              f"seed {args.chaos_seed}):")
-        print(ascii_table(
-            ["metric", "value"],
-            [
-                ("faults injected", f"{fault_report['total_injected']}"),
-                *[
-                    (f"  {kind}", f"{count}")
-                    for kind, count in sorted(
-                        fault_report["injected"].items()
-                    )
-                    if count
-                ],
-                ("requests succeeded", f"{fault_report['succeeded']}"),
-                ("requests failed", f"{fault_report['failed']}"),
-                ("success rate", f"{fault_report['success_rate']:.2%}"),
-                ("unresolved futures", f"{fault_report['outstanding']}"),
-                *(
-                    [("worker respawns", f"{fault_report['respawns']}")]
-                    if "respawns" in fault_report else []
-                ),
-            ],
-        ))
-
-    if telemetry is not None:
-        breakdown = telemetry.stage_summary()
-        if breakdown:
-            print("\nper-stage latency breakdown (ms):")
-            print(ascii_table(
-                ["stage", "count", "mean", "p50", "p95", "p99"],
-                [
-                    (stage, f"{s['count']:.0f}", f"{s['mean']:.3f}",
-                     f"{s['p50']:.3f}", f"{s['p95']:.3f}", f"{s['p99']:.3f}")
-                    for stage, s in breakdown.items()
-                ],
-            ))
-        print(f"\ntelemetry: {len(telemetry.store)} traces retained, "
-              f"{len(telemetry.slow_queries())} slow queries "
-              f"(SLO {telemetry.config.slo_ms}ms), "
-              f"events {telemetry.events.counts()}")
-        if args.trace_out:
-            written = telemetry.store.write_jsonl(args.trace_out)
-            print(f"wrote {written} traces to {args.trace_out}")
-        if args.events_out:
-            print(f"events appended to {args.events_out}")
-    if args.metrics_out:
-        import json
-
-        with open(args.metrics_out, "w") as fh:
-            json.dump(registry.snapshot(), fh, indent=2, default=str)
-        print(f"metrics snapshot written to {args.metrics_out}")
-
-    if episodes:
-        events = telemetry.events if telemetry is not None else None
-        replay_log = trainer.replay(episodes, events=events)
-        print(f"\nhands-free retraining: replayed {len(replay_log)} served "
-              f"episodes into the policy "
-              f"(median reward {np.median(replay_log.rewards()):.2f})")
-
-    if args.smoke and telemetry is not None:
-        failures = _smoke_self_check(args, telemetry, registry, fault_report)
-        if drift_report is not None:
-            failures.extend(_drift_smoke_check(drift_report))
-        if failures:
-            for failure in failures:
-                print(f"smoke self-check FAILED: {failure}", file=sys.stderr)
-            return 1
-        print("\nsmoke self-check passed: exposition parses, slow-query "
-              "JSONL round-trips, traces round-trip")
-    return 0
-
-
-def _smoke_self_check(args, telemetry, registry, fault_report=None):
-    """CI assertions over the telemetry artifacts just produced."""
-    from repro.obs import parse_exposition
-    from repro.obs.events import EventLog
-    from repro.obs.trace import TraceStore
-
-    failures = []
-    if fault_report is not None:
-        if fault_report["total_injected"] < 1:
-            failures.append(
-                f"chaos injected no faults (rate {args.chaos_rate}, "
-                f"seed {args.chaos_seed})"
-            )
-        if fault_report["success_rate"] < 0.995:
-            failures.append(
-                f"chaos success rate {fault_report['success_rate']:.2%} "
-                "below the 99.5% floor"
-            )
-        if fault_report["outstanding"]:
-            failures.append(
-                f"{fault_report['outstanding']} futures left unresolved "
-                "after the chaos stream"
-            )
-    try:
-        samples = parse_exposition(registry.exposition())
-        if not samples:
-            failures.append("exposition produced no samples")
-        if "repro_serving_requests_total" not in samples:
-            failures.append("exposition lacks repro_serving_requests_total")
-    except ValueError as exc:
-        failures.append(f"exposition does not parse: {exc}")
-    try:
-        with open(args.events_out) as fh:
-            events = EventLog.parse_jsonl(fh.read())
-        if not any(e["kind"] == "slow_query" for e in events):
-            failures.append(
-                f"no slow_query events in {args.events_out} "
-                f"(SLO {args.slo_ms}ms)"
-            )
-    except (OSError, ValueError) as exc:
-        failures.append(f"event JSONL round-trip failed: {exc}")
-    try:
-        traces = TraceStore.read_jsonl(args.trace_out)
-        if not traces:
-            failures.append(f"no traces in {args.trace_out}")
-        elif not any(t.root.children for t in traces):
-            failures.append("round-tripped traces have no spans")
-    except (OSError, ValueError, KeyError) as exc:
-        failures.append(f"trace JSONL round-trip failed: {exc}")
-    return failures
-
-
-def _serve_synchronous(args, db, env, agent, stream, telemetry=None):
-    """The pre-batched burst loop (one caller, ``optimize_batch`` bursts)."""
-    service = _make_service(
-        db,
-        agent=agent,
-        planner=env.planner,
-        featurizer=env.featurizer,
-        # Reuse the training reward so experience collected while serving
-        # is on the same scale the policy (and value net) learned on.
-        reward_source=env.reward_source,
-        telemetry=telemetry,
-        cache_capacity=args.cache_capacity,
-        regression_threshold=args.threshold,
-        max_batch_size=args.burst,
-    )
-    print(f"serving {args.requests} requests in bursts of {args.burst}...")
-    start = time.perf_counter()
-    for burst_start in range(0, len(stream), args.burst):
-        service.optimize_batch(stream[burst_start : burst_start + args.burst])
-    total_s = time.perf_counter() - start
-    episodes = service.drain_experience()
-    return (
-        total_s,
-        service.latency_summary(),
-        service.counters(),
-        episodes,
-        service.metrics_registry(),
-    )
-
-
-#: Disjoint JOB-lite join-graph regions for the drift scenario:
-#: company/keyword-centric families, then cast/person-centric ones.
-_DRIFT_FAMILIES_A = (1, 2, 4, 5, 11, 15)
-_DRIFT_FAMILIES_B = (6, 8, 9, 10, 17, 20)
-
-
-def _drift_workload(families):
-    from repro.workloads import job_lite_workload
-
-    names = {f"{f}{v}" for f in families for v in ("a", "b", "c")}
-    return [
-        q
-        for q in job_lite_workload(variants=("a", "b", "c"))
-        if q.name in names and q.n_relations <= 11
-    ]
-
-
-def _serve_drift(args, db, env, agent, trainer, baseline, telemetry=None):
-    """The closed loop: serve workload A, shift to workload B mid-run,
-    and let the retraining daemon adapt the policy between bursts.
-
-    Cycles run deterministically between bursts (``maybe_run``, not the
-    polling thread) so the run is reproducible given the seed.
-    """
-    from repro.serving import (
-        FaultConfig,
-        FaultInjector,
-        LearningConfig,
-        RetrainingDaemon,
-    )
-
-    frontend = _make_frontend(
-        db,
-        agent=agent,
-        featurizer=env.featurizer,
-        reward_source=env.reward_source,
-        n_shards=args.shards,
-        max_batch=args.burst,
-        max_delay_ms=args.max_delay_ms,
-        telemetry=telemetry,
-        executor=getattr(args, "executor", "thread"),
-        cache_capacity=args.cache_capacity,
-        regression_threshold=args.threshold,
-        max_batch_size=args.burst,
-    )
-    workload_a = _drift_workload(_DRIFT_FAMILIES_A)
-    workload_b = _drift_workload(_DRIFT_FAMILIES_B)
-    # The gate's holdout spans both phases: a candidate must stay sound
-    # on the queries it is about to serve, not just the ones it saw.
-    holdout = workload_a[:4] + workload_b[:4]
-    config = LearningConfig(
-        retrain_every=args.retrain_every,
-        min_trajectories=4,
-        # "No worse than serving" with a little slack: drift-mode
-        # promotions chase recovery, not strict monotone improvement.
-        gate_slack=1.05,
-        latency_probes_per_cycle=4,
-        probe_budget_ms=250.0,
-        min_latency_pairs=12,
-        rollback_window=max(16, args.retrain_every),
-    )
-    injector = None
-    if args.chaos:
-        injector = FaultInjector(FaultConfig(
-            replay_poison_rate=args.chaos_rate,
-            seed=args.chaos_seed,
-        ))
-    daemon = RetrainingDaemon(
-        frontend, trainer, holdout, config=config, fault_injector=injector
-    )
-
-    rng = np.random.default_rng(args.seed)
-    shift_after = args.requests // 2
-
-    def phase_stream(workload, size):
-        return [
-            workload[int((rank - 1) % len(workload))]
-            for rank in rng.zipf(args.zipf, size=size)
-        ]
-
-    stream = phase_stream(workload_a, shift_after) + phase_stream(
-        workload_b, args.requests - shift_after
-    )
-    print(f"serving {args.requests} requests over {args.shards} shards; "
-          f"workload shifts families {_DRIFT_FAMILIES_A} -> "
-          f"{_DRIFT_FAMILIES_B} after {shift_after}; retraining every "
-          f"{args.retrain_every} requests...")
-
-    served_versions = set()
-    post_shift_rel = []
-    try:
-        start = time.perf_counter()
-        for offset in range(0, len(stream), args.burst):
-            burst = stream[offset:offset + args.burst]
-            plans = frontend.optimize_batch(burst, timeout=60.0)
-            for query, plan in zip(burst, plans):
-                served_versions.add(plan.policy_version)
-                expert_cost = baseline.cost(query)
-                if offset >= shift_after and expert_cost > 0:
-                    post_shift_rel.append(plan.cost / expert_cost)
-            daemon.maybe_run()
-        total_s = time.perf_counter() - start
-        latency = frontend.latency_summary()
-        counters = frontend.counters()
-        registry = frontend.metrics_registry()
-        loop = daemon.as_dict()
-        lineage = list(daemon.lineage)
-    finally:
-        daemon.stop()
-        frontend.close()
-
-    window = max(1, args.burst)
-    first_window = post_shift_rel[:window]
-    last_window = post_shift_rel[-window:]
-    drift_report = {
-        "shift_after": shift_after,
-        "loop": loop,
-        "lineage": lineage,
-        "served_versions": sorted(served_versions),
-        "post_shift_first": float(np.mean(first_window)) if first_window else 0.0,
-        "post_shift_last": float(np.mean(last_window)) if last_window else 0.0,
-    }
-    return total_s, latency, counters, registry, drift_report
-
-
-def _drift_smoke_check(drift_report):
-    """CI assertions for the closed learning loop."""
-    failures = []
-    loop = drift_report["loop"]
-    if loop["promotions"] < 1:
-        failures.append(
-            f"drift loop made no gated promotion in {loop['cycles']} cycles"
-        )
-    promoted = set(loop["promoted_versions"])
-    bad_served = set(drift_report["served_versions"]) - promoted
-    if bad_served:
-        failures.append(
-            f"rejected policy versions were served: {sorted(bad_served)}"
-        )
-    unpunished = [
-        entry
-        for entry in drift_report["lineage"]
-        if entry.get("poisoned") and entry.get("action") != "rejected"
-    ]
-    if unpunished:
-        failures.append(
-            f"{len(unpunished)} poisoned retraining cycle(s) were not "
-            "rejected by the gate"
-        )
-    return failures
-
-
-def _serve_concurrent(args, db, env, agent, stream, telemetry=None):
-    """Open-loop client threads submitting through the front end."""
-    import threading
-
-    executor = getattr(args, "executor", "thread")
-    frontend = _make_frontend(
-        db,
-        agent=agent,
-        featurizer=env.featurizer,
-        reward_source=env.reward_source,
-        n_shards=args.shards,
-        max_batch=args.burst,
-        max_delay_ms=args.max_delay_ms,
-        telemetry=telemetry,
-        executor=executor,
-        cache_capacity=args.cache_capacity,
-        regression_threshold=args.threshold,
-        max_batch_size=args.burst,
-    )
-    if executor == "process":
-        from repro.serving.procpool import worker_blas_threads
-
-        print(f"worker BLAS/OpenMP threads pinned to "
-              f"{worker_blas_threads()} per shard process "
-              f"(override with REPRO_WORKER_BLAS_THREADS)")
-    chaos = getattr(args, "chaos", False)
-    if chaos:
-        from repro.serving import FaultConfig, FaultInjector
-
-        rate = args.chaos_rate
-        frontend.install_fault_injector(FaultInjector(FaultConfig(
-            worker_fault_rate=rate,
-            latency_spike_rate=rate,
-            policy_nan_rate=rate,
-            stats_race_rate=rate,
-            # SIGKILL chaos only makes sense when shards are processes.
-            worker_kill_rate=rate / 4 if executor == "process" else 0.0,
-            seed=args.chaos_seed,
-        )))
-    futures = [None] * len(stream)
-    submit_errors = []
-
-    def client(offset: int) -> None:
-        # Open loop: submit without waiting for responses; the flusher
-        # decides when batches form.
-        try:
-            for i in range(offset, len(stream), args.concurrency):
-                futures[i] = frontend.submit(stream[i])
-        except Exception as exc:  # e.g. backpressure rejection
-            submit_errors.append(exc)
-
-    threads = [
-        threading.Thread(target=client, args=(k,), name=f"client-{k}")
-        for k in range(args.concurrency)
-    ]
-    print(f"serving {args.requests} requests from {args.concurrency} "
-          f"open-loop clients over {args.shards} shards "
-          f"(max_batch={args.burst}, max_delay={args.max_delay_ms}ms)...")
-    try:
-        start = time.perf_counter()
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if submit_errors:
-            raise RuntimeError(
-                f"{len(submit_errors)} client thread(s) failed to submit"
-            ) from submit_errors[0]
-        request_failures = []
-        for future in futures:
-            try:
-                future.result()
-            except Exception as exc:
-                request_failures.append(exc)
-        if request_failures and not chaos:
-            # Without injected faults a failed request is a bug, not a
-            # statistic.
-            raise request_failures[0]
-        total_s = time.perf_counter() - start
-        fault_report = None
-        if chaos:
-            # Merged schedule: parent-side draws (worker_fault, latency
-            # spikes, worker_kill) plus each worker process's own draws
-            # (stats_race, policy_nan) — the sites are disjoint, so the
-            # merge is a plain sum.
-            injected = frontend.fault_fired_counts()
-            succeeded = len(futures) - len(request_failures)
-            fault_report = {
-                "injected": injected,
-                "total_injected": sum(injected.values()),
-                "succeeded": succeeded,
-                "failed": len(request_failures),
-                "success_rate": succeeded / max(1, len(futures)),
-                "outstanding": len(frontend._outstanding),
-            }
-        latency = frontend.latency_summary()
-        counters = frontend.counters()
-        episodes = frontend.drain_experience()
-        registry = frontend.metrics_registry()
-        if fault_report is not None:
-            fault_report["respawns"] = int(
-                counters.get("frontend_worker_restarts", 0)
-            )
-    finally:
-        frontend.close()
-    return total_s, latency, counters, episodes, registry, fault_report
-
-
 _COMMANDS = {
     "info": _cmd_info,
     "plan": _cmd_plan,
@@ -1213,7 +546,6 @@ _COMMANDS = {
     "lfd": _cmd_lfd,
     "bootstrap": _cmd_bootstrap,
     "incremental": _cmd_incremental,
-    "serve-bench": _cmd_serve_bench,
     "metrics": _cmd_metrics,
     "trace": _cmd_trace,
 }

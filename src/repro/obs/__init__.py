@@ -59,8 +59,8 @@ __all__ = [
     "quantile_error_bound",
 ]
 
-#: Canonical per-request stage names, in request order (drives the
-#: serve-bench breakdown table and the ``repro_trace_<stage>_ms``
+#: Canonical per-request stage names, in request order (drives
+#: :meth:`Telemetry.stage_summary` and the ``repro_trace_<stage>_ms``
 #: histogram family).
 TELEMETRY_STAGES = (
     "queue_wait",

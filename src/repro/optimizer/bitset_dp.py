@@ -288,7 +288,7 @@ def selinger_dp_bitset(
 
     ``stats`` (a :class:`DPStats`) accumulates enumeration and pruning
     counters across calls — the planner threads one through so
-    ``repro info --probe`` / ``serve-bench`` can report the expert lane.
+    ``repro info --probe`` / ``repro metrics`` can report the expert lane.
 
     ``check_deadline``, when given, is a zero-argument callable invoked
     at the top of every frontier wave and every 64 masks inside the

@@ -47,10 +47,12 @@ puts it behind a production-shaped ``optimize(query)`` API:
   the guardrail threshold from observed latencies
   (:class:`AdaptiveGuardrail`).
 
-Command line: ``python -m repro serve-bench`` drives a synthetic
-request stream (multi-threaded and open-loop with ``--concurrency``)
-and reports throughput, latency percentiles, cache hit rate, and
-fallback rate.
+Load: ``benchmarks/perf/run.py`` drives request streams through the
+front end (thread or process shards, guardrail on or off) and reports
+throughput, latency percentiles and a per-layer budget;
+``benchmarks/bench_serving_faults.py`` and
+``benchmarks/bench_learning_loop.py`` run the chaos and drift drills.
+``python -m repro info --probe N`` prints the rolled-up counters.
 """
 
 from repro.serving.batching import MicroBatchEngine, RolloutRecord

@@ -1089,12 +1089,3 @@ class OptimizerService:
         """Everything an operator can inspect (``repro info``),
         derived from the metrics registry."""
         return render_counters(self.registry)
-
-    def metrics_registry(self) -> MetricsRegistry:
-        """This service's registry merged with the trace-derived
-        metrics when telemetry is attached (``repro metrics`` for a
-        single-service stack)."""
-        registries = [self.registry]
-        if self.telemetry is not None:
-            registries.append(self.telemetry.registry)
-        return MetricsRegistry.merge(registries)

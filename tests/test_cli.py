@@ -11,8 +11,9 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+        for command in ("frobnicate", "serve-bench"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_global_options(self):
         args = build_parser().parse_args(["--scale", "0.1", "--seed", "3", "info"])
@@ -24,35 +25,6 @@ class TestParser:
         args = build_parser().parse_args(["fig3a", "--episodes", "50"])
         assert args.episodes == 50
         assert args.save is None
-
-    def test_serve_bench_rejects_bad_knobs_before_building(self, capsys):
-        assert main(TINY + ["serve-bench", "--zipf", "1.0"]) == 2
-        assert main(TINY + ["serve-bench", "--threshold", "-1"]) == 2
-        assert main(TINY + ["serve-bench", "--burst", "0"]) == 2
-        # Validation fires before the database build starts.
-        assert "building" not in capsys.readouterr().out
-
-    def test_serve_bench_options(self):
-        args = build_parser().parse_args(
-            ["serve-bench", "--requests", "64", "--burst", "8", "--threshold", "2.0"]
-        )
-        assert args.requests == 64
-        assert args.burst == 8
-        assert args.threshold == 2.0
-        assert args.cache_capacity == 512
-        # Concurrency defaults: synchronous unless asked otherwise.
-        assert args.concurrency == 1
-        assert args.shards == 2
-        assert args.max_delay_ms == 2.0
-
-    def test_serve_bench_concurrency_options(self):
-        args = build_parser().parse_args(
-            ["serve-bench", "--concurrency", "16", "--shards", "4",
-             "--max-delay-ms", "5.5"]
-        )
-        assert args.concurrency == 16
-        assert args.shards == 4
-        assert args.max_delay_ms == 5.5
 
 
 TINY = ["--scale", "0.02", "--seed", "1"]
@@ -91,36 +63,6 @@ class TestCommands:
         assert "cache_hit_rate" in out
         # Two passes over the probes: the second is all hits.
         assert "0.50" in out
-
-    def test_serve_bench_tiny(self, capsys):
-        assert main(
-            TINY + ["serve-bench", "--requests", "24", "--burst", "8",
-                    "--episodes", "8"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "throughput (req/s)" in out
-        assert "p95 latency (ms)" in out
-        assert "cache hit rate" in out
-        assert "fallback rate" in out
-        assert "hands-free retraining" in out
-
-    def test_serve_bench_tiny_concurrent(self, capsys):
-        assert main(
-            TINY + ["serve-bench", "--requests", "24", "--burst", "8",
-                    "--episodes", "4", "--concurrency", "4", "--shards", "2",
-                    "--max-delay-ms", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "open-loop clients over 2 shards" in out
-        assert "frontend_submitted" in out
-        assert "shard0_requests" in out
-        assert "hands-free retraining" in out
-
-    def test_serve_bench_rejects_bad_concurrency_knobs(self, capsys):
-        assert main(TINY + ["serve-bench", "--concurrency", "0"]) == 2
-        assert main(TINY + ["serve-bench", "--shards", "0"]) == 2
-        assert main(TINY + ["serve-bench", "--max-delay-ms", "-1"]) == 2
-        assert "serve-bench" in capsys.readouterr().err
 
     def test_bootstrap_tiny(self, capsys):
         assert (
@@ -175,44 +117,3 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert "building" not in out  # offline: no database probe
         assert "query=req-a" in out and "query=req-b" in out
-
-    def test_serve_bench_writes_telemetry_artifacts(self, capsys, tmp_path):
-        import json
-
-        from repro.obs import EventLog
-        from repro.obs.trace import TraceStore
-
-        trace_out = tmp_path / "traces.jsonl"
-        events_out = tmp_path / "events.jsonl"
-        metrics_out = tmp_path / "metrics.json"
-        assert main(
-            TINY + ["serve-bench", "--requests", "16", "--burst", "8",
-                    "--episodes", "4", "--sample-rate", "1.0",
-                    "--slo-ms", "0.01",
-                    "--trace-out", str(trace_out),
-                    "--events-out", str(events_out),
-                    "--metrics-out", str(metrics_out)]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "per-stage latency breakdown" in out
-        assert "serve" in out and "cache_lookup" in out
-        traces = TraceStore.read_jsonl(trace_out)
-        assert len(traces) == 16  # 100% sampling retains every request
-        events = EventLog.parse_jsonl(events_out.read_text())
-        assert any(e["kind"] == "slow_query" for e in events)
-        assert any(e["kind"] == "retraining_replay" for e in events)
-        snapshot = json.loads(metrics_out.read_text())
-        assert snapshot["repro_serving_requests_total"] == 16.0
-
-    def test_serve_bench_no_telemetry_still_serves(self, capsys):
-        assert main(
-            TINY + ["serve-bench", "--requests", "16", "--burst", "8",
-                    "--episodes", "4", "--no-telemetry"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "throughput (req/s)" in out
-        assert "per-stage latency breakdown" not in out
-
-    def test_serve_bench_rejects_bad_sample_rate(self, capsys):
-        assert main(TINY + ["serve-bench", "--sample-rate", "1.5"]) == 2
-        assert "serve-bench" in capsys.readouterr().err

@@ -10,7 +10,14 @@ import pytest
 
 from repro.core.featurize import QueryFeaturizer
 from repro.db.query import parse_query
-from repro.obs import Telemetry, TelemetryConfig, Trace, disabled
+from repro.obs import (
+    EventLog,
+    Telemetry,
+    TelemetryConfig,
+    Trace,
+    TraceStore,
+    disabled,
+)
 from repro.rl.ppo import PPOAgent
 from repro.serving import (
     FrontEndConfig,
@@ -199,6 +206,44 @@ class TestSloCapture:
         assert telemetry.slow_queries() == []
         # ... but the request WAS traced and fed the histograms.
         assert telemetry.registry.get("repro_request_e2e_ms").count == 1
+
+    def test_trace_and_event_files_round_trip(
+        self, small_db, agent, featurizer, tmp_path
+    ):
+        # What an operator takes away from a run: the retained traces as
+        # JSONL and the event sink's file, both readable offline.
+        events_path = tmp_path / "events.jsonl"
+        telemetry = Telemetry(TelemetryConfig(
+            sample_rate=1.0, slo_ms=0.0, events_path=events_path
+        ))
+        frontend = make_frontend(small_db, agent, featurizer, telemetry)
+        queries = [
+            parse_query(BC, "file-bc"),
+            parse_query(AB, "file-ab"),
+            parse_query(CHAIN, "file-chain"),
+        ]
+        with frontend:
+            for query in queries:
+                frontend.optimize(query, timeout=10.0)
+
+        traces_path = tmp_path / "traces.jsonl"
+        assert telemetry.store.write_jsonl(traces_path) == len(queries)
+        traces = TraceStore.read_jsonl(traces_path)
+        assert sorted(t.root.attrs["query"] for t in traces) == sorted(
+            q.name for q in queries
+        )
+        for trace in traces:
+            assert [c.name for c in trace.root.children] == FRONTEND_STAGES
+
+        events = EventLog.parse_jsonl(events_path.read_text())
+        slow = [e for e in events if e["kind"] == "slow_query"]
+        assert slow, events
+        trace_ids = {t.trace_id for t in traces}
+        for event in slow:
+            embedded = Trace.from_dict(event["trace"])
+            assert embedded.trace_id == event["trace_id"]
+            assert embedded.trace_id in trace_ids
+            assert [c.name for c in embedded.root.children] == FRONTEND_STAGES
 
 
 class TestRetentionDeterminism:
