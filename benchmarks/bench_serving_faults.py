@@ -5,11 +5,12 @@ The ROADMAP north star is an optimizer serving heavy production
 traffic, and production means partial failure: worker crashes, latency
 spikes, NaN forward passes, statistics changing under a running batch.
 This bench drives the concurrent front end
-(:class:`repro.serving.ServingFrontEnd`) with 16 open-loop clients two
-ways:
+(:class:`repro.serving.ServingFrontEnd`, two shards) with 16 open-loop
+clients submitting one cold stream of distinct 5-8-relation queries,
+served by an untrained serving-scale (512/256) policy with the
+guardrail off, two ways:
 
-- **baseline** — the no-fault stream, exactly as
-  ``bench_serving_concurrency`` runs it;
+- **baseline** — the no-fault stream;
 - **chaos** — the same stream with a seeded
   :class:`repro.serving.FaultInjector` firing each of its four fault
   kinds (worker exceptions, latency spikes, policy NaNs, stats-epoch
@@ -25,10 +26,10 @@ The bench asserts
 - **plan parity on non-faulted requests**: a request that was never
   retried and never degraded receives the operator-for-operator same
   plan as the no-fault baseline (chaos changes the schedule, never the
-  answer for untouched traffic);
+  answer for untouched traffic; plan identity is
+  ``benchmarks/perf/checks.py``'s ``plan_signature``);
 - **p95 <= 1.5x the no-fault baseline** (full mode only — smoke skips
-  the timing assertion like the other serving bench, because CI boxes
-  make lousy stopwatches).
+  the timing assertion, because CI boxes make lousy stopwatches).
 
 A **process-chaos lane** then re-runs the stream with
 ``executor="process"`` and ``worker_kill`` armed: real SIGKILLs against
@@ -39,8 +40,7 @@ version 2 through the front end before the stream and assert that
 every shard standing at the end (including any supervisor respawn)
 serves at that live version.
 
-Results merge into ``BENCH_serving.json`` under a ``"faults"`` section
-(read-modify-write: the concurrency bench's sections are preserved).
+Results land in ``BENCH_faults.json`` for machines to read.
 
 Usage::
 
@@ -55,31 +55,45 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 # Allow running as a plain script without PYTHONPATH=src.
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(0, str(Path(__file__).resolve().parent / "perf"))
 
-from bench_serving_concurrency import (
-    CONCURRENCY,
-    Setup,
-    best_of,
-    plan_signature,
-    run_concurrent,
-)
+from checks import plan_signature
 
+from repro.core.featurize import QueryFeaturizer
 from repro.core.reporting import ascii_table
-from repro.serving import FaultConfig, FaultInjector
+from repro.rl.ppo import PPOAgent, PPOConfig
+from repro.serving import (
+    FaultConfig,
+    FaultInjector,
+    FrontEndConfig,
+    ServingConfig,
+    ServingFrontEnd,
+)
+from repro.workloads import make_imdb_database
+from repro.workloads.generator import RandomQueryGenerator
 
+CONCURRENCY = 16
+SHARDS = 2
+MAX_BATCH = 128
+MAX_DELAY_MS = 2.0
+GEQO_THRESHOLD = 8
+#: Serving-scale policy (Neo/Bao-class layer widths), not the training toy.
+POLICY_HIDDEN = (512, 256)
 FAULT_RATE = 0.05
 CHAOS_SEED = 1
 #: SIGKILL probability per request routed to a process shard — low
 #: enough that the stream survives, high enough that a 64-request smoke
 #: deterministically fires at least one kill.
 PROC_KILL_RATE = 0.03
-#: The "promoted" policy version broadcast before the process-chaos
-#: stream; a respawned worker must rejoin at this version.
+#: The "promoted" policy version broadcast before each chaos stream; a
+#: respawned worker must rejoin at this version.
 LIVE_VERSION = 2
 #: Retry budget for the process-chaos lane (front-end default is 3):
 #: a SIGKILL fails the dead worker's whole in-flight batch, so a
@@ -87,33 +101,88 @@ LIVE_VERSION = 2
 PROC_MAX_ATTEMPTS = 5
 
 
-def run_chaos(
+class Setup:
+    """Shared database/policy; fresh query objects per timed run.
+
+    Queries are regenerated (same seed, new objects) for every run so
+    each run pays identical cold cardinality-estimation work — the
+    identity-keyed per-query caches never leak warmth across runs.
+    """
+
+    def __init__(self, scale: float, n_requests: int) -> None:
+        self.n_requests = n_requests
+        self.db = make_imdb_database(scale=scale, seed=42, sample_size=10_000)
+        self.featurizer = QueryFeaturizer(self.db.schema, max_relations=10)
+        # Inference cost does not depend on the *values* of the weights,
+        # so an untrained policy of serving-representative size times
+        # the same as a trained one.
+        self.agent = PPOAgent(
+            self.featurizer.state_dim,
+            self.featurizer.n_pair_actions,
+            np.random.default_rng(0),
+            PPOConfig(hidden=POLICY_HIDDEN),
+        )
+        self.generator = RandomQueryGenerator(self.db)
+        # First-touch warmup (numpy buffers, estimator code paths).
+        frontend = self.frontend()
+        for future in [frontend.submit(q) for q in self.queries()[:16]]:
+            future.result(timeout=120)
+        frontend.close()
+
+    def queries(self):
+        rng = np.random.default_rng(123)
+        return [
+            self.generator.generate(rng, int(rng.integers(5, 9)), name=f"req-{i}")
+            for i in range(self.n_requests)
+        ]
+
+    def frontend(
+        self, executor: str = "thread", max_attempts: int | None = None
+    ) -> ServingFrontEnd:
+        config = FrontEndConfig(
+            n_shards=SHARDS,
+            max_batch=MAX_BATCH,
+            max_delay_ms=MAX_DELAY_MS,
+            executor=executor,
+        )
+        if max_attempts is not None:
+            config = replace(config, max_attempts=max_attempts)
+        return ServingFrontEnd.build(
+            self.db,
+            self.agent,
+            featurizer=self.featurizer,
+            serving_config=ServingConfig(
+                regression_threshold=None,
+                max_batch_size=MAX_BATCH,
+                collect_experience=False,
+            ),
+            config=config,
+            # The kwargs recipe pickles across the spawn boundary in
+            # process mode and builds the identical planner in thread
+            # mode, so both executors share one construction path.
+            planner_kwargs={"geqo_threshold": GEQO_THRESHOLD},
+        )
+
+
+def run_stream(
     setup: Setup,
-    shards: int,
-    rate: float,
-    seed: int,
     executor: str = "thread",
-    kill_rate: float = 0.0,
+    faults: FaultConfig | None = None,
     max_attempts: int | None = None,
 ):
-    """The baseline stream with every fault kind firing at ``rate``."""
+    """The stream from ``CONCURRENCY`` open-loop clients; with
+    ``faults``, under that seeded chaos after a hot-swap to
+    ``LIVE_VERSION``. Returns (result, plan signatures of the requests
+    served on the first attempt without degrading)."""
     queries = setup.queries()
-    frontend = setup.frontend(
-        False, shards, executor=executor, max_attempts=max_attempts
-    )
-    frontend.install_fault_injector(FaultInjector(FaultConfig(
-        worker_fault_rate=rate,
-        latency_spike_rate=rate,
-        policy_nan_rate=rate,
-        stats_race_rate=rate,
-        worker_kill_rate=kill_rate,
-        seed=seed,
-    )))
-    # A prior hot-swap: every shard — and every respawn — serves the
-    # live weights as LIVE_VERSION.
-    frontend.apply_policy_weights(
-        setup.agent.policy.net.net.params, LIVE_VERSION
-    )
+    frontend = setup.frontend(executor, max_attempts)
+    if faults is not None:
+        frontend.install_fault_injector(FaultInjector(faults))
+        # A prior hot-swap: every shard — and every respawn — serves the
+        # live weights as LIVE_VERSION.
+        frontend.apply_policy_weights(
+            setup.agent.policy.net.net.params, LIVE_VERSION
+        )
     futures = [None] * len(queries)
 
     def client(offset: int) -> None:
@@ -171,12 +240,13 @@ def run_chaos(
         1 for plan in served if plan.source.startswith("degraded_")
     )
     retried = sum(1 for plan in served if plan.attempts > 1)
+    schedule = faults or FaultConfig()
     result = {
-        "shards": shards,
+        "shards": SHARDS,
         "executor": executor,
-        "fault_rate": rate,
-        "kill_rate": kill_rate,
-        "seed": seed,
+        "fault_rate": schedule.worker_fault_rate,
+        "kill_rate": schedule.worker_kill_rate,
+        "seed": schedule.seed,
         "throughput_qps": len(queries) / elapsed,
         "p50_ms": latency["p50_ms"],
         "p95_ms": latency["p95_ms"],
@@ -205,6 +275,16 @@ def run_chaos(
     return result, clean_plans
 
 
+def best_of(repeats: int, run):
+    """Best throughput over ``repeats`` runs (plans from the last run)."""
+    best, plans = run()
+    for _ in range(repeats - 1):
+        result, plans = run()
+        if result["throughput_qps"] > best["throughput_qps"]:
+            best = result
+    return best, plans
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -220,38 +300,44 @@ def main(argv=None) -> int:
                         help="per-request probability of each fault kind")
     parser.add_argument("--seed", type=int, default=CHAOS_SEED,
                         help="fault-injection seed")
-    parser.add_argument("--out", default="BENCH_serving.json")
+    parser.add_argument("--out", default="BENCH_faults.json")
     args = parser.parse_args(argv)
     n_requests = args.requests or (64 if args.smoke else 256)
     scale = args.scale or (0.02 if args.smoke else 0.05)
     repeats = args.repeats or (1 if args.smoke else 3)
+    chaos_faults = FaultConfig(
+        worker_fault_rate=args.rate,
+        latency_spike_rate=args.rate,
+        policy_nan_rate=args.rate,
+        stats_race_rate=args.rate,
+        seed=args.seed,
+    )
 
     print(f"building database (scale={scale}) and {n_requests} cold queries...")
     setup = Setup(scale, n_requests)
 
-    print(f"no-fault baseline: front end, {CONCURRENCY} clients, 2 shards, "
-          f"best of {repeats}...")
-    baseline, baseline_plans = best_of(
-        repeats, lambda: run_concurrent(setup, False, shards=2)
-    )
+    print(f"no-fault baseline: front end, {CONCURRENCY} clients, {SHARDS} "
+          f"shards, best of {repeats}...")
+    baseline, baseline_plans = best_of(repeats, lambda: run_stream(setup))
 
     print(f"chaos: same stream, every fault kind at {args.rate:.0%} "
           f"(seed {args.seed}), best of {repeats}...")
     chaos, clean_plans = best_of(
-        repeats, lambda: run_chaos(setup, 2, args.rate, args.seed)
+        repeats, lambda: run_stream(setup, faults=chaos_faults)
     )
 
-    print(f"process chaos: 2 worker processes, every fault kind at "
+    print(f"process chaos: {SHARDS} worker processes, every fault kind at "
           f"{args.rate:.0%} plus SIGKILL at {PROC_KILL_RATE:.0%} "
           f"(seed {args.seed})...")
     # A SIGKILL burns a retry attempt for every request the dead worker
     # held (a whole batch, not one victim), so the process lane layers a
     # much harsher hazard mix on the same stream — give it the deeper
     # retry budget an operator running kill-prone workers would.
-    proc_chaos, proc_clean_plans = run_chaos(
-        setup, 2, args.rate, args.seed,
-        executor="process", kill_rate=PROC_KILL_RATE,
-        max_attempts=PROC_MAX_ATTEMPTS,
+    proc_chaos, proc_clean_plans = run_stream(
+        setup,
+        "process",
+        replace(chaos_faults, worker_kill_rate=PROC_KILL_RATE),
+        PROC_MAX_ATTEMPTS,
     )
 
     # Plan parity on untouched traffic: never retried, never degraded.
@@ -271,7 +357,7 @@ def main(argv=None) -> int:
         [
             ("no faults", f"{baseline['throughput_qps']:.0f}",
              f"{baseline['p50_ms']:.2f}", f"{baseline['p95_ms']:.2f}",
-             "100.0%", "0"),
+             f"{baseline['success_rate'] * 100:.1f}%", "0"),
             (f"chaos @ {args.rate:.0%}", f"{chaos['throughput_qps']:.0f}",
              f"{chaos['p50_ms']:.2f}", f"{chaos['p95_ms']:.2f}",
              f"{chaos['success_rate'] * 100:.1f}%",
@@ -292,7 +378,7 @@ def main(argv=None) -> int:
           f"(live {proc_chaos['live_version']}), injected "
           f"{proc_chaos['injected']}")
 
-    section = {
+    payload = {
         "mode": "smoke" if args.smoke else "full",
         "baseline": baseline,
         "chaos": chaos,
@@ -303,12 +389,13 @@ def main(argv=None) -> int:
         "process_plan_parity_clean_requests": len(proc_clean_plans),
         "process_plan_parity_mismatches": len(proc_mismatched),
     }
-    out = Path(args.out)
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    payload["faults"] = section
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"merged 'faults' section into {args.out}")
+    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {args.out}")
 
+    assert baseline["success_rate"] == 1.0, (
+        f"the no-fault baseline failed {baseline['failed']} requests: "
+        f"{baseline['failure_samples']}"
+    )
     assert chaos["success_rate"] >= 0.995, (
         f"chaos success rate {chaos['success_rate']:.2%} below the 99.5% "
         f"floor ({chaos['failed']} failures: {chaos['failure_samples']})"

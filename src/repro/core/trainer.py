@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.reporting import bucket_means, convergence_episode, moving_average
 from repro.core.rewards import ExpertBaseline, PlanOutcome
 from repro.db.query import Query
-from repro.rl.env import Trajectory, Transition, rollout
+from repro.rl.env import Trajectory
 from repro.rl.vector_env import VectorRolloutEngine
 
 __all__ = ["TrainingConfig", "EpisodeRecord", "TrainingLog", "Trainer"]
@@ -28,14 +28,9 @@ class TrainingConfig:
     """Episode budget and batching for the training loop."""
 
     episodes: int = 1000
+    #: Episodes per lockstep wave and per policy update.
     batch_size: int = 8
     max_steps_per_episode: int = 200
-    #: Collect episodes in lockstep batches of ``batch_size`` with one
-    #: stacked forward pass per step (the update cadence is unchanged:
-    #: both paths update on every ``batch_size`` complete episodes).
-    #: Falls back to sequential collection automatically when the env
-    #: cannot be cloned (``spawn``) or the agent has no batched policy.
-    vectorized: bool = True
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,12 @@ class TrainingLog:
 
 
 class Trainer:
-    """Runs episodes, updates the agent, and logs relative metrics."""
+    """Runs episodes, updates the agent, and logs relative metrics.
+
+    Episodes are collected in lockstep waves of ``batch_size`` env
+    clones with one stacked forward pass per step, so the env must
+    ``spawn`` and the agent's ``policy`` must ``act_batch``.
+    """
 
     def __init__(
         self,
@@ -141,23 +141,16 @@ class Trainer:
         self._episode_counter = 0
 
     # ------------------------------------------------------------------
-    def _vector_engine(self) -> VectorRolloutEngine | None:
-        """A lockstep engine over env clones, or None when unsupported.
+    def _engine(self) -> VectorRolloutEngine:
+        """A lockstep engine over ``batch_size`` env clones.
 
         Built fresh per call: ``spawn`` captures the env's *current*
         reward source, and trainers like the §5.2 bootstrap swap it
         between runs.
         """
-        if not self.config.vectorized:
-            return None
-        policy = getattr(self.agent, "policy", None)
-        if policy is None or not hasattr(policy, "act_batch"):
-            return None
-        if not hasattr(self.env, "spawn"):
-            return None
         width = max(1, self.config.batch_size)
         envs = [self.env] + [self.env.spawn() for _ in range(width - 1)]
-        return VectorRolloutEngine(envs, policy)
+        return VectorRolloutEngine(envs, self.agent.policy)
 
     def run(
         self,
@@ -167,21 +160,9 @@ class Trainer:
     ) -> TrainingLog:
         """Train for ``episodes`` episodes (appending to ``log`` if given)."""
         episodes = episodes or self.config.episodes
-        engine = self._vector_engine()
-        if engine is None:
-            trajectories = (
-                rollout(
-                    self.env,
-                    self.agent.act,
-                    self.rng,
-                    max_steps=self.config.max_steps_per_episode,
-                )
-                for _ in range(episodes)
-            )
-            return self._learn(trajectories, log, update)
-        # Lockstep collection: each wave is exactly one update batch,
-        # collected under one policy — the same schedule the sequential
-        # path follows, minus per-episode forward passes.
+        engine = self._engine()
+        # Each wave is exactly one update batch, collected under one
+        # policy.
         log = log or TrainingLog()
         remaining = episodes
         while remaining > 0:
@@ -283,36 +264,14 @@ class Trainer:
     ) -> Dict[str, EpisodeRecord]:
         """Greedy (mode) evaluation on fixed queries, no learning."""
         queries = list(queries)
-        engine = self._vector_engine()
-        if engine is not None:
-            trajectories = engine.collect(
-                len(queries),
-                self.rng,
-                greedy=greedy,
-                max_steps=self.config.max_steps_per_episode,
-                queries=queries,
-            )
-            return {
-                query.name: self._record(trajectory)
-                for query, trajectory in zip(queries, trajectories)
-            }
-        results: Dict[str, EpisodeRecord] = {}
-        for query in queries:
-            trajectory = self._rollout_query(query, greedy)
-            results[query.name] = self._record(trajectory)
-        return results
-
-    def _rollout_query(self, query: Query, greedy: bool) -> Trajectory:
-        state, mask = self.env.reset(query)
-        trajectory = Trajectory()
-        for _ in range(self.config.max_steps_per_episode):
-            action, log_prob = self.agent.act(state, mask, self.rng, greedy)
-            result = self.env.step(action)
-            trajectory.transitions.append(
-                Transition(state, mask, action, result.reward, log_prob)
-            )
-            trajectory.info.update(result.info)
-            state, mask = result.state, result.mask
-            if result.done:
-                return trajectory
-        raise RuntimeError("evaluation episode did not terminate")
+        trajectories = self._engine().collect(
+            len(queries),
+            self.rng,
+            greedy=greedy,
+            max_steps=self.config.max_steps_per_episode,
+            queries=queries,
+        )
+        return {
+            query.name: self._record(trajectory)
+            for query, trajectory in zip(queries, trajectories)
+        }

@@ -14,8 +14,9 @@ pending episode, so the batch stays full until the work runs out.
 
 Sampling uses the same inverse-CDF primitive as serving, so a masked
 action is never selected; greedy collection produces exactly the plans
-sequential collection would (asserted by the parity tests and the
-training-throughput bench).
+one-episode-at-a-time stepping would (``tests/test_rl_vector.py``).
+:class:`repro.core.Trainer` collects every training and evaluation
+episode through this engine.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class VectorRolloutEngine:
             raise ValueError("need at least one environment")
         self.envs = list(envs)
         self.policy = policy
-        #: Forward passes made / states scored, for throughput reporting.
-        self.forward_passes = 0
-        self.states_scored = 0
 
     def collect(
         self,
@@ -67,7 +65,7 @@ class VectorRolloutEngine:
         ``queries`` (optional) pins episode ``k`` to ``queries[k]`` via
         ``env.reset(query)`` — the evaluation path; without it each
         reset samples from the env's own workload, consuming the shared
-        rng stream in episode order exactly like sequential collection.
+        rng stream in episode order.
         """
         if queries is not None:
             episodes = len(queries)
@@ -89,8 +87,6 @@ class VectorRolloutEngine:
             states = np.stack([s.state for s in slots])
             masks = np.stack([s.mask for s in slots])
             actions, log_probs = self.policy.act_batch(states, masks, rng, greedy)
-            self.forward_passes += 1
-            self.states_scored += len(slots)
             survivors: List[_Slot] = []
             for slot, action, log_prob in zip(slots, actions, log_probs):
                 result = slot.env.step(int(action))

@@ -1,9 +1,9 @@
-"""Lockstep vectorized collection: parity with the sequential path.
+"""Lockstep vectorized collection: parity with one-at-a-time stepping.
 
 The vector engine is a throughput device, not a semantics change: with
-a fixed seed, greedy collection must produce the same plans, the same
-terminal rewards, and the same per-episode records the sequential path
-produces. Sampling mode shares the same masking guarantees.
+a fixed seed, greedy collection must produce the same plans and the
+same terminal rewards as stepping one env through one episode at a
+time. Sampling mode shares the same masking guarantees.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ def workload(small_db, gen):
     )
 
 
-def make_trainer(small_db, workload, vectorized, batch_size=4, seed=9):
+def make_trainer(small_db, workload, batch_size=4, seed=9):
     rng = np.random.default_rng(seed)
     baseline = ExpertBaseline(small_db)
     env = JoinOrderEnv(
@@ -46,27 +46,43 @@ def make_trainer(small_db, workload, vectorized, batch_size=4, seed=9):
     )
     agent = make_agent(env, rng, "reinforce")
     trainer = Trainer(
-        env, agent, baseline, rng,
-        TrainingConfig(batch_size=batch_size, vectorized=vectorized),
+        env, agent, baseline, rng, TrainingConfig(batch_size=batch_size)
     )
     return env, agent, trainer
 
 
+def stepped_greedy(env, agent, query):
+    """One episode on one env, one batch-1 forward pass per step:
+    (terminal plan cost, total reward)."""
+    state, mask = env.reset(query)
+    total = 0.0
+    while True:
+        action, _ = agent.act(state, mask, env.rng, greedy=True)
+        result = env.step(action)
+        total += result.reward
+        if result.done:
+            return result.info["outcome"].cost, total
+        state, mask = result.state, result.mask
+
+
 class TestGreedyParity:
     def test_evaluate_matches_sequential(self, small_db, workload):
+        """``Trainer.evaluate`` (lockstep, batch 4) and a seed-matched
+        env stepped one episode at a time reach the same plan costs and
+        rewards."""
         queries = list(workload)
-        _, _, seq = make_trainer(small_db, workload, vectorized=False)
-        _, _, vec = make_trainer(small_db, workload, vectorized=True)
-        seq_records = seq.evaluate(queries, greedy=True)
-        vec_records = vec.evaluate(queries, greedy=True)
-        assert set(seq_records) == set(vec_records)
-        for name in seq_records:
-            assert vec_records[name].cost == seq_records[name].cost
-            assert vec_records[name].reward == seq_records[name].reward
+        env, agent, _ = make_trainer(small_db, workload)
+        _, _, trainer = make_trainer(small_db, workload)
+        records = trainer.evaluate(queries, greedy=True)
+        assert set(records) == {q.name for q in queries}
+        for query in queries:
+            cost, reward = stepped_greedy(env, agent, query)
+            assert records[query.name].cost == cost
+            assert records[query.name].reward == reward
 
     def test_greedy_collection_same_trees(self, small_db, workload):
         """Engine-level parity: same greedy trees as one-by-one rollout."""
-        env, agent, _ = make_trainer(small_db, workload, vectorized=True)
+        env, agent, _ = make_trainer(small_db, workload)
         queries = list(workload)
         engine = VectorRolloutEngine(
             [env] + [env.spawn() for _ in range(3)], agent.policy
@@ -83,7 +99,7 @@ class TestGreedyParity:
 
 class TestVectorizedTraining:
     def test_log_preserves_per_episode_records_in_order(self, small_db, workload):
-        _, _, trainer = make_trainer(small_db, workload, vectorized=True)
+        _, _, trainer = make_trainer(small_db, workload)
         log = trainer.run(10)
         assert len(log) == 10
         episodes = [r.episode for r in log.records]
@@ -94,7 +110,7 @@ class TestVectorizedTraining:
     def test_update_changes_weights_and_update_false_does_not(
         self, small_db, workload
     ):
-        _, agent, trainer = make_trainer(small_db, workload, vectorized=True)
+        _, agent, trainer = make_trainer(small_db, workload)
         before = agent.policy_net.output_layer.weight.copy()
         trainer.run(8, update=False)
         assert np.array_equal(before, agent.policy_net.output_layer.weight)
@@ -103,7 +119,7 @@ class TestVectorizedTraining:
 
     def test_deterministic_given_seed(self, small_db, workload):
         def run():
-            _, _, trainer = make_trainer(small_db, workload, vectorized=True)
+            _, _, trainer = make_trainer(small_db, workload)
             return trainer.run(12).rewards()
 
         assert np.array_equal(run(), run())
@@ -122,26 +138,15 @@ class TestVectorizedTraining:
         log = trainer.run(8)
         assert len(log) == 8
 
-    def test_falls_back_without_spawn(self, small_db, workload):
-        class NoSpawn:
-            pass
-
-        _, _, trainer = make_trainer(small_db, workload, vectorized=True)
-        trainer.env = NoSpawn()
-        assert trainer._vector_engine() is None
-        trainer.env = object()
-        trainer.config = TrainingConfig(vectorized=False)
-        assert trainer._vector_engine() is None
-
 
 class TestEngineEdgeCases:
     def test_zero_episodes(self, small_db, workload):
-        env, agent, _ = make_trainer(small_db, workload, vectorized=True)
+        env, agent, _ = make_trainer(small_db, workload)
         engine = VectorRolloutEngine([env], agent.policy)
         assert engine.collect(0, greedy=True) == []
 
     def test_more_episodes_than_envs_refills_slots(self, small_db, workload):
-        env, agent, _ = make_trainer(small_db, workload, vectorized=True)
+        env, agent, _ = make_trainer(small_db, workload)
         engine = VectorRolloutEngine([env, env.spawn()], agent.policy)
         queries = list(workload) * 2
         trajectories = engine.collect(
@@ -160,7 +165,7 @@ class TestEngineEdgeCases:
             def step(self, action):
                 return StepResult(np.zeros(2), np.ones(2, dtype=bool), 0.0, False)
 
-        env, agent, _ = make_trainer(small_db, workload, vectorized=True)
+        env, agent, _ = make_trainer(small_db, workload)
 
         class TinyPolicy:
             def act_batch(self, states, masks, rng=None, greedy=True):
