@@ -152,9 +152,7 @@ class Setup:
             self.agent,
             featurizer=self.featurizer,
             serving_config=ServingConfig(
-                regression_threshold=None,
-                max_batch_size=MAX_BATCH,
-                collect_experience=False,
+                regression_threshold=None, collect_experience=False
             ),
             config=config,
             # The kwargs recipe pickles across the spawn boundary in

@@ -8,7 +8,7 @@ quantity on the y-axis of Figure 3c.
 Join-order search runs on the bitset DP
 (:mod:`repro.optimizer.bitset_dp`): integer-mask DP with memoized
 subset cardinalities and branch-and-bound pruning seeded from a greedy
-plan. In ``exact`` mode (default) it is plan-identical to the seed
+plan. It runs in ``exact`` mode, so it is plan-identical to the seed
 enumerator ``join_search.selinger_dp``, which the tests keep as the
 reference it is compared against. The planner also keeps expert
 observability counters (subsets enumerated, entries pruned, per-plan
@@ -43,6 +43,14 @@ __all__ = ["Planner", "PlannerResult", "PlanningTimeout"]
 
 #: PostgreSQL switches from exhaustive search to GEQO at 12 relations.
 DEFAULT_GEQO_THRESHOLD = 12
+
+#: The expert searches left-deep join trees only — the classic System R
+#: heuristic. This is what gives a learned optimizer headroom to *beat*
+#: the expert on plan cost (Figure 3b): ReJOIN explores bushy shapes the
+#: expert never considers, just as the real ReJOIN out-planned
+#: PostgreSQL's heuristically restricted search. The DP always prunes in
+#: exact mode, so its plan is identical to the unpruned enumerator's.
+EXPERT_BUSHY = False
 
 #: The expert's pull-style metrics, one row each: (registry name,
 #: ``counters()`` key, kind, help, how to read it off a planner). A
@@ -82,38 +90,18 @@ class Planner:
         self,
         db: Database,
         geqo_threshold: int = DEFAULT_GEQO_THRESHOLD,
-        bushy: bool = False,
         cost_memo: SubPlanCostMemo | None = None,
-        exact: bool = True,
-        prune: bool = True,
     ) -> None:
-        """``bushy=False`` (default) restricts the expert to left-deep
-        join trees — the classic System R heuristic. This is what gives
-        a learned optimizer headroom to *beat* the expert on plan cost
-        (Figure 3b): ReJOIN explores bushy shapes the expert never
-        considers, just as the real ReJOIN out-planned PostgreSQL's
-        heuristically restricted search.
-
-        ``cost_memo`` (optional) memoizes completed-and-costed
+        """``cost_memo`` (optional) memoizes completed-and-costed
         (sub)plans across :meth:`evaluate_tree`/:meth:`complete_plan`
         calls, keyed by structural join-tree fingerprints — repeated
         trees (a converged policy, a replayed cache entry) are costed
-        once. Clear it whenever the database is re-ANALYZEd.
-
-        ``prune`` enables branch-and-bound in the DP; with
-        ``exact=True`` (default) pruning removes only provably
-        dominated entries, so the chosen plan is identical to the
-        unpruned enumerator's. ``exact=False`` trades the optimality
-        guarantee for harder pruning (never worse than the greedy
-        bound)."""
+        once. Clear it whenever the database is re-ANALYZEd."""
         if geqo_threshold < 2:
             raise ValueError("geqo_threshold must be at least 2")
         self.db = db
         self.geqo_threshold = geqo_threshold
-        self.bushy = bushy
         self.cost_memo = cost_memo
-        self.exact = exact
-        self.prune = prune
         #: Cumulative DP counters (``repro info --probe``).
         self.dp_stats = DPStats()
         self.expert_plans = 0
@@ -165,9 +153,7 @@ class Planner:
                 query,
                 cards,
                 self.db.cost_params,
-                bushy=self.bushy,
-                prune=self.prune,
-                exact=self.exact,
+                bushy=EXPERT_BUSHY,
                 stats=self.dp_stats,
                 check_deadline=check_deadline,
             )
@@ -310,8 +296,7 @@ class Planner:
                     query,
                     cards,
                     self.db.cost_params,
-                    bushy=self.bushy,
-                    prune=True,
+                    bushy=EXPERT_BUSHY,
                     exact=False,
                     prune_margin=0.9,
                     stats=self.dp_stats,

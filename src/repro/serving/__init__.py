@@ -5,7 +5,7 @@ puts it behind a production-shaped ``optimize(query)`` API:
 
 - :mod:`repro.serving.fingerprint` — canonical query fingerprints
   (alias-, order-, and name-independent cache keys);
-- :mod:`repro.serving.cache` — LRU+TTL plan cache with hit/miss/
+- :mod:`repro.serving.cache` — LRU plan cache with hit/miss/
   eviction statistics and invalidation on statistics refresh;
 - :mod:`repro.serving.batching` — micro-batched greedy rollout that
   scores every in-flight query's state in one stacked forward pass;

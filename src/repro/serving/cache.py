@@ -1,9 +1,10 @@
-"""An LRU+TTL plan cache with operator-visible statistics.
+"""An LRU plan cache with operator-visible statistics.
 
 The cache is deliberately engine-agnostic: keys are canonical query
 fingerprints (:mod:`repro.serving.fingerprint`) and values are whatever
-the service wants to remember about a served plan. The clock is
-injectable so TTL behaviour is testable without sleeping.
+the service wants to remember about a served plan. Entries leave by LRU
+eviction or by invalidation, never by age: a statistics refresh is what
+makes a cached plan stale.
 
 Two serving-layer needs shape the implementation:
 
@@ -20,10 +21,9 @@ Two serving-layer needs shape the implementation:
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Tuple
 
 __all__ = ["CacheStats", "PlanCache"]
 
@@ -35,7 +35,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     invalidations: int = 0
     #: Entries evicted by table-scoped (partial) invalidation only.
     invalidations_partial: int = 0
@@ -53,7 +52,6 @@ class CacheStats:
             "cache_hits": self.hits,
             "cache_misses": self.misses,
             "cache_evictions": self.evictions,
-            "cache_expirations": self.expirations,
             "cache_invalidations": self.invalidations,
             "cache_invalidations_partial": self.invalidations_partial,
             "cache_hit_rate": round(self.hit_rate, 4),
@@ -61,28 +59,19 @@ class CacheStats:
 
 
 class PlanCache:
-    """Thread-safe LRU cache with optional TTL, keyed by fingerprint."""
+    """Thread-safe LRU cache keyed by fingerprint."""
 
-    def __init__(
-        self,
-        capacity: int = 512,
-        ttl_s: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, capacity: int = 512) -> None:
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError("ttl_s must be positive (or None to disable)")
         self.capacity = capacity
-        self.ttl_s = ttl_s
-        self.clock = clock
         self.stats = CacheStats()
         # One re-entrant lock covers the entry map and the stats, so a
         # lookup and its counter bump are a single atomic step even when
         # worker shards and operator threads race.
         self._lock = threading.RLock()
-        # key -> (value, inserted_at, tables the cached plan touches)
-        self._entries: "OrderedDict[str, Tuple[Any, float, FrozenSet[str] | None]]" = (
+        # key -> (value, tables the cached plan touches)
+        self._entries: "OrderedDict[str, Tuple[Any, FrozenSet[str] | None]]" = (
             OrderedDict()
         )
 
@@ -101,15 +90,9 @@ class PlanCache:
             if entry is None:
                 self.stats.misses += 1
                 return None
-            value, inserted_at, _tables = entry
-            if self.ttl_s is not None and self.clock() - inserted_at > self.ttl_s:
-                del self._entries[key]
-                self.stats.expirations += 1
-                self.stats.misses += 1
-                return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return value
+            return entry[0]
 
     def put(self, key: str, value: Any, tables: Iterable[str] | None = None) -> None:
         """Insert ``value``; ``tables`` tags the entry for
@@ -119,7 +102,7 @@ class PlanCache:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            self._entries[key] = (value, self.clock(), tagged)
+            self._entries[key] = (value, tagged)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
@@ -144,7 +127,7 @@ class PlanCache:
         with self._lock:
             doomed = [
                 key
-                for key, (_v, _t, tagged) in self._entries.items()
+                for key, (_v, tagged) in self._entries.items()
                 if tagged is None or tagged & changed
             ]
             for key in doomed:

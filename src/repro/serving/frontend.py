@@ -119,6 +119,10 @@ _STOP = object()
 _KILL = object()
 #: retry_after hint handed to shed callers.
 _SHED_RETRY_AFTER_S = 0.05
+#: Process mode: how often the supervisor heartbeats each worker
+#: process (a hung worker that misses one beat is SIGKILL'd and
+#: respawned).
+HEARTBEAT_INTERVAL_S = 1.0
 
 
 @dataclass(frozen=True)
@@ -135,9 +139,6 @@ class FrontEndConfig:
     max_delay_ms: float = 2.0
     #: Backpressure: max submissions accepted but not yet resolved.
     max_pending: int = 65_536
-    #: Deadline attached to every submit() that does not bring its own
-    #: (None = no deadline).
-    default_deadline_ms: float | None = None
     #: Total tries per request (1 = no retries) for retryable failures.
     max_attempts: int = 3
     #: Exponential backoff: attempt k waits base * 2**(k-1) ms, capped,
@@ -146,11 +147,8 @@ class FrontEndConfig:
     backoff_cap_ms: float = 100.0
     #: Shed load once inflight reaches this fraction of max_pending.
     shed_watermark: float = 0.9
-    #: Per-shard circuit breaker: consecutive failures to trip, cooldown
-    #: before half-open probes.
-    breaker_failure_threshold: int = 5
-    breaker_cooldown_s: float = 1.0
-    #: Run the supervisor thread that respawns dead workers.
+    #: Run the supervisor thread that respawns dead workers, polling
+    #: every ``supervisor_interval_s``.
     supervise: bool = True
     supervisor_interval_s: float = 0.05
     #: Shard executor: ``"thread"`` keeps every shard in-process
@@ -161,16 +159,12 @@ class FrontEndConfig:
     #: hand-assembled service list decides that for itself, and this
     #: then only says whether its shards take turns.
     executor: str = "thread"
-    #: Process mode: how often the supervisor heartbeats each worker
-    #: process (a hung worker that misses one beat is SIGKILL'd and
-    #: respawned).
-    heartbeat_interval_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.executor not in ("thread", "process"):
             raise ValueError('executor must be "thread" or "process"')
-        if self.heartbeat_interval_s <= 0:
-            raise ValueError("heartbeat_interval_s must be positive")
+        if self.supervisor_interval_s <= 0:
+            raise ValueError("supervisor_interval_s must be positive")
         if self.n_shards < 1:
             raise ValueError("n_shards must be at least 1")
         if self.max_batch < 1:
@@ -179,8 +173,6 @@ class FrontEndConfig:
             raise ValueError("max_delay_ms must be non-negative")
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
-        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
@@ -483,11 +475,7 @@ class ServingFrontEnd:
             [] for _ in range(self.config.n_shards)
         ]
         self.breakers = [
-            CircuitBreaker(
-                failure_threshold=self.config.breaker_failure_threshold,
-                cooldown_s=self.config.breaker_cooldown_s,
-                on_transition=self._breaker_callback(shard),
-            )
+            CircuitBreaker(on_transition=self._breaker_callback(shard))
             for shard in range(self.config.n_shards)
         ]
         self._queues: List["SimpleQueue"] = [
@@ -698,7 +686,7 @@ class ServingFrontEnd:
         :class:`~repro.serving.errors.OptimizeError`.
 
         ``deadline_ms`` is this request's total budget (submit to
-        resolve); omitted, the config's ``default_deadline_ms`` applies.
+        resolve); omitted, the request has no deadline.
         """
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
@@ -715,8 +703,6 @@ class ServingFrontEnd:
         names = canonical_alias_map(query)
         fp = fingerprint(query, names)
         shard = self.ring.shard_for(fp)
-        if deadline_ms is None:
-            deadline_ms = self.config.default_deadline_ms
         # Stamped before the trace begins: ``queue_wait`` is measured
         # from here, so it covers the trace from its first instant.
         now = self.clock()
@@ -1030,8 +1016,7 @@ class ServingFrontEnd:
             hint = None
             if self.supervisor is not None:
                 hint = 2.0 * max(
-                    self.config.breaker_cooldown_s,
-                    self.config.heartbeat_interval_s,
+                    self.breakers[0].cooldown_s, HEARTBEAT_INTERVAL_S
                 )
             raise ShardFailed(
                 "every worker shard is down",
@@ -1544,13 +1529,13 @@ class ServingFrontEnd:
         corpse forever, so an exit code on a not-down shard gets the
         thread nudged with the kill sentinel (the normal death path then
         runs; a sentinel made stale by a racing EOF is discarded by the
-        death handler's queue drain). Every ``heartbeat_interval_s`` the
+        death handler's queue drain). Every ``HEARTBEAT_INTERVAL_S`` the
         live workers are pinged over the control channel; a worker that
         is alive but unresponsive past one interval is SIGKILL'd here
         and reaped by the exit-code check on the next tick.
         """
         now = self.clock()
-        beat = now - self._last_heartbeat >= self.config.heartbeat_interval_s
+        beat = now - self._last_heartbeat >= HEARTBEAT_INTERVAL_S
         if beat:
             self._last_heartbeat = now
         for shard, service in enumerate(self.services):
@@ -1563,9 +1548,7 @@ class ServingFrontEnd:
                     continue
             if service.exitcode() is not None:
                 self._queues[shard].put(_KILL)
-            elif beat and not service.ping(
-                timeout=self.config.heartbeat_interval_s
-            ):
+            elif beat and not service.ping(timeout=HEARTBEAT_INTERVAL_S):
                 service.kill()
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@
 answers a concurrent burst. Behind the single API sit four cooperating
 parts:
 
-1. the **plan cache** — canonical-fingerprint keyed LRU (+TTL), so a
+1. the **plan cache** — canonical-fingerprint keyed LRU, so a
    repeated query shape costs a dictionary lookup, not a rollout;
 2. the **micro-batch engine** — cache misses in a burst are rolled out
    in lockstep with stacked forward passes;
@@ -59,6 +59,11 @@ __all__ = [
     "latency_summary",
 ]
 
+#: Wall-clock cap on the degradation ladder's budgeted-DP rung (the
+#: non-exact pruned bitset search run when the policy failed). The
+#: request's own remaining deadline budget tightens it further.
+DEGRADED_DP_BUDGET_MS = 25.0
+
 # ----------------------------------------------------------------------
 # Metric tables. Each count the serving stack exposes is one row
 # ``(registry name, counters() key or None, kind, help, read)`` in its
@@ -112,8 +117,6 @@ _SERVICE_ROWS = (
      "plan-cache misses", lambda s: s.cache.stats.misses),
     ("repro_cache_evictions_total", "cache_evictions", "counter",
      "LRU evictions", lambda s: s.cache.stats.evictions),
-    ("repro_cache_expirations_total", "cache_expirations", "counter",
-     "TTL expirations", lambda s: s.cache.stats.expirations),
     ("repro_cache_invalidations_total", "cache_invalidations", "counter",
      "entries dropped by full invalidation",
      lambda s: s.cache.stats.invalidations),
@@ -249,18 +252,11 @@ class ServingConfig:
     """Knobs an operator tunes without touching code."""
 
     cache_capacity: int = 512
-    cache_ttl_s: float | None = None
     #: Max tolerated learned/expert predicted-cost ratio; None disables
     #: the guardrail (the expert is never consulted on the serve path).
     regression_threshold: float | None = 1.2
-    max_batch_size: int = 64
     forbid_cross_products: bool = False
     collect_experience: bool = True
-    experience_capacity: int = 10_000
-    #: Wall-clock cap on the degradation ladder's budgeted-DP rung (the
-    #: non-exact pruned bitset search run when the policy failed). The
-    #: request's own remaining deadline budget tightens it further.
-    degraded_dp_budget_ms: float = 25.0
 
 
 @dataclass(frozen=True)
@@ -390,7 +386,6 @@ class OptimizerService:
         featurizer: QueryFeaturizer | None = None,
         config: ServingConfig | None = None,
         reward_source=None,
-        clock=time.monotonic,
         telemetry: Telemetry | None = None,
         db_metrics: bool = True,
     ) -> None:
@@ -410,11 +405,7 @@ class OptimizerService:
         self.config = config or ServingConfig()
         self.reward_source = reward_source or CostModelReward(db)
         self.stats = ServiceStats()
-        self.cache = PlanCache(
-            capacity=self.config.cache_capacity,
-            ttl_s=self.config.cache_ttl_s,
-            clock=clock,
-        )
+        self.cache = PlanCache(capacity=self.config.cache_capacity)
         self.router = GuardrailRouter(
             self.planner,
             self.config.regression_threshold,
@@ -424,11 +415,10 @@ class OptimizerService:
             policy,
             self.featurizer,
             db,
-            max_batch_size=self.config.max_batch_size,
             forbid_cross_products=self.config.forbid_cross_products,
         )
         self.experience: ExperienceBuffer | None = (
-            ExperienceBuffer(self.config.experience_capacity)
+            ExperienceBuffer()
             if self.config.collect_experience
             else None
         )
@@ -907,7 +897,7 @@ class OptimizerService:
            it, rewritten into the requester's aliases when a renamed
            twin planned it.
         2. **Budgeted DP** (``degraded_dp``): a non-exact, hard-pruned
-           bitset search under ``ServingConfig.degraded_dp_budget_ms``
+           bitset search under ``DEGRADED_DP_BUDGET_MS`` (25 ms)
            (tightened by the request's remaining deadline), interrupted
            mid-wave on expiry.
         3. **Greedy** (``degraded_greedy``): the bottom-up floor —
@@ -940,7 +930,7 @@ class OptimizerService:
             source = "degraded_cache"
             result = cached
         else:
-            budget = self.config.degraded_dp_budget_ms
+            budget = DEGRADED_DP_BUDGET_MS
             if budget_ms is not None:
                 budget = max(0.0, min(budget, budget_ms))
             result, lane = self.planner.degraded_plan(query, budget_ms=budget)

@@ -194,6 +194,4 @@ class ShardSupervisor:
         # Process mode: exit-code reaping of worker processes whose
         # shard thread sits idle, plus the heartbeat that catches hung
         # (alive but unresponsive) workers.
-        check_processes = getattr(frontend, "_check_worker_processes", None)
-        if check_processes is not None:
-            check_processes()
+        frontend._check_worker_processes()

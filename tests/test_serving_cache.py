@@ -1,19 +1,8 @@
-"""Tests for the LRU+TTL plan cache (repro.serving.cache)."""
+"""Tests for the LRU plan cache (repro.serving.cache)."""
 
 import pytest
 
 from repro.serving import PlanCache
-
-
-class FakeClock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
 
 
 class TestLRU:
@@ -59,28 +48,6 @@ class TestLRU:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
-        with pytest.raises(ValueError):
-            PlanCache(ttl_s=0)
-
-
-class TestTTL:
-    def test_entry_expires_after_ttl(self):
-        clock = FakeClock()
-        cache = PlanCache(capacity=4, ttl_s=10.0, clock=clock)
-        cache.put("k", "plan")
-        clock.advance(9.0)
-        assert cache.get("k") == "plan"
-        clock.advance(2.0)
-        assert cache.get("k") is None
-        assert cache.stats.expirations == 1
-        assert "k" not in cache
-
-    def test_no_ttl_never_expires(self):
-        clock = FakeClock()
-        cache = PlanCache(capacity=4, ttl_s=None, clock=clock)
-        cache.put("k", "plan")
-        clock.advance(1e9)
-        assert cache.get("k") == "plan"
 
 
 class TestInvalidation:

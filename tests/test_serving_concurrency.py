@@ -2,12 +2,11 @@
 
 The concurrent front end points worker shards, the flusher, and
 operator threads (counters, statistics refreshes) at the same caches.
-These tests drive the caches from many threads at once and assert the
-two properties locking must buy: counter exactness (every lookup is
-counted exactly once — hits + misses equals lookups issued) and
-expiry safety (a TTL cache never serves an entry that was already
-expired when the lookup began). No test sleeps; workloads are sized to
-finish in well under a second.
+These tests drive the caches from many threads at once and assert
+what locking must buy: counter exactness (every lookup is counted
+exactly once — hits + misses equals lookups issued) and bounded size
+under racing inserts and clears. No test sleeps; workloads are sized
+to finish in well under a second.
 """
 
 import threading
@@ -72,40 +71,6 @@ class TestPlanCacheHammer:
         assert cache.stats.lookups == gets
         assert cache.stats.hits + cache.stats.misses == gets
         assert len(cache) <= 32
-
-    def test_expired_entries_are_never_served(self):
-        clock_lock = threading.Lock()
-        now = [0.0]
-
-        def clock():
-            with clock_lock:
-                return now[0]
-
-        def advance():
-            with clock_lock:
-                now[0] += 0.25
-
-        cache = PlanCache(capacity=64, ttl_s=1.0, clock=clock)
-
-        def worker(k):
-            if k == 0:  # the clock thread
-                for _ in range(OPS):
-                    advance()
-                return
-            for i in range(OPS):
-                key = f"key-{i % 8}"
-                if i % 3 == 0:
-                    cache.put(key, clock())
-                else:
-                    before = clock()
-                    value = cache.get(key)
-                    if value is not None:
-                        # value IS its own insertion time: if the entry
-                        # was already expired when the lookup began, the
-                        # cache must not have returned it.
-                        assert before - value <= 1.0
-
-        run_threads(worker)
 
     def test_clear_races_with_put(self):
         cache = PlanCache(capacity=128)

@@ -2,8 +2,9 @@
 and ``metrics_registry().names()`` on one fixed probe, under both
 executors, against literals recorded at commit 3056a3f (before the
 ``counters()`` renderers were collapsed into one), plus the turn
-metrics the thread shards' turn added since. Keys, values and value
-types are pinned; registry names may only be added to."""
+metrics the thread shards' turn added since, minus the TTL
+expirations count that left with the plan cache's TTL. Keys, values
+and value types are pinned; registry names may only be added to."""
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 COUNTS = {
     "batches": 2.0,
     "cache_evictions": 0.0,
-    "cache_expirations": 0.0,
     "cache_hit_rate": 0.5,
     "cache_hits": 1.0,
     "cache_invalidations": 0.0,
@@ -102,7 +102,6 @@ PROCESS_MEASURED = ["transport_bytes_pipe", "transport_bytes_shm"]
 REGISTRY_NAMES = [
     "repro_cache_entries",
     "repro_cache_evictions_total",
-    "repro_cache_expirations_total",
     "repro_cache_hits_total",
     "repro_cache_invalidations_partial_total",
     "repro_cache_invalidations_total",
@@ -251,7 +250,7 @@ def surface(request):
 
 def test_counter_keys_are_the_parents(surface):
     expected = sorted([*surface["counts"], *surface["measured"]])
-    assert len(expected) == (71 if "transport_frames_sent" in expected else 64)
+    assert len(expected) == (70 if "transport_frames_sent" in expected else 63)
     assert sorted(surface["counters"]) == expected
 
 

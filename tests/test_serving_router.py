@@ -48,17 +48,7 @@ def rename_aliases(query: Query, name: str) -> Query:
     )
 
 
-class Clock:
-    """An injectable clock for the plan cache's TTL."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-def make_service(db, max_relations, clock=None, geqo_threshold=8, **config):
+def make_service(db, max_relations, geqo_threshold=8, **config):
     featurizer = QueryFeaturizer(db.schema, max_relations=max_relations)
     agent = PPOAgent(
         featurizer.state_dim, featurizer.n_pair_actions, np.random.default_rng(3)
@@ -69,7 +59,6 @@ def make_service(db, max_relations, clock=None, geqo_threshold=8, **config):
         planner=Planner(db, geqo_threshold=geqo_threshold),
         featurizer=featurizer,
         config=ServingConfig(collect_experience=False, **config),
-        clock=clock or Clock(),
     )
 
 
@@ -96,19 +85,15 @@ SOURCES = {"expert": (4, 1.5), "fallback": (12, ALWAYS_FALL_BACK)}
 
 
 class TestRenamedTwin:
-    @pytest.mark.parametrize("dropped_by", ["lru", "ttl"])
+    @pytest.mark.parametrize("dropped_by", ["lru", "invalidate"])
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_twin_gets_its_own_aliases_after_the_cache_drops_the_query(
         self, wide_db, source, dropped_by
     ):
         width, threshold = SOURCES[source]
-        clock = Clock()
-        if dropped_by == "lru":
-            config = {"cache_capacity": 1}
-        else:
-            config = {"cache_ttl_s": 1.0}
+        config = {"cache_capacity": 1} if dropped_by == "lru" else {}
         service = make_service(
-            wide_db, width, clock, regression_threshold=threshold, **config
+            wide_db, width, regression_threshold=threshold, **config
         )
         queries = wide_queries(9, seed=41)
         other = queries.pop()
@@ -118,7 +103,8 @@ class TestRenamedTwin:
             if dropped_by == "lru":
                 service.optimize(other)  # evicts the query's plan
             else:
-                clock.now += 2.0  # expires it
+                # Drops the plan-cache entry only; the memo keeps it.
+                service.cache.invalidate(first.fingerprint)
             plans_before = service.planner.expert_plans
             served = service.optimize(twin)
             assert served.fingerprint == first.fingerprint
@@ -127,24 +113,17 @@ class TestRenamedTwin:
             assert wide_db.plan_cost(served.plan, twin).total == pytest.approx(
                 served.cost
             )
-            if dropped_by == "ttl":
+            if dropped_by == "invalidate":
                 # The memo still holds the query's plan: the twin gets
                 # that join order in its own aliases, not a new search.
                 assert service.planner.expert_plans == plans_before
                 assert served.cost == pytest.approx(first.cost)
 
     def test_degraded_cache_rung_rewrites_a_twin_plan(self, wide_db):
-        clock = Clock()
-        service = make_service(
-            wide_db,
-            12,
-            clock,
-            regression_threshold=ALWAYS_FALL_BACK,
-            cache_ttl_s=1.0,
-        )
+        service = make_service(wide_db, 12, regression_threshold=ALWAYS_FALL_BACK)
         for query in wide_queries(4, seed=43):
             first = service.optimize(query)
-            clock.now += 2.0
+            service.cache.invalidate(first.fingerprint)
             service.install_fault_injector(
                 FaultInjector(FaultConfig(policy_nan_rate=1.0, seed=1))
             )

@@ -142,6 +142,12 @@ class TestCircuitBreaker:
 
 
 class TestSupervision:
+    @pytest.mark.parametrize("interval_s", [0.0, -0.05])
+    def test_non_positive_poll_interval_rejected(self, interval_s):
+        # Event.wait(0) returns at once: the supervisor would spin.
+        with pytest.raises(ValueError, match="supervisor_interval_s"):
+            FrontEndConfig(supervisor_interval_s=interval_s)
+
     def test_killed_worker_is_respawned_and_serves(
         self, small_db, agent, featurizer
     ):
