@@ -434,17 +434,13 @@ def _cmd_fig3c(args) -> int:
         expert_ms = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
         state = SlotState(query, featurizer.max_relations)
-        cards = db.cardinalities(query)
+        encoder = featurizer.encoder(state, db.cardinalities(query))
         while not state.done:
-            vec = featurizer.featurize(state, cards)
-            mask = featurizer.pair_mask(state)
-            action, _ = agent.act(vec, mask, rng, greedy=True)
-            state.join(*featurizer.decode_pair(action))
+            action, _ = agent.act(encoder.vector(), encoder.pair_mask(), rng, greedy=True)
+            encoder.join(*featurizer.decode_pair(action))
         rejoin_ms = (time.perf_counter() - t0) * 1e3
         rows.append((n, f"{expert_ms:.2f}", f"{rejoin_ms:.2f}"))
     print("\nFigure 3c — join-order selection time (ms):")
-    from repro.core.reporting import ascii_table
-
     print(ascii_table(["relations", "expert", "rejoin"], rows))
     return 0
 

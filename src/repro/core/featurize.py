@@ -46,7 +46,8 @@ class SlotState:
     slot's members (both from the query's cached
     :meth:`~repro.db.query.Query.join_graph_index`), so
     :meth:`connected` is two integer ANDs instead of a predicate-list
-    scan per call.
+    scan per call, plus the ascending list of occupied slots, so
+    :attr:`done` is a length check instead of a scan of every slot.
     """
 
     def __init__(self, query: Query, max_relations: int) -> None:
@@ -64,23 +65,24 @@ class SlotState:
         # Sorted aliases occupy slots in order, so slot k's mask is bit k.
         self._masks: List[int] = [1 << jg.index[a] for a in aliases] + [0] * pad
         self._nbrs: List[int] = [jg.adjacency[jg.index[a]] for a in aliases] + [0] * pad
+        self._live: List[int] = list(range(len(aliases)))
 
     @property
     def occupied(self) -> List[int]:
-        return [i for i, t in enumerate(self.slots) if t is not None]
+        return list(self._live)
 
     @property
     def n_subtrees(self) -> int:
-        return len(self.occupied)
+        return len(self._live)
 
     @property
     def done(self) -> bool:
-        return self.n_subtrees == 1
+        return len(self._live) == 1
 
     def tree(self) -> JoinTree:
         if not self.done:
             raise RuntimeError("episode not finished: multiple subtrees remain")
-        return self.slots[self.occupied[0]]
+        return self.slots[self._live[0]]
 
     def join(self, i: int, j: int) -> JoinTree:
         """Join slot i (left) with slot j (right); result goes to min(i, j)."""
@@ -90,13 +92,14 @@ class SlotState:
         if left is None or right is None:
             raise ValueError(f"slot {i if left is None else j} is empty")
         merged = JoinTree.join(left, right)
-        lo, hi = min(i, j), max(i, j)
+        lo, hi = (i, j) if i < j else (j, i)
         self.slots[lo] = merged
         self.slots[hi] = None
         self._masks[lo] |= self._masks[hi]
         self._masks[hi] = 0
         self._nbrs[lo] |= self._nbrs[hi]
         self._nbrs[hi] = 0
+        self._live.remove(hi)
         return merged
 
     def connected(self, i: int, j: int) -> bool:
@@ -152,12 +155,17 @@ class QueryFeaturizer:
         self.pair_index: Dict[Tuple[int, int], int] = {
             p: k for k, p in enumerate(self.pair_actions)
         }
-        # (i, j) -> action id as an array, for vectorized mask assembly.
-        self._pair_index_matrix = np.full(
-            (max_relations, max_relations), -1, dtype=np.int64
-        )
-        for k, (i, j) in enumerate(self.pair_actions):
-            self._pair_index_matrix[i, j] = k
+        # For the episode encoders' pair masks: which (i, j) entries of
+        # a slot-by-slot matrix are actions (row-major, as above), and
+        # the ids of the actions that name each slot.
+        self._off_diagonal = ~np.eye(max_relations, dtype=bool)
+        self._slot_actions: List[np.ndarray] = [
+            np.array(
+                [k for k, (i, j) in enumerate(self.pair_actions) if s in (i, j)],
+                dtype=np.intp,
+            )
+            for s in range(max_relations)
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -243,21 +251,11 @@ class QueryFeaturizer:
         available as a last resort for disconnected join graphs).
         """
         occupied = state.occupied
+        pairs = [(i, j) for i in occupied for j in occupied if i != j]
+        if forbid_cross_products and any(state.connected(*p) for p in pairs):
+            pairs = [p for p in pairs if state.connected(*p)]
         mask = np.zeros(self.n_pair_actions, dtype=bool)
-        connected_any = False
-        entries: List[Tuple[int, bool]] = []
-        for i in occupied:
-            for j in occupied:
-                if i == j:
-                    continue
-                connected = state.connected(i, j)
-                connected_any = connected_any or connected
-                entries.append((self.pair_index[(i, j)], connected))
-        for idx, connected in entries:
-            mask[idx] = connected or not forbid_cross_products
-        if forbid_cross_products and not connected_any:
-            for idx, _ in entries:
-                mask[idx] = True
+        mask[[self.pair_index[p] for p in pairs]] = True
         return mask
 
     def decode_pair(self, action: int) -> Tuple[int, int]:
@@ -289,22 +287,30 @@ class QueryFeaturizer:
         return actions
 
 
+_DEPTH_SHIFT = 16
+_COLUMN_BITS = (1 << _DEPTH_SHIFT) - 1
+_ONE_DEEPER = 1 << _DEPTH_SHIFT
+
+
 class EpisodeEncoder:
     """Stateful per-episode featurization — the incremental fast path.
 
-    :meth:`QueryFeaturizer.featurize` rebuilds the whole state vector
-    (static query blocks included) on every call, and
-    :meth:`QueryFeaturizer.pair_mask` re-derives slot connectivity from
-    the join predicates on every call. During an episode only the two
-    slot rows touched by a join action actually change, so this encoder:
+    :meth:`QueryFeaturizer.featurize` and :meth:`QueryFeaturizer.
+    pair_mask` rebuild everything on every call. During an episode only
+    the two slots a join touches change, so this encoder:
 
     - caches the static blocks (join graph, predicate flags,
       selectivities) once at construction;
-    - maintains the tree matrix in place, refreshing only the merged
-      slot's row and zeroing the freed slot's row on :meth:`join`;
-    - maintains a slot-connectivity matrix incrementally — merging two
-      slots ORs their connectivity rows, since a predicate links the
-      merged forest exactly when it linked either part.
+    - keeps each slot's members' ``(table column, depth)`` in
+      :meth:`~repro.db.plans.JoinTree.leaf_depths` walk order, so a
+      join rewrites the merged row from the two member lists (depths
+      plus one, left before right: the reference's summation order);
+    - reads the cardinality column by the slot's :class:`SlotState`
+      bitmask from the query's mask-keyed memo
+      (:meth:`~repro.db.cardinality.QueryCardinalities.rows_for_mask`);
+    - keeps the all-pairs mask and clears the freed slot's actions on a
+      join; the cross-product-forbidding mask is read off
+      :class:`SlotState`'s neighbour and member bitmasks.
 
     :meth:`vector` and :meth:`pair_mask` are bitwise-identical to the
     stateless methods (the parity tests assert this); route all joins
@@ -332,43 +338,57 @@ class EpisodeEncoder:
         #: The state vector's first ``tree_size`` entries: a flat *view*
         #: of the slot matrix, so it is current after every :meth:`join`.
         self.tree_block = self._tree.reshape(-1)
-        for slot in state.occupied:
-            self._refresh_row(slot)
-        self._conn = np.zeros((f.max_relations, f.max_relations), dtype=bool)
-        occupied = state.occupied
-        if all(state.slots[i].is_leaf for i in occupied):
-            slot_of = {state.slots[i].alias: i for i in occupied}
-            for pred in query.joins:
-                i, j = slot_of[pred.left.alias], slot_of[pred.right.alias]
-                if i != j:
-                    self._conn[i, j] = self._conn[j, i] = True
-        else:  # adopted mid-episode: derive connectivity from scratch
-            for i in occupied:
-                for j in occupied:
-                    if i < j and state.connected(i, j):
-                        self._conn[i, j] = self._conn[j, i] = True
+        self._rows = (
+            cards.rows_for_mask if cards is not None and f.include_cardinality
+            else None
+        )
+        table_index, table_of = f.table_index, query.table_of
+        #: Per slot, its members as ``depth << _DEPTH_SHIFT | column``
+        #: ints (no per-member tuples for the collector to track).
+        self._members: List[List[int] | None] = [None] * f.max_relations
+        for slot in state._live:
+            tree = state.slots[slot]
+            # leaf_depths' recursive closure is a reference cycle per
+            # call, left for the collector: skip it for leaves.
+            self._members[slot] = (
+                [table_index[table_of(tree.alias)]]
+                if tree.is_leaf
+                else [
+                    depth << _DEPTH_SHIFT | table_index[table_of(alias)]
+                    for alias, depth in tree.leaf_depths().items()
+                ]
+            )
+            self._write_row(slot)
+        occupied = np.zeros(f.max_relations, dtype=bool)
+        occupied[state._live] = True
+        self._pairs = np.logical_and.outer(occupied, occupied)[f._off_diagonal]
 
-    def _refresh_row(self, slot: int) -> None:
-        f = self.featurizer
-        subtree = self.state.slots[slot]
+    def _write_row(self, slot: int) -> None:
         row = self._tree[slot]
-        row[:] = 0.0
-        row[: f._n_tables] = f.subtree_vector(subtree, self.state.query)
-        if self.cards is not None and f.include_cardinality:
-            rows = self.cards.rows_for_aliases(subtree.aliases)
-            row[f._n_tables] = np.log10(max(rows, 1.0)) / 10.0
+        row.fill(0.0)
+        sums: Dict[int, float] = {}
+        for member in self._members[slot]:
+            col = member & _COLUMN_BITS
+            sums[col] = sums.get(col, 0.0) + 1.0 / ((member >> _DEPTH_SHIFT) + 1.0)
+        for col, value in sums.items():
+            row[col] = value
+        if self._rows is not None:
+            rows = self._rows(self.state._masks[slot])
+            row[-1] = np.log10(max(rows, 1.0)) / 10.0
 
     def join(self, i: int, j: int) -> JoinTree:
         """Apply the pair action and update every cached block it touches."""
         merged = self.state.join(i, j)
-        lo, hi = min(i, j), max(i, j)
-        self._conn[lo] |= self._conn[hi]
-        self._conn[:, lo] |= self._conn[:, hi]
-        self._conn[hi, :] = False
-        self._conn[:, hi] = False
-        self._conn[lo, lo] = False
-        self._refresh_row(lo)
-        self._tree[hi] = 0.0
+        lo, hi = (i, j) if i < j else (j, i)
+        members = self._members
+        # Left members before right ones: the reference's walk order.
+        members[lo] = [
+            m + _ONE_DEEPER for part in (members[i], members[j]) for m in part
+        ]
+        members[hi] = None
+        self._write_row(lo)
+        self._tree[hi].fill(0.0)
+        self._pairs[self.featurizer._slot_actions[hi]] = False
         return merged
 
     def vector(self) -> np.ndarray:
@@ -387,7 +407,7 @@ class EpisodeEncoder:
         out[split:] = self.static_block
 
     def pair_mask(self, forbid_cross_products: bool = True) -> np.ndarray:
-        """Validity mask over pair actions, from the cached connectivity."""
+        """Validity mask over pair actions for the current forest."""
         mask = np.zeros(self.featurizer.n_pair_actions, dtype=bool)
         self.pair_mask_into(mask, forbid_cross_products)
         return mask
@@ -397,16 +417,19 @@ class EpisodeEncoder:
     ) -> None:
         """Write the pair-action mask into a caller-owned boolean row
         (assumed zeroed or reused — it is fully overwritten)."""
-        f = self.featurizer
-        out[:] = False
-        occupied = np.asarray(self.state.occupied, dtype=np.int64)
-        if len(occupied) < 2:
-            return
-        rows, cols = occupied[:, None], occupied[None, :]
-        connected = self._conn[rows, cols]
-        if forbid_cross_products and connected.any():
-            allowed = connected
-        else:
-            allowed = np.ones_like(connected)
-        np.fill_diagonal(allowed, False)
-        out[f._pair_index_matrix[rows, cols][allowed]] = True
+        if forbid_cross_products:
+            state = self.state
+            live, masks, nbrs = state._live, state._masks, state._nbrs
+            pair_index = self.featurizer.pair_index
+            ids = [
+                pair_index[i, j]
+                for i in live
+                for j in live
+                if i != j and nbrs[i] & masks[j]
+            ]
+            if ids:
+                out[:] = False
+                out[ids] = True
+                return
+        out[:] = self._pairs
+

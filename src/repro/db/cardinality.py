@@ -55,7 +55,7 @@ mask-keyed products (see ``FastJoinContext.rows``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.db.plans import (
     IndexScan,
@@ -355,15 +355,25 @@ class QueryCardinalities:
     Non-product lanes (learned) supply whole-set estimates through
     :meth:`CardinalityModel.alias_set_rows` and fall back to the
     histogram formula when they decline.
+
+    Alias sets are memoized as bitmasks over the query's sorted aliases
+    (:meth:`~repro.db.query.Query.join_graph_index`), one memo per query
+    that the episode encoder and the frozenset entry points read; the
+    bitset searches run the same :meth:`product_rows` in their own.
     """
 
     def __init__(self, estimator: CardinalityModel, query: Query) -> None:
         self.estimator = estimator
         self.query = query
         self._scan_cache: Dict[str, _ScanInfo] = {}
-        self._tree_cache: Dict[frozenset, float] = {}
-        self._hist_tree_cache: Dict[frozenset, float] = {}
         self._join_sel_cache: Dict[JoinPredicate, float] = {}
+        #: By mask: the product formula, its scan-row prefix products,
+        #: and the active lane's estimates (each entry counted once).
+        self._hist: Dict[int, float] = {0: 1.0}
+        self._scan_prod: Dict[int, float] = {0: 1.0}
+        self._rows: Dict[int, float] = {}
+        self._scans: List[float] | None = None
+        self._edge_sels: List[Tuple[int, float]] | None = None
 
     @property
     def product_form(self) -> bool:
@@ -400,45 +410,75 @@ class QueryCardinalities:
             self._join_sel_cache[pred] = sel
         return sel
 
-    def histogram_rows_for_aliases(self, aliases: frozenset) -> float:
-        """The product formula over the active lane's selectivities.
+    def histogram_rows_for_mask(self, mask: int) -> float:
+        """:meth:`product_rows` memoized by mask. Non-product lanes call
+        it too, as their fallback and the learned lane's prior."""
+        rows = self._hist.get(mask)
+        if rows is None:
+            rows = self._hist[mask] = self.product_rows(mask, self._scan_prod)
+        return rows
+
+    def product_rows(self, mask: int, scan_prod: Dict[int, float]) -> float:
+        """The product formula over the active lane's selectivities for
+        the aliases whose bits (in sorted alias order) are in ``mask``.
 
         This is the seed arithmetic, pinned bitwise for the histogram
         lane: scan rows multiplied in sorted alias order, join
         selectivities in predicate declaration order, clamped to one
-        row at the end. Non-product lanes call it too — as their
-        fallback and as the learned lane's featurization prior — which
-        is why it memoizes separately from :meth:`rows_for_aliases`.
+        row at the end. The scan product extends that of the mask
+        without its highest bit (the sorted left-fold, bit for bit),
+        memoized in the caller's ``scan_prod`` (``{0: 1.0, ...}``).
         """
-        cached = self._hist_tree_cache.get(aliases)
-        if cached is not None:
-            return cached
-        rows = 1.0
-        # Sorted iteration: frozenset order depends on string hashing,
-        # which is randomized per process — multiplying in sorted alias
-        # order keeps the float product reproducible across runs (and is
-        # the order the bitset DP's incremental products follow).
-        for alias in sorted(aliases):
-            rows *= self.scan_rows(alias)
-        for pred in self.query.joins:
-            if pred.left.alias in aliases and pred.right.alias in aliases:
-                rows *= self.join_selectivity(pred)
-        rows = max(1.0, rows)
-        self._hist_tree_cache[aliases] = rows
+        if self._scans is None:
+            self._scans = [
+                self.scan_rows(a) for a in self.query.join_graph_index().aliases
+            ]
+        pending: List[int] = []
+        m = mask
+        while (rows := scan_prod.get(m)) is None:
+            pending.append(m)
+            m &= ~(1 << (m.bit_length() - 1))
+        scans = self._scans
+        while pending:
+            m = pending.pop()
+            rows = rows * scans[m.bit_length() - 1]
+            scan_prod[m] = rows
+        if mask & (mask - 1):  # every join predicate spans two aliases
+            if self._edge_sels is None:
+                self._edge_sels = [
+                    (abit | bbit, self.join_selectivity(pred))
+                    for abit, bbit, pred in self.query.join_graph_index().edges
+                ]
+            for ends, sel in self._edge_sels:
+                if ends & mask == ends:
+                    rows *= sel
+        return rows if rows >= 1.0 else 1.0
+
+    def histogram_rows_for_aliases(self, aliases: frozenset) -> float:
+        """:meth:`histogram_rows_for_mask` for an alias collection."""
+        mask = self.query.join_graph_index().mask_of(aliases)
+        return self.histogram_rows_for_mask(mask)
+
+    def rows_for_mask(self, mask: int) -> float:
+        """Estimated rows of any join over exactly the aliases in ``mask``
+        (bits in sorted alias order), under the active lane."""
+        rows = self._rows.get(mask)
+        if rows is not None:
+            return rows
+        if self.estimator.product_form:
+            rows = self.histogram_rows_for_mask(mask)
+        else:
+            aliases = frozenset(self.query.join_graph_index().aliases_of(mask))
+            rows = self.estimator.alias_set_rows(self, aliases)
+            if rows is None:
+                rows = self.histogram_rows_for_mask(mask)
+        self.estimator.counts["estimates"] += 1
+        self._rows[mask] = rows
         return rows
 
     def rows_for_aliases(self, aliases: frozenset) -> float:
         """Estimated rows of any join over exactly these aliases."""
-        aliases = frozenset(aliases)
-        cached = self._tree_cache.get(aliases)
-        if cached is not None:
-            return cached
-        rows = self.estimator.alias_set_rows(self, aliases)
-        if rows is None:
-            rows = self.histogram_rows_for_aliases(aliases)
-        self.estimator.counts["estimates"] += 1
-        self._tree_cache[aliases] = rows
-        return rows
+        return self.rows_for_mask(self.query.join_graph_index().mask_of(aliases))
 
     def tree_rows(self, tree: JoinTree) -> float:
         return self.rows_for_aliases(tree.aliases)

@@ -89,6 +89,22 @@ class QueryJoinGraph:
             m ^= low
         return reach
 
+    def components(self) -> List[int]:
+        """Connected components of the join graph as bitmasks, in
+        ascending order of their lowest member."""
+        seen = 0
+        components = []
+        for start in range(self.n):
+            if seen & (1 << start):
+                continue
+            comp, frontier = 0, 1 << start
+            while frontier:
+                comp |= frontier
+                frontier = self.neighbors(frontier) & ~comp
+            components.append(comp)
+            seen |= comp
+        return components
+
 
 @dataclass(frozen=True)
 class AggregateSpec:

@@ -12,12 +12,13 @@ This module is the integer fast lane:
 
 - the join graph is derived once per query and cached on the query
   object (:meth:`repro.db.query.Query.join_graph_index`);
-- per-subset cardinalities are memoized in flat dicts keyed by mask,
-  with the scan-row product built incrementally from sub-masks and the
-  selectivity product applied from a precomputed ``(bit, bit, sel)``
-  edge list — float-for-float the same arithmetic as
-  :meth:`~repro.db.cardinality.QueryCardinalities.rows_for_aliases`, so
-  the fast lane's costs are bitwise-identical to the seed's;
+- per-subset cardinalities are memoized in flat dicts keyed by mask
+  and computed by
+  :meth:`~repro.db.cardinality.QueryCardinalities.product_rows`: the
+  scan-row product built incrementally from sub-masks and the
+  selectivity product applied from an ``(end bits, sel)`` edge list —
+  the one home of that arithmetic, so the fast lane's costs are
+  bitwise-identical to ``rows_for_aliases``;
 - connected-subgraph enumeration grows neighborhoods level by level,
   carrying each subset's neighbor union instead of re-deriving it;
 - DP entries store ``(cost, split)`` pairs; join trees are materialized
@@ -94,8 +95,9 @@ class FastJoinContext:
 
     Wraps one query's cached :class:`~repro.db.query.QueryJoinGraph`
     plus its :class:`~repro.db.cardinality.QueryCardinalities`, resolving
-    scan rows, scan costs, and per-edge selectivities into flat arrays
-    once so the search loops touch only ints and floats.
+    scan costs into a flat array once so the search loops touch only
+    ints and floats. Row estimates come from the cardinalities' one
+    product arithmetic (see :meth:`rows`).
     """
 
     __slots__ = (
@@ -106,12 +108,10 @@ class FastJoinContext:
         "n",
         "aliases",
         "adjacency",
-        "scan_rows",
-        "edge_sels",
         "_scan_costs",
-        "_scan_prod",
-        "_rows",
         "_nbr",
+        "_rows",
+        "_scan_prod",
         "_product_form",
     )
 
@@ -129,24 +129,19 @@ class FastJoinContext:
         self.n = jg.n
         self.aliases = jg.aliases
         self.adjacency = jg.adjacency
-        self.scan_rows: List[float] = [cards.scan_rows(a) for a in jg.aliases]
         cpu_tuple = self.params.cpu_tuple_cost
         self._scan_costs: List[float] = [
             cards.base_rows(a) * cpu_tuple for a in jg.aliases
         ]
-        self.edge_sels: List[Tuple[int, int, float]] = [
-            (abit, bbit, cards.join_selectivity(pred))
-            for abit, bbit, pred in jg.edges
-        ]
-        self._scan_prod: Dict[int, float] = {0: 1.0}
-        self._rows: Dict[int, float] = {0: 1.0}
         self._nbr: Dict[int, int] = {}
-        #: Product-form lanes (histogram, pessimistic) license the
-        #: incremental mask products below; non-product lanes (learned)
-        #: route every subset estimate through the interface's
-        #: ``rows_for_aliases`` so the DP searches under the lane's own
-        #: numbers.
+        #: Product-form lanes (histogram, pessimistic) license
+        #: ``cards.product_rows``; non-product lanes (learned) route each
+        #: subset through the lane's ``rows_for_mask``. The memo is the
+        #: search's own, not the query's: a cached query must not keep
+        #: every subset its expert search visited alive.
         self._product_form: bool = getattr(cards, "product_form", True)
+        self._rows: Dict[int, float] = {0: 1.0}
+        self._scan_prod: Dict[int, float] = {0: 1.0}
 
     # ------------------------------------------------------------------
     def scan_cost(self, i: int) -> float:
@@ -167,60 +162,17 @@ class FastJoinContext:
     def connected(self, mask_a: int, mask_b: int) -> bool:
         return bool(self.neighbors(mask_a) & mask_b)
 
-    # ------------------------------------------------------------------
-    def _scan_product(self, mask: int) -> float:
-        """Product of scan rows over ``mask``, in ascending alias order.
-
-        Built incrementally: each mask's product extends the product of
-        the mask without its highest bit, which reproduces the sorted
-        left-fold of ``rows_for_aliases`` bit for bit.
-        """
-        cache = self._scan_prod
-        prod = cache.get(mask)
-        if prod is not None:
-            return prod
-        pending: List[int] = []
-        m = mask
-        while (prod := cache.get(m)) is None:
-            pending.append(m)
-            m &= ~(1 << (m.bit_length() - 1))
-        scan = self.scan_rows
-        while pending:
-            m = pending.pop()
-            prod = prod * scan[m.bit_length() - 1]
-            cache[m] = prod
-        return prod
-
     def rows(self, mask: int) -> float:
-        """Estimated rows of any join over exactly the aliases in ``mask``.
-
-        Bitwise-identical to
-        ``cards.rows_for_aliases(frozenset(aliases_of(mask)))``: scan
-        rows multiplied in sorted alias order, then join selectivities
-        in predicate declaration order, clamped to one row at the end —
-        but memoized flat by mask, with no set or string objects.
-        """
-        cached = self._rows.get(mask)
-        if cached is not None:
-            return cached
-        if self._product_form:
-            rows = self._scan_product(mask)
-            for abit, bbit, sel in self.edge_sels:
-                if abit & mask and bbit & mask:
-                    rows *= sel
-            if rows < 1.0:
-                rows = 1.0
-        else:
-            # Non-product lane: ask the interface, memoize by mask.
-            aliases = self.aliases
-            members = []
-            m = mask
-            while m:
-                bit = m & -m
-                members.append(aliases[bit.bit_length() - 1])
-                m ^= bit
-            rows = self.cards.rows_for_aliases(frozenset(members))
-        self._rows[mask] = rows
+        """Estimated rows of any join over exactly the aliases in
+        ``mask``: bitwise ``cards.rows_for_aliases`` of those aliases,
+        memoized flat by mask with no set or string objects."""
+        rows = self._rows.get(mask)
+        if rows is None:
+            if self._product_form:
+                rows = self.cards.product_rows(mask, self._scan_prod)
+            else:
+                rows = self.cards.rows_for_mask(mask)
+            self._rows[mask] = rows
         return rows
 
     # ------------------------------------------------------------------
@@ -300,7 +252,7 @@ def selinger_dp_bitset(
     ctx = FastJoinContext(query, cards, params)
     if stats is None:
         stats = DPStats()
-    components = _graph_components(ctx)
+    components = ctx.jg.components()
     trees = [
         _dp_component(
             ctx, comp, bushy, prune, exact, prune_margin, stats, check_deadline
@@ -317,31 +269,6 @@ def selinger_dp_bitset(
     for tree in ordered[1:]:
         result = JoinTree.join(result, tree)
     return result
-
-
-def _graph_components(ctx: FastJoinContext) -> List[int]:
-    """Connected components of the join graph, as bitmasks."""
-    adjacency = ctx.adjacency
-    seen = 0
-    components = []
-    for start in range(ctx.n):
-        bit = 1 << start
-        if seen & bit:
-            continue
-        frontier = bit
-        comp = 0
-        while frontier:
-            comp |= frontier
-            new = 0
-            m = frontier
-            while m:
-                low = m & -m
-                new |= adjacency[low.bit_length() - 1]
-                m ^= low
-            frontier = new & ~comp
-        components.append(comp)
-        seen |= comp
-    return components
 
 
 def _dp_component(

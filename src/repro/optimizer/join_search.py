@@ -76,7 +76,9 @@ def estimate_join_cost(
 
 
 class _SearchContext:
-    """Shared scaffolding for the search algorithms."""
+    """Shared scaffolding for the search algorithms, over the query's
+    cached bitset join graph (:meth:`~repro.db.query.Query.
+    join_graph_index`)."""
 
     def __init__(
         self,
@@ -87,37 +89,19 @@ class _SearchContext:
         self.query = query
         self.cards = cards
         self.params = params or CostParams()
-        self.aliases: List[str] = sorted(query.relations)
-        self.index: Dict[str, int] = {a: i for i, a in enumerate(self.aliases)}
-        # Adjacency bitmask per alias from the join graph.
-        self.adjacency = [0] * len(self.aliases)
-        for pred in query.joins:
-            i = self.index[pred.left.alias]
-            j = self.index[pred.right.alias]
-            self.adjacency[i] |= 1 << j
-            self.adjacency[j] |= 1 << i
+        self.jg = query.join_graph_index()
+        self.aliases: List[str] = self.jg.aliases
+        self.adjacency: List[int] = self.jg.adjacency
 
     def mask_of(self, tree: JoinTree) -> int:
-        mask = 0
-        for alias in tree.aliases:
-            mask |= 1 << self.index[alias]
-        return mask
-
-    def aliases_of(self, mask: int) -> List[str]:
-        return [a for i, a in enumerate(self.aliases) if mask & (1 << i)]
+        return self.jg.mask_of(tree.aliases)
 
     def connected(self, mask_a: int, mask_b: int) -> bool:
         """True if some join predicate links the two alias sets."""
-        reach = 0
-        m = mask_a
-        while m:
-            low = m & -m
-            reach |= self.adjacency[low.bit_length() - 1]
-            m ^= low
-        return bool(reach & mask_b)
+        return bool(self.jg.neighbors(mask_a) & mask_b)
 
     def rows(self, mask: int) -> float:
-        return self.cards.rows_for_aliases(frozenset(self.aliases_of(mask)))
+        return self.cards.rows_for_aliases(frozenset(self.jg.aliases_of(mask)))
 
     def join_cost(self, mask_a: int, mask_b: int) -> float:
         left = self.rows(mask_a)
@@ -146,34 +130,9 @@ def selinger_dp(
     cross-joined smallest-first, like PostgreSQL.
     """
     ctx = _SearchContext(query, cards, params)
-    components = _graph_components(ctx)
+    components = ctx.jg.components()
     trees = [_dp_component(ctx, comp, bushy) for comp in components]
     return _combine_components(ctx, trees)
-
-
-def _graph_components(ctx: _SearchContext) -> List[int]:
-    """Connected components of the join graph, as bitmasks."""
-    n = len(ctx.aliases)
-    seen = 0
-    components = []
-    for start in range(n):
-        bit = 1 << start
-        if seen & bit:
-            continue
-        frontier = bit
-        comp = 0
-        while frontier:
-            comp |= frontier
-            new = 0
-            m = frontier
-            while m:
-                low = m & -m
-                new |= ctx.adjacency[low.bit_length() - 1]
-                m ^= low
-            frontier = new & ~comp
-        components.append(comp)
-        seen |= comp
-    return components
 
 
 def _dp_component(ctx: _SearchContext, comp_mask: int, bushy: bool) -> JoinTree:

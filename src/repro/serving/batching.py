@@ -137,17 +137,18 @@ class MicroBatchEngine:
         trees = np.empty((width, split))
         # Columns past n_pairs (a grown action layer) stay invalid.
         masks = np.zeros((width, net.out_features), dtype=bool)
+        pair_masks = masks[:, :n_pairs]
         hidden = np.empty((width, first.out_features))
         row_ids = np.arange(width)
+        pair_actions, forbid = featurizer.pair_actions, self.forbid_cross_products
         while active:
             for start in range(0, len(active), self.max_batch_size):
                 chunk = active[start : start + self.max_batch_size]
                 n = len(chunk)
                 for row, i in enumerate(chunk):
-                    trees[row] = encoders[i].tree_block
-                    encoders[i].pair_mask_into(
-                        masks[row, :n_pairs], self.forbid_cross_products
-                    )
+                    encoder = encoders[i]
+                    trees[row] = encoder.tree_block
+                    encoder.pair_mask_into(pair_masks[row], forbid)
                 valid = masks[:n]
                 fwd_start = time.perf_counter()
                 np.matmul(trees[:n], w_tree, out=hidden[:n])
@@ -183,13 +184,13 @@ class MicroBatchEngine:
                         records[i].transitions.append(
                             Transition(
                                 np.concatenate([trees[row], encoder.static_block]),
-                                masks[row, :n_pairs].copy(),
+                                pair_masks[row].copy(),
                                 action,
                                 0.0,
                                 float(log_probs[row, action]),
                             )
                         )
-                    encoder.join(*featurizer.decode_pair(action))
+                    encoder.join(*pair_actions[action])
             active = [i for i in active if not states[i].done]
         for finished, state in zip(records, states):
             finished.tree = state.tree()

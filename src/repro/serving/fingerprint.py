@@ -17,9 +17,15 @@ The canonicalization is a colour-refinement pass over the alias graph
    the whole query is re-rendered with sorted conjuncts and sorted
    join-predicate sides.
 
-Aliases that remain tied after refinement are genuinely symmetric
-(automorphic), so either assignment renders the same canonical text.
-The fingerprint is the SHA-256 of that text.
+Ties left after refinement are broken by alias name, which is harmless
+only for one tied class with no join inside it. Two symmetric branches
+``k1–l1`` and ``k2–l2`` leave ``{k1, k2}`` and ``{l1, l2}`` tied, and
+names pair ``k1`` with ``l1`` in one query but with ``l2`` in a renamed
+twin. So the first member of the lowest tied class gets a colour of its
+own and refinement runs again (individualization-refinement) until the
+ties left are harmless. Aliases refinement cannot separate that are not
+symmetric either can still cost a twin a cache miss, never a wrong
+plan. The fingerprint is the SHA-256 of the canonical text.
 """
 
 from __future__ import annotations
@@ -74,6 +80,42 @@ def _refine(query: Query, colors: Dict[str, str]) -> Dict[str, str]:
     }
 
 
+def _refine_to_stable(query: Query, colors: Dict[str, str]) -> Dict[str, str]:
+    """Refine until the partition stops splitting.
+
+    Refinement only ever splits colour classes (the new colour hashes
+    in the old one), so an unchanged count means the partition is
+    stable and further rounds cannot move it. Two equivalent queries
+    refine in lockstep, so they stop at the same round and keep
+    identical fingerprints.
+    """
+    distinct = len(set(colors.values()))
+    for _ in range(len(query.relations)):
+        colors = _refine(query, colors)
+        refined = len(set(colors.values()))
+        if refined == distinct:
+            break
+        distinct = refined
+    return colors
+
+
+def _inconsistent_ties(query: Query, colors: Dict[str, str]) -> List[str]:
+    """The lowest tied colour class, aliases in name order, if breaking
+    the leftover ties by name could name a renamed twin differently;
+    else nothing. One tied class with no join inside it is safe."""
+    if len(set(colors.values())) == len(colors):
+        return []
+    classes: Dict[str, List[str]] = {}
+    for alias in sorted(colors):
+        classes.setdefault(colors[alias], []).append(alias)
+    tied = sorted(c for c, members in classes.items() if len(members) > 1)
+    if len(tied) == 1 and not any(
+        colors[j.left.alias] == tied[0] == colors[j.right.alias] for j in query.joins
+    ):
+        return []
+    return classes[tied[0]]
+
+
 def canonical_alias_map(query: Query) -> Dict[str, str]:
     """alias -> canonical name (``r0``, ``r1``, ...).
 
@@ -82,19 +124,12 @@ def canonical_alias_map(query: Query) -> Dict[str, str]:
     another's inverse yields the alias translation between them (used
     by the serving cache to remap cached plans).
     """
-    colors = _initial_colors(query)
-    distinct = len(set(colors.values()))
-    for _ in range(len(query.relations)):
-        colors = _refine(query, colors)
-        refined = len(set(colors.values()))
-        # Refinement only ever splits colour classes (the new colour
-        # hashes in the old one), so an unchanged count means the
-        # partition is stable and further rounds cannot move it. Two
-        # equivalent queries refine in lockstep, so they stop at the
-        # same round and keep identical fingerprints.
-        if refined == distinct:
-            break
-        distinct = refined
+    colors = _refine_to_stable(query, _initial_colors(query))
+    # Individualize one member of the lowest tied class and refine
+    # again while names would break the ties inconsistently.
+    while tied := _inconsistent_ties(query, colors):
+        colors[tied[0]] = _digest(colors[tied[0]] + "|*")
+        colors = _refine_to_stable(query, colors)
     order = sorted(query.relations, key=lambda alias: (colors[alias], alias))
     return {alias: f"r{k}" for k, alias in enumerate(order)}
 

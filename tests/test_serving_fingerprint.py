@@ -1,7 +1,7 @@
 """Tests for canonical query fingerprints (repro.serving.fingerprint)."""
 
 from repro.db.query import parse_query
-from repro.serving import canonical_text, fingerprint
+from repro.serving import canonical_alias_map, canonical_text, fingerprint
 
 
 def fp(sql: str, name: str = "q") -> str:
@@ -47,6 +47,40 @@ class TestEquivalence:
             "SELECT * FROM a, b AS b1, b AS b2 "
             "WHERE b2.a_id = a.id AND b1.a_id = a.id AND b2.z = 3"
         )
+
+    def test_renamed_twin_with_two_tied_classes(self):
+        # {k1, k2} and {l1, l2} both stay tied after refinement; a
+        # per-class tie-break by name pairs k1 with l1 here and with l2
+        # in the twin that swaps the names l1 and l2.
+        base = (
+            "SELECT * FROM movie_keyword AS m, keyword AS k1, keyword AS k2, "
+            "link AS l1, link AS l2 "
+            "WHERE m.keyword_id = k1.id AND m.keyword_id = k2.id AND "
+        )
+        query = parse_query(base + "l1.keyword_id = k1.id AND l2.keyword_id = k2.id")
+        twin = parse_query(base + "l2.keyword_id = k1.id AND l1.keyword_id = k2.id")
+        assert fingerprint(query) == fingerprint(twin)
+        # ...and the alias maps translate one's joins into the twin's.
+        names, twin_names = canonical_alias_map(query), canonical_alias_map(twin)
+        to_twin = {canon: alias for alias, canon in twin_names.items()}
+        rename = {alias: to_twin[names[alias]] for alias in query.relations}
+
+        def joins(q, rename):
+            return {
+                frozenset(f"{rename[c.alias]}.{c.column}" for c in (j.left, j.right))
+                for j in q.joins
+            }
+
+        assert joins(query, rename) == joins(twin, {a: a for a in twin.relations})
+
+    def test_tied_class_joined_inside_is_individualized(self):
+        # One tied class, but a join inside it: a 4-cycle of one table
+        # whose twin relabels the cycle.
+        sql = (
+            "SELECT * FROM a AS p, a AS q, a AS r, a AS s "
+            "WHERE p.x = {0}.y AND {0}.x = {1}.y AND {1}.x = {2}.y AND {2}.x = p.y"
+        )
+        assert fp(sql.format("q", "r", "s")) == fp(sql.format("r", "s", "q"))
 
 
 class TestDistinction:
