@@ -26,62 +26,138 @@ own and refinement runs again (individualization-refinement) until the
 ties left are harmless. Aliases refinement cannot separate that are not
 symmetric either can still cost a twin a cache miss, never a wrong
 plan. The fingerprint is the SHA-256 of the canonical text.
+
+The refinement and the canonical text read the query only through its
+*statement*: the alias -> table pairs, each selection's alias and
+predicate signature, the join columns, GROUP BY and aggregates, in the
+order written (``Query.name`` is not part of it). The serving path
+canonicalizes through a :class:`StatementMemo`, a bounded LRU keyed by
+that tuple, so a repeated statement costs building its key and one
+lookup; a new one costs no more than a direct call, because the key is
+what the refinement would have built anyway.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Dict, List
+import threading
+from collections import OrderedDict
+from hashlib import sha256
+from typing import Dict, List, Tuple
 
 from repro.db.plans import JoinTree
 from repro.db.predicates import predicate_signature as _selection_signature
 from repro.db.query import Query
 
-__all__ = ["canonical_alias_map", "canonical_text", "fingerprint", "translate_tree"]
+__all__ = [
+    "STATEMENT_MEMO_CAPACITY",
+    "StatementMemo",
+    "canonical_alias_map",
+    "canonical_text",
+    "fingerprint",
+    "translate_tree",
+]
+
+#: Statements a :class:`StatementMemo` remembers, least recently used
+#: out first: twice a plan cache's default capacity, room for every
+#: fingerprint one shard caches, spelled two ways.
+STATEMENT_MEMO_CAPACITY = 1024
 
 
 def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256(text.encode()).hexdigest()
 
 
-def _initial_colors(query: Query) -> Dict[str, str]:
+#: ``(alias, table)`` pairs, ``(alias, predicate signature)`` per
+#: selection, ``(left alias, left column, right alias, right column)``
+#: per join, ``(alias, column)`` per GROUP BY column and ``(func, alias,
+#: column)`` per aggregate (``None, None`` for ``count(*)``), each in
+#: the order the query lists them.
+Statement = Tuple[tuple, tuple, tuple, tuple, tuple]
+
+
+def _statement(query: Query) -> Statement:
+    """Everything the canonicalization reads of ``query``, as written,
+    and all it reads: the refinement and the canonical text run on this
+    tuple, so equal statements have equal alias maps and fingerprints,
+    and the tuple is the :class:`StatementMemo` key. A selection enters
+    by alias and signature, rendered once here, not as a dataclass:
+    ``Comparison(value=1)`` equals ``Comparison(value=1.0)``, while their
+    signatures (``1``, ``1.0``) keep them apart."""
+    return (
+        tuple(query.relations.items()),
+        tuple([(p.column.alias, _selection_signature(p)) for p in query.selections]),
+        tuple(
+            [
+                (j.left.alias, j.left.column, j.right.alias, j.right.column)
+                for j in query.joins
+            ]
+        ),
+        tuple([(r.alias, r.column) for r in query.group_by]),
+        tuple(
+            [
+                (a.func, None, None)
+                if a.column is None
+                else (a.func, a.column.alias, a.column.column)
+                for a in query.aggregates
+            ]
+        ),
+    )
+
+
+def _initial_colors(statement: Statement) -> Dict[str, str]:
+    relations, selections, _joins, group_by, aggregates = statement
+    usage: Dict[str, List[str]] = {}
+    for alias, signature in selections:
+        usage.setdefault(alias, []).append(signature)
+    aggregated: Dict[str, List[str]] = {}
+    for func, alias, column in aggregates:
+        if alias is not None:
+            aggregated.setdefault(alias, []).append(f"A:{func}:{column}")
+    grouped: Dict[str, List[str]] = {}
+    for alias, column in group_by:
+        grouped.setdefault(alias, []).append(f"G:{column}")
     colors: Dict[str, str] = {}
-    agg_by_alias: Dict[str, List[str]] = {}
-    for agg in query.aggregates:
-        if agg.column is not None:
-            agg_by_alias.setdefault(agg.column.alias, []).append(
-                f"A:{agg.func}:{agg.column.column}"
-            )
-    group_by_alias: Dict[str, List[str]] = {}
-    for ref in query.group_by:
-        group_by_alias.setdefault(ref.alias, []).append(f"G:{ref.column}")
-    for alias, table in query.relations.items():
-        parts = sorted(_selection_signature(p) for p in query.selections_for(alias))
-        parts += sorted(agg_by_alias.get(alias, []))
-        parts += sorted(group_by_alias.get(alias, []))
-        colors[alias] = _digest(f"{table}|{';'.join(parts)}")
+    for alias, table in relations:
+        parts = sorted(usage[alias]) if alias in usage else []
+        if alias in aggregated:
+            parts += sorted(aggregated[alias])
+        if alias in grouped:
+            parts += sorted(grouped[alias])
+        colors[alias] = sha256(f"{table}|{';'.join(parts)}".encode()).hexdigest()
     return colors
 
 
-def _refine(query: Query, colors: Dict[str, str]) -> Dict[str, str]:
+def _incidences(statement: Statement) -> List[Tuple[str, str, str]]:
+    """Each join once from either side, as ``(alias, "my column~partner
+    column:", partner alias)``: the refinement appends the partner's
+    current colour every round."""
+    incidences = []
+    for left, left_column, right, right_column in statement[2]:
+        incidences.append((left, f"{left_column}~{right_column}:", right))
+        incidences.append((right, f"{right_column}~{left_column}:", left))
+    return incidences
+
+
+def _refine(
+    incidences: List[Tuple[str, str, str]], colors: Dict[str, str]
+) -> Dict[str, str]:
     """One Weisfeiler-Lehman round over the join incidences."""
-    incidences: Dict[str, List[str]] = {alias: [] for alias in query.relations}
-    for join in query.joins:
-        left, right = join.left, join.right
-        incidences[left.alias].append(
-            f"{left.column}~{right.column}:{colors[right.alias]}"
-        )
-        incidences[right.alias].append(
-            f"{right.column}~{left.column}:{colors[left.alias]}"
-        )
+    items: Dict[str, List[str]] = {alias: [] for alias in colors}
+    for alias, stub, partner in incidences:
+        items[alias].append(stub + colors[partner])
     return {
-        alias: _digest(colors[alias] + "|" + ",".join(sorted(items)))
-        for alias, items in incidences.items()
+        alias: sha256(
+            (colors[alias] + "|" + ",".join(sorted(found))).encode()
+        ).hexdigest()
+        for alias, found in items.items()
     }
 
 
-def _refine_to_stable(query: Query, colors: Dict[str, str]) -> Dict[str, str]:
-    """Refine until the partition stops splitting.
+def _refine_to_stable(
+    incidences: List[Tuple[str, str, str]], colors: Dict[str, str]
+) -> Tuple[Dict[str, str], int]:
+    """Refine until the partition stops splitting; returns the colours
+    and how many distinct ones there are.
 
     Refinement only ever splits colour classes (the new colour hashes
     in the old one), so an unchanged count means the partition is
@@ -90,30 +166,74 @@ def _refine_to_stable(query: Query, colors: Dict[str, str]) -> Dict[str, str]:
     identical fingerprints.
     """
     distinct = len(set(colors.values()))
-    for _ in range(len(query.relations)):
-        colors = _refine(query, colors)
+    for _ in range(len(colors)):
+        colors = _refine(incidences, colors)
         refined = len(set(colors.values()))
         if refined == distinct:
             break
         distinct = refined
-    return colors
+    return colors, distinct
 
 
-def _inconsistent_ties(query: Query, colors: Dict[str, str]) -> List[str]:
+def _inconsistent_ties(
+    incidences: List[Tuple[str, str, str]], colors: Dict[str, str]
+) -> List[str]:
     """The lowest tied colour class, aliases in name order, if breaking
     the leftover ties by name could name a renamed twin differently;
     else nothing. One tied class with no join inside it is safe."""
-    if len(set(colors.values())) == len(colors):
-        return []
     classes: Dict[str, List[str]] = {}
     for alias in sorted(colors):
         classes.setdefault(colors[alias], []).append(alias)
     tied = sorted(c for c, members in classes.items() if len(members) > 1)
     if len(tied) == 1 and not any(
-        colors[j.left.alias] == tied[0] == colors[j.right.alias] for j in query.joins
+        colors[alias] == tied[0] == colors[partner]
+        for alias, _stub, partner in incidences
     ):
         return []
     return classes[tied[0]]
+
+
+def _alias_map(statement: Statement) -> Dict[str, str]:
+    incidences = _incidences(statement)
+    colors, distinct = _refine_to_stable(incidences, _initial_colors(statement))
+    # Individualize one member of the lowest tied class and refine
+    # again while names would break the ties inconsistently.
+    while distinct < len(colors) and (tied := _inconsistent_ties(incidences, colors)):
+        colors[tied[0]] = _digest(colors[tied[0]] + "|*")
+        colors, distinct = _refine_to_stable(incidences, colors)
+    # By colour, ties by name: a stable sort of the name-sorted aliases.
+    order = sorted(sorted(colors), key=colors.__getitem__)
+    return {alias: f"r{k}" for k, alias in enumerate(order)}
+
+
+def _text(statement: Statement, names: Dict[str, str]) -> str:
+    relations, selections, joins, group_by, aggregates = statement
+    from_items = [f"{table} AS {names[alias]}" for alias, table in relations]
+    from_items.sort()
+    join_items = []
+    for left, left_column, right, right_column in joins:
+        left = f"{names[left]}.{left_column}"
+        right = f"{names[right]}.{right_column}"
+        join_items.append(f"{left} = {right}" if left <= right else f"{right} = {left}")
+    join_items.sort()
+    selection_items = [
+        signature.replace("?.", f"{names[alias]}.", 1)
+        for alias, signature in selections
+    ]
+    selection_items.sort()
+    group_items = sorted([f"{names[alias]}.{column}" for alias, column in group_by])
+    agg_items = sorted(
+        [
+            f"{func}({'*' if alias is None else names[alias] + '.' + column})"
+            for func, alias, column in aggregates
+        ]
+    )
+    return (
+        f"FROM {', '.join(from_items)}"
+        f" WHERE {' AND '.join(join_items + selection_items)}"
+        f" GROUP BY {', '.join(group_items)}"
+        f" SELECT {', '.join(agg_items)}"
+    )
 
 
 def canonical_alias_map(query: Query) -> Dict[str, str]:
@@ -124,48 +244,13 @@ def canonical_alias_map(query: Query) -> Dict[str, str]:
     another's inverse yields the alias translation between them (used
     by the serving cache to remap cached plans).
     """
-    colors = _refine_to_stable(query, _initial_colors(query))
-    # Individualize one member of the lowest tied class and refine
-    # again while names would break the ties inconsistently.
-    while tied := _inconsistent_ties(query, colors):
-        colors[tied[0]] = _digest(colors[tied[0]] + "|*")
-        colors = _refine_to_stable(query, colors)
-    order = sorted(query.relations, key=lambda alias: (colors[alias], alias))
-    return {alias: f"r{k}" for k, alias in enumerate(order)}
+    return _alias_map(_statement(query))
 
 
 def canonical_text(query: Query, alias_map: Dict[str, str] | None = None) -> str:
     """A name-independent, order-independent rendering of the query."""
-    names = alias_map or canonical_alias_map(query)
-    from_items = sorted(
-        f"{table} AS {names[alias]}" for alias, table in query.relations.items()
-    )
-    join_items = sorted(
-        " = ".join(
-            sorted(
-                (
-                    f"{names[join.left.alias]}.{join.left.column}",
-                    f"{names[join.right.alias]}.{join.right.column}",
-                )
-            )
-        )
-        for join in query.joins
-    )
-    selection_items = sorted(
-        _selection_signature(p).replace("?.", f"{names[p.column.alias]}.", 1)
-        for p in query.selections
-    )
-    group_items = sorted(f"{names[r.alias]}.{r.column}" for r in query.group_by)
-    agg_items = sorted(
-        f"{a.func}({'*' if a.column is None else names[a.column.alias] + '.' + a.column.column})"
-        for a in query.aggregates
-    )
-    return (
-        f"FROM {', '.join(from_items)}"
-        f" WHERE {' AND '.join(join_items + selection_items)}"
-        f" GROUP BY {', '.join(group_items)}"
-        f" SELECT {', '.join(agg_items)}"
-    )
+    statement = _statement(query)
+    return _text(statement, alias_map or _alias_map(statement))
 
 
 def fingerprint(query: Query, alias_map: Dict[str, str] | None = None) -> str:
@@ -175,6 +260,56 @@ def fingerprint(query: Query, alias_map: Dict[str, str] | None = None) -> str:
     recomputing the canonicalization when both are needed.
     """
     return _digest(canonical_text(query, alias_map))
+
+
+class StatementMemo:
+    """A thread-safe LRU from a statement as written to its
+    ``(alias_map, fingerprint)``.
+
+    The serving path's one entry point to canonicalization: a repeated
+    statement costs rendering its key and a dictionary lookup instead
+    of the refinement, and a new one costs no more than calling
+    :func:`canonical_alias_map` and :func:`fingerprint`, because the key
+    is the refinement's input. ``Query.name`` is not part of the key.
+    Every requester of a statement shares one alias map: holders must
+    not mutate it.
+    """
+
+    def __init__(self, capacity: int = STATEMENT_MEMO_CAPACITY) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
+        self.capacity = capacity
+        self.hits = 0
+        self.misses = 0
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[Statement, Tuple[Dict[str, str], str]]" = (
+            OrderedDict()
+        )
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def canonicalize(self, query: Query) -> Tuple[Dict[str, str], str]:
+        """``(canonical_alias_map(query), fingerprint(query))``, from
+        the memo when this statement was seen."""
+        statement = _statement(query)
+        with self._lock:
+            known = self._entries.get(statement)
+            if known is not None:
+                self._entries.move_to_end(statement)
+                self.hits += 1
+                return known
+            self.misses += 1
+        # Canonicalize outside the lock: concurrent misses of one
+        # statement compute the same pair, and the last store wins.
+        names = _alias_map(statement)
+        known = (names, _digest(_text(statement, names)))
+        with self._lock:
+            self._entries[statement] = known
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+        return known
 
 
 def translate_tree(

@@ -95,9 +95,10 @@ from repro.serving.errors import (
     WorkerProcessDied,
 )
 from repro.serving.faults import FAULT_KINDS, FaultInjector, seeded_uniform
-from repro.serving.fingerprint import canonical_alias_map, fingerprint
+from repro.serving.fingerprint import StatementMemo
 from repro.serving.procpool import ProcessWorkerClient, WorkerSpec
 from repro.serving.service import (
+    STATEMENT_MEMO_ROWS,
     OptimizerService,
     ServedPlan,
     ServingConfig,
@@ -436,6 +437,9 @@ class ServingFrontEnd:
             None,
         )
         self._last_heartbeat = 0.0
+        #: Canonicalizes every submission (a repeated statement is a
+        #: lookup); shards reuse its alias maps and fingerprints.
+        self.statements = StatementMemo()
         self.registry = MetricsRegistry()
         self.latency_ms_hist = self.registry.histogram(
             "repro_request_latency_ms",
@@ -507,6 +511,7 @@ class ServingFrontEnd:
         """Expose the flusher/queue stats (and, in process mode, the
         shared transport counters) as pull-style registry metrics."""
         register_metric_rows(self.registry, _FRONTEND_ROWS, self)
+        register_metric_rows(self.registry, STATEMENT_MEMO_ROWS, self.statements)
         if self.transport is not None:
             register_metric_rows(
                 self.registry, TRANSPORT_METRIC_ROWS, self.transport
@@ -691,17 +696,16 @@ class ServingFrontEnd:
         if deadline_ms is not None and deadline_ms <= 0:
             raise ValueError("deadline_ms must be positive")
         # Reject before canonicalizing: a saturated or closed front end
-        # must turn submissions away in O(1), not after paying the WL
-        # refinement that is the most expensive part of admission. The
-        # check re-runs after canonicalization, which stays
-        # authoritative against races.
+        # must turn submissions away in O(1), not after paying for a
+        # new statement's WL refinement, the most expensive part of
+        # admission. The check re-runs after canonicalization, which
+        # stays authoritative against races.
         with self._work:
             self._check_accepting()
         # Canonicalize in the caller's thread: routing needs the
         # fingerprint anyway, and the shard reuses both instead of
         # recomputing them.
-        names = canonical_alias_map(query)
-        fp = fingerprint(query, names)
+        names, fp = self.statements.canonicalize(query)
         shard = self.ring.shard_for(fp)
         # Stamped before the trace begins: ``queue_wait`` is measured
         # from here, so it covers the trace from its first instant.

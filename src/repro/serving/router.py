@@ -9,7 +9,9 @@ threshold. Expert results are memoized per fingerprint (an LRU as large
 as the plan cache) so the guardrail adds at most one expert
 optimization per recently seen query shape. A memoized plan is kept
 with the aliases of the query it was planned for and is rewritten into
-each requester's own aliases before it is served.
+each requester's own aliases before it is served, once per spelling:
+the rewritten, costed plan stays with the memo entry (see
+:func:`translated`).
 
 The threshold is live-tunable: the retraining daemon's adaptive
 guardrail (:mod:`repro.serving.learning`) fits observed
@@ -32,12 +34,27 @@ from repro.db.query import Query
 from repro.optimizer.planner import Planner, PlannerResult, PlanningTimeout
 from repro.serving.fingerprint import translate_tree
 
-__all__ = ["GuardrailDecision", "GuardrailRouter", "evaluate_in_aliases"]
+__all__ = [
+    "SPELLINGS_PER_ENTRY",
+    "GuardrailDecision",
+    "GuardrailRouter",
+    "evaluate_in_aliases",
+    "translated",
+]
+
+#: Renamed spellings whose translated plan one cached plan or memoized
+#: expert answer keeps, oldest out first.
+SPELLINGS_PER_ENTRY = 8
+
+#: A cached answer's translations: requester spelling (its alias ->
+#: canonical map as items) -> (statistics epoch, translated result).
+Translations = OrderedDict[tuple, Tuple[int, PlannerResult]]
 
 #: One memoized expert answer: the result, the alias -> canonical map of
-#: the query it was planned for, and the base tables it reads (so a
-#: table-scoped statistics refresh can evict surgically).
-_Memo = Tuple[PlannerResult, Dict[str, str], FrozenSet[str]]
+#: the query it was planned for, the base tables it reads (so a
+#: table-scoped statistics refresh can evict surgically) and its
+#: translations for renamed twins.
+_Memo = Tuple[PlannerResult, Dict[str, str], FrozenSet[str], Translations]
 
 
 def evaluate_in_aliases(
@@ -63,6 +80,37 @@ def evaluate_in_aliases(
             parent=parent,
             renamed_hit=True,
         )
+    return result
+
+
+def translated(
+    planner: Planner,
+    query: Query,
+    names: Dict[str, str],
+    tree: JoinTree,
+    origin: Dict[str, str],
+    translations: Translations,
+    trace=None,
+    parent=None,
+) -> PlannerResult:
+    """:func:`evaluate_in_aliases`, once per requester spelling.
+
+    ``translations`` belongs to the cached answer that ``tree`` and
+    ``origin`` come from, so it leaves with that answer on eviction or
+    invalidation. A translation is reused only under the statistics
+    epoch it was costed at, which keeps it bitwise equal to a fresh
+    :func:`evaluate_in_aliases` of the same query; a reuse records no
+    span, since nothing is constructed.
+    """
+    spelling = tuple(names.items())
+    epoch = planner.db.stats_epoch
+    kept = translations.get(spelling)
+    if kept is not None and kept[0] == epoch:
+        return kept[1]
+    result = evaluate_in_aliases(planner, query, names, tree, origin, trace, parent)
+    translations[spelling] = (epoch, result)
+    while len(translations) > SPELLINGS_PER_ENTRY:
+        translations.popitem(last=False)
     return result
 
 
@@ -130,11 +178,18 @@ class GuardrailRouter:
         self, query: Query, names: Dict[str, str], memo: _Memo, trace, parent
     ) -> PlannerResult:
         """A memoized result as a plan over ``query``'s own aliases."""
-        result, origin, _tables = memo
+        result, origin, _tables, translations = memo
         if origin == names:
             return result
-        return evaluate_in_aliases(
-            self.planner, query, names, result.join_tree, origin, trace, parent
+        return translated(
+            self.planner,
+            query,
+            names,
+            result.join_tree,
+            origin,
+            translations,
+            trace,
+            parent,
         )
 
     def peek(
@@ -180,7 +235,7 @@ class GuardrailRouter:
                     self.planner.dp_stats.subsets_enumerated - subsets_before
                 )
                 trace.end_span(span)
-        memo = (result, names, frozenset(query.relations.values()))
+        memo = (result, names, frozenset(query.relations.values()), OrderedDict())
         with self._lock:
             if self.planner.db.stats_epoch == epoch:
                 # Don't memoize a plan computed under statistics an
@@ -282,7 +337,9 @@ class GuardrailRouter:
         changed = frozenset(tables)
         with self._lock:
             doomed = [
-                key for key, (_r, _n, tagged) in self._memo.items() if tagged & changed
+                key
+                for key, (_r, _n, tagged, _t) in self._memo.items()
+                if tagged & changed
             ]
             for key in doomed:
                 del self._memo[key]

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import copy
 import time
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Protocol, Sequence
 
@@ -41,11 +42,12 @@ from repro.rl.env import Trajectory
 from repro.serving.batching import MicroBatchEngine, RolloutRecord
 from repro.serving.cache import PlanCache
 from repro.serving.experience import ExperienceBuffer
-from repro.serving.fingerprint import canonical_alias_map, fingerprint
+from repro.serving.fingerprint import StatementMemo
 from repro.serving.router import (
     GuardrailDecision,
     GuardrailRouter,
-    evaluate_in_aliases,
+    Translations,
+    translated,
 )
 
 __all__ = [
@@ -173,9 +175,19 @@ _ESTIMATOR_ROWS = (
         for lane in ("histogram", "learned", "pessimistic")
     ),
 )
+#: Read off a :class:`~repro.serving.fingerprint.StatementMemo`: the
+#: front end's, which canonicalizes every submission, and each shard's,
+#: which serves callers that pass no fingerprints. A merge sums them.
+STATEMENT_MEMO_ROWS = (
+    ("repro_statement_memo_hits_total", "statement_memo_hits", "counter",
+     "statements canonicalized from the statement memo", lambda m: m.hits),
+    ("repro_statement_memo_misses_total", "statement_memo_misses", "counter",
+     "statements canonicalized afresh", lambda m: m.misses),
+)
 #: Everything a shard's ``counters()`` reads off its registry.
 _SHARD_ROWS = (
     _SERVICE_ROWS
+    + STATEMENT_MEMO_ROWS
     + _COSTMEMO_ROWS
     + _EXPERIENCE_ROWS
     + _ESTIMATOR_ROWS
@@ -285,14 +297,19 @@ class ServedPlan:
 @dataclass
 class _CacheEntry:
     """A cached answer plus what is needed to serve it to an
-    alias-renamed (fingerprint-equivalent) requester: the join tree and
-    the origin query's alias -> canonical-name map."""
+    alias-renamed (fingerprint-equivalent) requester: the join tree, the
+    origin query's alias -> canonical-name map, and the translations
+    already made, at most ``SPELLINGS_PER_ENTRY`` requester spellings
+    (alias maps) whose rewritten, costed plan is served again without
+    re-costing. They live and die with the entry, so eviction and
+    table-scoped invalidation drop them too."""
 
     plan: PhysicalPlan
     cost: float
     origin: str  # the source that first produced this plan
     tree: JoinTree
     alias_map: Dict[str, str]
+    translations: Translations = field(default_factory=OrderedDict)
 
 
 #: ``ServedPlan.source`` -> the :class:`ServiceStats` fields it bumps.
@@ -405,6 +422,7 @@ class OptimizerService:
         self.config = config or ServingConfig()
         self.reward_source = reward_source or CostModelReward(db)
         self.stats = ServiceStats()
+        self.statements = StatementMemo()
         self.cache = PlanCache(capacity=self.config.cache_capacity)
         self.router = GuardrailRouter(
             self.planner,
@@ -453,6 +471,7 @@ class OptimizerService:
         reg = self.registry
         for rows, owner in (
             (_SERVICE_ROWS, self),
+            (STATEMENT_MEMO_ROWS, self.statements),
             (PLANNER_METRIC_ROWS, self.planner),
             (_COSTMEMO_ROWS, self.planner.cost_memo),
             (_EXPERIENCE_ROWS, self.experience),
@@ -579,15 +598,17 @@ class OptimizerService:
             # against. Statistics are untouched (plans stay identical);
             # every epoch-guarded cache put in this batch is skipped.
             self.db.bump_stats_epoch()
+        if alias_maps is None or fingerprints is None:
+            canonical = [self.statements.canonicalize(q) for q in queries]
         maps = (
             list(alias_maps)
             if alias_maps is not None
-            else [canonical_alias_map(q) for q in queries]
+            else [names for names, _fp in canonical]
         )
         fps = (
             list(fingerprints)
             if fingerprints is not None
-            else [fingerprint(q, m) for q, m in zip(queries, maps)]
+            else [fp for _names, fp in canonical]
         )
         answers: Dict[int, tuple] = {}  # idx -> (source, plan, cost, decision)
         rollout_fp: Dict[str, List[int]] = {}
@@ -757,8 +778,15 @@ class OptimizerService:
         aliases when the hit came from an alias-renamed equivalent."""
         if names == entry.alias_map:
             return ("cache", entry.plan, entry.cost, None)
-        result = evaluate_in_aliases(
-            self.planner, query, names, entry.tree, entry.alias_map, trace, parent
+        result = translated(
+            self.planner,
+            query,
+            names,
+            entry.tree,
+            entry.alias_map,
+            entry.translations,
+            trace,
+            parent,
         )
         return ("cache", result.plan, result.cost.total, None)
 

@@ -3,8 +3,9 @@ and ``metrics_registry().names()`` on one fixed probe, under both
 executors, against literals recorded at commit 3056a3f (before the
 ``counters()`` renderers were collapsed into one), plus the turn
 metrics the thread shards' turn added since, minus the TTL
-expirations count that left with the plan cache's TTL. Keys, values
-and value types are pinned; registry names may only be added to."""
+expirations count that left with the plan cache's TTL, plus the
+statement memo's hits and misses. Keys, values and value types are
+pinned; registry names may only be added to."""
 
 import numpy as np
 import pytest
@@ -84,6 +85,10 @@ COUNTS = {
     "shard0_requests": 2,
     "shard1_requests": 0,
     "states_scored": 2.0,
+    # The front end canonicalizes both submissions of the one statement:
+    # the first afresh, the second from its statement memo.
+    "statement_memo_hits": 1.0,
+    "statement_memo_misses": 1.0,
 }
 #: ...and what ``executor="process"`` adds: two batch frames, two
 #: refresh RPCs and the two registry snapshots ``counters()`` itself
@@ -163,6 +168,8 @@ REGISTRY_NAMES = [
     "repro_serving_policy_served_total",
     "repro_serving_request_ms",
     "repro_serving_requests_total",
+    "repro_statement_memo_hits_total",
+    "repro_statement_memo_misses_total",
 ]
 PROCESS_REGISTRY_NAMES = [
     "repro_transport_bytes_pipe_total",
@@ -250,7 +257,7 @@ def surface(request):
 
 def test_counter_keys_are_the_parents(surface):
     expected = sorted([*surface["counts"], *surface["measured"]])
-    assert len(expected) == (70 if "transport_frames_sent" in expected else 63)
+    assert len(expected) == (72 if "transport_frames_sent" in expected else 65)
     assert sorted(surface["counters"]) == expected
 
 

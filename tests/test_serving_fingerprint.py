@@ -1,7 +1,19 @@
 """Tests for canonical query fingerprints (repro.serving.fingerprint)."""
 
-from repro.db.query import parse_query
+import random
+import threading
+from dataclasses import replace
+
+from repro.db.predicates import (
+    ColumnRef,
+    Comparison,
+    CompareOp,
+    InPredicate,
+    JoinPredicate,
+)
+from repro.db.query import AggregateSpec, Query, parse_query
 from repro.serving import canonical_alias_map, canonical_text, fingerprint
+from repro.serving.fingerprint import StatementMemo
 
 
 def fp(sql: str, name: str = "q") -> str:
@@ -128,3 +140,153 @@ class TestCanonicalText:
         )
         assert "zz" not in text and "qq" not in text
         assert "r0" in text and "r1" in text
+
+
+#: Templates for the statement memo's differential test: aggregates,
+#: GROUP BY, IN lists, self-joins and the two-tied-classes shape. Pairs
+#: written in the same aliases differ in one join column, selection
+#: column, aggregate or GROUP BY column, which the key must tell apart.
+TEMPLATES = [
+    "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id AND a.x = 2",
+    "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.a_id AND a.x = 2",
+    "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id AND a.y = 2",
+    "SELECT MIN(a.x), COUNT(*) FROM a, b WHERE a.id = b.a_id AND b.z IN (1, 2, 3)",
+    "SELECT MAX(a.x), COUNT(*) FROM a, b WHERE a.id = b.a_id AND b.z IN (1, 2, 3)",
+    "SELECT a.x, COUNT(*) FROM a, b WHERE a.id = b.a_id AND a.y > 4 GROUP BY a.x",
+    "SELECT a.y, COUNT(*) FROM a, b WHERE a.id = b.a_id AND a.y > 4 GROUP BY a.y",
+    "SELECT * FROM a, b AS b1, b AS b2 "
+    "WHERE b1.a_id = a.id AND b2.a_id = a.id AND b1.z IN (5, 7) AND b2.z = 3",
+    "SELECT * FROM a AS p, a AS q, a AS r WHERE p.x = q.y AND q.x = r.y AND r.x = p.y",
+    "SELECT * FROM movie_keyword AS m, keyword AS k1, keyword AS k2, "
+    "link AS l1, link AS l2 WHERE m.keyword_id = k1.id AND m.keyword_id = k2.id "
+    "AND l1.keyword_id = k1.id AND l2.keyword_id = k2.id",
+]
+
+
+def variant(query: Query, rng: random.Random) -> Query:
+    """The same statement rewritten: aliases renamed (or not),
+    conjuncts shuffled, join sides swapped and IN lists permuted."""
+    fresh = [f"t{k}" for k in range(len(query.relations))]
+    rng.shuffle(fresh)
+    alias = (
+        dict(zip(query.relations, fresh))
+        if rng.random() < 0.5
+        else {a: a for a in query.relations}
+    )
+
+    def ref(column: ColumnRef) -> ColumnRef:
+        return ColumnRef(alias[column.alias], column.column)
+
+    def selection(pred):
+        pred = replace(pred, column=ref(pred.column))
+        if isinstance(pred, InPredicate):
+            values = list(pred.values)
+            rng.shuffle(values)
+            pred = replace(pred, values=tuple(values))
+        return pred
+
+    joins = [
+        JoinPredicate(ref(j.right), ref(j.left))
+        if rng.random() < 0.5
+        else JoinPredicate(ref(j.left), ref(j.right))
+        for j in query.joins
+    ]
+    selections = [selection(p) for p in query.selections]
+    relations = list(query.relations.items())
+    for items in (joins, selections, relations):
+        rng.shuffle(items)
+    return Query(
+        name=f"{query.name}-{rng.random():.6f}",
+        relations={alias[a]: t for a, t in relations},
+        selections=selections,
+        joins=joins,
+        group_by=[ref(r) for r in query.group_by],
+        aggregates=[
+            AggregateSpec(a.func, None if a.column is None else ref(a.column))
+            for a in query.aggregates
+        ],
+    )
+
+
+def requests(count: int, seed: int):
+    """``count`` draws, with repeats, from four spellings of each
+    template."""
+    rng = random.Random(seed)
+    pool = []
+    for k, sql in enumerate(TEMPLATES):
+        query = parse_query(sql, f"tpl{k}")
+        pool += [query] + [variant(query, rng) for _ in range(3)]
+    return [rng.choice(pool) for _ in range(count)]
+
+
+class TestStatementMemo:
+    def test_memoized_pair_equals_a_fresh_canonicalization(self):
+        # Capacity below the pool's 40 spellings, so entries are
+        # evicted and recomputed as well as reused.
+        memo = StatementMemo(capacity=16)
+        for query in requests(1000, seed=5):
+            names, fp = memo.canonicalize(query)
+            assert names == canonical_alias_map(query), query.name
+            assert fp == fingerprint(query), query.name
+        assert memo.hits > 0 and memo.misses > 40
+
+    def test_int_and_float_constants_do_not_share_an_entry(self):
+        # The dataclasses compare equal; their signatures do not.
+        one, one_float = (
+            Query(
+                name="q",
+                relations={"a": "a"},
+                selections=[Comparison(ColumnRef("a", "x"), CompareOp.EQ, value)],
+            )
+            for value in (1, 1.0)
+        )
+        assert one.selections == one_float.selections
+        memo = StatementMemo()
+        first, second = memo.canonicalize(one), memo.canonicalize(one_float)
+        assert memo.misses == 2 and memo.hits == 0
+        assert first[1] == fingerprint(one)
+        assert second[1] == fingerprint(one_float)
+        assert first[1] != second[1]
+
+    def test_query_name_is_not_part_of_the_key(self):
+        sql = "SELECT * FROM a, b WHERE a.id = b.a_id AND a.x = 1"
+        memo = StatementMemo()
+        first = memo.canonicalize(parse_query(sql, "x"))
+        assert memo.canonicalize(parse_query(sql, "y")) == first
+        assert (memo.hits, memo.misses) == (1, 1)
+
+    def test_lru_holds_at_its_capacity(self):
+        statements = [
+            parse_query(f"SELECT * FROM a WHERE a.x = {k}", f"q{k}") for k in range(5)
+        ]
+        memo = StatementMemo(capacity=3)
+        for query in statements:
+            memo.canonicalize(query)
+        assert len(memo) == 3
+        memo.canonicalize(statements[2])  # the oldest left: now the newest
+        memo.canonicalize(statements[0])  # evicted: a miss, evicts q3
+        assert (memo.hits, memo.misses, len(memo)) == (1, 6, 3)
+        memo.canonicalize(statements[3])
+        assert memo.misses == 7
+
+    def test_threads_sharing_a_memo_get_identical_fingerprints(self):
+        statements = requests(64, seed=9)
+        expected = [fingerprint(q) for q in statements]
+        memo = StatementMemo(capacity=8)
+        results, errors = [], []
+
+        def submit():
+            try:
+                for _ in range(3):
+                    results.append([memo.canonicalize(q)[1] for q in statements])
+            except Exception as exc:  # pragma: no cover - the failure itself
+                errors.append(exc)
+
+        threads = [threading.Thread(target=submit) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert results == [expected] * 24
+        assert memo.hits + memo.misses == 8 * 3 * len(statements)

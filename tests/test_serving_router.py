@@ -22,7 +22,7 @@ from repro.optimizer.planner import Planner, PlanningTimeout
 from repro.rl.ppo import PPOAgent
 from repro.serving import FaultConfig, FaultInjector, OptimizerService, ServingConfig
 from repro.serving.fingerprint import canonical_alias_map, fingerprint
-from repro.serving.router import GuardrailRouter
+from repro.serving.router import GuardrailRouter, evaluate_in_aliases
 from tests.test_optimizer_bitset_dp import wide_db  # noqa: F401 (fixture)
 from tests.test_optimizer_geqo_parity import shaped_query
 
@@ -133,6 +133,52 @@ class TestRenamedTwin:
             assert served.source == "degraded_cache", query.name
             assert served.plan.aliases == frozenset(twin.relations)
             assert served.cost == pytest.approx(first.cost)
+
+
+class TestRenamedMemoHitTranslations:
+    def test_peek_and_expert_result_cost_a_spelling_once(self, wide_db, monkeypatch):
+        planner = Planner(wide_db, geqo_threshold=8)
+        router = GuardrailRouter(planner)
+        query = wide_queries(1, seed=59)[0]
+        twin = rename_aliases(query, "twin")
+        names, twin_names = canonical_alias_map(query), canonical_alias_map(twin)
+        key = fingerprint(query, names)
+        original = router.expert_result(query, key, names)
+        calls = []
+        evaluate = planner.evaluate_tree
+        monkeypatch.setattr(
+            planner,
+            "evaluate_tree",
+            lambda *args: calls.append(args) or evaluate(*args),
+        )
+        first = router.expert_result(twin, key, twin_names)
+        assert len(calls) == 1
+        # Both paths that serve the memo reuse the one translation.
+        assert router.expert_result(twin, key, twin_names) is first
+        assert router.peek(twin, key, twin_names) is first
+        assert len(calls) == 1
+        fresh = evaluate_in_aliases(
+            Planner(wide_db, geqo_threshold=8),
+            twin,
+            twin_names,
+            original.join_tree,
+            names,
+        )
+        assert first.plan == fresh.plan
+        assert first.cost == fresh.cost
+        assert first.plan.aliases == frozenset(twin.relations)
+
+    def test_table_scoped_invalidation_drops_the_translations(self, wide_db):
+        planner = Planner(wide_db, geqo_threshold=8)
+        router = GuardrailRouter(planner)
+        query = wide_queries(1, seed=61)[0]
+        twin = rename_aliases(query, "twin")
+        names, twin_names = canonical_alias_map(query), canonical_alias_map(twin)
+        key = fingerprint(query, names)
+        router.expert_result(query, key, names)
+        router.expert_result(twin, key, twin_names)
+        router.invalidate_tables([next(iter(query.relations.values()))])
+        assert router.peek(twin, key, twin_names) is None
 
 
 class TestBoundedMemo:

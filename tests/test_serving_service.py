@@ -19,6 +19,8 @@ from repro.serving import (
     ProcessWorkerClient,
     ServingConfig,
 )
+from repro.serving.fingerprint import canonical_alias_map
+from repro.serving.router import SPELLINGS_PER_ENTRY, evaluate_in_aliases
 from repro.serving.service import ServiceStats
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
@@ -208,6 +210,101 @@ class TestCacheBehaviour:
         # sees per-table epochs and drops nothing further.
         service.optimize(parse_query(BC, "bc3"))
         assert remaining <= set(memo._entries)
+
+
+def count_evaluations(monkeypatch, planner) -> list:
+    """Spy on ``planner.evaluate_tree``: the returned list gains one
+    entry per call."""
+    calls = []
+    evaluate = planner.evaluate_tree
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "evaluate_tree", spy)
+    return calls
+
+
+def spelling(k: int) -> str:
+    """CHAIN under the k-th set of fresh alias names."""
+    return (
+        f"SELECT * FROM a AS a{k}, b AS b{k}, c AS c{k} "
+        f"WHERE a{k}.id = b{k}.a_id AND b{k}.id = c{k}.b_id"
+    )
+
+
+class TestRenamedHitTranslations:
+    def test_second_hit_of_a_spelling_is_not_costed_again(
+        self, small_db, agent, featurizer, monkeypatch
+    ):
+        service = make_service(small_db, agent, featurizer)
+        service.optimize(parse_query(CHAIN, "chain"))
+        first = service.optimize(parse_query(CHAIN_RENAMED, "renamed"))
+        calls = count_evaluations(monkeypatch, service.planner)
+        second = service.optimize(parse_query(CHAIN_RENAMED, "renamed-again"))
+        assert (first.source, second.source) == ("cache", "cache")
+        assert (second.plan, second.cost) == (first.plan, first.cost)
+        assert calls == []
+
+    def test_kept_translation_equals_a_fresh_one(self, small_db, agent, featurizer):
+        service = make_service(small_db, agent, featurizer)
+        service.optimize(parse_query(CHAIN, "chain"))
+        requester = parse_query(CHAIN_RENAMED, "renamed")
+        service.optimize(requester)
+        served = service.optimize(requester)
+        entry = service.cache.get(served.fingerprint)
+        fresh = evaluate_in_aliases(
+            Planner(small_db),
+            requester,
+            canonical_alias_map(requester),
+            entry.tree,
+            entry.alias_map,
+        )
+        assert served.plan == fresh.plan
+        assert served.cost == fresh.cost.total
+
+    def test_table_scoped_refresh_drops_the_translations(
+        self, fresh_small_db, agent, featurizer
+    ):
+        service = make_service(fresh_small_db, agent, featurizer)
+        original = parse_query(CHAIN, "chain")
+        twin = parse_query(CHAIN_RENAMED, "renamed")
+        fp = service.optimize(original).fingerprint
+        service.optimize(twin)
+        assert len(service.cache.get(fp).translations) == 1
+        service.refresh_statistics(sample_size=500, tables=["c"])
+        assert fp not in service.cache
+        # The entry left with its translations: the twin is planned again.
+        assert service.optimize(twin).source in ("policy", "fallback")
+        assert service.cache.get(fp).translations == {}
+
+    def test_a_statistics_epoch_move_costs_the_spelling_again(
+        self, fresh_small_db, agent, featurizer, monkeypatch
+    ):
+        service = make_service(fresh_small_db, agent, featurizer)
+        service.optimize(parse_query(CHAIN, "chain"))
+        service.optimize(parse_query(CHAIN_RENAMED, "renamed"))
+        calls = count_evaluations(monkeypatch, service.planner)
+        # An estimator swap moves the epoch without evicting the entry.
+        fresh_small_db.bump_stats_epoch()
+        assert service.optimize(parse_query(CHAIN_RENAMED, "again")).source == "cache"
+        assert len(calls) == 1
+
+    def test_spellings_per_entry_are_bounded(
+        self, small_db, agent, featurizer, monkeypatch
+    ):
+        service = make_service(small_db, agent, featurizer)
+        fp = service.optimize(parse_query(CHAIN, "chain")).fingerprint
+        extra = 3
+        for k in range(SPELLINGS_PER_ENTRY + extra):
+            assert service.optimize(parse_query(spelling(k), f"s{k}")).source == "cache"
+        assert len(service.cache.get(fp).translations) == SPELLINGS_PER_ENTRY
+        calls = count_evaluations(monkeypatch, service.planner)
+        service.optimize(parse_query(spelling(extra), "kept"))
+        assert calls == []
+        service.optimize(parse_query(spelling(0), "dropped"))  # oldest out
+        assert len(calls) == 1
 
 
 class TestGuardrail:
