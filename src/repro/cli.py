@@ -63,8 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument(
         "--executor", choices=("thread", "process"), default="thread",
         help="probe through thread shards (default) or spawned worker "
-        "processes; process mode adds the transport_* counters (pipe "
-        "vs shared-memory bytes, control round-trips) to the rollup",
+        "processes; process mode adds the transport_* counters (frames "
+        "and bytes over worker pipes, control round-trips) to the rollup",
     )
 
     plan = sub.add_parser("plan", help="optimize one JOB-lite query")

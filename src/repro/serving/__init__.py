@@ -23,14 +23,13 @@ puts it behind a production-shaped ``optimize(query)`` API:
   a background flusher dispatches to idle shards at once and batches
   behind busy ones, and N worker shards (each a private
   ``OptimizerService``) serve the flushes;
-- :mod:`repro.serving.procpool` / :mod:`repro.serving.transport` /
-  :mod:`repro.serving.shm` — the GIL escape: ``executor="process"``
-  promotes each shard to a spawned worker process
-  (:class:`ProcessWorkerClient` implements :class:`Shard` for it),
-  speaking a length-prefixed pipe protocol, with a control channel for
-  stats-epoch bumps, policy hot-swaps, guardrail-threshold sync, and
-  chaos arming whose large buffers (weights, experience drains) go
-  through shared-memory rings;
+- :mod:`repro.serving.procpool` / :mod:`repro.serving.transport` —
+  the GIL escape: ``executor="process"`` promotes each shard to a
+  spawned worker process (:class:`ProcessWorkerClient` implements
+  :class:`Shard` for it), speaking one length-prefixed pickle-5 frame
+  per message over a request pipe and a control pipe (stats-epoch
+  bumps, policy hot-swaps, guardrail-threshold sync, chaos arming,
+  experience drains);
 - :mod:`repro.serving.errors` — the typed failure hierarchy
   (:class:`OptimizeError` and friends) every refused or abandoned
   request resolves with;
@@ -73,7 +72,6 @@ from repro.serving.faults import FaultConfig, FaultInjector, seeded_uniform
 from repro.serving.fingerprint import canonical_alias_map, canonical_text, fingerprint
 from repro.serving.frontend import FrontEndConfig, FrontEndStats, ServingFrontEnd
 from repro.serving.procpool import ProcessWorkerClient, WorkerSpec
-from repro.serving.shm import ShmRing
 from repro.serving.transport import FrameConn, TransportStats
 from repro.serving.learning import (
     AdaptiveGuardrail,
@@ -122,7 +120,6 @@ __all__ = [
     "Shard",
     "ShardFailed",
     "ShardSupervisor",
-    "ShmRing",
     "TransportStats",
     "WorkerProcessDied",
     "WorkerSpec",

@@ -570,8 +570,8 @@ class ServingFrontEnd:
         With ``config.executor == "process"`` each shard becomes a
         :class:`~repro.serving.procpool.ProcessWorkerClient`: a spawned
         worker process that builds its own service from a picklable
-        :class:`~repro.serving.procpool.WorkerSpec`, fed over a framed
-        pipe + shared-memory transport. Everything above this method —
+        :class:`~repro.serving.procpool.WorkerSpec`, fed over framed
+        pipes. Everything above this method —
         routing, batching, retries, breakers, supervision, telemetry —
         is identical in both modes.
         """
@@ -1465,9 +1465,9 @@ class ServingFrontEnd:
             if self.fault_injector is not None:
                 service.install_fault_injector(self.fault_injector)
             if isinstance(old, ProcessWorkerClient):
-                # Reap the zombie and release its pipes and rings (the
-                # restarted shard's counters restart with it, same as a
-                # rebuilt thread-mode service).
+                # Reap the zombie and close its pipes (the restarted
+                # shard's counters restart with it, same as a rebuilt
+                # thread-mode service).
                 old.shutdown()
             with self._live_lock:
                 if self._live_threshold is not None:
@@ -1673,7 +1673,7 @@ class ServingFrontEnd:
             )
         # Process mode: pull one last metric/fault snapshot into each
         # proxy's cache (so counters()/metrics after close still
-        # answer), then stop the children and release pipes and rings.
+        # answer), then stop the children and close their pipes.
         for service in self.services:
             if isinstance(service, ProcessWorkerClient):
                 service.registry

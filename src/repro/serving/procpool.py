@@ -14,8 +14,9 @@ promotes each shard to a **worker process** behind the same
 - :func:`worker_main` is the child entrypoint: a **request loop** that
   serves micro-batches off one framed pipe, plus a **control thread**
   on a second pipe for statistics-epoch bumps, policy hot-swaps (weights
-  broadcast through the shm ring, version ack'd), guardrail threshold
-  sync, chaos arming, and metric/experience snapshots.
+  in one frame, version ack'd), guardrail threshold sync, chaos arming,
+  and metric/experience snapshots. Both pipes speak
+  :class:`~repro.serving.transport.FrameConn` frames.
 - :class:`ProcessWorkerClient` is the parent-side proxy: it implements
   the :class:`~repro.serving.service.Shard` contract by forwarding each
   member to the worker's service (it impersonates none of the service's
@@ -60,7 +61,6 @@ from repro.serving.service import (
     ServiceStats,
     ServingConfig,
 )
-from repro.serving.shm import ShmRing
 from repro.serving.transport import FrameConn, TransportStats
 
 __all__ = [
@@ -70,10 +70,6 @@ __all__ = [
     "WORKER_ENV_PINS",
     "worker_blas_threads",
 ]
-
-#: Per-direction capacity of a worker's control rings (weights
-#: broadcasts in, experience drains out).
-_RING_CAPACITY = 8 << 20
 
 # -- frame kinds -------------------------------------------------------
 K_BATCH = 1  # parent -> worker: serve a micro-batch
@@ -250,13 +246,7 @@ def _control_loop(service: OptimizerService, ctl: FrameConn) -> None:
             return
 
 
-def worker_main(
-    spec: WorkerSpec,
-    req_conn,
-    ctl_conn,
-    ring_in_name: str,
-    ring_out_name: str,
-) -> None:
+def worker_main(spec: WorkerSpec, req_conn, ctl_conn) -> None:
     """Child entrypoint (top-level so ``spawn`` can import it)."""
     # Defense in depth: the parent exported these before spawning (the
     # values numpy actually read at import); keep them for any later
@@ -265,13 +255,8 @@ def worker_main(
         os.environ.setdefault(key, worker_blas_threads())
 
     service = _build_worker_service(spec)
-    # Parent produces into ring_in (weights), worker produces into
-    # ring_out (experience drains); each end attaches to the segments
-    # the parent created and owns.
-    ring_in = ShmRing(name=ring_in_name)
-    ring_out = ShmRing(name=ring_out_name)
     req = FrameConn(req_conn)
-    ctl = FrameConn(ctl_conn, send_ring=ring_out, recv_ring=ring_in)
+    ctl = FrameConn(ctl_conn)
     control = threading.Thread(
         target=_control_loop,
         args=(service, ctl),
@@ -336,8 +321,6 @@ def worker_main(
     finally:
         req.close()
         ctl.close()
-        ring_in.close()
-        ring_out.close()
 
 
 # ----------------------------------------------------------------------
@@ -389,19 +372,11 @@ class ProcessWorkerClient:
         self._ctl_lock = threading.Lock()
 
         ctx = mp.get_context("spawn")
-        self._ring_in = ShmRing(capacity=_RING_CAPACITY, create=True)
-        self._ring_out = ShmRing(capacity=_RING_CAPACITY, create=True)
         parent_req, child_req = ctx.Pipe(duplex=True)
         parent_ctl, child_ctl = ctx.Pipe(duplex=True)
         self._proc = ctx.Process(
             target=worker_main,
-            args=(
-                spec,
-                child_req,
-                child_ctl,
-                self._ring_in.name,
-                self._ring_out.name,
-            ),
+            args=(spec, child_req, child_ctl),
             name=f"repro-shard-{spec.shard}",
             daemon=True,
         )
@@ -412,12 +387,7 @@ class ProcessWorkerClient:
         child_req.close()
         child_ctl.close()
         self._req = FrameConn(parent_req, stats=self.transport)
-        self._ctl = FrameConn(
-            parent_ctl,
-            send_ring=self._ring_in,
-            recv_ring=self._ring_out,
-            stats=self.transport,
-        )
+        self._ctl = FrameConn(parent_ctl, stats=self.transport)
 
     # -- process facts -------------------------------------------------
     @property
@@ -505,7 +475,7 @@ class ProcessWorkerClient:
                     trace.root.children.append(span)
                     spanned_ms += span.duration_ms
                 # All this call took beyond what the worker spanned:
-                # marshalling, pipe and shm both ways, this bookkeeping.
+                # marshalling, the pipe both ways, this bookkeeping.
                 trace.record(
                     "transport", max(0.0, call_ms - spanned_ms), start_ms=called_ms
                 )
@@ -571,8 +541,8 @@ class ProcessWorkerClient:
             self._ctl_lock.release()
 
     def apply_policy_weights(self, params: Dict[str, object], version: int) -> None:
-        """Hot-swap: ship the promoted weights (out-of-band via the shm
-        ring) and adopt the ack'd version."""
+        """Hot-swap: ship the promoted weights and adopt the ack'd
+        version."""
         acked = self._control("apply_weights", params=params, version=version)
         self.policy_version = int(acked)
 
@@ -580,9 +550,8 @@ class ProcessWorkerClient:
         self._control("set_threshold", safe=True, threshold=threshold)
 
     def drain_experience(self) -> list:
-        """The worker's collected trajectories; their state stacks come
-        back out-of-band through the shm ring — the parent never
-        pickles a float matrix to collect them."""
+        """The worker's collected trajectories, state stacks
+        included."""
         return self._control("drain_experience", safe=True) or []
 
     def remote_refresh_statistics(
@@ -627,8 +596,8 @@ class ProcessWorkerClient:
 
     # -- lifecycle -----------------------------------------------------
     def shutdown(self, timeout: float = 2.0) -> None:
-        """Stop the child and release transport resources. Idempotent;
-        escalates clean-exit -> SIGTERM -> SIGKILL."""
+        """Stop the child and close its pipes. Idempotent; escalates
+        clean-exit -> SIGTERM -> SIGKILL."""
         if self._closed:
             return
         self._closed = True
@@ -645,6 +614,3 @@ class ProcessWorkerClient:
             self._proc.join(1.0)
         self._req.close()
         self._ctl.close()
-        for ring in (self._ring_in, self._ring_out):
-            ring.close()
-            ring.unlink()

@@ -4,7 +4,8 @@ executors, against literals recorded at commit 3056a3f (before the
 ``counters()`` renderers were collapsed into one), plus the turn
 metrics the thread shards' turn added since, minus the TTL
 expirations count that left with the plan cache's TTL, plus the
-statement memo's hits and misses. Keys, values and value types are
+statement memo's hits and misses, minus the two shared-memory transport
+counts that left with the rings. Keys, values and value types are
 pinned; registry names may only be added to."""
 
 import numpy as np
@@ -98,11 +99,10 @@ PROCESS_COUNTS = {
     "transport_control_roundtrips": 4,
     "transport_frames_received": 6,
     "transport_frames_sent": 6,
-    "transport_shm_fallbacks": 0,
 }
 #: Present, numeric, but a wall-clock reading or a pickle size.
 MEASURED = ["expert_plan_ms_p50", "expert_plan_ms_p95"]
-PROCESS_MEASURED = ["transport_bytes_pipe", "transport_bytes_shm"]
+PROCESS_MEASURED = ["transport_bytes_pipe"]
 
 REGISTRY_NAMES = [
     "repro_cache_entries",
@@ -173,10 +173,8 @@ REGISTRY_NAMES = [
 ]
 PROCESS_REGISTRY_NAMES = [
     "repro_transport_bytes_pipe_total",
-    "repro_transport_bytes_shm_total",
     "repro_transport_control_roundtrips_total",
     "repro_transport_frames_total",
-    "repro_transport_shm_fallbacks_total",
 ]
 
 #: Keys ``benchmarks/perf`` reads by name (``serving.py::check_run``,
@@ -203,10 +201,10 @@ PINNED_BY_BENCHMARK = [
     "frontend_batch_occupancy_mean",
     "frontend_served_occupancy_mean",
 ]
+#: ``layers.py`` also reads the two shared-memory transport keys that
+#: left with the rings, with a default of 0.
 PROCESS_PINNED_BY_BENCHMARK = [
     "transport_bytes_pipe",
-    "transport_bytes_shm",
-    "transport_shm_fallbacks",
 ]
 #: ``counters_gained`` subtracts every key that does not end in one of
 #: these, so all the others must stay numeric.
@@ -257,7 +255,7 @@ def surface(request):
 
 def test_counter_keys_are_the_parents(surface):
     expected = sorted([*surface["counts"], *surface["measured"]])
-    assert len(expected) == (72 if "transport_frames_sent" in expected else 65)
+    assert len(expected) == (70 if "transport_frames_sent" in expected else 65)
     assert sorted(surface["counters"]) == expected
 
 

@@ -1,12 +1,15 @@
 """Tests for the multiprocess serving stack: pickle round-trips for
 everything that crosses the spawn boundary or a worker pipe, the
-shared-memory ring and framed transport underneath it, hash-ring
-determinism across processes, and the process-mode front end end to
-end (plan parity with thread shards, stats-epoch ordering; the SIGKILL
+framed transport underneath it, hash-ring determinism across
+processes, and the process-mode front end end to end (plan parity with
+thread shards, experience drains, stats-epoch ordering; the SIGKILL
 respawn rejoining at the live state is in ``test_serving_hotswap.py``)."""
 
 import multiprocessing
+import os
 import pickle
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from repro.serving import (
     ServingConfig,
     ServingFrontEnd,
     ShardFailed,
-    ShmRing,
+    TransportStats,
     WorkerProcessDied,
 )
 
@@ -122,117 +125,66 @@ class TestPickleRoundTrips:
 
 
 # ---------------------------------------------------------------------------
-# ShmRing: the SPSC byte ring under the transport
-# ---------------------------------------------------------------------------
-class TestShmRing:
-    def make_ring(self, capacity):
-        ring = ShmRing(capacity=capacity, create=True)
-        yield_ring = ring
-
-        def cleanup():
-            yield_ring.close()
-            yield_ring.unlink()
-
-        return ring, cleanup
-
-    def test_write_read_advance(self):
-        ring, cleanup = self.make_ring(256)
-        try:
-            offset = ring.try_write(b"hello ring")
-            assert offset == 0
-            assert ring.read(offset, 10) == b"hello ring"
-            ring.advance(offset + 10)
-            assert ring.tail == 10
-        finally:
-            cleanup()
-
-    def test_wrap_pads_to_contiguous(self):
-        ring, cleanup = self.make_ring(64)
-        try:
-            first = ring.try_write(b"a" * 48)
-            assert first == 0
-            ring.advance(48)
-            # 32 bytes would straddle position 48..80: the producer
-            # pads to the wrap point, so the slice stays contiguous.
-            second = ring.try_write(b"b" * 32)
-            assert second is not None
-            assert second % ring.capacity == 0
-            assert ring.read(second, 32) == b"b" * 32
-        finally:
-            cleanup()
-
-    def test_full_ring_returns_none(self):
-        ring, cleanup = self.make_ring(64)
-        try:
-            assert ring.try_write(b"x" * 64) == 0
-            assert ring.try_write(b"y") is None  # no space until advance
-            ring.advance(64)
-            assert ring.try_write(b"y") is not None
-        finally:
-            cleanup()
-
-    def test_oversized_and_empty_writes_fall_back(self):
-        ring, cleanup = self.make_ring(64)
-        try:
-            assert ring.try_write(b"z" * 65) is None
-            assert ring.try_write(b"") is None
-        finally:
-            cleanup()
-
-    def test_attach_by_name_sees_producer_bytes(self):
-        ring, cleanup = self.make_ring(256)
-        try:
-            offset = ring.try_write(b"cross-mapping")
-            attached = ShmRing(name=ring.name)
-            try:
-                assert attached.read(offset, 13) == b"cross-mapping"
-            finally:
-                attached.close()
-        finally:
-            cleanup()
-
-
-# ---------------------------------------------------------------------------
-# FrameConn: framing, out-of-band buffers, ring-full fallback, EOF
+# FrameConn: one pickle per frame, any size, EOF mid-frame, byte counts
 # ---------------------------------------------------------------------------
 @pytest.fixture
 def frame_pair():
-    """Two FrameConn endpoints over one duplex pipe, with a shm ring on
-    the a->b direction (b reads what a diverts)."""
+    """Two FrameConn endpoints over one duplex pipe."""
     left, right = multiprocessing.Pipe(duplex=True)
-    ring = ShmRing(capacity=1 << 16, create=True)
-    a = FrameConn(left, send_ring=ring)
-    b = FrameConn(right, recv_ring=ring)
-    yield a, b, ring
+    a, b = FrameConn(left), FrameConn(right)
+    yield a, b
     a.close()
     b.close()
-    ring.close()
-    ring.unlink()
+
+
+def recv_in_thread(conn):
+    """Start ``conn.recv()`` on a daemon thread; returns the thread and
+    a dict that receives its ``frame`` or its ``error``."""
+    out = {}
+
+    def read():
+        try:
+            out["frame"] = conn.recv()
+        except BaseException as exc:  # noqa: BLE001 - inspected below
+            out["error"] = exc
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    return reader, out
 
 
 class TestFrameConn:
-    def test_small_object_stays_in_band(self, frame_pair):
-        a, b, ring = frame_pair
-        a.send(7, {"op": "ping", "n": 3})
-        kind, obj = b.recv()
-        assert kind == 7
-        assert obj == {"op": "ping", "n": 3}
-        assert ring.head == 0  # nothing diverted
+    def test_small_object_stays_in_band(self):
+        left, right = multiprocessing.Pipe(duplex=True)
+        message = {"op": "ping", "n": 3}
+        FrameConn(left).send(7, message)
+        payload = pickle.dumps(message, protocol=5)
+        # The whole frame is the header and one pickle of the message.
+        wire = os.read(right.fileno(), 1 << 16)
+        assert wire == struct.pack("<BI", 7, len(payload)) + payload
+        left.close()
+        right.close()
 
-    def test_large_buffer_travels_through_ring(self, frame_pair):
-        a, b, ring = frame_pair
-        matrix = np.arange(2048, dtype=np.float64).reshape(64, 32)
-        a.send(1, matrix)
-        kind, clone = b.recv()
+    def test_frame_larger_than_pipe_buffers_round_trips(self, frame_pair):
+        # Bigger than the 8 MiB rings the control pipe once had, and so
+        # many socket buffers long: the writer blocks until the reader
+        # drains it.
+        a, b = frame_pair
+        big = np.random.default_rng(5).normal(size=(1200, 1000))
+        assert big.nbytes > 9 << 20
+        reader, out = recv_in_thread(b)
+        a.send(1, {"W0": big, "tag": "weights"})
+        reader.join(60.0)
+        assert not reader.is_alive()
+        kind, clone = out["frame"]
         assert kind == 1
-        np.testing.assert_array_equal(clone, matrix)
-        assert ring.head >= matrix.nbytes  # the floats went out-of-band
+        assert clone["tag"] == "weights"
+        np.testing.assert_array_equal(clone["W0"], big)
 
     def test_mixed_buffer_sizes_keep_their_order(self, frame_pair):
-        # Regression: with inverted buffer_callback semantics the
-        # diverted and in-band buffers swap positions and a (32,) bias
-        # deserializes against a (387, 32) weight buffer.
-        a, b, _ = frame_pair
+        # Arrays of different sizes in one frame each come back in
+        # place: a (32,) bias never lands against a (387, 32) weight.
+        a, b = frame_pair
         payload = {
             "W0": np.random.default_rng(0).normal(size=(387, 32)),
             "b0": np.zeros(32),
@@ -244,32 +196,39 @@ class TestFrameConn:
         for name, arr in payload.items():
             np.testing.assert_array_equal(clone[name], arr)
 
-    def test_ring_full_falls_back_inline(self):
-        left, right = multiprocessing.Pipe(duplex=True)
-        ring = ShmRing(capacity=1024, create=True)  # smaller than payload
-        from repro.serving import TransportStats
-
-        stats = TransportStats()
-        a = FrameConn(left, send_ring=ring, stats=stats)
-        b = FrameConn(right, recv_ring=ring, stats=stats)
-        try:
-            big = np.ones(4096, dtype=np.float64)
-            a.send(3, big)
-            _, clone = b.recv()
-            np.testing.assert_array_equal(clone, big)
-            assert stats.shm_fallbacks >= 1
-            assert stats.bytes_shm == 0
-        finally:
-            a.close()
-            b.close()
-            ring.close()
-            ring.unlink()
-
     def test_closed_peer_raises_eof(self, frame_pair):
-        a, b, _ = frame_pair
+        a, b = frame_pair
         a.close()
         with pytest.raises(EOFError):
             b.recv()
+
+    def test_peer_closing_mid_payload_raises_eof(self):
+        left, right = multiprocessing.Pipe(duplex=True)
+        payload = pickle.dumps(list(range(1000)), protocol=5)
+        os.write(left.fileno(), struct.pack("<BI", 2, len(payload)) + payload[:100])
+        left.close()
+        b = FrameConn(right)
+        reader, out = recv_in_thread(b)
+        reader.join(30.0)
+        assert not reader.is_alive()  # no hang
+        assert "frame" not in out  # no short object
+        assert isinstance(out["error"], EOFError)
+        b.close()
+
+    def test_bytes_pipe_counts_both_directions(self):
+        left, right = multiprocessing.Pipe(duplex=True)
+        stats = TransportStats()
+        a, b = FrameConn(left, stats=stats), FrameConn(right, stats=stats)
+        try:
+            message = {"plans": [np.arange(64.0)], "version": 3}
+            a.send(5, message)
+            b.recv()
+        finally:
+            a.close()
+            b.close()
+        frame = struct.calcsize("<BI") + len(pickle.dumps(message, protocol=5))
+        assert (stats.frames_sent, stats.frames_received) == (1, 1)
+        assert stats.bytes_pipe == 2 * frame
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +338,38 @@ class TestProcessFrontEnd:
         proc_plans = proc_frontend.optimize_batch(queries, timeout=60.0)
         for thread_plan, proc_plan in zip(thread_plans, proc_plans):
             assert plan_repr(thread_plan) == plan_repr(proc_plan)
+
+    def test_experience_drains_match_thread_shards(
+        self, proc_db, proc_agent, proc_featurizer
+    ):
+        """Drained trajectories cross the control pipe whole: two
+        process shards give back what two thread shards collect for the
+        same queries, state stacks bitwise."""
+        queries = [parse_query(sql, f"{name}-drain") for sql, name in QUERIES]
+        drained = {}
+        for executor in ("process", "thread"):
+            frontend = build_frontend(
+                proc_db, proc_agent, proc_featurizer, executor
+            )
+            with frontend:
+                for query in queries:
+                    frontend.optimize(query, timeout=60.0)
+                episodes = frontend.drain_experience()
+                assert frontend.drain_experience() == []
+            drained[executor] = sorted(
+                episodes, key=lambda ep: ep.info["query"].name
+            )
+        proc, thread = drained["process"], drained["thread"]
+        assert len(proc) == len(thread) == len(queries)
+        for p_ep, t_ep in zip(proc, thread):
+            assert p_ep.info["query"].name == t_ep.info["query"].name
+            assert [t.action for t in p_ep.transitions] == [
+                t.action for t in t_ep.transitions
+            ]
+            for p_step, t_step in zip(p_ep.transitions, t_ep.transitions):
+                assert p_step.state.dtype == t_step.state.dtype
+                assert p_step.state.shape == t_step.state.shape
+                assert p_step.state.tobytes() == t_step.state.tobytes()
 
     def test_served_plan_round_trips_through_pickle(self, proc_frontend):
         plan = proc_frontend.optimize(parse_query(AB, "ab-pickle"), timeout=60.0)
