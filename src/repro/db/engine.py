@@ -11,7 +11,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -81,8 +81,17 @@ class Database:
     table_epochs: Dict[str, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: Sorted indexed columns per table, kept by the index constructors:
+    #: access-path enumeration asks once per leaf of every completion.
+    _indexed_columns: Dict[str, Tuple[str, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     _CARDS_CACHE_CAPACITY = 512
+
+    def __post_init__(self) -> None:
+        for table in {t for t, _c in (*self.btree_indexes, *self.hash_indexes)}:
+            self._note_index(table)
 
     # ------------------------------------------------------------------
     # Pickling (multiprocess serving ships a Database to each worker)
@@ -215,13 +224,19 @@ class Database:
         values = self.tables[table].column(column)
         index = BTreeIndex.build(table, column, values)
         self.btree_indexes[(table, column)] = index
+        self._note_index(table)
         return index
 
     def create_hash_index(self, table: str, column: str) -> HashIndex:
         values = self.tables[table].column(column)
         index = HashIndex.build(table, column, values)
         self.hash_indexes[(table, column)] = index
+        self._note_index(table)
         return index
+
+    def _note_index(self, table: str) -> None:
+        columns = {c for t, c in (*self.btree_indexes, *self.hash_indexes) if t == table}
+        self._indexed_columns[table] = tuple(sorted(columns))
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -233,11 +248,9 @@ class Database:
             return self.hash_indexes.get((table, column))
         raise ValueError(f"unknown index kind {kind!r}")
 
-    def indexed_columns(self, table: str) -> List[str]:
-        """Columns of ``table`` that have at least one index."""
-        cols = {c for (t, c) in self.btree_indexes if t == table}
-        cols |= {c for (t, c) in self.hash_indexes if t == table}
-        return sorted(cols)
+    def indexed_columns(self, table: str) -> Tuple[str, ...]:
+        """Columns of ``table`` that have at least one index, sorted."""
+        return self._indexed_columns.get(table, ())
 
     @property
     def n_tables(self) -> int:

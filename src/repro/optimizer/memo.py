@@ -1,12 +1,11 @@
 """Cross-episode sub-plan cost memoization (ROADMAP: "cross-query
 sub-plan memoization").
 
-Training converges onto a small set of join trees per query, and the
-serving layer replays cached trees for fingerprint-equivalent queries —
-in both cases the expensive part of scoring a finished join order
-(physical completion plus cost-model evaluation) was recomputed from
-scratch every time. This module memoizes those results, keyed by a
-*structural* fingerprint of the logical join (sub)tree:
+Training converges onto a small set of join trees per query, so the
+expensive part of scoring a finished join order (physical completion
+plus cost-model evaluation) would be recomputed from scratch on every
+episode. This module memoizes those results, keyed by a *structural*
+fingerprint of the logical join (sub)tree:
 
 - a **leaf** is labelled by its table plus the name-free signatures of
   its selection predicates (full-precision constants, so predicates
@@ -21,10 +20,19 @@ scratch every time. This module memoizes those results, keyed by a
 
 Everything the cost model consumes (table statistics, selections, join
 predicates, tree shape, aggregate spec) is part of the key, so a memo
-hit returns costs bitwise-equal to uncached evaluation. Keys say
-nothing about statistics *freshness*: clear the memo whenever the
-database is re-ANALYZEd (the serving layer does this on
-``refresh_statistics``).
+hit returns costs bitwise-equal to uncached evaluation. Hits are
+cost-equal, not plan-equal: a join edge is keyed by the columns it
+connects, not by how the query wrote it, so a hit may hand back a
+fragment first built for another query that wrote the same equi-join
+with its sides swapped — same operators, same cost, but predicate
+objects that are not in the requester's ``query.joins``. The memo
+therefore belongs where only costs are read (training rewards, the
+eval gate's oracle), not beneath served plans.
+
+Keys say nothing about statistics *freshness*: the planner syncs the
+memo to ``Database.stats_epoch`` and ``table_epochs`` on each use, and
+a service holding a memo-backed planner clears it on
+``refresh_statistics``.
 """
 
 from __future__ import annotations
@@ -115,11 +123,11 @@ class MemoEntry:
 class SubPlanCostMemo:
     """LRU memo from sub-tree keys to completed, costed sub-plans.
 
-    Shared across episodes (training) and requests (serving): attach one
-    instance to a :class:`~repro.optimizer.planner.Planner` and every
+    Shared across episodes: attach one instance to a
+    :class:`~repro.optimizer.planner.Planner` and every
     ``evaluate_tree``/``complete_plan`` call reuses whatever join
     fragments earlier calls already costed. Counters are operator-facing
-    (``repro info`` prints them through the service).
+    (a service built on a memo-backed planner exports them).
 
     Every operation takes one re-entrant lock, so a memo may be shared
     by concurrent worker shards (or hammered by tests) and its counters

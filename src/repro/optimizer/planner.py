@@ -95,8 +95,9 @@ class Planner:
         """``cost_memo`` (optional) memoizes completed-and-costed
         (sub)plans across :meth:`evaluate_tree`/:meth:`complete_plan`
         calls, keyed by structural join-tree fingerprints — repeated
-        trees (a converged policy, a replayed cache entry) are costed
-        once. Clear it whenever the database is re-ANALYZEd."""
+        trees (a converged policy's episodes) are costed once. Its hits
+        are cost-equal, not plan-equal (see
+        :mod:`repro.optimizer.memo`), so serving planners carry none."""
         if geqo_threshold < 2:
             raise ValueError("geqo_threshold must be at least 2")
         self.db = db
@@ -204,9 +205,9 @@ class Planner:
         serving layer can compare learned and expert plans uniformly.
 
         With a ``cost_memo`` attached, a repeated tree is answered from
-        the memo — bitwise-equal plan and cost, no rebuild, no
-        re-costing — and on a miss every completed sub-tree is recorded
-        for the next caller.
+        the memo — bitwise-equal cost, no rebuild, no re-costing — and
+        on a miss every completed sub-tree is recorded for the next
+        caller. Without one, the plan is completed and costed directly.
         """
         start = time.perf_counter()
         plan, cost = self._complete_and_cost(tree, query, cards)
@@ -316,8 +317,8 @@ class Planner:
 
         With a ``cost_memo`` attached, the expert path shares the same
         structural-fingerprint bridge as :meth:`evaluate_tree`: a
-        repeated expert tree (guardrail fallbacks, parity evals) is
-        answered from the memo bitwise-identically. ``budget_ms``
+        repeated expert tree (an eval gate's oracle, parity evals) is
+        answered from the memo at a bitwise-equal cost. ``budget_ms``
         bounds the join search (see :meth:`choose_join_order`);
         :class:`PlanningTimeout` propagates to the caller.
         """

@@ -374,7 +374,7 @@ class ServingFrontEnd:
     ``services`` is one :class:`~repro.serving.service.Shard` per
     shard (an :class:`OptimizerService`, or the proxy of one in a worker
     process); use :meth:`build` to construct a standard set
-    (shard-private planners, memos, and policy copies) from a database
+    (shard-private planners, caches, and policy copies) from a database
     and an agent. Services must not share mutable planner or cache
     state, nor serve a policy object that something trains in place.
 
@@ -556,9 +556,10 @@ class ServingFrontEnd:
         """A front end with the standard shard setup.
 
         Each shard gets its own :class:`~repro.optimizer.planner.Planner`
-        (with a private sub-plan cost memo) and its own deep copy of the
-        policy — shard 0 included, so the agent stays its trainer's
-        alone and no shard serves arrays that something else writes.
+        (memo-free: a served plan is completed once, directly) and its
+        own deep copy of the policy — shard 0 included, so the agent
+        stays its trainer's alone and no shard serves arrays that
+        something else writes.
         ``planner_factory()`` overrides the per-shard planner;
         ``planner_kwargs`` are extra ``Planner(...)`` arguments — the
         picklable alternative a process-mode shard can carry across the
@@ -576,7 +577,6 @@ class ServingFrontEnd:
         is identical in both modes.
         """
         from repro.core.featurize import QueryFeaturizer
-        from repro.optimizer.memo import SubPlanCostMemo
         from repro.optimizer.planner import Planner
 
         config = config or FrontEndConfig()
@@ -616,9 +616,7 @@ class ServingFrontEnd:
             )
 
         make_planner = planner_factory or (
-            lambda: Planner(
-                db, cost_memo=SubPlanCostMemo(), **dict(planner_kwargs or {})
-            )
+            lambda: Planner(db, **dict(planner_kwargs or {}))
         )
 
         def make_service(shard: int) -> OptimizerService:

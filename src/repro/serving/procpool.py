@@ -131,8 +131,10 @@ class WorkerSpec:
     Must stay picklable end to end: it crosses the spawn boundary as a
     ``Process`` argument. ``planner_kwargs`` replaces the thread-mode
     ``planner_factory`` closure (closures do not pickle); the worker
-    constructs ``Planner(db, cost_memo=SubPlanCostMemo(),
-    **planner_kwargs)`` itself.
+    constructs ``Planner(db, **planner_kwargs)`` itself, with no
+    sub-plan cost memo: the plan cache and its per-spelling
+    translations already answer every repeated statement, so each
+    served plan is completed and costed once, directly.
     """
 
     shard: int
@@ -160,12 +162,9 @@ def _trace_payload(trace: Trace) -> dict:
 
 
 def _build_worker_service(spec: WorkerSpec) -> OptimizerService:
-    from repro.optimizer.memo import SubPlanCostMemo
     from repro.optimizer.planner import Planner
 
-    planner = Planner(
-        spec.db, cost_memo=SubPlanCostMemo(), **dict(spec.planner_kwargs)
-    )
+    planner = Planner(spec.db, **dict(spec.planner_kwargs))
     return OptimizerService(
         spec.db,
         spec.policy,

@@ -47,8 +47,9 @@ __all__ = [
 SPELLINGS_PER_ENTRY = 8
 
 #: A cached answer's translations: requester spelling (its alias ->
-#: canonical map as items) -> (statistics epoch, translated result).
-Translations = OrderedDict[tuple, Tuple[int, PlannerResult]]
+#: canonical map as items) -> (statistics epoch of each table the query
+#: reads, translated result).
+Translations = OrderedDict[tuple, Tuple[Dict[str, int], PlannerResult]]
 
 #: One memoized expert answer: the result, the alias -> canonical map of
 #: the query it was planned for, the base tables it reads (so a
@@ -97,18 +98,22 @@ def translated(
 
     ``translations`` belongs to the cached answer that ``tree`` and
     ``origin`` come from, so it leaves with that answer on eviction or
-    invalidation. A translation is reused only under the statistics
-    epoch it was costed at, which keeps it bitwise equal to a fresh
-    :func:`evaluate_in_aliases` of the same query; a reuse records no
+    invalidation. A translation is reused only while every table its
+    query reads is at the statistics epoch it was costed under. A plan
+    reads no other table's statistics, so the reuse stays bitwise equal
+    to a fresh :func:`evaluate_in_aliases` of the same query, and a
+    refresh of an unrelated table does not cost it again (estimator
+    swaps and full ``ANALYZE`` move every table). A reuse records no
     span, since nothing is constructed.
     """
     spelling = tuple(names.items())
-    epoch = planner.db.stats_epoch
+    live = planner.db.table_epochs
+    epochs = {table: live.get(table, 0) for table in query.relations.values()}
     kept = translations.get(spelling)
-    if kept is not None and kept[0] == epoch:
+    if kept is not None and kept[0] == epochs:
         return kept[1]
     result = evaluate_in_aliases(planner, query, names, tree, origin, trace, parent)
-    translations[spelling] = (epoch, result)
+    translations[spelling] = (epochs, result)
     while len(translations) > SPELLINGS_PER_ENTRY:
         translations.popitem(last=False)
     return result

@@ -36,7 +36,6 @@ from repro.db.plans import JoinTree, PhysicalPlan
 from repro.db.query import Query
 from repro.obs import Telemetry
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.optimizer.memo import SubPlanCostMemo
 from repro.optimizer.planner import PLANNER_METRIC_ROWS, Planner, PlanningTimeout
 from repro.rl.env import Trajectory
 from repro.serving.batching import MicroBatchEngine, RolloutRecord
@@ -417,7 +416,7 @@ class OptimizerService:
         # Agents (PPO/REINFORCE) carry their CategoricalPolicy in .policy;
         # a bare policy object is accepted too.
         policy = getattr(agent_or_policy, "policy", agent_or_policy)
-        self.planner = planner or Planner(db, cost_memo=SubPlanCostMemo())
+        self.planner = planner or Planner(db)
         self.featurizer = featurizer or QueryFeaturizer(db.schema)
         self.config = config or ServingConfig()
         self.reward_source = reward_source or CostModelReward(db)
@@ -1064,9 +1063,10 @@ class OptimizerService:
         that depended on the old statistics.
 
         With ``tables`` given, only those tables are re-sampled and only
-        the cached plans / expert memos / sub-plan cost fragments that
-        *read* one of them are evicted (the ``invalidations_partial``
-        counters record how many) — everything else keeps serving warm.
+        the cached plans and expert memos (and, behind a memo-backed
+        planner, sub-plan cost fragments) that *read* one of them are
+        evicted (the ``invalidations_partial`` counters record how many)
+        — everything else keeps serving warm.
         """
         self.db.analyze(seed=seed, sample_size=sample_size, tables=tables)
         self.invalidate_statistics_caches(tables=tables)

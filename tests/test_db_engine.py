@@ -36,6 +36,14 @@ class TestConstruction:
         assert "id" in small_db.indexed_columns("a")
         assert "a_id" in small_db.indexed_columns("b")
 
+    def test_an_index_created_after_a_lookup_shows_in_the_next(self, fresh_small_db):
+        assert fresh_small_db.indexed_columns("a") == ("id",)
+        fresh_small_db.create_hash_index("a", "x")
+        assert fresh_small_db.indexed_columns("a") == ("id", "x")
+        fresh_small_db.create_btree_index("a", "f")
+        fresh_small_db.create_btree_index("a", "x")
+        assert fresh_small_db.indexed_columns("a") == ("f", "id", "x")
+
     def test_unknown_index_kind(self, small_db):
         with pytest.raises(ValueError):
             small_db.index_on("a", "id", kind="gist")

@@ -225,8 +225,11 @@ class TestMemoBookkeeping:
         agent = PPOAgent(
             featurizer.state_dim, featurizer.n_pair_actions, np.random.default_rng(0)
         )
+        # Serving planners carry no memo; a service handed a
+        # memo-backed planner exports its counters and clears it.
         service = OptimizerService(
             small_db, agent, featurizer=featurizer,
+            planner=Planner(small_db, cost_memo=SubPlanCostMemo()),
             config=ServingConfig(regression_threshold=None),
         )
         rng = np.random.default_rng(2)

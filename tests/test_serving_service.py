@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import ExpertBaseline, Trainer, TrainingConfig
 from repro.core.featurize import QueryFeaturizer
+from repro.db.plans import HashJoin, MergeJoin, NestedLoopJoin
 from repro.db.query import parse_query
 from repro.obs.metrics import Histogram
 from repro.optimizer.planner import Planner
@@ -27,6 +28,9 @@ CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 CHAIN_RENAMED = "SELECT * FROM a AS u, b AS v, c AS w2 WHERE w2.b_id = v.id AND v.a_id = u.id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
+AB_RENAMED = "SELECT * FROM a AS u, b AS v WHERE u.id = v.a_id"
+#: CHAIN with both equi-joins written with their sides swapped.
+CHAIN_SWAPPED = "SELECT * FROM a, b, c WHERE b.a_id = a.id AND c.b_id = b.id"
 OVERSIZE = (
     "SELECT * FROM a, b AS b1, b AS b2, c "
     "WHERE b1.a_id = a.id AND b2.a_id = a.id AND c.b_id = b1.id"
@@ -291,6 +295,21 @@ class TestRenamedHitTranslations:
         assert service.optimize(parse_query(CHAIN_RENAMED, "again")).source == "cache"
         assert len(calls) == 1
 
+    def test_a_refresh_of_an_unread_table_keeps_the_translation(
+        self, fresh_small_db, agent, featurizer, monkeypatch
+    ):
+        service = make_service(fresh_small_db, agent, featurizer)
+        service.optimize(parse_query(AB, "ab"))
+        first = service.optimize(parse_query(AB_RENAMED, "renamed"))
+        calls = count_evaluations(monkeypatch, service.planner)
+        # The twin reads a and b only: a re-ANALYZE of c moves the
+        # statistics epoch but no epoch the translation was costed at.
+        service.refresh_statistics(sample_size=500, tables=["c"])
+        again = service.optimize(parse_query(AB_RENAMED, "again"))
+        assert (first.source, again.source) == ("cache", "cache")
+        assert (again.plan, again.cost) == (first.plan, first.cost)
+        assert calls == []
+
     def test_spellings_per_entry_are_bounded(
         self, small_db, agent, featurizer, monkeypatch
     ):
@@ -305,6 +324,41 @@ class TestRenamedHitTranslations:
         assert calls == []
         service.optimize(parse_query(spelling(0), "dropped"))  # oldest out
         assert len(calls) == 1
+
+
+def join_predicates(plan) -> list:
+    """Every predicate held by a join node of ``plan``."""
+    own = (
+        list(plan.predicates)
+        if isinstance(plan, (HashJoin, MergeJoin, NestedLoopJoin))
+        else []
+    )
+    return own + [p for child in plan.children for p in join_predicates(child)]
+
+
+class TestServedPlansAreFreshCompletions:
+    def test_a_shared_sub_tree_keeps_its_own_querys_predicates(
+        self, small_db, agent, featurizer
+    ):
+        # Both two-way joins are planned first; the chain then shares
+        # one of them as a sub-tree but writes each equi-join with its
+        # sides swapped. Each served plan must be the requester's own.
+        service = OptimizerService(
+            small_db,
+            agent,
+            featurizer=featurizer,
+            config=ServingConfig(regression_threshold=1.0),
+        )
+        fresh = Planner(small_db)
+        for k, sql in enumerate((AB, BC, CHAIN_SWAPPED)):
+            query = parse_query(sql, f"q{k}")
+            served = service.optimize(query)
+            assert served.source in ("policy", "fallback")
+            assert join_predicates(served.plan)
+            for pred in join_predicates(served.plan):
+                assert any(pred is own for own in query.joins), pred.render()
+            tree = service.cache.get(served.fingerprint).tree
+            assert served.plan == fresh.evaluate_tree(tree, query).plan
 
 
 class TestGuardrail:
