@@ -10,6 +10,9 @@ Layers follow a simple contract:
 - ``backward(grad_out)`` consumes the loss gradient w.r.t. the layer
   output and returns the gradient w.r.t. the layer input, accumulating
   parameter gradients in ``layer.grads``;
+- ``backward_params(grad_out)`` accumulates the same parameter
+  gradients and returns nothing, for a caller with no use for the input
+  gradient (a network's input layer skips its largest matmul);
 - ``params`` / ``grads`` expose parameters as ``{name: ndarray}`` so
   optimizers can update them in place.
 
@@ -40,6 +43,9 @@ class Layer:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        self.backward(grad_out)
 
     @property
     def params(self) -> Dict[str, np.ndarray]:
@@ -92,12 +98,18 @@ class Linear(Layer):
         return x @ self.weight + self.bias
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        return self._accumulate(grad_out) @ self.weight.T
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        self._accumulate(grad_out)
+
+    def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
         grad_out = np.atleast_2d(grad_out)
         self._grad_weight += self._x.T @ grad_out
         self._grad_bias += grad_out.sum(axis=0)
-        return grad_out @ self.weight.T
+        return grad_out
 
     def grow_outputs(self, n_new: int, rng: np.random.Generator) -> None:
         """Append ``n_new`` freshly initialized output units.
@@ -185,6 +197,11 @@ class Sequential(Layer):
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out)
         return grad_out
+
+    def backward_params(self, grad_out: np.ndarray) -> None:
+        for layer in reversed(self.layers[1:]):
+            grad_out = layer.backward(grad_out)
+        self.layers[0].backward_params(grad_out)
 
     def zero_grad(self) -> None:
         for layer in self.layers:

@@ -1,7 +1,9 @@
 """The :class:`MLP` facade used by every agent in the reproduction.
 
 An MLP bundles a :class:`~repro.nn.layers.Sequential` stack with its
-optimizer and adds the operations the paper's training strategies need:
+:class:`~repro.nn.optim.Adam` optimizer (always Adam, so ``clone`` and
+``load`` rebuild the same optimizer) and adds the operations the
+paper's training strategies need:
 
 - a single-call ``train_step`` (forward, loss, backward, clip, step);
 - ``grow_outputs`` — action-layer surgery for incremental learning
@@ -21,7 +23,7 @@ import numpy as np
 
 from repro.nn.initializers import he_init
 from repro.nn.layers import Layer, Linear, ReLU, Sequential, Tanh
-from repro.nn.optim import Adam, Optimizer, clip_gradients
+from repro.nn.optim import Adam, clip_gradients
 
 __all__ = ["MLP"]
 
@@ -40,7 +42,6 @@ class MLP:
         activation: str = "relu",
         lr: float = 1e-3,
         max_grad_norm: float = 5.0,
-        optimizer_factory: Callable[[dict, float], Optimizer] | None = None,
     ) -> None:
         if activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
@@ -59,8 +60,7 @@ class MLP:
             prev = width
         layers.append(Linear(prev, out_features, rng))
         self.net = Sequential(layers)
-        factory = optimizer_factory or (lambda params, lr_: Adam(params, lr=lr_))
-        self.optimizer = factory(self.net.params, lr)
+        self.optimizer = Adam(self.net.params, lr=lr)
 
     # ------------------------------------------------------------------
     # Inference / training
@@ -75,7 +75,7 @@ class MLP:
         """:meth:`forward` for callers that will not backpropagate: the
         same arithmetic (bitwise the same output) with nothing stashed
         on the layers, so it is re-entrant. :meth:`train_step` is the
-        only caller of ``backward`` and keeps the stashing pass."""
+        only caller that backpropagates and keeps the stashing pass."""
         return self.net.infer(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
     def infer_after_input(self, pre: np.ndarray) -> np.ndarray:
@@ -94,11 +94,14 @@ class MLP:
         loss_fn: Callable[[np.ndarray], Tuple[float, np.ndarray]],
     ) -> float:
         """Run ``forward``, apply ``loss_fn(output) -> (loss, dL/doutput)``,
-        backprop, clip, and take one optimizer step. Returns the loss."""
+        backprop, clip, and take one optimizer step. Returns the loss.
+
+        The backward pass stops at the parameters: nothing reads the
+        gradient w.r.t. ``x``, so the input layer does not compute it."""
         self.net.zero_grad()
         out = self.forward(x)
         loss, grad = loss_fn(out)
-        self.net.backward(grad)
+        self.net.backward_params(grad)
         grads = self.net.grads
         clip_gradients(grads, self.max_grad_norm)
         self.optimizer.step(grads)

@@ -6,7 +6,7 @@ state (momenta, second moments) is keyed by parameter name.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -124,6 +124,9 @@ class Adam(Optimizer):
         self.eps = eps
         self._m: Dict[str, np.ndarray] = {}
         self._v: Dict[str, np.ndarray] = {}
+        # Two scratch arrays per parameter, shaped like it and replaced
+        # with the moments, so a step allocates nothing.
+        self._scratch: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._t = 0
 
     def step(self, grads: Dict[str, np.ndarray]) -> None:
@@ -134,20 +137,28 @@ class Adam(Optimizer):
         for name, param in self.params.items():
             g = grads[name]
             m = self._m.get(name)
-            v = self._v.get(name)
             if m is None or m.shape != g.shape:
-                m = np.zeros_like(g)
-                self._m[name] = m
-            if v is None or v.shape != g.shape:
-                v = np.zeros_like(g)
-                self._v[name] = v
-            # In-place moment updates: same arithmetic (and bit results)
-            # as `beta*m + (1-beta)*g`, without reallocating the moment
-            # buffers on every step — the optimizer was allocation-bound.
+                m = self._m[name] = np.zeros_like(g)
+                self._v[name] = np.zeros_like(g)
+                self._scratch[name] = (np.empty_like(g), np.empty_like(g))
+            v = self._v[name]
+            update, denom = self._scratch[name]
+            # The textbook expression, one elementwise operation at a
+            # time and in its order, written into kept buffers. IEEE
+            # results do not depend on where they are stored, so this is
+            # bitwise `m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g**2;
+            # param -= lr*(m/b1t) / (sqrt(v/b2t) + eps)`.
             m *= self.beta1
-            m += (1 - self.beta1) * g
+            np.multiply(g, 1 - self.beta1, out=update)
+            m += update
             v *= self.beta2
-            v += (1 - self.beta2) * g**2
-            update = self.lr * (m / b1t)
-            update /= np.sqrt(v / b2t) + self.eps
+            np.multiply(g, g, out=update)
+            update *= 1 - self.beta2
+            v += update
+            np.divide(m, b1t, out=update)
+            update *= self.lr
+            np.divide(v, b2t, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
             param -= update
