@@ -144,7 +144,6 @@ def clear_caches(frontend) -> None:
     policy (cached plans would insulate a bad policy from traffic)."""
     for service in frontend.services:
         service.cache.clear()
-        service.router.invalidate()
 
 
 # ----------------------------------------------------------------------

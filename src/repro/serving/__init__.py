@@ -9,8 +9,9 @@ puts it behind a production-shaped ``optimize(query)`` API:
   eviction statistics and invalidation on statistics refresh;
 - :mod:`repro.serving.batching` — micro-batched greedy rollout that
   scores every in-flight query's state in one stacked forward pass;
-- :mod:`repro.serving.router` — Bao/Neo-style guardrail that falls
-  back to the expert plan on predicted cost regressions;
+- :mod:`repro.serving.router` — Bao/Neo-style guardrail that plans
+  the expert once per request and falls back to that plan on predicted
+  cost regressions (it keeps no per-query state);
 - :mod:`repro.serving.experience` — replay buffer of served rollouts
   for hands-free retraining via ``Trainer.replay``;
 - :mod:`repro.serving.service` — :class:`OptimizerService`, the

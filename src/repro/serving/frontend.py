@@ -19,8 +19,8 @@ to queue-and-flush:
 3. each flush is split by shard and dispatched to **N worker threads**,
    one :class:`~repro.serving.service.OptimizerService` each. Because
    the ring keys on the canonical query fingerprint, every
-   fingerprint-equivalent query lands on the same shard's plan cache,
-   guardrail memo, and experience buffer — shard-private caches need no
+   fingerprint-equivalent query lands on the same shard's plan cache
+   and experience buffer — shard-private caches need no
    cross-shard coherence, yet still see every repeat of "their" query
    shapes. In-process shards take **turns** running their service
    (:class:`_Turn`, first come first served): two threads computing at
@@ -1181,6 +1181,10 @@ class ServingFrontEnd:
             ready = kept
         if not ready:
             return
+        # The death handler retries what this shard holds: from here on
+        # that is the batch being served, not the faulted requests whose
+        # retries are already scheduled.
+        self._holding[shard] = ready
         service = self.services[shard]
         if (
             injector is not None
@@ -1246,15 +1250,13 @@ class ServingFrontEnd:
                     # so a retry can never double-count a trajectory.
                     collect=[s.attempts == 1 for s in ready],
                 )
-        except WorkerProcessDied as exc:
-            # The shard's process is gone. Back off the held requests
-            # like any retryable failure, then die like the process did:
-            # re-raising runs the worker-death path (drain + failover)
-            # and has the supervisor respawn both the process and this
-            # thread together.
-            self.breakers[shard].record_failure()
-            for s in ready:
-                self._retry_or_fail(s, exc)
+        except WorkerProcessDied:
+            # The shard's process is gone: die like it did. Re-raising
+            # runs the worker-death path, the one place a death is
+            # handled: it marks the shard down before it retries any
+            # held request (so no retry can be routed back here), and
+            # the supervisor respawns the process and this thread
+            # together.
             raise
         except OptimizeError as exc:
             self.breakers[shard].record_failure()
@@ -1380,8 +1382,10 @@ class ServingFrontEnd:
         self._queues[shard].put(_KILL)
 
     def _on_worker_death(self, shard: int, exc: BaseException) -> None:
-        """Runs *in* the dying worker thread: mark the shard down, fail
-        over everything it held or had queued, wake the supervisor."""
+        """Runs *in* the dying worker thread: mark the shard down, record
+        one breaker failure, retry each unsettled request it held once
+        (the death as the cause), put what it had queued back in line,
+        wake the supervisor."""
         with self._work:
             already = shard in self._down
             self._down.add(shard)
@@ -1400,18 +1404,14 @@ class ServingFrontEnd:
             if item is _STOP or item is _KILL:
                 continue
             requeued.extend(item)
-        with self._state_lock:
-            awaiting_retry = set(self._timers)
         for s in held:
-            if s.settled or s in awaiting_retry:
-                continue  # already resolved or already backed off
-            self._retry_or_fail(
-                s,
-                ShardFailed(
-                    f"worker shard {shard} died mid-batch: {exc!r}",
-                    **s.identity(),
-                ),
+            if s.settled:
+                continue
+            error = ShardFailed(
+                f"worker shard {shard} died mid-batch: {exc!r}", **s.identity()
             )
+            error.__cause__ = exc
+            self._retry_or_fail(s, error)
         if requeued:
             with self._work:
                 # Front of the line: these already waited one full

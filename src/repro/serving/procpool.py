@@ -28,9 +28,9 @@ promotes each shard to a **worker process** behind the same
 BLAS pinning: each child is started with ``OMP_NUM_THREADS=1`` (and the
 OpenBLAS/MKL/veclib/numexpr equivalents) exported *before* the spawn,
 so the child's numpy import sees them — N workers x M BLAS threads
-oversubscribing the box is the classic multiprocess perf cliff. Override
-with ``REPRO_WORKER_BLAS_THREADS``; explicitly pre-set variables are
-respected.
+oversubscribing the box is the classic multiprocess perf cliff. A
+variable the operator already set is respected, so the standard
+variables are the override.
 
 Tracing: the worker serves each traced request into a private
 :class:`repro.obs.trace.Trace` and ships its span tree back with the
@@ -50,7 +50,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.trace import Span, Trace
@@ -68,7 +68,6 @@ __all__ = [
     "ProcessWorkerClient",
     "worker_main",
     "WORKER_ENV_PINS",
-    "worker_blas_threads",
 ]
 
 # -- frame kinds -------------------------------------------------------
@@ -92,12 +91,6 @@ WORKER_ENV_PINS = (
 )
 
 
-def worker_blas_threads() -> str:
-    """The BLAS thread count exported to worker children (the
-    ``REPRO_WORKER_BLAS_THREADS`` knob; default ``"1"``)."""
-    return os.environ.get("REPRO_WORKER_BLAS_THREADS", "1")
-
-
 @contextmanager
 def _pinned_spawn_env():
     """Export the BLAS pins around a ``Process.start()``.
@@ -108,20 +101,14 @@ def _pinned_spawn_env():
     spawn itself. Variables the operator already set are left alone,
     and the parent's environment is restored either way.
     """
-    value = worker_blas_threads()
-    touched: Dict[str, Optional[str]] = {}
-    for key in WORKER_ENV_PINS:
-        if key not in os.environ:
-            touched[key] = None
-            os.environ[key] = value
+    unset = [key for key in WORKER_ENV_PINS if key not in os.environ]
+    for key in unset:
+        os.environ[key] = "1"
     try:
         yield
     finally:
-        for key, previous in touched.items():
-            if previous is None:
-                os.environ.pop(key, None)
-            else:  # pragma: no cover - defensive
-                os.environ[key] = previous
+        for key in unset:
+            os.environ.pop(key, None)
 
 
 @dataclass
@@ -251,7 +238,7 @@ def worker_main(spec: WorkerSpec, req_conn, ctl_conn) -> None:
     # values numpy actually read at import); keep them for any later
     # library initialization in this process.
     for key in WORKER_ENV_PINS:
-        os.environ.setdefault(key, worker_blas_threads())
+        os.environ.setdefault(key, "1")
 
     service = _build_worker_service(spec)
     req = FrameConn(req_conn)

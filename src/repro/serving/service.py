@@ -9,8 +9,9 @@ parts:
 2. the **micro-batch engine** — cache misses in a burst are rolled out
    in lockstep with stacked forward passes;
 3. the **guardrail router** — every learned plan is compared against
-   the expert's plan cost and replaced by the expert plan when the
-   predicted regression exceeds the configured threshold;
+   the expert's plan for the same query, planned once per request, and
+   replaced by that plan when the predicted regression exceeds the
+   configured threshold;
 4. the **experience buffer** — every policy rollout is recorded as a
    trajectory with its terminal reward, ready for
    ``Trainer.replay`` to retrain the policy hands-free.
@@ -46,6 +47,7 @@ from repro.serving.router import (
     GuardrailDecision,
     GuardrailRouter,
     Translations,
+    expert_plan,
     translated,
 )
 
@@ -97,9 +99,6 @@ _SERVICE_ROWS = (
     ("repro_serving_degraded_total", "served_degraded", "counter",
      "requests answered by the degradation ladder",
      lambda s: s.stats.degraded_served),
-    ("repro_serving_degraded_cache_total", "degraded_cache", "counter",
-     "degraded requests answered from the expert memo",
-     lambda s: s.stats.degraded_cache),
     ("repro_serving_degraded_dp_total", "degraded_dp", "counter",
      "degraded requests answered by the budgeted DP rung",
      lambda s: s.stats.degraded_dp),
@@ -262,6 +261,7 @@ def latency_summary(hist: Histogram) -> Dict[str, float]:
 class ServingConfig:
     """Knobs an operator tunes without touching code."""
 
+    #: Entries the plan cache holds (least recently used out first).
     cache_capacity: int = 512
     #: Max tolerated learned/expert predicted-cost ratio; None disables
     #: the guardrail (the expert is never consulted on the serve path).
@@ -278,8 +278,8 @@ class ServedPlan:
     fingerprint: str
     plan: PhysicalPlan
     cost: float
-    #: "cache" | "policy" | "fallback" | "expert" | "degraded_cache" |
-    #: "degraded_dp" | "degraded_greedy"
+    #: "cache" | "policy" | "fallback" | "expert" | "degraded_dp" |
+    #: "degraded_greedy"
     source: str
     latency_ms: float
     decision: GuardrailDecision | None = None
@@ -317,7 +317,6 @@ _SOURCE_FIELDS = {
     "policy": ("policy_served",),
     "fallback": ("fallbacks",),
     "expert": ("expert_served",),
-    "degraded_cache": ("degraded_served", "degraded_cache"),
     "degraded_dp": ("degraded_served", "degraded_dp"),
     "degraded_greedy": ("degraded_served", "degraded_greedy"),
 }
@@ -334,7 +333,6 @@ class ServiceStats:
     #: Requests answered by the degradation ladder (policy failed), in
     #: total and broken out per rung.
     degraded_served: int = 0
-    degraded_cache: int = 0
     degraded_dp: int = 0
     degraded_greedy: int = 0
 
@@ -423,11 +421,7 @@ class OptimizerService:
         self.stats = ServiceStats()
         self.statements = StatementMemo()
         self.cache = PlanCache(capacity=self.config.cache_capacity)
-        self.router = GuardrailRouter(
-            self.planner,
-            self.config.regression_threshold,
-            capacity=self.config.cache_capacity,
-        )
+        self.router = GuardrailRouter(self.planner, self.config.regression_threshold)
         self.engine = MicroBatchEngine(
             policy,
             self.featurizer,
@@ -537,9 +531,8 @@ class OptimizerService:
         A policy failure (non-finite forward pass, injected fault,
         any exception out of the rollout) does not fail the batch:
         every rollout-bound request is answered by the **degradation
-        ladder** instead — memoized expert plan, then a budgeted
-        non-exact DP, then greedy — with ``degraded_*`` sources and a
-        ``degraded_serve`` event per group.
+        ladder** instead — a budgeted non-exact DP, then greedy — with
+        ``degraded_*`` sources and a ``degraded_serve`` event per group.
         """
         if not queries:
             return []
@@ -803,9 +796,7 @@ class OptimizerService:
         expert search that times out drops to the degradation ladder
         (whose greedy floor always answers)."""
         try:
-            result = self.router.expert_result(
-                query, fp, names, trace=trace, parent=parent, budget_ms=budget_ms
-            )
+            result = expert_plan(self.planner, query, trace, parent, budget_ms)
         except PlanningTimeout as exc:
             answer, _entry = self._serve_degraded(
                 query,
@@ -852,11 +843,9 @@ class OptimizerService:
         guard_span = (
             trace.start_span("guardrail", parent=parent) if trace is not None else None
         )
-        decision = self.router.decide(
+        decision, expert = self.router.decide(
             query,
             learned.cost.total,
-            fp,
-            names,
             trace=trace,
             parent=guard_span,
             budget_ms=budget_ms,
@@ -874,10 +863,8 @@ class OptimizerService:
                 alias_map=names,
             )
         else:
+            # The plan ``decide`` judged, planned for this very query.
             source = "fallback"
-            expert = self.router.expert_result(
-                query, fp, names, trace=trace, parent=parent
-            )
             entry = _CacheEntry(
                 plan=expert.plan,
                 cost=expert.cost.total,
@@ -919,15 +906,11 @@ class OptimizerService:
         """The degradation ladder: answer a request whose policy rollout
         failed, trading plan quality for availability rung by rung.
 
-        1. **Memoized expert plan** (``degraded_cache``): the guardrail
-           already paid for an expert plan of this fingerprint — serve
-           it, rewritten into the requester's aliases when a renamed
-           twin planned it.
-        2. **Budgeted DP** (``degraded_dp``): a non-exact, hard-pruned
+        1. **Budgeted DP** (``degraded_dp``): a non-exact, hard-pruned
            bitset search under ``DEGRADED_DP_BUDGET_MS`` (25 ms)
            (tightened by the request's remaining deadline), interrupted
            mid-wave on expiry.
-        3. **Greedy** (``degraded_greedy``): the bottom-up floor —
+        2. **Greedy** (``degraded_greedy``): the bottom-up floor —
            milliseconds, always answers.
 
         Degraded plans are **never cached**: the next non-degraded
@@ -952,16 +935,11 @@ class OptimizerService:
             if trace is not None
             else None
         )
-        cached = self.router.peek(query, fp, names, trace=trace, parent=span)
-        if cached is not None:
-            source = "degraded_cache"
-            result = cached
-        else:
-            budget = DEGRADED_DP_BUDGET_MS
-            if budget_ms is not None:
-                budget = max(0.0, min(budget, budget_ms))
-            result, lane = self.planner.degraded_plan(query, budget_ms=budget)
-            source = f"degraded_{lane}"
+        budget = DEGRADED_DP_BUDGET_MS
+        if budget_ms is not None:
+            budget = max(0.0, min(budget, budget_ms))
+        result, lane = self.planner.degraded_plan(query, budget_ms=budget)
+        source = f"degraded_{lane}"
         if span is not None:
             span.attrs["source"] = source
             trace.end_span(span)
@@ -1063,10 +1041,10 @@ class OptimizerService:
         that depended on the old statistics.
 
         With ``tables`` given, only those tables are re-sampled and only
-        the cached plans and expert memos (and, behind a memo-backed
-        planner, sub-plan cost fragments) that *read* one of them are
-        evicted (the ``invalidations_partial`` counters record how many)
-        — everything else keeps serving warm.
+        the cached plans (and, behind a memo-backed planner, sub-plan
+        cost fragments) that *read* one of them are evicted (the
+        ``invalidations_partial`` counters record how many) — everything
+        else keeps serving warm.
         """
         self.db.analyze(seed=seed, sample_size=sample_size, tables=tables)
         self.invalidate_statistics_caches(tables=tables)
@@ -1083,12 +1061,10 @@ class OptimizerService:
         memo = getattr(self.planner, "cost_memo", None)
         if tables is None:
             self.cache.clear()
-            self.router.invalidate()
             if memo is not None:
                 memo.clear()
         else:
             self.cache.invalidate_tables(tables)
-            self.router.invalidate_tables(tables)
             if memo is not None:
                 memo.invalidate_tables(tables)
         if self.telemetry is not None and self.telemetry.enabled:

@@ -1,9 +1,9 @@
 """Consistent-hash routing of query fingerprints to worker shards.
 
 The concurrent front end keeps one :class:`~repro.serving.service.OptimizerService`
-per worker shard, each with its own plan cache, guardrail memo, and
-experience buffer. For those shard-private caches to be *useful* (and
-to need no cross-shard coherence protocol at all), every
+per worker shard, each with its own plan cache and experience buffer.
+For those shard-private caches to be *useful* (and to need no
+cross-shard coherence protocol at all), every
 fingerprint-equivalent query must always land on the same shard. A
 consistent-hash ring gives that placement, and — unlike ``hash % K`` —
 keeps ~(K-1)/K of the assignments stable when a shard is added or

@@ -188,7 +188,7 @@ class TestDegradedExclusion:
     def test_is_degraded_reads_flag_and_source(self):
         assert is_degraded(make_trajectory(info={"degraded": True}))
         assert not is_degraded(make_trajectory(info={"degraded": False}))
-        assert is_degraded(make_trajectory(info={"source": "degraded_cached"}))
+        assert is_degraded(make_trajectory(info={"source": "degraded_greedy"}))
         assert not is_degraded(make_trajectory(info={"source": "policy"}))
         assert not is_degraded(make_trajectory())
 
@@ -323,7 +323,6 @@ def burst(frontend, tag, repeat=1):
     exercises the live policy (cache hits would insulate a bad swap)."""
     for service in frontend.services:
         service.cache.clear()
-        service.router.invalidate()
     queries = [
         parse_query(sql, f"{tag}-{i}-{j}")
         for j in range(repeat)
@@ -525,7 +524,6 @@ class TestRetrainingDaemon:
         with frontend:
             for service in frontend.services:
                 service.cache.clear()
-                service.router.invalidate()
             queries = [
                 parse_query(sql, f"retry-{i}-{j}")
                 for j in range(4)

@@ -7,7 +7,9 @@ expirations count that left with the plan cache's TTL, plus the
 statement memo's hits and misses, minus the two shared-memory transport
 counts that left with the rings, minus the six ``costmemo_*`` counts and
 five ``repro_costmemo_*`` names that left when serving planners stopped
-carrying a sub-plan cost memo. Keys, values and value types are pinned;
+carrying a sub-plan cost memo, minus the count and the registry name
+of the degradation ladder's first rung, which served from the
+guardrail's expert memo and left with it. Keys, values and value types are pinned;
 registry names may only be added to, except by such a removal."""
 
 import numpy as np
@@ -35,7 +37,6 @@ COUNTS = {
     "cache_invalidations_partial": 1.0,
     "cache_misses": 1.0,
     "cache_size": 0.0,
-    "degraded_cache": 0.0,
     "degraded_dp": 0.0,
     "degraded_greedy": 0.0,
     "dp_bound_fallbacks": 0.0,
@@ -150,7 +151,6 @@ REGISTRY_NAMES = [
     "repro_request_latency_ms",
     "repro_serving_batches_total",
     "repro_serving_cache_served_total",
-    "repro_serving_degraded_cache_total",
     "repro_serving_degraded_dp_total",
     "repro_serving_degraded_greedy_total",
     "repro_serving_degraded_total",
@@ -246,7 +246,7 @@ def surface(request):
 
 def test_counter_keys_are_the_parents(surface):
     expected = sorted([*surface["counts"], *surface["measured"]])
-    assert len(expected) == (64 if "transport_frames_sent" in expected else 59)
+    assert len(expected) == (63 if "transport_frames_sent" in expected else 58)
     assert sorted(surface["counters"]) == expected
 
 

@@ -35,6 +35,7 @@ from repro.serving import (
     TransportStats,
     WorkerProcessDied,
 )
+from repro.serving.procpool import WORKER_ENV_PINS, _pinned_spawn_env
 
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
@@ -262,6 +263,26 @@ class TestHashRingAcrossProcesses:
 
 
 # ---------------------------------------------------------------------------
+# BLAS pins around a worker spawn
+# ---------------------------------------------------------------------------
+class TestPinnedSpawnEnv:
+    def test_unset_pins_are_one_preset_ones_kept_and_the_parent_restored(
+        self, monkeypatch
+    ):
+        unset, preset = "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"
+        for key in WORKER_ENV_PINS:
+            monkeypatch.delenv(key, raising=False)
+        monkeypatch.setenv(preset, "3")
+        with _pinned_spawn_env():
+            assert os.environ[unset] == "1"
+            assert os.environ[preset] == "3"
+            assert all(key in os.environ for key in WORKER_ENV_PINS)
+        assert unset not in os.environ
+        assert os.environ[preset] == "3"
+        assert [key for key in WORKER_ENV_PINS if key in os.environ] == [preset]
+
+
+# ---------------------------------------------------------------------------
 # Process-mode front end, end to end
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
@@ -317,7 +338,7 @@ class TestProcessFrontEnd:
             assert plan.plan is not None
             assert plan.source in {
                 "cache", "policy", "fallback", "expert",
-                "degraded_cache", "degraded_dp", "degraded_greedy",
+                "degraded_dp", "degraded_greedy",
             }
         counters = proc_frontend.counters()
         assert counters["frontend_executor_processes"] == 2

@@ -480,7 +480,6 @@ class TestServiceStats:
         "policy": ("policy_served",),
         "fallback": ("fallbacks",),
         "expert": ("expert_served",),
-        "degraded_cache": ("degraded_served", "degraded_cache"),
         "degraded_dp": ("degraded_served", "degraded_dp"),
         "degraded_greedy": ("degraded_served", "degraded_greedy"),
     }

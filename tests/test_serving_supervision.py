@@ -1,7 +1,9 @@
 """Tests for shard supervision: the circuit breaker state machine (with
-an injectable clock), worker kill/respawn/reroute, and failure routing
-when every shard is gone."""
+an injectable clock), worker kill/respawn/reroute, failure routing
+when every shard is gone, and one retry per request a dying worker
+held."""
 
+import threading
 
 import numpy as np
 import pytest
@@ -11,11 +13,15 @@ from repro.db.query import parse_query
 from repro.rl.ppo import PPOAgent
 from repro.serving import (
     CircuitBreaker,
+    FaultConfig,
+    FaultInjector,
     FrontEndConfig,
+    InjectedFault,
     RetriesExhausted,
     ServingConfig,
     ServingFrontEnd,
     ShardFailed,
+    WorkerProcessDied,
     fingerprint,
 )
 from tests.helpers import wait_until
@@ -252,3 +258,82 @@ class TestSupervision:
             assert wait_until(lambda: not frontend._down)
         assert frontend._outstanding == set()
         assert frontend._inflight == 0
+
+
+class TestWorkerDeathRetries:
+    @pytest.mark.parametrize("fault_rate", [0.0, 0.3])
+    @pytest.mark.parametrize("backoff_ms", [0.0, 5.0])
+    def test_each_held_request_is_retried_once_after_its_shard_is_down(
+        self, small_db, agent, featurizer, backoff_ms, fault_rate
+    ):
+        # The home shard's service serves a warm-up request, blocking
+        # until 24 more requests for it are queued behind it, then dies
+        # under the batch that coalesces them all. With supervision off
+        # it stays down, so the survivor serves every retry. With
+        # faults, some of the 24 fail before the service is called and
+        # are already backing off when the shard dies.
+        frontend = make_frontend(
+            small_db,
+            agent,
+            featurizer,
+            supervise=False,
+            max_batch=32,
+            max_attempts=5,
+            backoff_base_ms=backoff_ms,
+        )
+        home = frontend.ring.shard_for(fingerprint(parse_query(BC, "bc")))
+        service = frontend.services[home]
+        serve = service.optimize_batch
+        release, calls = threading.Event(), []
+
+        def dying(queries, *args, **kwargs):
+            calls.append(len(queries))
+            if len(calls) == 1:
+                assert release.wait(10.0)
+                return serve(queries, *args, **kwargs)
+            raise WorkerProcessDied("chaos: the worker process is gone")
+
+        service.optimize_batch = dying
+        retries = []
+        retry_or_fail = frontend._retry_or_fail
+
+        def spy(s, error):
+            retries.append((s.query.name, s.attempts, home in frontend._down, error))
+            retry_or_fail(s, error)
+
+        frontend._retry_or_fail = spy
+        with frontend:
+            warm = frontend.submit(parse_query(BC, "warm"))
+            assert wait_until(lambda: calls == [1])
+            # Seed 1 faults 8 of the 24 first attempts, and no request
+            # more than three times in five, so none exhausts them.
+            frontend.install_fault_injector(
+                FaultInjector(FaultConfig(worker_fault_rate=fault_rate, seed=1))
+            )
+            futures = [frontend.submit(parse_query(BC, f"q{i}")) for i in range(24)]
+            assert wait_until(lambda: frontend.stats.occupancy_sum >= 25)
+            release.set()
+            plans = [future.result(timeout=10.0) for future in futures]
+            assert warm.result(timeout=10.0).attempts == 1
+        # One retry per failure: never two for the same attempt.
+        tried = [(name, attempt) for name, attempt, _down, _e in retries]
+        assert len(set(tried)) == len(tried)
+        deaths = [(name, down, e) for name, _a, down, e in retries
+                  if isinstance(e, ShardFailed)]
+        faulted = {name for name, attempt, _d, e in retries
+                   if attempt == 1 and isinstance(e, InjectedFault)}
+        assert len(calls) == 2 and calls[1] == 24 - len(faulted)
+        assert sorted(name for name, _down, _e in deaths) == sorted(
+            f"q{i}" for i in range(24) if f"q{i}" not in faulted
+        )
+        for _name, down, error in deaths:
+            assert down
+            assert isinstance(error.__cause__, WorkerProcessDied)
+        for i, plan in enumerate(plans):
+            assert plan.attempts == 1 + sum(name == f"q{i}" for name, _a in tried)
+        assert frontend.breakers[home]._consecutive_failures == 1
+        assert frontend._outstanding == set()
+        if fault_rate:
+            assert faulted
+        else:
+            assert [plan.attempts for plan in plans] == [2] * 24
