@@ -37,7 +37,7 @@ exemplars named in the ROADMAP:
 - **adaptive guardrail** (Bao's regression predictor): the static
   learned-vs-expert cost-ratio threshold is replaced by one fitted
   from observed (predicted cost → actual latency) pairs: a log-log
-  least-squares fit ``latency ≈ a · cost^b`` turns the operator's
+  least-squares fit ``latency ≈ a · cost^b`` turns a tolerated
   *latency headroom* into the cost ratio that spends exactly that
   headroom, pushed through the front end's
   ``set_guardrail_threshold``.
@@ -77,6 +77,28 @@ __all__ = [
 ]
 
 
+#: Held-out queries the eval gate keeps from the pool it is given.
+HOLDOUT_SIZE = 8
+#: Relation cap on holdout queries: the exact DP stays the oracle.
+MAX_HOLDOUT_RELATIONS = 11
+#: Gate: promote within this geometric-mean cost ratio to the oracle.
+GATE_BUDGET = 1.10
+#: Most recent (predicted cost, latency) pairs the guardrail fit keeps.
+LATENCY_PAIR_WINDOW = 512
+#: Latency regression the fitted guardrail threshold may spend.
+LATENCY_HEADROOM = 1.5
+#: The fitted guardrail threshold is clamped into these bounds.
+GUARDRAIL_BOUNDS = (1.05, 3.0)
+#: Rollback watch: roll back above this windowed bad-serve rate...
+ROLLBACK_FALLBACK_WATERMARK = 0.25
+#: ...or when the window's p95 exceeds this factor of the pre-swap p95.
+ROLLBACK_P95_FACTOR = 2.0
+#: Serves before the watch may settle early (capped at the window).
+ROLLBACK_MIN_EARLY = 8
+#: Background-thread poll interval for :meth:`RetrainingDaemon.start`.
+POLL_INTERVAL_S = 0.05
+
+
 @dataclass(frozen=True)
 class LearningConfig:
     """Knobs for the hands-free learning loop."""
@@ -86,17 +108,9 @@ class LearningConfig:
     #: Skip a cycle (stashing what was drained) below this many usable
     #: trajectories — tiny batches produce noisy updates.
     min_trajectories: int = 8
-    #: Held-out queries the gate scores candidates on (the constructor
-    #: filters the supplied pool down to this many).
-    holdout_size: int = 8
-    #: Holdout queries are capped at this many relations so the exact
-    #: bitset DP stays the oracle (never the genetic fallback).
-    max_holdout_relations: int = 11
-    #: Gate: promote when the candidate's geometric-mean relative plan
-    #: cost (vs the exact-DP oracle) is within this budget...
-    gate_budget: float = 1.10
-    #: ...or no worse than ``gate_slack``x the currently-serving score
-    #: (lets a mediocre-but-improving policy keep improving).
+    #: Gate: also promote a candidate no worse than ``gate_slack``x the
+    #: currently-serving score (lets a mediocre-but-improving policy
+    #: keep improving).
     gate_slack: float = 1.0
     #: Adaptive guardrail: (predicted cost, observed latency) pairs
     #: probed per cycle by actually executing drained plans.
@@ -105,36 +119,16 @@ class LearningConfig:
     probe_budget_ms: float = 1_000.0
     #: Minimum pairs before the fit replaces the static threshold.
     min_latency_pairs: int = 16
-    #: Most recent pairs retained for the fit.
-    latency_pair_window: int = 512
-    #: Tolerated latency regression factor for a learned plan; the fit
-    #: converts this into a cost-ratio threshold.
-    latency_headroom: float = 1.5
-    #: The fitted threshold is clamped into these bounds.
-    guardrail_bounds: Tuple[float, float] = (1.05, 3.0)
     #: Rollback watch: observation window in served requests.
     rollback_window: int = 64
-    #: Roll back when the windowed (fallback + degraded) rate exceeds
-    #: this...
-    rollback_fallback_watermark: float = 0.25
-    #: ...or the windowed request p95 exceeds this factor of the
-    #: pre-swap lifetime p95.
-    rollback_p95_factor: float = 2.0
     #: Directory for versioned checkpoints (None = no checkpoints).
     checkpoint_dir: str | None = None
-    #: Background-thread poll interval for :meth:`RetrainingDaemon.start`.
-    poll_interval_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.retrain_every < 1:
             raise ValueError("retrain_every must be at least 1")
-        if self.gate_budget <= 0 or self.gate_slack <= 0:
-            raise ValueError("gate budgets must be positive")
-        lo, hi = self.guardrail_bounds
-        if not (0 < lo <= hi):
-            raise ValueError("guardrail_bounds must satisfy 0 < lo <= hi")
-        if self.latency_headroom <= 1.0:
-            raise ValueError("latency_headroom must exceed 1.0")
+        if self.gate_slack <= 0:
+            raise ValueError("gate_slack must be positive")
         if self.rollback_window < 1:
             raise ValueError("rollback_window must be at least 1")
 
@@ -149,7 +143,8 @@ class AdaptiveGuardrail:
     ``latency ≈ a · cost^b`` (a log-log line). Under that fit, serving
     a learned plan at cost ratio ``t`` of the expert's costs
     ``t ** b`` in latency — so the cost ratio that spends exactly the
-    operator's tolerated ``headroom`` is ``headroom ** (1 / b)``.
+    tolerated :data:`LATENCY_HEADROOM` is ``LATENCY_HEADROOM ** (1 / b)``,
+    clamped into :data:`GUARDRAIL_BOUNDS`.
     Degenerate fits (too few pairs, a flat or negative slope where cost
     predicts nothing) return ``None`` and the previous threshold stays.
     """
@@ -158,20 +153,10 @@ class AdaptiveGuardrail:
     #: this workload; refuse to derive a threshold from noise.
     MIN_SLOPE = 0.05
 
-    def __init__(
-        self,
-        headroom: float = 1.5,
-        bounds: Tuple[float, float] = (1.05, 3.0),
-        min_pairs: int = 16,
-        window: int = 512,
-    ) -> None:
-        if headroom <= 1.0:
-            raise ValueError("headroom must exceed 1.0")
-        self.headroom = headroom
-        self.bounds = bounds
+    def __init__(self, min_pairs: int = 16) -> None:
         self.min_pairs = min_pairs
         self._lock = threading.Lock()
-        self._pairs: Deque[Tuple[float, float]] = deque(maxlen=window)
+        self._pairs: Deque[Tuple[float, float]] = deque(maxlen=LATENCY_PAIR_WINDOW)
 
     def __len__(self) -> int:
         with self._lock:
@@ -198,8 +183,8 @@ class AdaptiveGuardrail:
         slope = float(np.cov(x, y, bias=True)[0, 1] / np.var(x))
         if slope < self.MIN_SLOPE:
             return None
-        threshold = self.headroom ** (1.0 / slope)
-        lo, hi = self.bounds
+        threshold = LATENCY_HEADROOM ** (1.0 / slope)
+        lo, hi = GUARDRAIL_BOUNDS
         return float(min(max(threshold, lo), hi))
 
 
@@ -223,7 +208,7 @@ class EvalGate:
     (never the serving shards' — gate evals must not contend with the
     hot path), with oracle costs cached per statistics epoch. A
     candidate is promoted only when every holdout rollout is finite
-    AND its geometric-mean relative cost is within ``gate_budget`` (or
+    AND its geometric-mean relative cost is within :data:`GATE_BUDGET` (or
     within ``gate_slack``x the currently-serving score). NaN-poisoned
     weights fail structurally: the rollout's forward pass raises on
     non-finite log-probs, which the gate converts into a refusal.
@@ -237,7 +222,6 @@ class EvalGate:
         config: LearningConfig | None = None,
         planner=None,
     ) -> None:
-        from repro.optimizer.memo import SubPlanCostMemo
         from repro.optimizer.planner import Planner
 
         self.config = config or LearningConfig()
@@ -247,9 +231,9 @@ class EvalGate:
             q
             for q in holdout
             if 2 <= q.n_relations <= min(
-                self.config.max_holdout_relations, featurizer.max_relations
+                MAX_HOLDOUT_RELATIONS, featurizer.max_relations
             )
-        ][: self.config.holdout_size]
+        ][:HOLDOUT_SIZE]
         if not self.holdout:
             raise ValueError(
                 "eval gate needs at least one holdout query within the "
@@ -258,9 +242,7 @@ class EvalGate:
         #: Exact oracle: threshold above every holdout width, so the
         #: genetic fallback can never be the yardstick.
         self.planner = planner or Planner(
-            db,
-            geqo_threshold=self.config.max_holdout_relations + 2,
-            cost_memo=SubPlanCostMemo(),
+            db, geqo_threshold=MAX_HOLDOUT_RELATIONS + 2
         )
         self.evaluations = 0
         self._oracle: Dict[str, float] = {}
@@ -305,26 +287,22 @@ class EvalGate:
         the currently-serving score."""
         score, finite, per_query = self.score(policy)
         if not finite:
-            return GateVerdict(
-                promote=False,
-                score=score,
-                finite=False,
-                reason="non_finite_rollout",
-                per_query=per_query,
-            )
-        if score <= self.config.gate_budget:
-            return GateVerdict(
-                promote=True, score=score, finite=True,
-                reason="within_budget", per_query=per_query,
-            )
-        if current_score is not None and score <= current_score * self.config.gate_slack:
-            return GateVerdict(
-                promote=True, score=score, finite=True,
-                reason="no_worse_than_serving", per_query=per_query,
-            )
+            reason = "non_finite_rollout"
+        elif score <= GATE_BUDGET:
+            reason = "within_budget"
+        elif (
+            current_score is not None
+            and score <= current_score * self.config.gate_slack
+        ):
+            reason = "no_worse_than_serving"
+        else:
+            reason = "regression_budget_exceeded"
         return GateVerdict(
-            promote=False, score=score, finite=True,
-            reason="regression_budget_exceeded", per_query=per_query,
+            promote=reason in ("within_budget", "no_worse_than_serving"),
+            score=score,
+            finite=finite,
+            reason=reason,
+            per_query=per_query,
         )
 
 
@@ -383,12 +361,7 @@ class RetrainingDaemon:
             holdout,
             config=self.config,
         )
-        self.guardrail = AdaptiveGuardrail(
-            headroom=self.config.latency_headroom,
-            bounds=self.config.guardrail_bounds,
-            min_pairs=self.config.min_latency_pairs,
-            window=self.config.latency_pair_window,
-        )
+        self.guardrail = AdaptiveGuardrail(min_pairs=self.config.min_latency_pairs)
         #: Monotonic policy generation; 1 = the initially deployed weights.
         self.version = 1
         #: Gate score of the currently-serving weights (None until the
@@ -410,6 +383,11 @@ class RetrainingDaemon:
         self._swap_lock = threading.RLock()
         self._stash: List = []  # under-min drains carried to the next cycle
         self._served_at_last_cycle = 0
+        #: The shard objects :meth:`_counts` last read, and the summed
+        #: counts of the shards respawns have since replaced.
+        self._shards = list(frontend.services)
+        self._retired = [0] * len(_shard_counts(frontend.services[0]))
+        self._latency_bounds = frontend.services[0].request_ms_hist.bounds
         #: (policy_net clone, value_net clone, version, score) of the
         #: weights serving before the newest swap — the rollback target.
         self._previous: Optional[tuple] = None
@@ -436,10 +414,29 @@ class RetrainingDaemon:
     # ------------------------------------------------------------------
     # Cadence
     # ------------------------------------------------------------------
+    def _counts(self) -> List[int]:
+        """``[requests, fallbacks + degraded serves, *request-latency
+        bucket counts]`` summed over every shard the front end has run.
+
+        A respawn replaces a shard with a new object whose counters
+        start at 0, so the first read that sees the replacement banks
+        the old shard's final counts: every total here only grows.
+        """
+        with self._swap_lock:
+            services = list(self.frontend.services)
+            for shard, service in enumerate(services):
+                if service is not self._shards[shard]:
+                    final = _shard_counts(self._shards[shard])
+                    self._retired = [a + b for a, b in zip(self._retired, final)]
+                    self._shards[shard] = service
+            return [
+                sum(column)
+                for column in zip(self._retired, *map(_shard_counts, services))
+            ]
+
     def served_requests(self) -> int:
-        """Total requests served across shards (a respawned shard's
-        counter restarts at 0, so deltas are clamped where consumed)."""
-        return sum(s.stats.requests for s in self.frontend.services)
+        """Total requests served across shards, respawns included."""
+        return self._counts()[0]
 
     def maybe_run(self) -> Optional[dict]:
         """The deterministic tick: first settle any armed rollback
@@ -472,7 +469,7 @@ class RetrainingDaemon:
             self._thread = None
 
     def _loop(self) -> None:
-        while not self._stop.wait(self.config.poll_interval_s):
+        while not self._stop.wait(POLL_INTERVAL_S):
             try:
                 self.maybe_run()
             except Exception as exc:  # the loop must outlive one bad cycle
@@ -534,67 +531,54 @@ class RetrainingDaemon:
         events = self.telemetry.events if (
             self.telemetry is not None and self.telemetry.enabled
         ) else None
+        refusal = None
         try:
             shadow_trainer.replay(drained, events=events)
         except Exception as exc:
             # A replay that blows up (poisoned rewards can) is treated
             # exactly like a gate refusal: the candidate is discarded.
-            self.rejections += 1
-            status.update(action="rejected", reason=f"replay_failed: {exc!r}")
-            self._emit(
-                "policy_update_rejected",
-                cycle=cycle,
-                reason=status["reason"],
-                poisoned=poisoned,
-                candidate_score=None,
-                current_score=self.current_score,
-            )
+            refusal = f"replay_failed: {exc!r}"
+        else:
+            if not _weights_finite(shadow.policy_net, shadow.value_net):
+                # Poisoned rewards can corrupt the nets without blowing
+                # up the greedy rollout (the PPO clip mask zeroes NaN
+                # policy gradients, but the value head trains straight
+                # on the NaN returns). The gate only rolls out the policy
+                # net, so an explicit weight-health check is the
+                # deterministic barrier.
+                refusal = "non_finite_weights"
+        if refusal is not None:
             self.retrain_ms_hist.observe((time.perf_counter() - start) * 1000.0)
-            self.lineage.append(status)
-            return status
-        if not _weights_finite(shadow.policy_net, shadow.value_net):
-            # Poisoned rewards can corrupt the nets without blowing up
-            # the greedy rollout (the PPO clip mask zeroes NaN policy
-            # gradients, but the value head trains straight on the NaN
-            # returns). The gate only rolls out the policy net, so an
-            # explicit weight-health check is the deterministic barrier.
-            self.rejections += 1
-            status.update(action="rejected", reason="non_finite_weights")
-            self._emit(
-                "policy_update_rejected",
-                cycle=cycle,
-                reason="non_finite_weights",
-                poisoned=poisoned,
-                candidate_score=None,
-                current_score=self.current_score,
-            )
-            self.retrain_ms_hist.observe((time.perf_counter() - start) * 1000.0)
-            self.lineage.append(status)
-            return status
+            status["reason"] = refusal
+            return self._reject(status, refusal, poisoned, None)
         verdict = self.gate.judge(shadow.policy, self.current_score)
         self.retrain_ms_hist.observe((time.perf_counter() - start) * 1000.0)
         status["candidate_score"] = verdict.score
         status["gate_reason"] = verdict.reason
         if not verdict.promote:
-            self.rejections += 1
-            status["action"] = "rejected"
-            self._emit(
-                "policy_update_rejected",
-                cycle=cycle,
-                reason=verdict.reason,
-                poisoned=poisoned,
-                candidate_score=(
-                    None if not math.isfinite(verdict.score) else
-                    round(verdict.score, 6)
-                ),
-                current_score=self.current_score,
-            )
-            self.lineage.append(status)
-            return status
+            return self._reject(status, verdict.reason, poisoned, verdict.score)
         version = self._swap(
             shadow.policy_net, shadow.value_net, score=verdict.score, cycle=cycle
         )
         status.update(action="promoted", new_version=version)
+        self.lineage.append(status)
+        return status
+
+    def _reject(
+        self, status: dict, reason: str, poisoned: bool, score: float | None
+    ) -> dict:
+        """Refuse the cycle's candidate: count it, announce it with a
+        ``policy_update_rejected`` event and record it in the lineage."""
+        self.rejections += 1
+        status["action"] = "rejected"
+        self._emit(
+            "policy_update_rejected",
+            cycle=status["cycle"],
+            reason=reason,
+            poisoned=poisoned,
+            candidate_score=_rounded(score),
+            current_score=self.current_score,
+        )
         self.lineage.append(status)
         return status
 
@@ -684,8 +668,7 @@ class RetrainingDaemon:
             kind,
             version=version,
             cycle=cycle,
-            score=None if score is None or not math.isfinite(score)
-            else round(score, 6),
+            score=_rounded(score),
         )
         return version
 
@@ -706,32 +689,14 @@ class RetrainingDaemon:
             policy_version=version,
         )
 
-    def _bad_serves(self) -> int:
-        """Guardrail fallbacks + degraded serves across shards (clamped
-        per shard against respawn counter resets by summing live values)."""
-        return sum(
-            s.stats.fallbacks + s.stats.degraded_served
-            for s in self.frontend.services
-        )
-
-    def _request_hist_counts(self) -> Tuple[tuple, List[int]]:
-        """Summed request-latency bucket counts across shards."""
-        bounds = self.frontend.services[0].request_ms_hist.bounds
-        total = [0] * (len(bounds) + 1)
-        for service in self.frontend.services:
-            for i, c in enumerate(service.request_ms_hist.counts_snapshot()):
-                total[i] += c
-        return bounds, total
-
     def _arm_watch(self) -> None:
-        bounds, counts = self._request_hist_counts()
+        counts = self._counts()
         self._watch = {
             "version": self.version,
-            "requests": self.served_requests(),
-            "bad": self._bad_serves(),
-            "bounds": bounds,
             "counts": counts,
-            "baseline_p95": quantile_from_counts(bounds, counts, 0.95),
+            "baseline_p95": quantile_from_counts(
+                self._latency_bounds, counts[2:], 0.95
+            ),
         }
 
     def check_rollback(self) -> Optional[dict]:
@@ -743,30 +708,25 @@ class RetrainingDaemon:
             watch = self._watch
             if watch is None or self._previous is None:
                 return None
-            served_since = self.served_requests() - watch["requests"]
+            now, then = self._counts(), watch["counts"]
+            served_since = now[0] - then[0]
             window = self.config.rollback_window
             # Early settlement needs enough serves to not mistake one
             # noisy fallback for a storm; the p95 test (a distribution
             # property) is only judged on the full window.
-            min_early = min(8, window)
-            if served_since < min_early:
+            if served_since < min(ROLLBACK_MIN_EARLY, window):
                 return None
-            bad_since = max(0, self._bad_serves() - watch["bad"])
-            bad_rate = bad_since / served_since
-            bad_regressed = bad_rate > self.config.rollback_fallback_watermark
+            bad_rate = (now[1] - then[1]) / served_since
+            bad_regressed = bad_rate > ROLLBACK_FALLBACK_WATERMARK
             if served_since < window and not bad_regressed:
                 return None
-            bounds, counts = self._request_hist_counts()
-            delta = [
-                max(0, now - then)
-                for now, then in zip(counts, watch["counts"])
-            ]
-            window_p95 = quantile_from_counts(bounds, delta, 0.95)
+            delta = [n - t for n, t in zip(now[2:], then[2:])]
+            window_p95 = quantile_from_counts(self._latency_bounds, delta, 0.95)
             baseline_p95 = watch["baseline_p95"]
             p95_regressed = (
                 served_since >= window
                 and baseline_p95 > 0.0
-                and window_p95 > baseline_p95 * self.config.rollback_p95_factor
+                and window_p95 > baseline_p95 * ROLLBACK_P95_FACTOR
             )
             if not (bad_regressed or p95_regressed):
                 self._watch = None  # window closed clean
@@ -801,14 +761,7 @@ class RetrainingDaemon:
             self.lineage.append(status)
         self._emit(
             "policy_rollback",
-            from_version=from_version,
-            restored_weights_of=prev_version,
-            new_version=version,
-            reason=reason,
-            window_bad_rate=status["window_bad_rate"],
-            window_p95_ms=status["window_p95_ms"],
-            baseline_p95_ms=status["baseline_p95_ms"],
-            served_since_swap=served_since,
+            **{key: value for key, value in status.items() if key != "action"},
         )
         return status
 
@@ -828,6 +781,25 @@ class RetrainingDaemon:
             "promoted_versions": sorted(self.promoted_versions),
             "gate_evaluations": self.gate.evaluations,
         }
+
+
+def _shard_counts(service) -> List[int]:
+    """One shard's ``[requests, fallbacks + degraded serves,
+    *request-latency bucket counts]``."""
+    stats = service.stats
+    return [
+        stats.requests,
+        stats.fallbacks + stats.degraded_served,
+        *service.request_ms_hist.counts_snapshot(),
+    ]
+
+
+def _rounded(score: float | None) -> float | None:
+    """A score as event payloads carry it: 6 decimals, None when absent
+    or non-finite."""
+    if score is None or not math.isfinite(score):
+        return None
+    return round(score, 6)
 
 
 def _weights_finite(*nets) -> bool:

@@ -1,17 +1,20 @@
-"""Test helpers: a brute-force reference for query results, and two
-tools for steering the serving front end's threads.
+"""Test helpers: a reference for query results, and two tools for
+steering the serving front end's threads.
 
-The brute-force evaluator joins row-index tuples with plain Python
-loops, independent of any executor code, and is used to validate plan
+The reference evaluator applies each alias's selections with
+``pred.evaluate`` and joins the selected row ids in an in-memory
+``sqlite3``, independent of any executor code; it validates plan
 execution end-to-end on small databases.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
+import sqlite3
 import threading
 import time
-from typing import Dict, List, Tuple
+from contextlib import closing
+from typing import Dict, List
 
 import numpy as np
 
@@ -25,7 +28,15 @@ def _selection_ids(db: Database, query: Query, alias: str) -> List[int]:
     mask = np.ones(table.n_rows, dtype=bool)
     for pred in query.selections_for(alias):
         mask &= pred.evaluate(table.column(pred.column.column))
-    return list(np.nonzero(mask)[0])
+    return np.nonzero(mask)[0].tolist()
+
+
+def _sql_value(value):
+    """``value`` as SQLite stores it: ``NULL_INT`` and NaN become NULL,
+    which joins nothing."""
+    if value == NULL_INT or (isinstance(value, float) and math.isnan(value)):
+        return None
+    return value
 
 
 def _value(db: Database, query: Query, alias: str, column: str, row: int):
@@ -33,25 +44,46 @@ def _value(db: Database, query: Query, alias: str, column: str, row: int):
 
 
 def brute_force_rows(db: Database, query: Query) -> List[Dict[str, int]]:
-    """All joined row-id combinations satisfying the query (pre-aggregate)."""
+    """All joined row-id combinations satisfying the query
+    (pre-aggregate), ordered like ``itertools.product`` over
+    ``query.aliases``.
+
+    Alias ``i`` is loaded as table ``t{i}``: its selected row ids
+    (``rid``) and, as ``k{j}``, the ``j``-th column its joins read.
+    The equi-joins are then one SQLite ``WHERE``.
+    """
     aliases = query.aliases
-    candidates = {a: _selection_ids(db, query, a) for a in aliases}
-    results = []
-    for combo in itertools.product(*(candidates[a] for a in aliases)):
-        rows = dict(zip(aliases, combo))
-        ok = True
-        for join in query.joins:
-            lv = _value(db, query, join.left.alias, join.left.column, rows[join.left.alias])
-            rv = _value(db, query, join.right.alias, join.right.column, rows[join.right.alias])
-            if lv == NULL_INT or rv == NULL_INT or (isinstance(lv, float) and np.isnan(lv)):
-                ok = False
-                break
-            if lv != rv:
-                ok = False
-                break
-        if ok:
-            results.append(rows)
-    return results
+    keys = {
+        alias: sorted(
+            {ref.column for join in query.joins
+             for ref in (join.left, join.right) if ref.alias == alias}
+        )
+        for alias in aliases
+    }
+
+    def column(ref) -> str:
+        return f"t{aliases.index(ref.alias)}.k{keys[ref.alias].index(ref.column)}"
+
+    with closing(sqlite3.connect(":memory:")) as conn:
+        for i, alias in enumerate(aliases):
+            table = db.tables[query.table_of(alias)]
+            ids = _selection_ids(db, query, alias)
+            values = [table.column(name)[ids].tolist() for name in keys[alias]]
+            names = ["rid"] + [f"k{j}" for j in range(len(values))]
+            conn.execute(f"CREATE TABLE t{i} ({', '.join(names)})")
+            conn.executemany(
+                f"INSERT INTO t{i} VALUES ({', '.join('?' * len(names))})",
+                zip(ids, *([_sql_value(v) for v in col] for col in values)),
+            )
+        rids = ", ".join(f"t{i}.rid" for i in range(len(aliases)))
+        tables = ", ".join(f"t{i}" for i in range(len(aliases)))
+        where = " AND ".join(
+            f"{column(join.left)} = {column(join.right)}" for join in query.joins
+        ) or "1"
+        combos = conn.execute(
+            f"SELECT {rids} FROM {tables} WHERE {where} ORDER BY {rids}"
+        )
+        return [dict(zip(aliases, combo)) for combo in combos]
 
 
 def brute_force_count(db: Database, query: Query) -> int:

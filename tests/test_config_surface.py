@@ -5,9 +5,10 @@ The table is parsed, and each row's backticked names must equal the
 fields the code exposes: ``Planner.__init__``'s parameters after
 ``db``, ``dataclasses.fields`` of ``ServingConfig`` and
 ``FrontEndConfig`` (and of ``WorkerSpec``, which ``ServingFrontEnd.build``
-fills in, so it is documented but not counted). A knob added to the code
-without a README row fails here, and so does a surface that grows past
-17 caller-settable fields.
+fills in, so it is documented but not counted), and of the learning
+loop's ``LearningConfig``, counted on its own. A knob added to the code
+without a README row fails here, and so does a request path that grows
+past 17 caller-settable fields or a learning loop past 8.
 """
 
 import dataclasses
@@ -16,11 +17,13 @@ import re
 from pathlib import Path
 
 from repro.optimizer.planner import Planner
-from repro.serving import FrontEndConfig, ServingConfig, WorkerSpec
+from repro.serving import FrontEndConfig, LearningConfig, ServingConfig, WorkerSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 #: The most caller-settable fields the serving stack may expose.
 MAX_FIELDS = 17
+#: The most fields ``LearningConfig`` may expose, apart from the above.
+MAX_LEARNING_FIELDS = 8
 
 
 def surface_table():
@@ -56,7 +59,7 @@ CALLER_SETTABLE = {
 
 
 def test_the_table_lists_exactly_the_configurable_objects():
-    assert list(surface_table()) == [*CALLER_SETTABLE, "WorkerSpec"]
+    assert list(surface_table()) == [*CALLER_SETTABLE, "WorkerSpec", "LearningConfig"]
 
 
 def test_each_row_equals_the_code():
@@ -64,8 +67,10 @@ def test_each_row_equals_the_code():
     for name, fields in CALLER_SETTABLE.items():
         assert table[name] == fields(), name
     assert table["WorkerSpec"] == dataclass_fields(WorkerSpec)
+    assert table["LearningConfig"] == dataclass_fields(LearningConfig)
 
 
 def test_the_surface_stays_small():
     total = sum(len(fields()) for fields in CALLER_SETTABLE.values())
     assert total <= MAX_FIELDS
+    assert len(dataclass_fields(LearningConfig)) <= MAX_LEARNING_FIELDS

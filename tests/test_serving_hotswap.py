@@ -18,7 +18,6 @@ from repro.obs import Telemetry, TelemetryConfig
 from repro.rl.ppo import PPOAgent
 from repro.serving import (
     FrontEndConfig,
-    LearningConfig,
     MicroBatchEngine,
     OptimizerService,
     ProcessWorkerClient,
@@ -214,9 +213,7 @@ class TestBuildAndDaemonSwap:
             np.random.default_rng(5),
             TrainingConfig(batch_size=4),
         )
-        daemon = RetrainingDaemon(
-            frontend, trainer, queries[:2], config=LearningConfig(holdout_size=2)
-        )
+        daemon = RetrainingDaemon(frontend, trainer, queries[:2])
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
