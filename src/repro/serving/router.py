@@ -170,7 +170,6 @@ class GuardrailRouter:
         self.planner = planner
         self.regression_threshold = regression_threshold
         self.decisions = 0
-        self.fallbacks = 0
         #: Guardrail comparisons skipped because the budgeted expert
         #: search timed out (the learned plan is served unguarded).
         self.timeouts = 0
@@ -217,17 +216,10 @@ class GuardrailRouter:
             )
             return unguarded, None
         expert_cost = expert.cost.total
-        use_learned = learned_cost <= expert_cost * threshold
-        if not use_learned:
-            self.fallbacks += 1
         decision = GuardrailDecision(
-            use_learned=use_learned,
+            use_learned=learned_cost <= expert_cost * threshold,
             learned_cost=learned_cost,
             expert_cost=expert_cost,
             threshold=threshold,
         )
         return decision, expert
-
-    @property
-    def fallback_rate(self) -> float:
-        return self.fallbacks / self.decisions if self.decisions else 0.0

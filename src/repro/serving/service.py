@@ -37,7 +37,12 @@ from repro.db.plans import JoinTree, PhysicalPlan
 from repro.db.query import Query
 from repro.obs import Telemetry
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.optimizer.planner import PLANNER_METRIC_ROWS, Planner, PlanningTimeout
+from repro.optimizer.planner import (
+    PLANNER_METRIC_ROWS,
+    Planner,
+    PlannerResult,
+    PlanningTimeout,
+)
 from repro.rl.env import Trajectory
 from repro.serving.batching import MicroBatchEngine, RolloutRecord
 from repro.serving.cache import PlanCache
@@ -305,10 +310,45 @@ class _CacheEntry:
 
     plan: PhysicalPlan
     cost: float
-    origin: str  # the source that first produced this plan
     tree: JoinTree
     alias_map: Dict[str, str]
     translations: Translations = field(default_factory=OrderedDict)
+
+
+@dataclass
+class _Batch:
+    """One ``optimize_batch`` call, as each of its stages reads it.
+
+    The lists align with ``queries`` index-for-index; the statistics
+    epoch, the serving generation (``policy``, ``version``) and the
+    cardinality lane are each read once, when the batch opens.
+    ``answers`` maps a request's index to its ``(source, plan, cost,
+    decision)``."""
+
+    queries: Sequence[Query]
+    maps: List[Dict[str, str]]
+    fps: List[str]
+    traces: List
+    #: Each traced request's ``serve`` span, the parent of its stages.
+    spans: List
+    budgets: List[float | None]
+    collects: List[bool]
+    start: float
+    epoch: int
+    policy: object
+    version: int
+    lane: str
+    #: Whether this batch began its traces (and so finishes them).
+    owns_traces: bool
+    answers: Dict[int, tuple] = field(default_factory=dict)
+
+    def remaining(self, idx: int) -> float | None:
+        """Request ``idx``'s deadline budget left now, in ms (``None``
+        when it has none)."""
+        budget = self.budgets[idx]
+        if budget is None:
+            return None
+        return budget - (time.perf_counter() - self.start) * 1000.0
 
 
 #: ``ServedPlan.source`` -> the :class:`ServiceStats` fields it bumps.
@@ -335,10 +375,6 @@ class ServiceStats:
     degraded_served: int = 0
     degraded_dp: int = 0
     degraded_greedy: int = 0
-
-    @property
-    def fallback_rate(self) -> float:
-        return self.fallbacks / self.requests if self.requests else 0.0
 
     def count(self, source: str) -> None:
         """Book one served plan under its :attr:`ServedPlan.source` —
@@ -533,40 +569,54 @@ class OptimizerService:
         every rollout-bound request is answered by the **degradation
         ladder** instead — a budgeted non-exact DP, then greedy — with
         ``degraded_*`` sources and a ``degraded_serve`` event per group.
+
+        The stages, each over the one :class:`_Batch`: ``_open``,
+        ``_lookup`` (cache hits, oversize queries to the expert, the
+        rest grouped by fingerprint), ``_roll_out`` (one lockstep
+        rollout of every group), then per group ``_judge`` or
+        ``_degrade`` and its burst twins, and ``_publish``.
         """
         if not queries:
             return []
+        batch = self._open(
+            queries, fingerprints, alias_maps, traces, budgets_ms, collect
+        )
+        groups = self._lookup(batch)
+        if groups:
+            records, failure = self._roll_out(batch, groups)
+            for n, (first, *twins) in enumerate(groups):
+                if failure is None:
+                    entry = self._judge(batch, first, records[n])
+                else:
+                    entry = self._degrade(batch, first, failure)
+                for idx in twins:
+                    self._twin(batch, idx, first, entry)
+        return self._publish(batch)
+
+    def _open(
+        self, queries, fingerprints, alias_maps, traces, budgets_ms, collect
+    ) -> _Batch:
+        """Everything the stages share, read once: per-request traces
+        with their ``serve`` spans, canonical forms, budgets and collect
+        flags, and the batch's statistics epoch, serving generation and
+        cardinality lane."""
         start = time.perf_counter()
-        owns_traces = False
-        if traces is None:
-            if self.telemetry is not None and self.telemetry.enabled:
-                traces = [
-                    self.telemetry.begin_trace("optimize", query=q.name)
-                    for q in queries
-                ]
-                owns_traces = True
-            else:
-                traces = [None] * len(queries)
+        n = len(queries)
+        owns_traces = (
+            traces is None and self.telemetry is not None and self.telemetry.enabled
+        )
+        if owns_traces:
+            traces = [
+                self.telemetry.begin_trace("optimize", query=q.name) for q in queries
+            ]
+        elif traces is None:
+            traces = [None] * n
         # Opened first and closed last: a caller that spans its own work
         # around this call (the front end) is left no gap to explain.
-        serve_spans = [
-            t.start_span("serve", batch_size=len(queries)) if t is not None else None
+        spans = [
+            t.start_span("serve", batch_size=n) if t is not None else None
             for t in traces
         ]
-        budgets = (
-            list(budgets_ms) if budgets_ms is not None else [None] * len(queries)
-        )
-        if isinstance(collect, bool):
-            collects = [collect] * len(queries)
-        else:
-            collects = list(collect)
-
-        def remaining(idx: int) -> float | None:
-            budget = budgets[idx]
-            if budget is None:
-                return None
-            return budget - (time.perf_counter() - start) * 1000.0
-
         # Plans computed in this batch are cached only if the database
         # statistics do not move underneath it — a refresh_statistics
         # racing the batch must not have its invalidation undone by a
@@ -579,259 +629,123 @@ class OptimizerService:
         policy, version = self._generation
         # Likewise one cardinality-lane stamp: estimator swaps go
         # through use_estimator()'s epoch bump, so a mid-batch swap
-        # behaves like the stats race above (guarded cache puts skip).
+        # behaves like the stats race above (the cache put is skipped).
         lane = self.db.estimator_lane
         self.stats.batches += 1
         if self.fault_injector is not None and self.fault_injector.fires(
             "stats_race", f"b{self.stats.batches}"
         ):
             # Chaos: an epoch bump lands *after* this batch captured its
-            # epoch — exactly the ANALYZE race the guards above protect
+            # epoch — exactly the ANALYZE race the guard above protects
             # against. Statistics are untouched (plans stay identical);
-            # every epoch-guarded cache put in this batch is skipped.
+            # no plan of this batch is cached.
             self.db.bump_stats_epoch()
         if alias_maps is None or fingerprints is None:
-            canonical = [self.statements.canonicalize(q) for q in queries]
-        maps = (
-            list(alias_maps)
-            if alias_maps is not None
-            else [names for names, _fp in canonical]
-        )
-        fps = (
-            list(fingerprints)
-            if fingerprints is not None
-            else [fp for _names, fp in canonical]
-        )
-        answers: Dict[int, tuple] = {}  # idx -> (source, plan, cost, decision)
-        rollout_fp: Dict[str, List[int]] = {}
-        for idx, (query, fp) in enumerate(zip(queries, fps)):
-            trace, parent = traces[idx], serve_spans[idx]
+            names, fps = zip(*(self.statements.canonicalize(q) for q in queries))
+            alias_maps = names if alias_maps is None else alias_maps
+            fingerprints = fps if fingerprints is None else fingerprints
+        for trace, fp in zip(traces, fingerprints):
             if trace is not None:
                 trace.root.attrs.setdefault("fingerprint", fp)
                 trace.root.attrs.setdefault("policy_version", version)
                 trace.root.attrs.setdefault("estimator_lane", lane)
-            if fp in rollout_fp:  # duplicate inside this burst
-                rollout_fp[fp].append(idx)
+        return _Batch(
+            queries=queries,
+            maps=list(alias_maps),
+            fps=list(fingerprints),
+            traces=traces,
+            spans=spans,
+            budgets=list(budgets_ms) if budgets_ms is not None else [None] * n,
+            collects=[collect] * n if isinstance(collect, bool) else list(collect),
+            start=start,
+            epoch=epoch,
+            policy=policy,
+            version=version,
+            lane=lane,
+            owns_traces=owns_traces,
+        )
+
+    def _lookup(self, batch: _Batch) -> List[List[int]]:
+        """Answer cache hits and oversize queries; group the rest by
+        fingerprint, first occurrence first, for the rollout."""
+        groups: Dict[str, List[int]] = {}
+        for idx, (query, fp) in enumerate(zip(batch.queries, batch.fps)):
+            if fp in groups:  # a twin inside this burst
+                groups[fp].append(idx)
                 continue
-            lookup = (
-                trace.start_span("cache_lookup", parent=parent)
+            trace = batch.traces[idx]
+            span = (
+                trace.start_span("cache_lookup", parent=batch.spans[idx])
                 if trace is not None
                 else None
             )
             entry = self.cache.get(fp)
-            if lookup is not None:
-                lookup.attrs["hit"] = entry is not None
-                trace.end_span(lookup)
-            if entry is not None:
-                answers[idx] = self._serve_hit(
-                    query, maps[idx], entry, trace=trace, parent=parent
-                )
-            elif query.n_relations > self.featurizer.max_relations:
-                answers[idx] = self._expert_direct(
-                    query,
-                    maps[idx],
-                    fp,
-                    epoch,
-                    trace=trace,
-                    parent=parent,
-                    budget_ms=remaining(idx),
-                )
-            else:
-                rollout_fp[fp] = [idx]
-
-        if rollout_fp:
-            indices = [idxs[0] for idxs in rollout_fp.values()]
-            roll_start = time.perf_counter()
-            records = None
-            degrade_reason = None
-            try:
-                records = self.engine.rollout(
-                    [queries[i] for i in indices],
-                    record=self.experience is not None,
-                    policy=policy,
-                )
-            except Exception as exc:
-                # The lockstep rollout failed for the whole miss set
-                # (non-finite forward pass, injected fault, encoder
-                # bug). The batch still answers: every rollout-bound
-                # group drops to the degradation ladder below.
-                degrade_reason = f"{type(exc).__name__}: {exc}"
-            roll_ms = (time.perf_counter() - roll_start) * 1000.0
-            for i in indices:
-                if traces[i] is not None:
-                    # The rollout is one lockstep pass over every miss in
-                    # the burst: each participant waited for all of it
-                    # (the duration), and cost the shard its share of it
-                    # (amortized_ms — these sum to the time spent).
-                    traces[i].record(
-                        "policy_forward",
-                        roll_ms,
-                        parent=serve_spans[i],
-                        rollout_batch=len(indices),
-                        amortized_ms=round(roll_ms / len(indices), 4),
-                        failed=records is None,
-                    )
-            groups: List[tuple] = []
-            if records is not None:
-                for idxs, record in zip(rollout_fp.values(), records):
-                    first = idxs[0]
-                    answer, entry = self._serve_rollout(
-                        record,
-                        maps[first],
-                        fps[first],
-                        epoch,
-                        trace=traces[first],
-                        parent=serve_spans[first],
-                        budget_ms=remaining(first),
-                        collect=collects[first],
-                        version=version,
-                    )
-                    groups.append((idxs, answer, entry))
-            else:
-                for idxs in rollout_fp.values():
-                    first = idxs[0]
-                    answer, entry = self._serve_degraded(
-                        queries[first],
-                        maps[first],
-                        fps[first],
-                        budget_ms=remaining(first),
-                        reason=degrade_reason,
-                        trace=traces[first],
-                        parent=serve_spans[first],
-                    )
-                    groups.append((idxs, answer, entry))
-            for idxs, answer, entry in groups:
-                first = idxs[0]
-                answers[first] = answer
-                # Alias-renamed duplicates of the same fingerprint still
-                # need their plan expressed in their own aliases.
-                source, _plan, _cost, decision = answer
-                for idx in idxs[1:]:
-                    dup_trace, dup_parent = traces[idx], serve_spans[idx]
-                    dup_span = (
-                        dup_trace.start_span(
-                            "cache_lookup",
-                            parent=dup_parent,
-                            hit=True,
-                            burst_duplicate=True,
-                        )
-                        if dup_trace is not None
-                        else None
-                    )
-                    _, plan, cost, _ = self._serve_hit(
-                        queries[idx],
-                        maps[idx],
-                        entry,
-                        trace=dup_trace,
-                        parent=dup_parent,
-                    )
-                    if dup_span is not None:
-                        dup_trace.end_span(dup_span)
-                    answers[idx] = (source, plan, cost, decision)
-
-        latency_ms = (time.perf_counter() - start) * 1000.0
-        served: List[ServedPlan] = []
-        for idx, (query, fp) in enumerate(zip(queries, fps)):
-            source, plan, cost, decision = answers[idx]
-            self.stats.requests += 1
-            self.stats.count(source)
-            self.request_ms_hist.observe(latency_ms)
-            served.append(
-                ServedPlan(
-                    query_name=query.name,
-                    fingerprint=fp,
-                    plan=plan,
-                    cost=cost,
-                    source=source,
-                    latency_ms=latency_ms,
-                    decision=decision,
-                    policy_version=version,
-                    estimator_lane=lane,
-                )
-            )
-        for trace, span, plan in zip(traces, serve_spans, served):
-            if trace is not None:
-                span.attrs["source"] = plan.source
+            if span is not None:
+                span.attrs["hit"] = entry is not None
                 trace.end_span(span)
-                if owns_traces:
-                    self.telemetry.finish_trace(trace, source=plan.source)
-        return served
+            if entry is not None:
+                self._serve(batch, idx, entry, "cache")
+            elif query.n_relations > self.featurizer.max_relations:
+                self._expert_direct(batch, idx)
+            else:
+                groups[fp] = [idx]
+        return list(groups.values())
 
-    # ------------------------------------------------------------------
-    def _serve_hit(
-        self,
-        query: Query,
-        names: Dict[str, str],
-        entry: _CacheEntry,
-        trace=None,
-        parent=None,
-    ) -> tuple:
-        """Serve a cached entry, translating it into the requester's
-        aliases when the hit came from an alias-renamed equivalent."""
-        if names == entry.alias_map:
-            return ("cache", entry.plan, entry.cost, None)
-        result = translated(
-            self.planner,
-            query,
-            names,
-            entry.tree,
-            entry.alias_map,
-            entry.translations,
-            trace,
-            parent,
-        )
-        return ("cache", result.plan, result.cost.total, None)
-
-    def _expert_direct(
-        self,
-        query: Query,
-        names: Dict[str, str],
-        fp: str,
-        epoch: int,
-        trace=None,
-        parent=None,
-        budget_ms: float | None = None,
-    ) -> tuple:
+    def _expert_direct(self, batch: _Batch, idx: int) -> None:
         """Oversize queries bypass the policy entirely. A budgeted
         expert search that times out drops to the degradation ladder
         (whose greedy floor always answers)."""
         try:
-            result = expert_plan(self.planner, query, trace, parent, budget_ms)
-        except PlanningTimeout as exc:
-            answer, _entry = self._serve_degraded(
-                query,
-                names,
-                fp,
-                budget_ms=budget_ms,
-                reason=f"PlanningTimeout: {exc}",
-                trace=trace,
-                parent=parent,
+            result = expert_plan(
+                self.planner,
+                batch.queries[idx],
+                batch.traces[idx],
+                batch.spans[idx],
+                batch.remaining(idx),
             )
-            return answer
-        entry = _CacheEntry(
-            plan=result.plan,
-            cost=result.cost.total,
-            origin="expert",
-            tree=result.join_tree,
-            alias_map=names,
-        )
-        if self.db.stats_epoch == epoch:
-            self.cache.put(fp, entry, tables=query.relations.values())
-        return ("expert", entry.plan, entry.cost, None)
+        except PlanningTimeout as exc:
+            self._degrade(batch, idx, f"PlanningTimeout: {exc}")
+            return
+        self._settle(batch, idx, "expert", result)
 
-    def _serve_rollout(
-        self,
-        record: RolloutRecord,
-        names: Dict[str, str],
-        fp: str,
-        epoch: int,
-        trace=None,
-        parent=None,
-        budget_ms: float | None = None,
-        collect: bool = True,
-        version: int = 1,
-    ) -> tuple:
+    def _roll_out(self, batch: _Batch, groups: List[List[int]]) -> tuple:
+        """One lockstep rollout of every group's first request:
+        ``(records, None)``, or ``(None, reason)`` when it failed for
+        the whole miss set (non-finite forward pass, injected fault,
+        encoder bug) — the batch still answers, every group by the
+        degradation ladder."""
+        firsts = [idxs[0] for idxs in groups]
+        start = time.perf_counter()
+        records, failure = None, None
+        try:
+            records = self.engine.rollout(
+                [batch.queries[i] for i in firsts],
+                record=self.experience is not None,
+                policy=batch.policy,
+            )
+        except Exception as exc:
+            failure = f"{type(exc).__name__}: {exc}"
+        roll_ms = (time.perf_counter() - start) * 1000.0
+        for i in firsts:
+            if batch.traces[i] is not None:
+                # Each participant waited for all of the lockstep pass
+                # (the duration), and cost the shard its share of it
+                # (amortized_ms — these sum to the time spent).
+                batch.traces[i].record(
+                    "policy_forward",
+                    roll_ms,
+                    parent=batch.spans[i],
+                    rollout_batch=len(firsts),
+                    amortized_ms=round(roll_ms / len(firsts), 4),
+                    failed=records is None,
+                )
+        return records, failure
+
+    def _judge(self, batch: _Batch, idx: int, record: RolloutRecord) -> _CacheEntry:
+        """Cost the learned plan, let the guardrail judge it against
+        the expert's, settle the winner and collect the rollout."""
         query = record.query
+        trace, parent = batch.traces[idx], batch.spans[idx]
         build_start = time.perf_counter()
         learned = self.planner.evaluate_tree(record.tree, query)
         if trace is not None:
@@ -840,38 +754,24 @@ class OptimizerService:
                 (time.perf_counter() - build_start) * 1000.0,
                 parent=parent,
             )
-        guard_span = (
+        guard = (
             trace.start_span("guardrail", parent=parent) if trace is not None else None
         )
         decision, expert = self.router.decide(
             query,
             learned.cost.total,
             trace=trace,
-            parent=guard_span,
-            budget_ms=budget_ms,
+            parent=guard,
+            budget_ms=batch.remaining(idx),
         )
-        if guard_span is not None:
-            guard_span.attrs["use_learned"] = decision.use_learned
-            trace.end_span(guard_span)
+        if guard is not None:
+            guard.attrs["use_learned"] = decision.use_learned
+            trace.end_span(guard)
         if decision.use_learned:
-            source = "policy"
-            entry = _CacheEntry(
-                plan=learned.plan,
-                cost=learned.cost.total,
-                origin=source,
-                tree=record.tree,
-                alias_map=names,
-            )
+            source, result = "policy", learned
         else:
             # The plan ``decide`` judged, planned for this very query.
-            source = "fallback"
-            entry = _CacheEntry(
-                plan=expert.plan,
-                cost=expert.cost.total,
-                origin=source,
-                tree=expert.join_tree,
-                alias_map=names,
-            )
+            source, result = "fallback", expert
             if trace is not None:
                 trace.root.attrs["fallback_reason"] = "predicted_regression"
             if self.telemetry is not None and self.telemetry.enabled:
@@ -879,7 +779,7 @@ class OptimizerService:
                 self.telemetry.events.emit(
                     "guardrail_fallback",
                     query=query.name,
-                    fingerprint=fp,
+                    fingerprint=batch.fps[idx],
                     learned_cost=decision.learned_cost,
                     expert_cost=decision.expert_cost,
                     predicted_regression=(
@@ -887,24 +787,15 @@ class OptimizerService:
                     ),
                     threshold=decision.threshold,
                 )
-        if self.db.stats_epoch == epoch:
-            self.cache.put(fp, entry, tables=query.relations.values())
-        if collect and self.experience is not None and record.transitions:
-            self._collect(record, learned.plan, fp, source, version)
-        return (source, entry.plan, entry.cost, decision), entry
+        entry = self._settle(batch, idx, source, result, decision)
+        if batch.collects[idx] and self.experience is not None and record.transitions:
+            self._collect(batch, idx, record, learned.plan, source)
+        return entry
 
-    def _serve_degraded(
-        self,
-        query: Query,
-        names: Dict[str, str],
-        fp: str,
-        budget_ms: float | None = None,
-        reason: str | None = None,
-        trace=None,
-        parent=None,
-    ) -> tuple:
+    def _degrade(self, batch: _Batch, idx: int, reason: str) -> _CacheEntry:
         """The degradation ladder: answer a request whose policy rollout
-        failed, trading plan quality for availability rung by rung.
+        (or budgeted expert search) failed, trading plan quality for
+        availability rung by rung.
 
         1. **Budgeted DP** (``degraded_dp``): a non-exact, hard-pruned
            bitset search under ``DEGRADED_DP_BUDGET_MS`` (25 ms)
@@ -913,11 +804,10 @@ class OptimizerService:
         2. **Greedy** (``degraded_greedy``): the bottom-up floor —
            milliseconds, always answers.
 
-        Degraded plans are **never cached**: the next non-degraded
-        request for this fingerprint must produce (and cache) a full-
-        quality plan, not inherit the outage's compromise. Each
+        Degraded plans are **never cached** (see :meth:`_settle`). Each
         degraded serve emits a ``degraded_serve`` event.
         """
+        query, trace = batch.queries[idx], batch.traces[idx]
         # The ladder degrades *transient* failures (policy NaNs, blown
         # budgets), not validation ones: a query naming tables the
         # schema does not have must fail loudly — every rung would
@@ -928,18 +818,19 @@ class OptimizerService:
         if unknown:
             raise KeyError(
                 f"query {query.name!r} references unknown tables {unknown}"
-                + (f" (degraded after: {reason})" if reason else "")
+                f" (degraded after: {reason})"
             )
         span = (
-            trace.start_span("degraded_serve", parent=parent, reason=reason)
+            trace.start_span("degraded_serve", parent=batch.spans[idx], reason=reason)
             if trace is not None
             else None
         )
         budget = DEGRADED_DP_BUDGET_MS
-        if budget_ms is not None:
-            budget = max(0.0, min(budget, budget_ms))
-        result, lane = self.planner.degraded_plan(query, budget_ms=budget)
-        source = f"degraded_{lane}"
+        remaining = batch.remaining(idx)
+        if remaining is not None:
+            budget = max(0.0, min(budget, remaining))
+        result, rung = self.planner.degraded_plan(query, budget_ms=budget)
+        source = f"degraded_{rung}"
         if span is not None:
             span.attrs["source"] = source
             trace.end_span(span)
@@ -947,26 +838,118 @@ class OptimizerService:
             self.telemetry.events.emit(
                 "degraded_serve",
                 query=query.name,
-                fingerprint=fp,
+                fingerprint=batch.fps[idx],
                 source=source,
                 reason=reason,
             )
+        return self._settle(batch, idx, source, result)
+
+    def _settle(
+        self,
+        batch: _Batch,
+        idx: int,
+        source: str,
+        result: PlannerResult,
+        decision: GuardrailDecision | None = None,
+    ) -> _CacheEntry:
+        """Answer request ``idx`` with a freshly planned ``result`` and
+        cache it, unless it is a degraded plan (the next request for
+        the fingerprint must produce a full-quality plan, not inherit
+        an outage's compromise) or the statistics moved under the
+        batch. The returned entry answers the request's burst twins."""
         entry = _CacheEntry(
             plan=result.plan,
             cost=result.cost.total,
-            origin=source,
             tree=result.join_tree,
-            alias_map=names,
+            alias_map=batch.maps[idx],
         )
-        return (source, entry.plan, entry.cost, None), entry
+        if not source.startswith("degraded") and self.db.stats_epoch == batch.epoch:
+            query = batch.queries[idx]
+            self.cache.put(batch.fps[idx], entry, tables=query.relations.values())
+        batch.answers[idx] = (source, entry.plan, entry.cost, decision)
+        return entry
+
+    def _serve(
+        self,
+        batch: _Batch,
+        idx: int,
+        entry: _CacheEntry,
+        source: str,
+        decision: GuardrailDecision | None = None,
+    ) -> None:
+        """Answer request ``idx`` with an answer planned for an
+        equivalent query, translated into the requester's aliases when
+        it spells the query differently."""
+        names = batch.maps[idx]
+        plan, cost = entry.plan, entry.cost
+        if names != entry.alias_map:
+            result = translated(
+                self.planner,
+                batch.queries[idx],
+                names,
+                entry.tree,
+                entry.alias_map,
+                entry.translations,
+                batch.traces[idx],
+                batch.spans[idx],
+            )
+            plan, cost = result.plan, result.cost.total
+        batch.answers[idx] = (source, plan, cost, decision)
+
+    def _twin(self, batch: _Batch, idx: int, first: int, entry: _CacheEntry) -> None:
+        """Answer a burst twin of request ``first`` from its ``entry``,
+        with the source and decision ``first`` was answered with."""
+        trace = batch.traces[idx]
+        span = (
+            trace.start_span(
+                "cache_lookup", parent=batch.spans[idx], hit=True, burst_duplicate=True
+            )
+            if trace is not None
+            else None
+        )
+        source, _plan, _cost, decision = batch.answers[first]
+        self._serve(batch, idx, entry, source, decision)
+        if span is not None:
+            trace.end_span(span)
+
+    def _publish(self, batch: _Batch) -> List[ServedPlan]:
+        """Count and time every answer, close each ``serve`` span (and
+        finish the traces this batch began), and return the answers."""
+        latency_ms = (time.perf_counter() - batch.start) * 1000.0
+        served: List[ServedPlan] = []
+        for idx, query in enumerate(batch.queries):
+            source, plan, cost, decision = batch.answers[idx]
+            self.stats.requests += 1
+            self.stats.count(source)
+            self.request_ms_hist.observe(latency_ms)
+            served.append(
+                ServedPlan(
+                    query_name=query.name,
+                    fingerprint=batch.fps[idx],
+                    plan=plan,
+                    cost=cost,
+                    source=source,
+                    latency_ms=latency_ms,
+                    decision=decision,
+                    policy_version=batch.version,
+                    estimator_lane=batch.lane,
+                )
+            )
+        for trace, span, plan in zip(batch.traces, batch.spans, served):
+            if trace is not None:
+                span.attrs["source"] = plan.source
+                trace.end_span(span)
+                if batch.owns_traces:
+                    self.telemetry.finish_trace(trace, source=plan.source)
+        return served
 
     def _collect(
         self,
+        batch: _Batch,
+        idx: int,
         record: RolloutRecord,
         learned_plan: PhysicalPlan,
-        fp: str,
         source: str,
-        version: int,
     ) -> None:
         """Score the *learned* plan (even when the expert was served) and
         store the rollout as a terminal-reward trajectory."""
@@ -983,10 +966,10 @@ class OptimizerService:
                     "query": record.query,
                     "plan": learned_plan,
                     "tree": record.tree,
-                    "fingerprint": fp,
+                    "fingerprint": batch.fps[idx],
                     "source": source,
                     "degraded": source.startswith("degraded"),
-                    "policy_version": version,
+                    "policy_version": batch.version,
                 },
             )
         )

@@ -382,7 +382,7 @@ class TestGuardrail:
         served = service.optimize(parse_query(CHAIN, "chain"))
         assert served.source == "policy"
         assert served.decision.expert_cost is None
-        assert service.router.fallbacks == 0
+        assert service.stats.fallbacks == 0
 
     def test_generous_threshold_accepts_learned_plan(self, small_db, agent, featurizer):
         service = make_service(
