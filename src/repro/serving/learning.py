@@ -319,7 +319,8 @@ _DAEMON_ROWS = (
     ("repro_learning_promotions_total", None, "counter",
      "gated candidates promoted and hot-swapped", lambda d: d.promotions),
     ("repro_learning_rejections_total", None, "counter",
-     "candidates refused by the eval gate", lambda d: d.rejections),
+     "candidates refused: by the eval gate, or before it because the "
+     "replay raised or left non-finite weights", lambda d: d.rejections),
     ("repro_learning_rollbacks_total", None, "counter",
      "automatic rollbacks within the observation window",
      lambda d: d.rollbacks),
@@ -631,10 +632,12 @@ class RetrainingDaemon:
         value_net,
         score: float | None,
         cycle: int | None,
-        kind: str = "policy_swap",
+        rollback: bool = False,
     ) -> int:
         """Hand vetted weights to the front end as the next version,
-        checkpoint, and arm the rollback watch.
+        checkpoint, and arm the rollback watch. A promotion is counted
+        and announced as a ``policy_swap`` event here; a rollback is
+        announced by :meth:`check_rollback`, with why it happened.
 
         :meth:`ServingFrontEnd.apply_policy_weights` copies the payload
         once, has every live shard publish it as its next generation,
@@ -659,25 +662,21 @@ class RetrainingDaemon:
             self.frontend.apply_policy_weights(policy_net.net.params, version)
             self.version = version
             self.promoted_versions.add(version)
-            if kind == "policy_swap":
+            if not rollback:
                 self.promotions += 1
             self.current_score = score
             self._checkpoint(version)
             self._arm_watch()
-        self._emit(
-            kind,
-            version=version,
-            cycle=cycle,
-            score=_rounded(score),
-        )
+        if not rollback:
+            self._emit(
+                "policy_swap", version=version, cycle=cycle, score=_rounded(score)
+            )
         return version
 
     def force_swap(self, policy_net, value_net=None) -> int:
         """Swap arbitrary weights in, bypassing the gate (chaos drills
         and tests: prove the rollback watch catches a bad deploy)."""
-        return self._swap(
-            policy_net, value_net, score=None, cycle=None, kind="policy_swap"
-        )
+        return self._swap(policy_net, value_net, score=None, cycle=None)
 
     def _checkpoint(self, version: int) -> None:
         if self.config.checkpoint_dir is None:
@@ -738,8 +737,7 @@ class RetrainingDaemon:
             self._watch = None
             reason = "fallback_rate" if bad_regressed else "p95"
             version = self._swap(
-                policy_net, value_net, score=prev_score, cycle=None,
-                kind="policy_rollback",
+                policy_net, value_net, score=prev_score, cycle=None, rollback=True
             )
             # _swap armed a fresh watch for the restored weights and
             # snapshotted the bad deploy as "previous"; a rollback must

@@ -458,7 +458,11 @@ class TestRetrainingDaemon:
             assert daemon.check_rollback() is None
             assert daemon.rollbacks == 1
         kinds = [e["kind"] for e in daemon.telemetry.events.tail(100)]
-        assert "policy_rollback" in kinds
+        # One event per rollback, carrying why it rolled back.
+        assert kinds.count("policy_rollback") == 1
+        (event,) = daemon.telemetry.events.of_kind("policy_rollback")
+        assert event["from_version"] == bad_version
+        assert event["reason"] in ("fallback_rate", "p95")
 
     @pytest.mark.usefixtures("lenient_gate")
     def test_respawned_shard_rejoins_at_current_version(
