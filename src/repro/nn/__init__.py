@@ -7,7 +7,7 @@ this package provides exactly the pieces the paper's agents need:
   (:mod:`repro.nn.layers`, :mod:`repro.nn.network`),
 - policy-gradient friendly losses, including masked softmax over
   variable action sets (:mod:`repro.nn.losses`),
-- first-order optimizers with gradient clipping (:mod:`repro.nn.optim`),
+- the Adam optimizer with gradient clipping (:mod:`repro.nn.optim`),
 - deterministic weight initializers (:mod:`repro.nn.initializers`).
 
 Everything is deterministic given an explicit
@@ -23,17 +23,14 @@ from repro.nn.losses import (
     policy_gradient_loss,
 )
 from repro.nn.network import MLP
-from repro.nn.optim import SGD, Adam, Optimizer, RMSProp, clip_gradients
+from repro.nn.optim import Adam, clip_gradients
 
 __all__ = [
     "Adam",
     "Layer",
     "Linear",
     "MLP",
-    "Optimizer",
     "ReLU",
-    "RMSProp",
-    "SGD",
     "Sequential",
     "Tanh",
     "clip_gradients",

@@ -1,7 +1,7 @@
-"""First-order optimizers operating on ``{name: ndarray}`` parameter maps.
+"""Adam over a ``{name: ndarray}`` parameter map, and gradient clipping.
 
-Optimizers update parameters *in place* so that layers keep their views;
-state (momenta, second moments) is keyed by parameter name.
+The optimizer updates parameters *in place* so that layers keep their
+views; its state (first and second moments) is keyed by parameter name.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-__all__ = ["Optimizer", "SGD", "RMSProp", "Adam", "clip_gradients"]
+__all__ = ["Adam", "clip_gradients"]
 
 
 def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float) -> float:
@@ -28,86 +28,7 @@ def clip_gradients(grads: Dict[str, np.ndarray], max_norm: float) -> float:
     return total
 
 
-class Optimizer:
-    """Base optimizer over a fixed parameter map."""
-
-    def __init__(self, params: Dict[str, np.ndarray], lr: float) -> None:
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.params = params
-        self.lr = lr
-
-    def step(self, grads: Dict[str, np.ndarray]) -> None:
-        raise NotImplementedError
-
-    def _check(self, grads: Dict[str, np.ndarray]) -> None:
-        missing = set(self.params) - set(grads)
-        if missing:
-            raise KeyError(f"missing gradients for parameters: {sorted(missing)}")
-
-    def rebind(self, params: Dict[str, np.ndarray]) -> None:
-        """Re-attach to a new parameter map (after action-layer growth).
-
-        Per-parameter state whose shape no longer matches is reset; all
-        other state is retained.
-        """
-        self.params = params
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self, params: Dict[str, np.ndarray], lr: float = 1e-2, momentum: float = 0.0
-    ) -> None:
-        super().__init__(params, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity: Dict[str, np.ndarray] = {}
-
-    def step(self, grads: Dict[str, np.ndarray]) -> None:
-        self._check(grads)
-        for name, param in self.params.items():
-            g = grads[name]
-            if self.momentum > 0:
-                v = self._velocity.get(name)
-                if v is None or v.shape != g.shape:
-                    v = np.zeros_like(g)
-                v = self.momentum * v + g
-                self._velocity[name] = v
-                g = v
-            param -= self.lr * g
-
-
-class RMSProp(Optimizer):
-    """RMSProp with a moving average of squared gradients."""
-
-    def __init__(
-        self,
-        params: Dict[str, np.ndarray],
-        lr: float = 1e-3,
-        decay: float = 0.99,
-        eps: float = 1e-8,
-    ) -> None:
-        super().__init__(params, lr)
-        self.decay = decay
-        self.eps = eps
-        self._sq: Dict[str, np.ndarray] = {}
-
-    def step(self, grads: Dict[str, np.ndarray]) -> None:
-        self._check(grads)
-        for name, param in self.params.items():
-            g = grads[name]
-            s = self._sq.get(name)
-            if s is None or s.shape != g.shape:
-                s = np.zeros_like(g)
-            s = self.decay * s + (1 - self.decay) * g**2
-            self._sq[name] = s
-            param -= self.lr * g / (np.sqrt(s) + self.eps)
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam with bias correction (Kingma & Ba)."""
 
     def __init__(
@@ -118,7 +39,10 @@ class Adam(Optimizer):
         beta2: float = 0.999,
         eps: float = 1e-8,
     ) -> None:
-        super().__init__(params, lr)
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.params = params
+        self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -129,8 +53,18 @@ class Adam(Optimizer):
         self._scratch: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._t = 0
 
+    def rebind(self, params: Dict[str, np.ndarray]) -> None:
+        """Re-attach to a new parameter map (after action-layer growth).
+
+        Per-parameter state whose shape no longer matches is reset on
+        the next step; all other state is retained.
+        """
+        self.params = params
+
     def step(self, grads: Dict[str, np.ndarray]) -> None:
-        self._check(grads)
+        missing = set(self.params) - set(grads)
+        if missing:
+            raise KeyError(f"missing gradients for parameters: {sorted(missing)}")
         self._t += 1
         b1t = 1 - self.beta1**self._t
         b2t = 1 - self.beta2**self._t

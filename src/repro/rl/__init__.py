@@ -12,15 +12,11 @@ from repro.rl.env import Environment, StepResult, Trajectory, Transition, rollou
 from repro.rl.policy import CategoricalPolicy
 from repro.rl.ppo import PPOAgent, PPOConfig
 from repro.rl.reinforce import ReinforceAgent, ReinforceConfig
-from repro.rl.schedules import ConstantSchedule, ExponentialSchedule, LinearSchedule
 from repro.rl.vector_env import VectorRolloutEngine
 
 __all__ = [
     "CategoricalPolicy",
-    "ConstantSchedule",
     "Environment",
-    "ExponentialSchedule",
-    "LinearSchedule",
     "PPOAgent",
     "PPOConfig",
     "ReinforceAgent",

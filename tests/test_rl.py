@@ -1,4 +1,4 @@
-"""Tests for repro.rl: env machinery, policy, REINFORCE, PPO, schedules.
+"""Tests for repro.rl: env machinery, policy, REINFORCE, PPO.
 
 Includes a tiny deterministic "corridor" environment both agents must
 solve, which validates the full learning loop independent of any
@@ -10,9 +10,6 @@ import pytest
 
 from repro.rl import (
     CategoricalPolicy,
-    ConstantSchedule,
-    ExponentialSchedule,
-    LinearSchedule,
     PPOAgent,
     PPOConfig,
     ReinforceAgent,
@@ -256,28 +253,3 @@ class TestPPO:
         metrics = agent.update([t])
         assert metrics["n_steps"] == len(t)
 
-
-class TestSchedules:
-    def test_constant(self):
-        s = ConstantSchedule(0.5)
-        assert s(0) == s(100) == 0.5
-
-    def test_linear(self):
-        s = LinearSchedule(1.0, 0.0, 10)
-        assert s(0) == 1.0
-        assert s(5) == pytest.approx(0.5)
-        assert s(10) == s(20) == 0.0
-
-    def test_linear_bad_horizon(self):
-        with pytest.raises(ValueError):
-            LinearSchedule(1.0, 0.0, 0)
-
-    def test_exponential(self):
-        s = ExponentialSchedule(1.0, 0.5, end=0.1)
-        assert s(0) == 1.0
-        assert s(1) == 0.5
-        assert s(10) == 0.1
-
-    def test_exponential_bad_decay(self):
-        with pytest.raises(ValueError):
-            ExponentialSchedule(1.0, 1.5)
