@@ -1,5 +1,5 @@
-"""Regenerate the pinned training run and the pinned serving session in
-``tests/golden/``.
+"""Regenerate the pinned training run, the pinned serving session and
+the pinned expert plans in ``tests/golden/``.
 
 **Training** (``ppo_seed7.npz``). The run is the Figure 3 recipe
 (``benchmarks/common.py::get_trained_rejoin``) cut to 200 episodes:
@@ -36,9 +36,20 @@ width-10 featurizer and an untrained PPO policy seeded 11:
 request's source, cost and plan signature exactly. A change to the
 serving path that claims "identical plans" is checked there.
 
-Run from the repository root (no argument writes both files)::
+**Expert plans** (``expert_plans.npz``). On the scale-0.02 IMDB
+database, two random queries per relation count 4-14 (one rng seeded
+5), planned by ``Planner`` with exact DP (GEQO threshold 15, above every
+query) and with GEQO (threshold 4, below every query), under the
+``histogram`` and ``pessimistic`` cardinality lanes. Per lane and
+search it stores every plan's signature and cost, and the estimated
+rows of every join of its tree. ``tests/test_golden_expert.py``
+compares all of them exactly: they are scalar arithmetic, so a
+reordered cardinality or cost product shows there. The ``learned``
+lane is left out, because its estimates pass through matrix products.
 
-    PYTHONPATH=src python tests/golden/regenerate.py [training] [serving]
+Run from the repository root (no argument writes all three files)::
+
+    PYTHONPATH=src python tests/golden/regenerate.py [training] [serving] [expert]
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ import numpy as np
 from repro.core import ExpertBaseline, JoinOrderEnv, Trainer, TrainingConfig, make_agent
 from repro.core.featurize import QueryFeaturizer
 from repro.core.rewards import CostModelReward
+from repro.db.cardinality import HistogramEstimator, PessimisticEstimator
 from repro.db.plans import PhysicalPlan
 from repro.db.predicates import ColumnRef, JoinPredicate
 from repro.db.query import AggregateSpec, Query
@@ -78,6 +90,16 @@ GUARDRAILS = {"off": None, "guard1.5": 1.5}
 #: The table whose statistics the session refreshes (read by 11 of the
 #: 27 queries).
 REFRESHED_TABLE = "name"
+
+EXPERT_GOLDEN = Path(__file__).with_name("expert_plans.npz")
+EXPERT_SEED = 5
+#: Relation counts of the expert queries, two of each.
+EXPERT_RELATIONS = range(4, 15)
+#: The join searches, by key prefix, as the planner's GEQO threshold:
+#: exact DP plans every query below it, GEQO every query at or above.
+EXPERT_SEARCHES = {"dp": 15, "geqo": 4}
+#: The cardinality lanes, by key prefix.
+EXPERT_LANES = {"histogram": HistogramEstimator, "pessimistic": PessimisticEstimator}
 
 
 def run_recipe(episodes: int = EPISODES) -> Dict[str, np.ndarray]:
@@ -234,10 +256,40 @@ def run_serving() -> Dict[str, np.ndarray]:
     return out
 
 
+def run_expert() -> Dict[str, np.ndarray]:
+    """Plan the expert queries under every lane and search, and return
+    what the pin compares, as the arrays :func:`main` writes."""
+    db = _serving_database()
+    rng = np.random.default_rng(EXPERT_SEED)
+    generator = RandomQueryGenerator(db)
+    queries = [
+        generator.generate(rng, n, name=f"r{n}-{k}")
+        for n in EXPERT_RELATIONS
+        for k in range(2)
+    ]
+    out = {"queries": np.array([q.name for q in queries])}
+    for lane, model in EXPERT_LANES.items():
+        db.use_estimator(model)
+        for search, threshold in EXPERT_SEARCHES.items():
+            planner = Planner(db, geqo_threshold=threshold)
+            results = [planner.optimize(q) for q in queries]
+            join_rows = [
+                db.cardinalities(q).rows_for_aliases(node.aliases)
+                for q, r in zip(queries, results)
+                for node in r.join_tree.iter_joins()
+            ]
+            prefix = f"{lane}/{search}"
+            out[f"{prefix}/plans"] = np.array([plan_signature(r.plan) for r in results])
+            out[f"{prefix}/costs"] = np.array([r.cost.total for r in results])
+            out[f"{prefix}/join_rows"] = np.array(join_rows)
+    return out
+
+
 def main(targets: List[str]) -> None:
     writers = {
         "training": (GOLDEN, run_recipe),
         "serving": (SERVING_GOLDEN, run_serving),
+        "expert": (EXPERT_GOLDEN, run_expert),
     }
     for target in targets or list(writers):
         path, run = writers[target]
