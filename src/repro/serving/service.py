@@ -315,7 +315,7 @@ class _CacheEntry:
     translations: Translations = field(default_factory=OrderedDict)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Batch:
     """One ``optimize_batch`` call, as each of its stages reads it.
 
@@ -649,20 +649,13 @@ class OptimizerService:
                 trace.root.attrs.setdefault("fingerprint", fp)
                 trace.root.attrs.setdefault("policy_version", version)
                 trace.root.attrs.setdefault("estimator_lane", lane)
+        budgets = list(budgets_ms) if budgets_ms is not None else [None] * n
+        collects = [collect] * n if isinstance(collect, bool) else list(collect)
+        # Positional: the keyword form doubles this call's cost, which
+        # a batch of cache hits notices.
         return _Batch(
-            queries=queries,
-            maps=list(alias_maps),
-            fps=list(fingerprints),
-            traces=traces,
-            spans=spans,
-            budgets=list(budgets_ms) if budgets_ms is not None else [None] * n,
-            collects=[collect] * n if isinstance(collect, bool) else list(collect),
-            start=start,
-            epoch=epoch,
-            policy=policy,
-            version=version,
-            lane=lane,
-            owns_traces=owns_traces,
+            queries, list(alias_maps), list(fingerprints), traces, spans,
+            budgets, collects, start, epoch, policy, version, lane, owns_traces,
         )
 
     def _lookup(self, batch: _Batch) -> List[List[int]]:
