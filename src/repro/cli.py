@@ -62,9 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     info.add_argument(
         "--executor", choices=("thread", "process"), default="thread",
-        help="probe through thread shards (default) or spawned worker "
-        "processes; process mode adds the transport_* counters (frames "
-        "and bytes over worker pipes, control round-trips) to the rollup",
+        help="probe through one in-process shard (default) or two "
+        "spawned worker processes; process mode adds the transport_* "
+        "counters (frames and bytes over worker pipes, control "
+        "round-trips) to the rollup",
     )
 
     plan = sub.add_parser("plan", help="optimize one JOB-lite query")
@@ -191,8 +192,9 @@ def _cmd_info(args) -> int:
             frontend.optimize_batch(probes)
             frontend.optimize_batch(probes)
             counters = frontend.counters()
+        shards = int(counters["frontend_shards"])
         print("\nserving counters (rolled up over "
-              f"{int(counters['frontend_shards'])} shards):")
+              f"{shards} shard{'s' if shards != 1 else ''}):")
         print(ascii_table(["counter", "value"], sorted(counters.items())))
     else:
         print("\nserving counters: run with --probe N to serve sample "
@@ -205,9 +207,9 @@ def _make_frontend(db, agent=None, featurizer=None, telemetry=None,
                    executor="thread"):
     """A :class:`ServingFrontEnd` over ``db`` (untrained policy unless an
     agent is given — counters and routing behave the same either way):
-    dispatch-on-idle flusher in front of two fingerprint-sharded worker
-    services (in-process threads by default; ``executor="process"``
-    spawns one worker process per shard behind the same API)."""
+    dispatch-on-idle flusher in front of the executor's default shards
+    (one in-process service under ``executor="thread"``; two
+    fingerprint-sharded worker processes under ``executor="process"``)."""
     from repro.core.featurize import QueryFeaturizer
     from repro.rl.ppo import PPOAgent
     from repro.serving import FrontEndConfig, ServingConfig, ServingFrontEnd
@@ -222,9 +224,7 @@ def _make_frontend(db, agent=None, featurizer=None, telemetry=None,
         agent,
         featurizer=featurizer,
         serving_config=ServingConfig(),
-        config=FrontEndConfig(
-            n_shards=2, max_batch=16, max_delay_ms=2.0, executor=executor,
-        ),
+        config=FrontEndConfig(max_batch=16, max_delay_ms=2.0, executor=executor),
         telemetry=telemetry,
     )
 

@@ -16,9 +16,12 @@ to queue-and-flush:
    accumulate or the oldest has waited ``max_delay_ms`` behind busy
    shards, whichever comes first — so a lone query costs the work it
    needs and a burst is never served one by one;
-3. each flush is split by shard and dispatched to **N worker threads**,
-   one :class:`~repro.serving.service.OptimizerService` each. Because
-   the ring keys on the canonical query fingerprint, every
+3. each flush is split by shard and dispatched to the shards' worker
+   threads, one :class:`~repro.serving.service.OptimizerService` each
+   (or one worker process each under ``executor="process"``). By
+   default the thread executor runs **one** in-process shard
+   (:data:`DEFAULT_SHARDS`). With ``n_shards`` ≥ 2, because the ring
+   keys on the canonical query fingerprint, every
    fingerprint-equivalent query lands on the same shard's plan cache
    and experience buffer — shard-private caches need no
    cross-shard coherence, yet still see every repeat of "their" query
@@ -124,14 +127,21 @@ _SHED_RETRY_AFTER_S = 0.05
 #: process (a hung worker that misses one beat is SIGKILL'd and
 #: respawned).
 HEARTBEAT_INTERVAL_S = 1.0
+#: Shards per executor when ``FrontEndConfig.n_shards`` is None: as many
+#: as can compute at once. One interpreter computes one batch at a time,
+#: so a second thread shard adds no parallelism (:class:`_Turn`), only
+#: half-size batches; worker processes compute in parallel.
+DEFAULT_SHARDS = {"thread": 1, "process": 2}
 
 
 @dataclass(frozen=True)
 class FrontEndConfig:
     """Knobs for the concurrent front end."""
 
-    #: Worker shards (each owns a private OptimizerService).
-    n_shards: int = 2
+    #: Worker shards (each owns a private OptimizerService). ``None``
+    #: means the executor's :data:`DEFAULT_SHARDS` (one thread shard,
+    #: two worker processes); read the count through :meth:`shard_count`.
+    n_shards: Optional[int] = None
     #: Flush as soon as this many submissions are pending...
     max_batch: int = 32
     #: ...or when the oldest pending submission has waited this long
@@ -166,7 +176,7 @@ class FrontEndConfig:
             raise ValueError('executor must be "thread" or "process"')
         if self.supervisor_interval_s <= 0:
             raise ValueError("supervisor_interval_s must be positive")
-        if self.n_shards < 1:
+        if self.n_shards is not None and self.n_shards < 1:
             raise ValueError("n_shards must be at least 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
@@ -180,6 +190,20 @@ class FrontEndConfig:
             raise ValueError("backoff times must be non-negative")
         if not 0.0 < self.shed_watermark <= 1.0:
             raise ValueError("shed_watermark must be in (0, 1]")
+
+    def shard_count(self, services: Optional[int] = None) -> int:
+        """How many shards this config means: ``n_shards`` when set,
+        else ``services`` (the length of a hand-assembled service list)
+        when given, else the executor's :data:`DEFAULT_SHARDS`.
+
+        Resolved on every read rather than written into the field, so
+        ``replace(FrontEndConfig(), executor="process")`` still means
+        the process default."""
+        if self.n_shards is not None:
+            return self.n_shards
+        if services is not None:
+            return services
+        return DEFAULT_SHARDS[self.executor]
 
 
 @dataclass
@@ -392,14 +416,16 @@ class ServingFrontEnd:
     ) -> None:
         if not services:
             raise ValueError("need at least one shard service")
-        self.config = config or FrontEndConfig(n_shards=len(services))
-        if self.config.n_shards != len(services):
+        self.config = config or FrontEndConfig()
+        #: The resolved shard count (see :meth:`FrontEndConfig.shard_count`).
+        self.n_shards = self.config.shard_count(len(services))
+        if self.n_shards != len(services):
             raise ValueError(
-                f"config says {self.config.n_shards} shards but "
+                f"config says {self.n_shards} shards but "
                 f"{len(services)} services were given"
             )
         self.services = list(services)
-        self.ring = HashRing(self.config.n_shards)
+        self.ring = HashRing(self.n_shards)
         self.stats = FrontEndStats()
         self.clock = time.monotonic
         self._service_factory = service_factory
@@ -476,14 +502,14 @@ class ServingFrontEnd:
         #: Per-shard submissions currently held by the worker thread,
         #: handed to the death handler if the thread dies mid-batch.
         self._holding: List[List[_Submission]] = [
-            [] for _ in range(self.config.n_shards)
+            [] for _ in range(self.n_shards)
         ]
         self.breakers = [
             CircuitBreaker(on_transition=self._breaker_callback(shard))
-            for shard in range(self.config.n_shards)
+            for shard in range(self.n_shards)
         ]
         self._queues: List["SimpleQueue"] = [
-            SimpleQueue() for _ in range(self.config.n_shards)
+            SimpleQueue() for _ in range(self.n_shards)
         ]
         self._workers = [
             threading.Thread(
@@ -492,7 +518,7 @@ class ServingFrontEnd:
                 name=f"serving-shard-{shard}",
                 daemon=True,
             )
-            for shard in range(self.config.n_shards)
+            for shard in range(self.n_shards)
         ]
         for worker in self._workers:
             worker.start()
@@ -607,7 +633,7 @@ class ServingFrontEnd:
                     make_spec(shard), transport=transport, telemetry=telemetry
                 )
 
-            workers = [make_worker(shard) for shard in range(config.n_shards)]
+            workers = [make_worker(shard) for shard in range(config.shard_count())]
             return cls(
                 workers,
                 config=config,
@@ -635,7 +661,7 @@ class ServingFrontEnd:
             )
 
         return cls(
-            [make_service(shard) for shard in range(config.n_shards)],
+            [make_service(shard) for shard in range(config.shard_count())],
             config=config,
             telemetry=telemetry,
             service_factory=make_service,
@@ -874,19 +900,6 @@ class ServingFrontEnd:
                     self._work.wait()
                 if not self._pending:  # closing with nothing queued
                     break
-                # Capacity gate: every shard down with the supervisor
-                # mid-respawn is an outage, not a request failure —
-                # dispatching now could only burn retry attempts
-                # against a guaranteed all-down route, and a process
-                # respawn (interpreter spawn + service rebuild) takes
-                # far longer than the whole ms-scale backoff schedule.
-                # Park until a shard returns; close() drains us out.
-                while (
-                    self.supervisor is not None
-                    and not self._closing
-                    and len(self._down) >= len(self.services)
-                ):
-                    self._work.wait(0.05)
                 head = self._pending[0]
                 deadline = head.submitted_at + self.config.max_delay_ms / 1000.0
                 if head.deadline is not None and head.deadline < deadline:
@@ -894,6 +907,23 @@ class ServingFrontEnd:
                     # at dispatch) instead of held for batch filler.
                     deadline = head.deadline
                 while True:
+                    # Capacity gate: every shard down with the supervisor
+                    # mid-respawn is an outage, not a request failure —
+                    # dispatching now could only burn retry attempts
+                    # against a guaranteed all-down route, and a process
+                    # respawn (interpreter spawn + service rebuild) takes
+                    # far longer than the whole ms-scale backoff
+                    # schedule. Park until a shard returns; close()
+                    # drains us out. Checked on every pass, in the same
+                    # hold of the lock that takes the batch, because the
+                    # last shard may die while a partial batch waits.
+                    if (
+                        self.supervisor is not None
+                        and not self._closing
+                        and len(self._down) >= len(self.services)
+                    ):
+                        self._work.wait(0.05)
+                        continue
                     if len(self._pending) >= self.config.max_batch:
                         reason = "size"
                         break
@@ -940,7 +970,7 @@ class ServingFrontEnd:
         """
         idle = [
             shard
-            for shard in range(self.config.n_shards)
+            for shard in range(self.n_shards)
             if shard not in self._down
             and not self._holding[shard]
             and self._queues[shard].empty()
@@ -1776,7 +1806,7 @@ class ServingFrontEnd:
         rolled["frontend_served_occupancy_mean"] = round(
             self.stats.served_occupancy_mean, 2
         )
-        rolled["frontend_shards"] = self.config.n_shards
+        rolled["frontend_shards"] = self.n_shards
         rolled["frontend_breakers_open"] = sum(
             1 for breaker in self.breakers if breaker.state != "closed"
         )

@@ -256,17 +256,23 @@ def run_serving() -> Dict[str, np.ndarray]:
     return out
 
 
-def run_expert() -> Dict[str, np.ndarray]:
-    """Plan the expert queries under every lane and search, and return
-    what the pin compares, as the arrays :func:`main` writes."""
-    db = _serving_database()
+def expert_queries(db) -> List[Query]:
+    """The pin's queries over ``db``: two of each relation count in
+    ``EXPERT_RELATIONS``, from one rng seeded ``EXPERT_SEED``."""
     rng = np.random.default_rng(EXPERT_SEED)
     generator = RandomQueryGenerator(db)
-    queries = [
+    return [
         generator.generate(rng, n, name=f"r{n}-{k}")
         for n in EXPERT_RELATIONS
         for k in range(2)
     ]
+
+
+def run_expert() -> Dict[str, np.ndarray]:
+    """Plan the expert queries under every lane and search, and return
+    what the pin compares, as the arrays :func:`main` writes."""
+    db = _serving_database()
+    queries = expert_queries(db)
     out = {"queries": np.array([q.name for q in queries])}
     for lane, model in EXPERT_LANES.items():
         db.use_estimator(model)

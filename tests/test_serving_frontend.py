@@ -1,9 +1,10 @@
 """Tests for the concurrent serving front end: flushing (full batch,
-idle shard, drain), consistent-hash sharding, lifecycle (drain/close),
-and the per-shard counter rollup."""
+idle shard, drain), consistent-hash sharding, the executor's default
+shard count, lifecycle (drain/close), and the per-shard counter rollup."""
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.serving import (
     ServingFrontEnd,
     fingerprint,
 )
+from repro.serving.frontend import HEARTBEAT_INTERVAL_S
 from tests.helpers import stall_services, wait_until
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
@@ -362,3 +364,87 @@ class TestCountersRollup:
             episodes = frontend.drain_experience()
         assert len(episodes) == 2
         assert frontend.drain_experience() == []
+
+
+class TestDefaultShardCount:
+    """``n_shards=None`` means as many shards as the executor can
+    compute with at once, resolved on every read."""
+
+    def test_thread_default_is_one_shard_process_default_is_two(self):
+        assert FrontEndConfig().n_shards is None
+        assert FrontEndConfig().shard_count() == 1
+        assert FrontEndConfig(executor="process").shard_count() == 2
+
+    def test_default_survives_replace(self):
+        config = replace(FrontEndConfig(), executor="process")
+        assert config.shard_count() == 2
+        assert replace(config, executor="thread").shard_count() == 1
+
+    @pytest.mark.parametrize(
+        "executor, n_shards", [("thread", 2), ("thread", 3), ("process", 1)]
+    )
+    def test_explicit_count_passes_through(self, executor, n_shards):
+        config = FrontEndConfig(n_shards=n_shards, executor=executor)
+        assert config.shard_count() == n_shards
+        assert config.shard_count(services=5) == n_shards
+
+    def test_zero_shards_still_raises(self):
+        with pytest.raises(ValueError):
+            FrontEndConfig(n_shards=0)
+
+    def test_build_without_config_serves_from_one_shard(
+        self, small_db, agent, featurizer
+    ):
+        with ServingFrontEnd.build(small_db, agent, featurizer=featurizer) as frontend:
+            assert len(frontend.services) == 1
+            assert len(frontend._workers) == 1
+            assert frontend.ring.n_shards == 1
+            assert frontend.optimize(parse_query(CHAIN, "chain"), timeout=2.0).cost > 0
+        counters = frontend.counters()
+        assert counters["frontend_shards"] == 1
+        assert counters["shard0_requests"] == 1
+
+    def test_hand_assembled_services_set_the_count(self, small_db, agent, featurizer):
+        def service():
+            return OptimizerService(
+                small_db, agent, planner=Planner(small_db), featurizer=featurizer
+            )
+
+        services = [service(), service()]
+        with ServingFrontEnd(services, config=FrontEndConfig(supervise=False)) as fe:
+            assert fe.counters()["frontend_shards"] == 2
+            assert fe.ring.n_shards == 2
+        with pytest.raises(ValueError):
+            ServingFrontEnd(services, config=FrontEndConfig(n_shards=3))
+
+
+class TestDefaultShardSurvivesWorkerDeath:
+    def test_every_request_is_served_across_two_deaths_of_the_only_shard(
+        self, small_db, agent, featurizer
+    ):
+        # One shard and no survivor to reroute to: the flusher parks
+        # while the shard is down, and the supervisor's respawn serves
+        # what was queued, held or retried. A request routed while the
+        # only shard is down would instead wait out a retry hint of at
+        # least ``stall_s``; a thread shard respawns in milliseconds.
+        frontend = ServingFrontEnd.build(
+            small_db,
+            agent,
+            featurizer=featurizer,
+            serving_config=ServingConfig(regression_threshold=1.5),
+        )
+        assert len(frontend.services) == 1
+        stall_s = 2.0 * max(frontend.breakers[0].cooldown_s, HEARTBEAT_INTERVAL_S)
+        with frontend:
+            start = time.monotonic()
+            futures = []
+            for i in range(60):
+                futures.append(frontend.submit(parse_query(BC, f"q{i}")))
+                if i in (9, 39):
+                    frontend.kill_worker(0)
+            for future in futures:
+                assert future.result(timeout=10.0).cost > 0
+            assert time.monotonic() - start < stall_s
+            assert frontend.stats.worker_restarts >= 1
+            assert wait_until(lambda: not frontend._down)
+        assert frontend._outstanding == set()
