@@ -348,8 +348,7 @@ class EpisodeEncoder:
         self._members: List[List[int] | None] = [None] * f.max_relations
         for slot in state._live:
             tree = state.slots[slot]
-            # leaf_depths' recursive closure is a reference cycle per
-            # call, left for the collector: skip it for leaves.
+            # A leaf's one member is itself at depth 0.
             self._members[slot] = (
                 [table_index[table_of(tree.alias)]]
                 if tree.is_leaf

@@ -204,7 +204,7 @@ class Database:
             self.stats_epoch += 1
 
     def build_default_indexes(self) -> None:
-        """B-tree every primary key and FK endpoint; hash every FK column.
+        """B-tree and hash every primary key and FK endpoint.
 
         This mirrors the JOB/IMDB setup, where PK/FK columns are indexed
         so that index-scan access paths are genuinely available.
@@ -228,8 +228,13 @@ class Database:
         return index
 
     def create_hash_index(self, table: str, column: str) -> HashIndex:
-        values = self.tables[table].column(column)
-        index = HashIndex.build(table, column, values)
+        """A hash index; it reads the column's B-tree arrays when there
+        is one (tables are immutable, so both see the same rows)."""
+        btree = self.btree_indexes.get((table, column))
+        if btree is not None:
+            index = HashIndex.sharing(btree)
+        else:
+            index = HashIndex.build(table, column, self.tables[table].column(column))
         self.hash_indexes[(table, column)] = index
         self._note_index(table)
         return index

@@ -292,7 +292,9 @@ class Executor:
                 raise LookupError("hash index supports only equality lookups")
             return index.lookup_range(pred.lo, pred.hi)
         if isinstance(pred, InPredicate):
-            parts = [index.lookup_eq(v) for v in pred.values]
+            # Each distinct value once: IN keeps a row once, however
+            # often the list repeats its value.
+            parts = [index.lookup_eq(v) for v in dict.fromkeys(pred.values)]
             return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
         raise TypeError(f"unsupported index predicate {type(pred).__name__}")
 

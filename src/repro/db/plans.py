@@ -103,15 +103,14 @@ class JoinTree:
     def leaf_depths(self) -> Dict[str, int]:
         """Depth of every alias measured from this subtree's root (root=0)."""
         depths: Dict[str, int] = {}
-
-        def walk(node: "JoinTree", depth: int) -> None:
+        stack = [(self, 0)]
+        while stack:  # left subtrees first: the aliases in leaf order
+            node, depth = stack.pop()
             if node.is_leaf:
                 depths[node.alias] = depth
             else:
-                walk(node.left, depth + 1)
-                walk(node.right, depth + 1)
-
-        walk(self, 0)
+                stack.append((node.right, depth + 1))
+                stack.append((node.left, depth + 1))
         return depths
 
     def iter_joins(self) -> Iterator["JoinTree"]:

@@ -12,8 +12,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-import networkx as nx
-
 from repro.db.predicates import (
     BetweenPredicate,
     ColumnRef,
@@ -196,20 +194,8 @@ class Query:
         self.__dict__["_join_graph_index"] = jg
         return jg
 
-    def join_graph(self) -> nx.Graph:
-        """Undirected alias graph; edges carry their join predicates."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.relations)
-        for join in self.joins:
-            a, b = sorted(join.aliases)
-            if graph.has_edge(a, b):
-                graph.edges[a, b]["predicates"].append(join)
-            else:
-                graph.add_edge(a, b, predicates=[join])
-        return graph
-
     def is_connected(self) -> bool:
-        return nx.is_connected(self.join_graph())
+        return len(self.join_graph_index().components()) == 1
 
     def validate_against(self, schema: DatabaseSchema) -> None:
         """Raise if any alias/table/column does not exist in ``schema``."""

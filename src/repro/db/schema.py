@@ -12,8 +12,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-import networkx as nx
-
 __all__ = [
     "NULL_INT",
     "DataType",
@@ -146,15 +144,14 @@ class DatabaseSchema:
             raise KeyError(f"unknown table {table!r}")
         return self.tables[table].column(name)
 
-    def join_graph(self) -> nx.Graph:
-        """Undirected graph over tables; edges carry their foreign keys."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self.tables)
+    def join_graph(self) -> Dict[str, Dict[str, List[ForeignKey]]]:
+        """Undirected adjacency over tables: ``graph[a][b]`` lists the
+        foreign keys between ``a`` and ``b``; every table is a key."""
+        graph: Dict[str, Dict[str, List[ForeignKey]]] = {t: {} for t in self.tables}
         for fk in self.foreign_keys:
-            if graph.has_edge(fk.src_table, fk.dst_table):
-                graph.edges[fk.src_table, fk.dst_table]["fks"].append(fk)
-            else:
-                graph.add_edge(fk.src_table, fk.dst_table, fks=[fk])
+            fks = graph[fk.src_table].setdefault(fk.dst_table, [])
+            fks.append(fk)
+            graph[fk.dst_table][fk.src_table] = fks
         return graph
 
     def foreign_keys_between(self, a: str, b: str) -> List[ForeignKey]:

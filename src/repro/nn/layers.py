@@ -14,7 +14,9 @@ Layers follow a simple contract:
   gradients and returns nothing, for a caller with no use for the input
   gradient (a network's input layer skips its largest matmul);
 - ``params`` / ``grads`` expose parameters as ``{name: ndarray}`` so
-  optimizers can update them in place.
+  optimizers can update them in place (a layer allocates its gradient
+  buffers when first asked for them);
+- ``serving_copy()`` copies the parameters and nothing else.
 
 The implementation is intentionally eager and minimal — the networks in
 this reproduction are small MLPs, where explicit backprop is both exact
@@ -23,6 +25,7 @@ and fast.
 
 from __future__ import annotations
 
+import copy
 from typing import Callable, Dict, Iterable, List
 
 import numpy as np
@@ -61,6 +64,11 @@ class Layer:
         for g in self.grads.values():
             g.fill(0.0)
 
+    def serving_copy(self) -> "Layer":
+        """A copy holding the parameters alone: none of the state a
+        backward pass reads or writes. Activations have no parameters."""
+        return type(self)()
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
@@ -81,8 +89,10 @@ class Linear(Layer):
         self.out_features = out_features
         self.weight = init(in_features, out_features, rng)
         self.bias = np.zeros(out_features)
-        self._grad_weight = np.zeros_like(self.weight)
-        self._grad_bias = np.zeros_like(self.bias)
+        # Gradient buffers are allocated by the first backward pass, so
+        # a layer that only ever serves holds its weights and bias alone.
+        self._grad_weight: np.ndarray | None = None
+        self._grad_bias: np.ndarray | None = None
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -107,9 +117,17 @@ class Linear(Layer):
         if self._x is None:
             raise RuntimeError("backward called before forward")
         grad_out = np.atleast_2d(grad_out)
-        self._grad_weight += self._x.T @ grad_out
-        self._grad_bias += grad_out.sum(axis=0)
+        grads = self.grads
+        grads["weight"] += self._x.T @ grad_out
+        grads["bias"] += grad_out.sum(axis=0)
         return grad_out
+
+    def serving_copy(self) -> "Linear":
+        layer = copy.copy(self)
+        layer.weight = self.weight.copy()
+        layer.bias = self.bias.copy()
+        layer._grad_weight = layer._grad_bias = layer._x = None
+        return layer
 
     def grow_outputs(self, n_new: int, rng: np.random.Generator) -> None:
         """Append ``n_new`` freshly initialized output units.
@@ -124,8 +142,7 @@ class Linear(Layer):
         extra_w = xavier_init(self.in_features, n_new, rng) * 0.1
         self.weight = np.concatenate([self.weight, extra_w], axis=1)
         self.bias = np.concatenate([self.bias, np.zeros(n_new)])
-        self._grad_weight = np.zeros_like(self.weight)
-        self._grad_bias = np.zeros_like(self.bias)
+        self._grad_weight = self._grad_bias = None
         self.out_features += n_new
 
     @property
@@ -134,7 +151,15 @@ class Linear(Layer):
 
     @property
     def grads(self) -> Dict[str, np.ndarray]:
+        if self._grad_weight is None:
+            self._grad_weight = np.zeros_like(self.weight)
+            self._grad_bias = np.zeros_like(self.bias)
         return {"weight": self._grad_weight, "bias": self._grad_bias}
+
+    def zero_grad(self) -> None:
+        if self._grad_weight is not None:
+            self._grad_weight.fill(0.0)
+            self._grad_bias.fill(0.0)
 
 
 class ReLU(Layer):
@@ -206,6 +231,9 @@ class Sequential(Layer):
     def zero_grad(self) -> None:
         for layer in self.layers:
             layer.zero_grad()
+
+    def serving_copy(self) -> "Sequential":
+        return Sequential(layer.serving_copy() for layer in self.layers)
 
     @property
     def params(self) -> Dict[str, np.ndarray]:

@@ -11,11 +11,13 @@ paper's training strategies need:
 - ``copy_weights_from`` with per-layer selection — transfer learning for
   cost-model bootstrapping (paper §5.2: "transfer the weights of the
   later layers of the network into a new network");
-- ``save`` / ``load`` checkpoints (``.npz``).
+- ``save`` / ``load`` checkpoints (``.npz``);
+- ``serving_copy`` — the weights alone, for a process that only serves.
 """
 
 from __future__ import annotations
 
+import copy
 from pathlib import Path
 from typing import Callable, List, Sequence, Tuple
 
@@ -195,6 +197,18 @@ class MLP:
             if key.startswith("param/"):
                 name = key[len("param/") :]
                 params[name][...] = data[key]
+        return model
+
+    def serving_copy(self) -> "MLP":
+        """A copy with identical weights that holds nothing else: no
+        gradient buffers, no cached activations, no Adam moments. What
+        a serving process keeps of a policy; trained further, it starts
+        its optimizer afresh."""
+        model = copy.copy(self)
+        model.hidden = list(self.hidden)
+        model.net = self.net.serving_copy()
+        opt = self.optimizer
+        model.optimizer = Adam(model.net.params, opt.lr, opt.beta1, opt.beta2, opt.eps)
         return model
 
     def clone(self, rng: np.random.Generator | None = None) -> "MLP":

@@ -196,17 +196,16 @@ class FastJoinContext:
         """DP-measure cost of an arbitrary join tree (bound seeding,
         parity checks): scan costs of every leaf plus the join-cost
         estimate of every internal node."""
+        return self._mask_and_cost(tree)[1]
 
-        def walk(node: JoinTree) -> Tuple[int, float]:
-            if node.is_leaf:
-                i = self.jg.index[node.alias]
-                return 1 << i, self.scan_cost(i)
-            left_mask, left_cost = walk(node.left)
-            right_mask, right_cost = walk(node.right)
-            cost = left_cost + right_cost + self.join_cost(left_mask, right_mask)
-            return left_mask | right_mask, cost
-
-        return walk(tree)[1]
+    def _mask_and_cost(self, node: JoinTree) -> Tuple[int, float]:
+        if node.is_leaf:
+            i = self.jg.index[node.alias]
+            return 1 << i, self.scan_cost(i)
+        left_mask, left_cost = self._mask_and_cost(node.left)
+        right_mask, right_cost = self._mask_and_cost(node.right)
+        cost = left_cost + right_cost + self.join_cost(left_mask, right_mask)
+        return left_mask | right_mask, cost
 
 
 # ----------------------------------------------------------------------

@@ -97,6 +97,7 @@ def tree_keys(
         return digest, leaves
 
     root_digest, leaves = walk(tree)
+    del walk  # a self-referencing closure: a cycle left for the collector
     agg = ""
     if include_aggregate:
         group = ",".join(sorted(f"{r.alias}.{r.column}" for r in query.group_by))

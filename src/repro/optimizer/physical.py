@@ -253,7 +253,13 @@ def build_physical_plan(
             )
         return built
 
-    plan = build(tree)
+    try:
+        plan = build(tree)
+    finally:
+        # ``build`` reaches itself through its closure cell: left bound,
+        # it would keep the cost cache and every candidate plan alive
+        # until the cycle collector runs.
+        del build
     if include_aggregate:
         if aggregate_operator is not None and (query.aggregates or query.group_by):
             plan = aggregate_operator(

@@ -25,6 +25,12 @@ class CategoricalPolicy:
     def __init__(self, net: MLP) -> None:
         self.net = net
 
+    def serving_copy(self) -> "CategoricalPolicy":
+        """A copy over :meth:`MLP.serving_copy`: the weights, no
+        training state. Each serving shard and hot-swap generation
+        holds one."""
+        return CategoricalPolicy(self.net.serving_copy())
+
     @property
     def n_actions(self) -> int:
         return self.net.out_features

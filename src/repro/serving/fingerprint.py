@@ -322,10 +322,10 @@ def translate_tree(
     # alias -> canonical map, gives origin alias -> requester alias.
     requester_of = {canon: alias for alias, canon in alias_map.items()}
     rename = {origin: requester_of[canon] for origin, canon in origin_map.items()}
+    return _renamed(tree, rename)
 
-    def walk(node: JoinTree) -> JoinTree:
-        if node.is_leaf:
-            return JoinTree.leaf(rename[node.alias])
-        return JoinTree.join(walk(node.left), walk(node.right))
 
-    return walk(tree)
+def _renamed(node: JoinTree, rename: Dict[str, str]) -> JoinTree:
+    if node.is_leaf:
+        return JoinTree.leaf(rename[node.alias])
+    return JoinTree.join(_renamed(node.left, rename), _renamed(node.right, rename))

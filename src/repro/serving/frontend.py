@@ -73,7 +73,6 @@ unresolved with ``ServiceClosed``. The class is a context manager.
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from collections import deque
@@ -583,9 +582,10 @@ class ServingFrontEnd:
 
         Each shard gets its own :class:`~repro.optimizer.planner.Planner`
         (memo-free: a served plan is completed once, directly) and its
-        own deep copy of the policy — shard 0 included, so the agent
-        stays its trainer's alone and no shard serves arrays that
-        something else writes.
+        own :meth:`~repro.rl.policy.CategoricalPolicy.serving_copy` of
+        the policy — the weights without the training state, shard 0
+        included, so the agent stays its trainer's alone and no shard
+        serves arrays that something else writes.
         ``planner_factory()`` overrides the per-shard planner;
         ``planner_kwargs`` are extra ``Planner(...)`` arguments — the
         picklable alternative a process-mode shard can carry across the
@@ -621,7 +621,7 @@ class ServingFrontEnd:
                 return WorkerSpec(
                     shard=shard,
                     db=db,
-                    policy=policy,
+                    policy=policy.serving_copy(),
                     featurizer=featurizer,
                     serving_config=serving_config or ServingConfig(),
                     planner_kwargs=dict(planner_kwargs or {}),
@@ -651,7 +651,7 @@ class ServingFrontEnd:
             # counts them once, not n_shards times.
             return OptimizerService(
                 db,
-                copy.deepcopy(policy),
+                policy.serving_copy(),
                 planner=make_planner(),
                 featurizer=featurizer,
                 config=serving_config,

@@ -23,7 +23,6 @@ request.
 
 from __future__ import annotations
 
-import copy
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -983,7 +982,7 @@ class OptimizerService:
         running rollout reads is ever written, so nothing is locked.
         Names and shapes must match exactly.
         """
-        fresh = copy.deepcopy(self.engine.policy)
+        fresh = self.engine.policy.serving_copy()
         target = fresh.net.net.params
         unknown = set(params) - set(target)
         if unknown:

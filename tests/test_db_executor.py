@@ -15,9 +15,17 @@ from repro.db.plans import (
     SeqScan,
     SortAggregate,
 )
-from repro.db.predicates import ColumnRef, CompareOp, Comparison, JoinPredicate
-from repro.db.query import AggregateSpec, parse_query
+from repro.db.predicates import (
+    BetweenPredicate,
+    ColumnRef,
+    CompareOp,
+    Comparison,
+    InPredicate,
+    JoinPredicate,
+)
+from repro.db.query import AggregateSpec, Query, parse_query
 from repro.db.schema import NULL_INT
+from repro.workloads.imdb import make_imdb_database
 from tests.helpers import brute_force_count, brute_force_groups
 
 
@@ -116,6 +124,66 @@ class TestScanExecution:
         plan = IndexScan("b", "b", "a_id", index_pred, residual)
         result = small_db.execute_plan(plan, q)
         assert result.rows == brute_force_count(small_db, q)
+
+
+@pytest.fixture(scope="module")
+def tiny_imdb():
+    return make_imdb_database(scale=0.02, seed=5, sample_size=5000)
+
+
+def _constant(kind, values):
+    present = np.unique(values[values != NULL_INT])
+    return {
+        "integral": float(present[len(present) // 2]),
+        "absent": float(present[-1] + 1),
+        "negative": -1.0,
+        "non_integral": float(present[0]) + 0.5,
+        "nan": float("nan"),
+    }[kind]
+
+
+def _kept_rows(db, table, access, query):
+    """The primary keys (with multiplicity) of the rows ``access``
+    keeps, as a grouped count over them."""
+    group = (ColumnRef("t", db.schema.tables[table].primary_key),)
+    plan = HashAggregate(access, group, (AggregateSpec("count", None),))
+    result = db.execute_plan(plan, query)
+    return result.rows, {k: v.tolist() for k, v in result.aggregates.items()}
+
+
+class TestIndexScanParity:
+    """A sequential scan and an index scan over either kind of index
+    keep exactly the same rows, over every index of the tiny IMDB
+    database, whatever the constant."""
+
+    @pytest.mark.parametrize("op", ["=", "IN", "<", ">=", "BETWEEN"])
+    @pytest.mark.parametrize(
+        "kind", ["integral", "absent", "negative", "non_integral", "nan"]
+    )
+    def test_index_scans_keep_the_seq_scan_rows(self, tiny_imdb, op, kind):
+        db = tiny_imdb
+        assert len(db.hash_indexes) == 35
+        for table, column in sorted(db.hash_indexes):
+            values = db.tables[table].column(column)
+            constant = _constant(kind, values)
+            ref = ColumnRef("t", column)
+            if op == "=":
+                pred = Comparison(ref, CompareOp.EQ, constant)
+            elif op == "IN":
+                # A present value beside the constant, and the constant twice.
+                other = float(np.unique(values[values != NULL_INT])[0])
+                pred = InPredicate(ref, (constant, other, constant))
+            elif op == "BETWEEN":
+                pred = BetweenPredicate(ref, constant, constant + 10.0)
+            else:
+                pred = Comparison(ref, CompareOp(op), constant)
+            query = Query("probe", {"t": table}, selections=[pred])
+            kinds = ["btree", "hash"] if op in ("=", "IN") else ["btree"]
+            reference = _kept_rows(db, table, SeqScan("t", table, (pred,)), query)
+            for index_kind in kinds:
+                scan_plan = IndexScan("t", table, column, pred, kind=index_kind)
+                got = _kept_rows(db, table, scan_plan, query)
+                assert got == reference, (table, column, index_kind, constant)
 
 
 class TestJoinExecution:

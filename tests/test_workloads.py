@@ -37,8 +37,6 @@ class TestImdbSchema:
             imdb_specs(0)
 
     def test_fk_graph_connected(self):
-        import networkx as nx
-
         from repro.db.schema import DatabaseSchema
 
         specs = imdb_specs(0.02)
@@ -46,7 +44,14 @@ class TestImdbSchema:
             tables={s.name: s.to_schema() for s in specs},
             foreign_keys=imdb_foreign_keys(),
         )
-        assert nx.is_connected(schema.join_graph())
+        graph = schema.join_graph()
+        reached, frontier = set(), [next(iter(graph))]
+        while frontier:
+            table = frontier.pop()
+            if table not in reached:
+                reached.add(table)
+                frontier.extend(graph[table])
+        assert reached == set(graph)
 
     def test_database_builds_and_indexes(self, tiny_imdb):
         assert tiny_imdb.n_tables == 17
