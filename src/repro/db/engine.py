@@ -232,7 +232,7 @@ class Database:
         is one (tables are immutable, so both see the same rows)."""
         btree = self.btree_indexes.get((table, column))
         if btree is not None:
-            index = HashIndex.sharing(btree)
+            index = HashIndex(table, column, btree.sorted_values, btree.sorted_row_ids)
         else:
             index = HashIndex.build(table, column, self.tables[table].column(column))
         self.hash_indexes[(table, column)] = index

@@ -104,8 +104,3 @@ class BTreeIndex(_SortedIndex):
 
 class HashIndex(_SortedIndex):
     """An equality-only index: value -> row ids."""
-
-    @classmethod
-    def sharing(cls, btree: BTreeIndex) -> "HashIndex":
-        """A hash index over ``btree``'s column, reading its arrays."""
-        return cls(btree.table, btree.column, btree.sorted_values, btree.sorted_row_ids)

@@ -1,4 +1,4 @@
-"""What a serving process holds: no ``networkx`` on any import path,
+"""What a serving process holds: numpy as its one third-party import,
 policy copies without training state, and no reference cycles left for
 the collector by a served request."""
 
@@ -17,15 +17,22 @@ from repro.workloads.generator import RandomQueryGenerator
 from repro.workloads.imdb import make_imdb_database
 
 
-def test_no_networkx_on_any_import_path():
+def test_numpy_is_the_only_third_party_import():
+    """In a fresh interpreter, the CLI, a worker process's entry module
+    and the workloads pull in no package beyond numpy and the standard
+    library (a graph library once cost every process 18 MB)."""
     code = (
-        "import sys, repro.cli, repro.serving.procpool, repro.workloads; "
-        "print('networkx' in sys.modules)"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import repro.cli, repro.serving.procpool, repro.workloads\n"
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(' '.join(sorted(t for t in tops - set(sys.stdlib_module_names)\n"
+        "                      if not t.startswith('__'))))\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["numpy", "repro"]
 
 
 @pytest.fixture(scope="module")
