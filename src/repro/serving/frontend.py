@@ -1119,13 +1119,21 @@ class ServingFrontEnd:
         if turn is None:
             yield False, self.clock()
             return
+        # Made before the wait and timed after it, so that their
+        # allocation (and a collection it may set off) is inside the
+        # span, not in a gap between ``turn_wait`` and ``serve``.
+        waits = [
+            (trace, trace.record("turn_wait", 0.0))
+            for trace in traces
+            if trace is not None
+        ]
         contended = turn.acquire()
         granted = self.clock()
         waited_ms = (granted - asked) * 1000.0
         try:
-            for trace in traces:
-                if trace is not None:
-                    trace.record("turn_wait", waited_ms)
+            for trace, span in waits:
+                span.start_ms = trace.now_ms() - waited_ms
+                span.duration_ms = waited_ms
             yield contended, granted
         finally:
             turn.release()
