@@ -98,7 +98,8 @@ class Setup:
         ]
 
     def loop(self, seed=3, fault_injector=None, **config_kwargs):
-        """A fresh 2-shard front end + daemon around a fresh agent."""
+        """A fresh front end (its one thread shard) + daemon around a
+        fresh agent."""
         agent = PPOAgent(
             self.featurizer.state_dim,
             self.featurizer.n_pair_actions,
@@ -109,7 +110,7 @@ class Setup:
             agent,
             featurizer=self.featurizer,
             serving_config=ServingConfig(regression_threshold=1.5),
-            config=FrontEndConfig(n_shards=2, max_batch=BURST, max_delay_ms=2.0),
+            config=FrontEndConfig(max_batch=BURST, max_delay_ms=2.0),
             planner_factory=lambda: Planner(
                 self.db,
                 geqo_threshold=MAX_RELATIONS + 2,

@@ -5,7 +5,7 @@ The ROADMAP north star is an optimizer serving heavy production
 traffic, and production means partial failure: worker crashes, latency
 spikes, NaN forward passes, statistics changing under a running batch.
 This bench drives the concurrent front end
-(:class:`repro.serving.ServingFrontEnd`, two shards) with 16 open-loop
+(:class:`repro.serving.ServingFrontEnd`, its one thread shard) with 16 open-loop
 clients submitting one cold stream of distinct 5-8-relation queries,
 served by an untrained serving-scale (512/256) policy with the
 guardrail off, two ways:
@@ -32,8 +32,8 @@ The bench asserts
   the timing assertion, because CI boxes make lousy stopwatches).
 
 A **process-chaos lane** then re-runs the stream with
-``executor="process"`` and ``worker_kill`` armed: real SIGKILLs against
-spawned shard processes. It asserts at least one kill fired, the same
+``executor="process"`` (two worker processes) and ``worker_kill`` armed:
+real SIGKILLs against spawned shard processes. It asserts at least one kill fired, the same
 >= 99.5% success / zero-unresolved-futures floor and plan parity on
 untouched traffic. Both chaos lanes hot-swap a simulated promotion to
 version 2 through the front end before the stream and assert that
@@ -80,6 +80,8 @@ from repro.workloads import make_imdb_database
 from repro.workloads.generator import RandomQueryGenerator
 
 CONCURRENCY = 16
+#: Worker processes in the process-chaos lane; the thread lanes run the
+#: thread executor's one shard.
 SHARDS = 2
 MAX_BATCH = 128
 MAX_DELAY_MS = 2.0
@@ -140,7 +142,7 @@ class Setup:
         self, executor: str = "thread", max_attempts: int | None = None
     ) -> ServingFrontEnd:
         config = FrontEndConfig(
-            n_shards=SHARDS,
+            n_shards=SHARDS if executor == "process" else None,
             max_batch=MAX_BATCH,
             max_delay_ms=MAX_DELAY_MS,
             executor=executor,
@@ -240,7 +242,7 @@ def run_stream(
     retried = sum(1 for plan in served if plan.attempts > 1)
     schedule = faults or FaultConfig()
     result = {
-        "shards": SHARDS,
+        "shards": frontend.n_shards,
         "executor": executor,
         "fault_rate": schedule.worker_fault_rate,
         "kill_rate": schedule.worker_kill_rate,
@@ -314,8 +316,8 @@ def main(argv=None) -> int:
     print(f"building database (scale={scale}) and {n_requests} cold queries...")
     setup = Setup(scale, n_requests)
 
-    print(f"no-fault baseline: front end, {CONCURRENCY} clients, {SHARDS} "
-          f"shards, best of {repeats}...")
+    print(f"no-fault baseline: front end, {CONCURRENCY} clients, one thread "
+          f"shard, best of {repeats}...")
     baseline, baseline_plans = best_of(repeats, lambda: run_stream(setup))
 
     print(f"chaos: same stream, every fault kind at {args.rate:.0%} "

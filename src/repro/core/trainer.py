@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.reporting import bucket_means, convergence_episode, moving_average
+from repro.core.reporting import bucket_means, convergence_episode
 from repro.core.rewards import ExpertBaseline, PlanOutcome
 from repro.db.query import Query
 from repro.rl.env import Trajectory
@@ -84,9 +84,6 @@ class TrainingLog:
 
     def rewards(self) -> np.ndarray:
         return np.asarray([r.reward for r in self.records])
-
-    def moving_relative_cost(self, window: int = 100) -> np.ndarray:
-        return moving_average(self.relative_costs(), window)
 
     def relative_cost_series(self, bucket_size: int = 100) -> List[Tuple[int, float]]:
         """The Figure 3a series: episode bucket -> mean relative cost."""
@@ -190,11 +187,7 @@ class Trainer:
         """Learn from trajectories collected elsewhere (the serving
         layer's experience buffer): record each served episode and run
         the same batched policy updates as :meth:`run`. Empty
-        trajectories (single-relation queries) are skipped, and so are
-        trajectories tagged as degraded serves — the plan the client
-        received came off the degradation ladder, not from the policy's
-        rollout, so learning from it would reward actions the policy
-        never took.
+        trajectories (single-relation queries) are skipped.
 
         ``events`` (an :class:`~repro.obs.events.EventLog`, or any object
         with ``emit(kind, **payload)``) records the hands-free retraining
@@ -202,17 +195,13 @@ class Trainer:
         trajectories were replayed and whether the policy weights were
         actually updated (the swap an operator wants an audit trail of).
         """
-        from repro.serving.experience import is_degraded
-
-        clean = [t for t in trajectories if not is_degraded(t)]
-        usable = [t for t in clean if t.transitions]
+        usable = [t for t in trajectories if t.transitions]
         result = self._learn(usable, log, update)
         if events is not None:
             events.emit(
                 "retraining_replay",
                 trajectories=len(usable),
-                skipped=len(clean) - len(usable),
-                skipped_degraded=len(trajectories) - len(clean),
+                skipped=len(trajectories) - len(usable),
                 weights_updated=bool(update and usable),
                 mean_reward=(
                     round(

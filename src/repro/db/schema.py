@@ -131,10 +131,6 @@ class DatabaseSchema:
             raise ValueError(f"duplicate table {table.name!r}")
         self.tables[table.name] = table
 
-    def add_foreign_key(self, fk: ForeignKey) -> None:
-        self._validate_fk(fk)
-        self.foreign_keys.append(fk)
-
     @property
     def table_names(self) -> List[str]:
         return sorted(self.tables)

@@ -66,7 +66,6 @@ TELEMETRY_STAGES = (
     "queue_wait",
     "worker_queue",
     "pickup",
-    "turn_wait",
     "serve",
     "cache_lookup",
     "policy_forward",

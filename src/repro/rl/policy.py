@@ -13,7 +13,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.nn.losses import masked_log_softmax, masked_softmax, masked_softmax_and_log
+from repro.nn.losses import masked_softmax, masked_softmax_and_log
 from repro.nn.network import MLP
 
 __all__ = ["CategoricalPolicy"]
@@ -39,23 +39,16 @@ class CategoricalPolicy:
         logits = self.net.infer(states)
         return masked_softmax(logits, self._fit_mask(masks, logits.shape))
 
-    def log_probabilities(
-        self, states: np.ndarray, masks: np.ndarray | None
-    ) -> np.ndarray:
-        logits = self.net.infer(states)
-        return masked_log_softmax(logits, self._fit_mask(masks, logits.shape))
-
     def distributions(
         self, states: np.ndarray, masks: np.ndarray | None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(probabilities, log_probabilities)`` from ONE forward pass.
 
         Callers that need both (sampling with log-prob bookkeeping,
-        policy updates) should use this instead of calling
-        :meth:`probabilities` and :meth:`log_probabilities` separately,
-        which would run the network twice on the same states. Like the
-        other two it runs the stash-free :meth:`MLP.infer` (policy
-        updates backpropagate through ``MLP.train_step``'s own pass).
+        policy updates) use this rather than running the network twice
+        on the same states. Like :meth:`probabilities` it runs the
+        stash-free :meth:`MLP.infer` (policy updates backpropagate
+        through ``MLP.train_step``'s own pass).
         """
         logits = self.net.infer(states)
         return masked_softmax_and_log(logits, self._fit_mask(masks, logits.shape))

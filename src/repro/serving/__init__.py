@@ -22,8 +22,9 @@ puts it behind a production-shaped ``optimize(query)`` API:
 - :mod:`repro.serving.frontend` — :class:`ServingFrontEnd`, the
   concurrent queue-and-flush front end: ``submit()`` returns a future,
   a background flusher dispatches to idle shards at once and batches
-  behind busy ones, and N worker shards (each a private
-  ``OptimizerService``) serve the flushes;
+  behind busy ones, and its shards (each a private
+  ``OptimizerService``: one in-process under ``executor="thread"``)
+  serve the flushes;
 - :mod:`repro.serving.procpool` / :mod:`repro.serving.transport` —
   the GIL escape: ``executor="process"`` promotes each shard to a
   spawned worker process (:class:`ProcessWorkerClient` implements
@@ -68,7 +69,7 @@ from repro.serving.errors import (
     ShardFailed,
     WorkerProcessDied,
 )
-from repro.serving.experience import ExperienceBuffer, is_degraded
+from repro.serving.experience import ExperienceBuffer
 from repro.serving.faults import FaultConfig, FaultInjector, seeded_uniform
 from repro.serving.fingerprint import canonical_alias_map, canonical_text, fingerprint
 from repro.serving.frontend import FrontEndConfig, FrontEndStats, ServingFrontEnd
@@ -127,6 +128,5 @@ __all__ = [
     "canonical_alias_map",
     "canonical_text",
     "fingerprint",
-    "is_degraded",
     "seeded_uniform",
 ]

@@ -9,12 +9,9 @@ replay buffer. A periodic job drains the buffer into
 ``Trainer.replay`` and the policy improves without anyone labelling
 anything.
 
-Trajectories served off the degradation ladder (cached fallback,
-budgeted-prune DP, greedy) are **tagged** on the way in: the plan the
-client received is not the plan the policy rolled out, so training on
-it would teach the policy to take credit for someone else's work.
-``Trainer.replay`` skips tagged trajectories; the buffer counts them
-so the exclusion is observable.
+Only a policy rollout that the guardrail judged is collected, so no
+serve off the degradation ladder (budgeted-prune DP, greedy) ever
+reaches the buffer: its plan is not the plan the policy rolled out.
 """
 
 from __future__ import annotations
@@ -23,26 +20,9 @@ import threading
 from collections import deque
 from typing import Deque, List
 
-import numpy as np
-
 from repro.rl.env import Trajectory
 
-__all__ = ["ExperienceBuffer", "is_degraded"]
-
-
-def is_degraded(trajectory: Trajectory) -> bool:
-    """True when the trajectory came from a degradation-ladder serve.
-
-    Checks the explicit ``degraded`` info flag first and falls back to
-    the ``source`` string so trajectories built before the flag existed
-    (or by tests constructing infos by hand) still classify correctly.
-    """
-    info = getattr(trajectory, "info", None)
-    if not isinstance(info, dict):
-        return False
-    if "degraded" in info:
-        return bool(info["degraded"])
-    return str(info.get("source", "")).startswith("degraded")
+__all__ = ["ExperienceBuffer"]
 
 
 class ExperienceBuffer:
@@ -58,7 +38,6 @@ class ExperienceBuffer:
         self.capacity = capacity
         self.added = 0
         self.dropped = 0
-        self.degraded_tagged = 0
         self._lock = threading.Lock()
         self._trajectories: Deque[Trajectory] = deque(maxlen=capacity)
 
@@ -72,8 +51,6 @@ class ExperienceBuffer:
                 self.dropped += 1
             self._trajectories.append(trajectory)
             self.added += 1
-            if is_degraded(trajectory):
-                self.degraded_tagged += 1
 
     def drain(self) -> List[Trajectory]:
         """Remove and return everything, oldest first."""
@@ -82,19 +59,3 @@ class ExperienceBuffer:
             self._trajectories.clear()
             return out
 
-    def sample(self, rng: np.random.Generator, n: int) -> List[Trajectory]:
-        """``n`` trajectories without replacement (all of them if fewer)."""
-        with self._lock:
-            if n >= len(self._trajectories):
-                return list(self._trajectories)
-            picks = rng.choice(len(self._trajectories), size=n, replace=False)
-            return [self._trajectories[int(i)] for i in picks]
-
-    def as_dict(self) -> dict:
-        with self._lock:
-            return {
-                "experience_size": len(self._trajectories),
-                "experience_added": self.added,
-                "experience_dropped": self.dropped,
-                "experience_degraded_tagged": self.degraded_tagged,
-            }

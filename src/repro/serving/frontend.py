@@ -18,18 +18,15 @@ to queue-and-flush:
    needs and a burst is never served one by one;
 3. each flush is split by shard and dispatched to the shards' worker
    threads, one :class:`~repro.serving.service.OptimizerService` each
-   (or one worker process each under ``executor="process"``). By
-   default the thread executor runs **one** in-process shard
-   (:data:`DEFAULT_SHARDS`). With ``n_shards`` ≥ 2, because the ring
-   keys on the canonical query fingerprint, every
-   fingerprint-equivalent query lands on the same shard's plan cache
-   and experience buffer — shard-private caches need no
-   cross-shard coherence, yet still see every repeat of "their" query
-   shapes. In-process shards take **turns** running their service
-   (:class:`_Turn`, first come first served): two threads computing at
-   once under the GIL each take about twice as long, so nothing is
-   gained by letting them, and everything around the service call —
-   queueing, coalescing, checks, resolution — still overlaps.
+   (or one worker process each under ``executor="process"``). The
+   thread executor runs exactly **one** in-process shard: one
+   interpreter computes one batch at a time, so a second thread shard
+   would add no parallelism, only half-size batches. Several shards
+   mean worker processes (two by default). Because the ring keys on
+   the canonical query fingerprint, every fingerprint-equivalent query
+   lands on the same shard's plan cache and experience buffer —
+   shard-private caches need no cross-shard coherence, yet still see
+   every repeat of "their" query shapes.
 
 Fault tolerance is layered on the same path:
 
@@ -77,7 +74,6 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from queue import Empty, SimpleQueue
 from typing import Deque, Dict, List, Optional, Sequence, Set
@@ -128,8 +124,8 @@ _SHED_RETRY_AFTER_S = 0.05
 HEARTBEAT_INTERVAL_S = 1.0
 #: Shards per executor when ``FrontEndConfig.n_shards`` is None: as many
 #: as can compute at once. One interpreter computes one batch at a time,
-#: so a second thread shard adds no parallelism (:class:`_Turn`), only
-#: half-size batches; worker processes compute in parallel.
+#: so the thread executor runs one shard; worker processes compute in
+#: parallel.
 DEFAULT_SHARDS = {"thread": 1, "process": 2}
 
 
@@ -139,7 +135,8 @@ class FrontEndConfig:
 
     #: Worker shards (each owns a private OptimizerService). ``None``
     #: means the executor's :data:`DEFAULT_SHARDS` (one thread shard,
-    #: two worker processes); read the count through :meth:`shard_count`.
+    #: two worker processes); more than one needs ``"process"``. Read
+    #: the count through :meth:`shard_count`.
     n_shards: Optional[int] = None
     #: Flush as soon as this many submissions are pending...
     max_batch: int = 32
@@ -161,13 +158,12 @@ class FrontEndConfig:
     #: every ``supervisor_interval_s``.
     supervise: bool = True
     supervisor_interval_s: float = 0.05
-    #: Shard executor: ``"thread"`` keeps every shard in-process
-    #: (shared GIL — cheap, and the shards take turns computing);
+    #: Shard executor: ``"thread"`` serves from one in-process shard;
     #: ``"process"`` spawns one worker process per shard behind the same
     #: hash ring, so shards roll out truly in parallel.
     #: :meth:`ServingFrontEnd.build` picks the shard type from this; a
-    #: hand-assembled service list decides that for itself, and this
-    #: then only says whether its shards take turns.
+    #: hand-assembled service list decides that, and its count, for
+    #: itself.
     executor: str = "thread"
 
     def __post_init__(self) -> None:
@@ -177,6 +173,11 @@ class FrontEndConfig:
             raise ValueError("supervisor_interval_s must be positive")
         if self.n_shards is not None and self.n_shards < 1:
             raise ValueError("n_shards must be at least 1")
+        if self.executor == "thread" and (self.n_shards or 1) > 1:
+            raise ValueError(
+                "the thread executor runs one in-process shard; for "
+                f"n_shards={self.n_shards} use executor=\"process\""
+            )
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
         if self.max_delay_ms < 0:
@@ -193,7 +194,8 @@ class FrontEndConfig:
     def shard_count(self, services: Optional[int] = None) -> int:
         """How many shards this config means: ``n_shards`` when set,
         else ``services`` (the length of a hand-assembled service list)
-        when given, else the executor's :data:`DEFAULT_SHARDS`.
+        when given, else the executor's :data:`DEFAULT_SHARDS` — so 1
+        under ``"thread"`` and ``n_shards or 2`` under ``"process"``.
 
         Resolved on every read rather than written into the field, so
         ``replace(FrontEndConfig(), executor="process")`` still means
@@ -296,58 +298,11 @@ _FRONTEND_ROWS = (
      "circuit-breaker trips to open", lambda f: f.stats.circuit_opens),
     ("repro_frontend_served_batches_total", "frontend_served_batches", "counter",
      "worker micro-batches actually served", lambda f: f.stats.served_batches),
-    ("repro_frontend_turn_waits_total", "frontend_turn_waits", "counter",
-     "served batches that waited for another thread shard's turn to end",
-     lambda f: f._turn.waits if f._turn is not None else 0),
     ("repro_frontend_inflight", None, "gauge",
      "submissions accepted but not yet resolved", lambda f: f._inflight),
     ("repro_frontend_down_shards", None, "gauge",
      "shards whose worker is dead and awaiting respawn", lambda f: len(f._down)),
 )
-
-
-class _Turn:
-    """First-come-first-served mutual exclusion between thread shards.
-
-    Two threads that both run the service do not share the interpreter
-    evenly: every numpy call drops the GIL, so they hand it back and
-    forth thousands of times per request and each needs about twice the
-    wall time for the same work. A shard thread therefore holds the
-    turn while its service computes, and the others block here.
-
-    ``release`` hands the turn straight to the longest waiter without
-    ever marking it free, so the releasing thread cannot take it again
-    ahead of a sibling that was already waiting (a plain
-    ``threading.Lock`` lets it barge).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._held = False
-        #: One locked gate per waiting thread, oldest first.
-        self._waiters: Deque[threading.Lock] = deque()
-        #: Acquisitions that had to wait. Guarded by ``_lock``.
-        self.waits = 0
-
-    def acquire(self) -> bool:
-        """Block until the turn is this thread's; True if it waited."""
-        with self._lock:
-            if not self._held:
-                self._held = True
-                return False
-            gate = threading.Lock()
-            gate.acquire()
-            self._waiters.append(gate)
-            self.waits += 1
-        gate.acquire()
-        return True
-
-    def release(self) -> None:
-        with self._lock:
-            if self._waiters:
-                self._waiters.popleft().release()
-            else:
-                self._held = False
 
 
 @dataclass(eq=False)
@@ -470,15 +425,6 @@ class ServingFrontEnd:
             "repro_request_latency_ms",
             "submit-to-resolve latency (queueing included)",
         )
-        #: Thread shards compute one at a time (see :class:`_Turn`);
-        #: process shards only block on a pipe here and take no turn.
-        self._turn: Optional[_Turn] = (
-            _Turn() if self.config.executor == "thread" else None
-        )
-        self.turn_wait_ms_hist = self.registry.histogram(
-            "repro_frontend_turn_wait_ms",
-            "wait for the thread shards' turn, per served batch",
-        )
         self._register_metrics()
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
@@ -580,12 +526,14 @@ class ServingFrontEnd:
     ) -> "ServingFrontEnd":
         """A front end with the standard shard setup.
 
-        Each shard gets its own :class:`~repro.optimizer.planner.Planner`
-        (memo-free: a served plan is completed once, directly) and its
-        own :meth:`~repro.rl.policy.CategoricalPolicy.serving_copy` of
-        the policy — the weights without the training state, shard 0
-        included, so the agent stays its trainer's alone and no shard
-        serves arrays that something else writes.
+        Each shard — the one in-process shard under ``"thread"``, each
+        worker under ``"process"`` — gets its own
+        :class:`~repro.optimizer.planner.Planner` (memo-free: a served
+        plan is completed once, directly) and its own
+        :meth:`~repro.rl.policy.CategoricalPolicy.serving_copy` of the
+        policy — the weights without the training state, so the agent
+        stays its trainer's alone and no shard serves arrays that
+        something else writes.
         ``planner_factory()`` overrides the per-shard planner;
         ``planner_kwargs`` are extra ``Planner(...)`` arguments — the
         picklable alternative a process-mode shard can carry across the
@@ -646,9 +594,6 @@ class ServingFrontEnd:
         )
 
         def make_service(shard: int) -> OptimizerService:
-            # Thread shards share one Database; only shard 0 exposes its
-            # db-level metrics (estimator counters) so a registry merge
-            # counts them once, not n_shards times.
             return OptimizerService(
                 db,
                 policy.serving_copy(),
@@ -657,11 +602,10 @@ class ServingFrontEnd:
                 config=serving_config,
                 reward_source=reward_source,
                 telemetry=telemetry,
-                db_metrics=(shard == 0),
             )
 
         return cls(
-            [make_service(shard) for shard in range(config.shard_count())],
+            [make_service(0)],
             config=config,
             telemetry=telemetry,
             service_factory=make_service,
@@ -1039,22 +983,7 @@ class ServingFrontEnd:
                 return shard
             waits.append(self.breakers[shard].retry_after())
         if not waits:
-            # With supervision live, every dead shard is already being
-            # respawned — hand the retry loop a stall hint sized to
-            # notice-plus-respawn so it waits the outage out. Without
-            # the hint a total outage burns all attempts on the ms-scale
-            # backoff schedule, which no process respawn (interpreter
-            # spawn + service rebuild: seconds) can beat.
-            hint = None
-            if self.supervisor is not None:
-                hint = 2.0 * max(
-                    self.breakers[0].cooldown_s, HEARTBEAT_INTERVAL_S
-                )
-            raise ShardFailed(
-                "every worker shard is down",
-                **s.identity(),
-                retry_after_s=hint,
-            )
+            raise ShardFailed("every worker shard is down", **s.identity())
         raise CircuitOpen(
             "every live shard's circuit breaker is open",
             **s.identity(),
@@ -1106,38 +1035,6 @@ class ServingFrontEnd:
                 # batch, so a flush held behind it leaves at once.
                 with self._work:
                     self._work.notify_all()
-
-    @contextmanager
-    def _in_turn(self, traces: Sequence[object], asked: float):
-        """Hold the thread shards' turn for the body — the service call
-        and nothing else — and yield ``(had to wait, time granted)``.
-        The wait since ``asked`` goes on ``traces`` as ``turn_wait``.
-        However the body ends (return, exception, a batch that takes
-        the worker down), the turn is free again before anything is
-        resolved or retried. Process shards take no turn."""
-        turn = self._turn
-        if turn is None:
-            yield False, self.clock()
-            return
-        # Made before the wait and timed after it, so that their
-        # allocation (and a collection it may set off) is inside the
-        # span, not in a gap between ``turn_wait`` and ``serve``.
-        waits = [
-            (trace, trace.record("turn_wait", 0.0))
-            for trace in traces
-            if trace is not None
-        ]
-        contended = turn.acquire()
-        granted = self.clock()
-        waited_ms = (granted - asked) * 1000.0
-        try:
-            for trace, span in waits:
-                span.start_ms = trace.now_ms() - waited_ms
-                span.duration_ms = waited_ms
-            yield contended, granted
-        finally:
-            turn.release()
-            self.turn_wait_ms_hist.observe(waited_ms)
 
     def _serve_batch(self, shard: int, submissions: List[_Submission]) -> None:
         # Transition futures to RUNNING; a future the caller already
@@ -1244,50 +1141,33 @@ class ServingFrontEnd:
             if killed:
                 service.kill()
         traces = [s.trace for s in ready]
-        asked = self.clock()
+        serve_start = self.clock()
         for trace in traces:
             if trace is not None:
                 # What the shard did between taking the batch off its
-                # queue and asking for its turn: cancellation and
+                # queue and calling its service: cancellation and
                 # deadline checks, chaos draws (an injected spike sleeps
-                # here). ``turn_wait`` follows and the service opens
-                # ``serve`` first thing, so the root's children tile the
-                # request end to end.
-                trace.record("pickup", (asked - picked_up) * 1000.0)
-        overdue: List[_Submission] = []
+                # here). The service opens ``serve`` first thing, so the
+                # root's children tile the request end to end.
+                trace.record("pickup", (serve_start - picked_up) * 1000.0)
+        budgets = [
+            None
+            if s.deadline is None
+            else max(0.0, (s.deadline - serve_start) * 1000.0)
+            for s in ready
+        ]
         try:
-            with self._in_turn(traces, asked) as (contended, serve_start):
-                if contended:
-                    # Budgets are what is left now that the turn is
-                    # granted; a deadline that passed during the wait is
-                    # an expiry, not a late serve on a zero budget.
-                    overdue = [
-                        s
-                        for s in ready
-                        if s.deadline is not None and serve_start >= s.deadline
-                    ]
-                    if overdue:
-                        ready = [s for s in ready if s not in overdue]
-                        traces = [s.trace for s in ready]
-                        if not ready:
-                            return
-                budgets = [
-                    None
-                    if s.deadline is None
-                    else max(0.0, (s.deadline - serve_start) * 1000.0)
-                    for s in ready
-                ]
-                served = service.optimize_batch(
-                    [s.query for s in ready],
-                    fingerprints=[s.fp for s in ready],
-                    alias_maps=[s.alias_map for s in ready],
-                    traces=traces,
-                    budgets_ms=budgets,
-                    # Experience collection is the one non-idempotent
-                    # side effect on this path: only attempt 1 collects,
-                    # so a retry can never double-count a trajectory.
-                    collect=[s.attempts == 1 for s in ready],
-                )
+            served = service.optimize_batch(
+                [s.query for s in ready],
+                fingerprints=[s.fp for s in ready],
+                alias_maps=[s.alias_map for s in ready],
+                traces=traces,
+                budgets_ms=budgets,
+                # Experience collection is the one non-idempotent side
+                # effect on this path: only attempt 1 collects, so a
+                # retry can never double-count a trajectory.
+                collect=[s.attempts == 1 for s in ready],
+            )
         except WorkerProcessDied:
             # The shard's process is gone: die like it did. Re-raising
             # runs the worker-death path, the one place a death is
@@ -1320,18 +1200,6 @@ class ServingFrontEnd:
                 if s.attempts > 1:
                     plan = replace(plan, attempts=s.attempts)
                 self._resolve(s, plan=plan)
-        finally:
-            for s in overdue:
-                self._resolve(
-                    s,
-                    error=DeadlineExceeded(
-                        "deadline budget exhausted while the shard waited "
-                        "for its turn",
-                        stage="serve",
-                        **s.identity(),
-                    ),
-                    counter="deadline_expired",
-                )
         with self._work:
             self.stats.served_batches += 1
             self.stats.served_occupancy_sum += len(ready)

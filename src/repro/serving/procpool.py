@@ -1,10 +1,8 @@
 """Process workers: the GIL escape hatch for the sharded front end.
 
-Thread-mode sharding (``executor="thread"``) runs every shard's numpy
-rollouts on one interpreter lock (one shard at a time: the front end
-makes them take turns), so adding shards buys memory isolation and
-fault containment but almost no throughput. This module
-promotes each shard to a **worker process** behind the same
+One interpreter computes one batch at a time, so the thread executor
+(``executor="thread"``) runs a single in-process shard. This module
+runs each of several shards as a **worker process** behind the
 :class:`~repro.serving.sharding.HashRing`:
 
 - :class:`WorkerSpec` is the picklable recipe (database copy, policy,

@@ -151,12 +151,8 @@ _EXPERIENCE_ROWS = (
      "trajectories collected", lambda e: e.added),
     ("repro_experience_dropped_total", "experience_dropped", "counter",
      "trajectories dropped by the ring bound", lambda e: e.dropped),
-    ("repro_experience_degraded_tagged_total", "experience_degraded_tagged",
-     "counter",
-     "buffered trajectories tagged as degraded serves (excluded from retraining)",
-     lambda e: e.degraded_tagged),
 )
-#: Read off the database (``db_metrics`` shards only).
+#: Read off the database.
 _ESTIMATOR_ROWS = (
     ("repro_estimator_estimates_total", "estimator_estimates", "counter",
      "alias-set cardinality estimates served",
@@ -436,16 +432,8 @@ class OptimizerService:
         config: ServingConfig | None = None,
         reward_source=None,
         telemetry: Telemetry | None = None,
-        db_metrics: bool = True,
     ) -> None:
         self.db = db
-        #: Whether this service's registry also exposes database-level
-        #: metrics (the cardinality estimator's counters). Thread-mode
-        #: shards share one Database: the front end enables this on
-        #: shard 0 only, so a registry merge does not multiply the same
-        #: underlying counts by the shard fan-out. Process-mode workers
-        #: each own their Database copy and keep the default.
-        self.db_metrics = db_metrics
         # Agents (PPO/REINFORCE) carry their CategoricalPolicy in .policy;
         # a bare policy object is accepted too.
         policy = getattr(agent_or_policy, "policy", agent_or_policy)
@@ -503,7 +491,7 @@ class OptimizerService:
             (PLANNER_METRIC_ROWS, self.planner),
             (_COSTMEMO_ROWS, self.planner.cost_memo),
             (_EXPERIENCE_ROWS, self.experience),
-            (_ESTIMATOR_ROWS, self.db if self.db_metrics else None),
+            (_ESTIMATOR_ROWS, self.db),
         ):
             if owner is not None:
                 register_metric_rows(reg, rows, owner)
@@ -960,7 +948,6 @@ class OptimizerService:
                     "tree": record.tree,
                     "fingerprint": batch.fps[idx],
                     "source": source,
-                    "degraded": source.startswith("degraded"),
                     "policy_version": batch.version,
                 },
             )

@@ -1,5 +1,6 @@
-"""Test helpers: a reference for query results, and two tools for
-steering the serving front end's threads.
+"""Test helpers: a reference for query results, tools for steering the
+serving front end's threads, and a front end over several in-process
+shards.
 
 The reference evaluator applies each alias's selections with
 ``pred.evaluate`` and joins the selected row ids in an in-memory
@@ -130,3 +131,46 @@ def stall_services(frontend, release: threading.Event, sleep_s=0.05):
             return _original(*args, **kwargs)
 
         service.optimize_batch = stalled
+
+
+def thread_shards(
+    db: Database,
+    agent,
+    n_shards: int,
+    featurizer=None,
+    serving_config=None,
+    config=None,
+    telemetry=None,
+):
+    """A front end over ``n_shards`` hand-assembled in-process shards.
+
+    ``FrontEndConfig`` runs one thread shard; tests of ring routing,
+    failover, breakers, supervision and hot-swap across shards build
+    theirs here instead: each an ``OptimizerService`` over the shared
+    ``db`` with its own planner and serving copy of the policy, and the
+    same recipe as the respawn factory. The shards share one database,
+    so a merged registry counts its estimator counters once per shard.
+    """
+    from repro.core.featurize import QueryFeaturizer
+    from repro.optimizer.planner import Planner
+    from repro.serving import OptimizerService, ServingFrontEnd
+
+    policy = getattr(agent, "policy", agent)
+    featurizer = featurizer or QueryFeaturizer(db.schema)
+
+    def make_service(shard: int) -> OptimizerService:
+        return OptimizerService(
+            db,
+            policy.serving_copy(),
+            planner=Planner(db),
+            featurizer=featurizer,
+            config=serving_config,
+            telemetry=telemetry,
+        )
+
+    return ServingFrontEnd(
+        [make_service(shard) for shard in range(n_shards)],
+        config=config,
+        telemetry=telemetry,
+        service_factory=make_service,
+    )

@@ -370,14 +370,6 @@ class TestServingLaneStamp:
         counters = service.counters()
         assert counters["estimator_estimates"] > 0
 
-    def test_db_metrics_gate(self, fresh_small_db):
-        db = fresh_small_db
-        on = self._service(db)
-        off = self._service(db, db_metrics=False)
-        assert on.registry.get("repro_estimator_estimates_total") is not None
-        assert on.registry.get("repro_estimator_lane_histogram") is not None
-        assert off.registry.get("repro_estimator_estimates_total") is None
-
     def test_default_lane_stamp(self, fresh_small_db):
         service = self._service(fresh_small_db)
         plan = service.optimize(_train_queries()[0])

@@ -1,6 +1,7 @@
 """Tests for the hands-free learning loop: the adaptive guardrail fit,
-the exact-DP eval gate, degraded-serve exclusion from replay, and the
-retraining daemon's promote / reject / hot-swap / rollback lifecycle."""
+the exact-DP eval gate, what reaches replay (no degraded serve, no empty
+trajectory), and the retraining daemon's promote / reject / hot-swap /
+rollback lifecycle."""
 
 import math
 
@@ -18,17 +19,15 @@ from repro.serving import learning
 from repro.serving import (
     AdaptiveGuardrail,
     EvalGate,
-    ExperienceBuffer,
     FaultConfig,
     FaultInjector,
     FrontEndConfig,
     LearningConfig,
+    OptimizerService,
     RetrainingDaemon,
     ServingConfig,
-    ServingFrontEnd,
-    is_degraded,
 )
-from tests.helpers import wait_until
+from tests.helpers import thread_shards, wait_until
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
@@ -195,43 +194,20 @@ def make_trajectory(state_dim=4, n_actions=3, reward=1.0, info=None):
 
 
 class TestDegradedExclusion:
-    def test_is_degraded_reads_flag_and_source(self):
-        assert is_degraded(make_trajectory(info={"degraded": True}))
-        assert not is_degraded(make_trajectory(info={"degraded": False}))
-        assert is_degraded(make_trajectory(info={"source": "degraded_greedy"}))
-        assert not is_degraded(make_trajectory(info={"source": "policy"}))
-        assert not is_degraded(make_trajectory())
-
-    def test_buffer_counts_degraded_tags(self):
-        buffer = ExperienceBuffer(capacity=8)
-        buffer.add(make_trajectory(info={"degraded": True}))
-        buffer.add(make_trajectory(info={"source": "policy"}))
-        assert buffer.degraded_tagged == 1
-        assert buffer.as_dict()["experience_degraded_tagged"] == 1
-
-    def test_replay_skips_degraded(self, small_db, featurizer):
-        agent = fresh_agent(featurizer)
-        trainer = Trainer(
-            None,
-            agent,
-            ExpertBaseline(small_db),
-            np.random.default_rng(5),
-            TrainingConfig(batch_size=2),
+    def test_a_degraded_serve_collects_no_experience(self, small_db, featurizer):
+        # Only a judged policy rollout is collected: a plan off the
+        # degradation ladder never reaches the buffer, so replay needs
+        # no filter for it.
+        service = OptimizerService(
+            small_db, fresh_agent(featurizer), featurizer=featurizer
         )
-        dim, acts = featurizer.state_dim, featurizer.n_pair_actions
-        before = {k: v.copy() for k, v in agent.policy_net.net.params.items()}
-        telemetry = Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=10_000.0))
-        trainer.replay(
-            [make_trajectory(dim, acts, info={"degraded": True}) for _ in range(4)],
-            events=telemetry.events,
+        service.install_fault_injector(
+            FaultInjector(FaultConfig(policy_nan_rate=1.0, seed=1))
         )
-        # Every trajectory was degraded: no update may happen.
-        for key, value in agent.policy_net.net.params.items():
-            assert np.array_equal(value, before[key])
-        (event,) = telemetry.events.of_kind("retraining_replay")
-        assert event["skipped_degraded"] == 4
-        assert event["trajectories"] == 0
-        assert event["weights_updated"] is False
+        plan = service.optimize_batch([parse_query(CHAIN, "nan")])[0]
+        assert plan.source.startswith("degraded_")
+        assert service.drain_experience() == []
+        assert service.counters()["experience_added"] == 0
 
     def test_replay_audit_mode_leaves_weights_alone(self, small_db, featurizer):
         agent = fresh_agent(featurizer)
@@ -254,7 +230,7 @@ class TestDegradedExclusion:
             assert np.array_equal(value, before[key])
         (event,) = telemetry.events.of_kind("retraining_replay")
         assert event["trajectories"] == 4
-        assert event["skipped_degraded"] == 0
+        assert event["skipped"] == 0
         assert event["weights_updated"] is False
         assert math.isfinite(event["mean_reward"])
 
@@ -271,7 +247,6 @@ class TestDegradedExclusion:
         telemetry = Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=10_000.0))
         mixed = [
             make_trajectory(dim, acts),
-            make_trajectory(dim, acts, info={"degraded": True}),
             Trajectory(transitions=[], info={}),  # single-relation serve
         ]
         trainer.replay(mixed, events=telemetry.events)
@@ -279,13 +254,11 @@ class TestDegradedExclusion:
         assert {
             "trajectories",
             "skipped",
-            "skipped_degraded",
             "weights_updated",
             "mean_reward",
         } <= set(event)
         assert event["trajectories"] == 1
         assert event["skipped"] == 1
-        assert event["skipped_degraded"] == 1
         assert event["weights_updated"] is True
 
 
@@ -298,13 +271,14 @@ def make_loop(small_db, featurizer, seed=3, fault_injector=None, **config_kwargs
     cycle's worth of traffic)."""
     agent = fresh_agent(featurizer, seed=seed)
     telemetry = Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=10_000.0))
-    frontend = ServingFrontEnd.build(
+    frontend = thread_shards(
         small_db,
         agent,
+        2,
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
         config=FrontEndConfig(
-            n_shards=2, max_batch=4, max_delay_ms=5.0, supervisor_interval_s=0.02
+            max_batch=4, max_delay_ms=5.0, supervisor_interval_s=0.02
         ),
         telemetry=telemetry,
     )
@@ -505,7 +479,7 @@ class TestRetrainingDaemon:
         assert snapshot["repro_learning_rollbacks_total"] == 0
         hist = snapshot["repro_learning_retrain_ms"]
         assert hist["count"] == 1
-        assert "repro_experience_degraded_tagged_total" in snapshot
+        assert "repro_experience_added_total" in snapshot
 
     @pytest.mark.usefixtures("lenient_gate")
     def test_background_thread_runs_cycles(self, small_db, featurizer, monkeypatch):

@@ -32,7 +32,7 @@ AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
 #: What a thread-mode request's root span holds, in order: the front
 #: end's stages around the service's ``serve``.
 FRONTEND_STAGES = [
-    "queue_wait", "worker_queue", "pickup", "turn_wait", "serve", "resolve",
+    "queue_wait", "worker_queue", "pickup", "serve", "resolve",
 ]
 
 
@@ -55,7 +55,7 @@ def make_frontend(small_db, agent, featurizer, telemetry, **serving_kwargs):
         agent,
         featurizer=featurizer,
         serving_config=ServingConfig(**serving_kwargs),
-        config=FrontEndConfig(n_shards=2, max_batch=4, max_delay_ms=5.0),
+        config=FrontEndConfig(max_batch=4, max_delay_ms=5.0),
         telemetry=telemetry,
     )
 
@@ -87,7 +87,7 @@ class TestFrontEndTracing:
             # Attribute integrity: the trace agrees with the served plan.
             assert root.attrs["source"] == plan.source
             assert root.attrs["fingerprint"] == plan.fingerprint
-            assert root.attrs["shard"] in (0, 1)
+            assert root.attrs["shard"] == 0
             child_names = [c.name for c in root.children]
             # The root's children tile the request end to end.
             assert child_names == FRONTEND_STAGES

@@ -452,11 +452,8 @@ class TestServingCounters:
     def test_service_and_frontend_report_expert_lane(self, small_db):
         from repro.core.featurize import QueryFeaturizer
         from repro.rl.ppo import PPOAgent
-        from repro.serving import (
-            FrontEndConfig,
-            ServingConfig,
-            ServingFrontEnd,
-        )
+        from repro.serving import FrontEndConfig, ServingConfig
+        from tests.helpers import thread_shards
 
         featurizer = QueryFeaturizer(small_db.schema, max_relations=3)
         agent = PPOAgent(
@@ -468,12 +465,13 @@ class TestServingCounters:
             "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id",
             name="counter-probe",
         )
-        with ServingFrontEnd.build(
+        with thread_shards(
             small_db,
             agent,
+            2,
             featurizer=featurizer,
             serving_config=ServingConfig(regression_threshold=1.0),
-            config=FrontEndConfig(n_shards=2, max_batch=4, max_delay_ms=10.0),
+            config=FrontEndConfig(max_batch=4, max_delay_ms=10.0),
         ) as frontend:
             frontend.optimize(query)
             shard_counters = [s.counters() for s in frontend.services]

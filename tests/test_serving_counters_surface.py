@@ -1,16 +1,19 @@
 """Golden test for the operator surface: ``ServingFrontEnd.counters()``
 and ``metrics_registry().names()`` on one fixed probe, under both
 executors, against literals recorded at commit 3056a3f (before the
-``counters()`` renderers were collapsed into one), plus the turn
-metrics the thread shards' turn added since, minus the TTL
+``counters()`` renderers were collapsed into one), minus the TTL
 expirations count that left with the plan cache's TTL, plus the
 statement memo's hits and misses, minus the two shared-memory transport
 counts that left with the rings, minus the six ``costmemo_*`` counts and
 five ``repro_costmemo_*`` names that left when serving planners stopped
 carrying a sub-plan cost memo, minus the count and the registry name
 of the degradation ladder's first rung, which served from the
-guardrail's expert memo and left with it. Keys, values and value types are pinned;
-registry names may only be added to, except by such a removal."""
+guardrail's expert memo and left with it, minus the experience buffer's
+degraded-tag count and registry name, which no collected trajectory
+could ever raise. The thread executor probes its one shard, so its lane
+reads one shard and no ``shard1_requests``; the process lane keeps two
+workers. Keys, values and value types are pinned; registry names may
+only be added to, except by such a removal."""
 
 import numpy as np
 import pytest
@@ -46,7 +49,6 @@ COUNTS = {
     "estimator_fallbacks": 0.0,
     "estimator_stale_fallbacks": 0.0,
     "experience_added": 1.0,
-    "experience_degraded_tagged": 0.0,
     "experience_dropped": 0.0,
     "experience_size": 1.0,
     "expert_plans": 1.0,
@@ -68,9 +70,7 @@ COUNTS = {
     "frontend_retries_exhausted": 0,
     "frontend_served_batches": 2,
     "frontend_served_occupancy_mean": 1.0,
-    "frontend_shards": 2,
     "frontend_submitted": 2,
-    "frontend_turn_waits": 0,
     "frontend_worker_restarts": 0,
     "guardrail_decisions": 1.0,
     "guardrail_timeouts": 0.0,
@@ -81,17 +81,20 @@ COUNTS = {
     "served_from_fallback": 1.0,
     "served_from_policy": 0.0,
     "shard0_requests": 2,
-    "shard1_requests": 0,
     "states_scored": 2.0,
     # The front end canonicalizes both submissions of the one statement:
     # the first afresh, the second from its statement memo.
     "statement_memo_hits": 1.0,
     "statement_memo_misses": 1.0,
 }
-#: ...and what ``executor="process"`` adds: two batch frames, two
-#: refresh RPCs and the two registry snapshots ``counters()`` itself
-#: pulls, each answered by one frame.
+#: The thread executor's one shard...
+THREAD_COUNTS = {"frontend_shards": 1}
+#: ...and ``executor="process"``'s two workers, which add two batch
+#: frames, two refresh RPCs and the two registry snapshots
+#: ``counters()`` itself pulls, each answered by one frame.
 PROCESS_COUNTS = {
+    "frontend_shards": 2,
+    "shard1_requests": 0,
     "frontend_executor_processes": 2,
     "transport_control_roundtrips": 4,
     "transport_frames_received": 6,
@@ -116,7 +119,6 @@ REGISTRY_NAMES = [
     "repro_estimator_stale",
     "repro_estimator_stale_fallbacks_total",
     "repro_experience_added_total",
-    "repro_experience_degraded_tagged_total",
     "repro_experience_dropped_total",
     "repro_experience_entries",
     "repro_expert_dp_bound_fallbacks_total",
@@ -140,8 +142,6 @@ REGISTRY_NAMES = [
     "repro_frontend_retries_total",
     "repro_frontend_served_batches_total",
     "repro_frontend_submitted_total",
-    "repro_frontend_turn_wait_ms",
-    "repro_frontend_turn_waits_total",
     "repro_frontend_worker_restarts_total",
     "repro_guardrail_decisions_total",
     "repro_guardrail_timeouts_total",
@@ -204,8 +204,8 @@ NOT_SUBTRACTED = ("_mean", "_rate", "_size", "_p50", "_p95")
 
 @pytest.fixture(scope="module", params=["thread", "process"])
 def surface(request):
-    """One miss, one hit and one table-scoped refresh through two
-    shards with the guardrail at 1.0, on a database of its own (the
+    """One miss, one hit and one table-scoped refresh through the
+    executor's default shards with the guardrail at 1.0, on a database of its own (the
     refresh changes statistics). No supervisor (its heartbeats are
     frames on a timer) and a flush timer far beyond the probe (every
     flush is an idle dispatch)."""
@@ -221,7 +221,7 @@ def surface(request):
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.0),
         config=FrontEndConfig(
-            n_shards=2, executor=executor, supervise=False, max_delay_ms=1900.0
+            executor=executor, supervise=False, max_delay_ms=1900.0
         ),
     ) as frontend:
         query = parse_query(CHAIN, "probe")
@@ -236,7 +236,7 @@ def surface(request):
     return {
         "counters": counters,
         "names": names,
-        "counts": {**COUNTS, **(PROCESS_COUNTS if process else {})},
+        "counts": {**COUNTS, **(PROCESS_COUNTS if process else THREAD_COUNTS)},
         "measured": MEASURED + (PROCESS_MEASURED if process else []),
         "parent_names": REGISTRY_NAMES + (PROCESS_REGISTRY_NAMES if process else []),
         "pinned": PINNED_BY_BENCHMARK
@@ -246,7 +246,7 @@ def surface(request):
 
 def test_counter_keys_are_the_parents(surface):
     expected = sorted([*surface["counts"], *surface["measured"]])
-    assert len(expected) == (63 if "transport_frames_sent" in expected else 58)
+    assert len(expected) == (61 if "transport_frames_sent" in expected else 55)
     assert sorted(surface["counters"]) == expected
 
 
@@ -277,4 +277,5 @@ def test_no_parent_registry_name_is_missing(surface):
 def test_benchmark_pinned_keys_present(surface):
     counters = surface["counters"]
     assert [key for key in surface["pinned"] if key not in counters] == []
-    assert {"shard0_requests", "shard1_requests"} <= set(counters)
+    shards = int(counters["frontend_shards"])
+    assert {f"shard{k}_requests" for k in range(shards)} <= set(counters)

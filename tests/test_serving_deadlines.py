@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.featurize import QueryFeaturizer
 from repro.db.query import parse_query
+from repro.obs import Telemetry, TelemetryConfig
 from repro.rl.ppo import PPOAgent
 from repro.serving import (
     DeadlineExceeded,
@@ -38,7 +39,7 @@ def agent(small_db, featurizer):
     )
 
 
-def make_frontend(small_db, agent, featurizer, **config_kwargs):
+def make_frontend(small_db, agent, featurizer, telemetry=None, **config_kwargs):
     config_kwargs.setdefault("n_shards", 1)
     config_kwargs.setdefault("max_batch", 4)
     config_kwargs.setdefault("max_delay_ms", 5.0)
@@ -48,6 +49,7 @@ def make_frontend(small_db, agent, featurizer, **config_kwargs):
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
         config=FrontEndConfig(**config_kwargs),
+        telemetry=telemetry,
     )
 
 
@@ -201,6 +203,50 @@ class TestAdmissionControl:
             release.set()
         assert frontend.stats.load_shed == 1
         assert frontend.stats.rejected == 1
+
+    def test_a_shed_burst_emits_rate_limited_events(
+        self, small_db, agent, featurizer
+    ):
+        # A sustained overload sheds every submission; the event log
+        # records one ``load_shed`` a second, and the next one that gets
+        # through says how many it stood for.
+        telemetry = Telemetry(TelemetryConfig(sample_rate=0.0))
+        now = [1000.0]
+        telemetry.events.clock = lambda: now[0]
+        frontend = make_frontend(
+            small_db,
+            agent,
+            featurizer,
+            telemetry=telemetry,
+            max_pending=2,
+            shed_watermark=1.0,
+            max_delay_ms=1.0,
+            max_batch=1,
+        )
+        release = threading.Event()
+        stall_services(frontend, release)
+        try:
+            with frontend:
+                accepted = [
+                    frontend.submit(parse_query(BC, f"q{i}")) for i in range(2)
+                ]
+                for i in range(5):
+                    with pytest.raises(LoadShedded):
+                        frontend.submit(parse_query(BC, f"burst{i}"))
+                now[0] += 1.5
+                with pytest.raises(LoadShedded):
+                    frontend.submit(parse_query(BC, "later"))
+                release.set()
+                for future in accepted:
+                    assert future.result(timeout=5.0).cost > 0
+        finally:
+            release.set()
+        first, second = telemetry.events.of_kind("load_shed")
+        assert "suppressed" not in first
+        assert (first["inflight"], first["max_pending"]) == (2, 2)
+        assert first["retry_after_s"] > 0
+        assert second["suppressed"] == 4
+        assert frontend.stats.load_shed == 6
 
     def test_load_shedded_is_a_runtime_error(self):
         # Callers predating the typed hierarchy catch RuntimeError.

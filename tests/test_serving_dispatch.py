@@ -22,7 +22,7 @@ from repro.serving import (
     ServingFrontEnd,
     fingerprint,
 )
-from tests.helpers import stall_services, wait_until
+from tests.helpers import stall_services, thread_shards, wait_until
 
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
@@ -45,18 +45,22 @@ def agent(small_db, featurizer):
     )
 
 
-def make_frontend(small_db, agent, featurizer, telemetry=None, **config_kwargs):
-    config_kwargs.setdefault("n_shards", 1)
+def make_frontend(
+    small_db, agent, featurizer, telemetry=None, n_shards=1, **config_kwargs
+):
+    """One shard under either executor, or ``n_shards`` thread shards."""
     config_kwargs.setdefault("max_batch", 64)
     config_kwargs.setdefault("max_delay_ms", LONG_DELAY_MS)
-    return ServingFrontEnd.build(
-        small_db,
-        agent,
+    kwargs = dict(
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
-        config=FrontEndConfig(**config_kwargs),
         telemetry=telemetry,
     )
+    if n_shards > 1:
+        config = FrontEndConfig(**config_kwargs)
+        return thread_shards(small_db, agent, n_shards, config=config, **kwargs)
+    config = FrontEndConfig(n_shards=1, **config_kwargs)
+    return ServingFrontEnd.build(small_db, agent, config=config, **kwargs)
 
 
 @pytest.mark.parametrize("executor", EXECUTORS)

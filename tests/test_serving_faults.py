@@ -21,6 +21,7 @@ from repro.serving import (
     ServingFrontEnd,
     seeded_uniform,
 )
+from tests.helpers import thread_shards
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
@@ -191,13 +192,13 @@ class TestWorkerFaults:
     def test_five_percent_faults_all_requests_resolve(
         self, small_db, agent, featurizer
     ):
-        frontend = ServingFrontEnd.build(
+        frontend = thread_shards(
             small_db,
             agent,
+            2,
             featurizer=featurizer,
             serving_config=ServingConfig(regression_threshold=1.5),
             config=FrontEndConfig(
-                n_shards=2,
                 max_batch=8,
                 max_delay_ms=5.0,
                 backoff_base_ms=1.0,

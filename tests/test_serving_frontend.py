@@ -23,7 +23,7 @@ from repro.serving import (
     fingerprint,
 )
 from repro.serving.frontend import HEARTBEAT_INTERVAL_S
-from tests.helpers import stall_services, wait_until
+from tests.helpers import stall_services, thread_shards, wait_until
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 CHAIN_RENAMED = (
@@ -45,17 +45,17 @@ def agent(small_db, featurizer):
     )
 
 
-def make_frontend(small_db, agent, featurizer, **config_kwargs):
-    config_kwargs.setdefault("n_shards", 2)
+def make_frontend(small_db, agent, featurizer, n_shards=1, **config_kwargs):
     config_kwargs.setdefault("max_batch", 4)
     config_kwargs.setdefault("max_delay_ms", 25.0)
-    return ServingFrontEnd.build(
-        small_db,
-        agent,
+    kwargs = dict(
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
         config=FrontEndConfig(**config_kwargs),
     )
+    if n_shards > 1:
+        return thread_shards(small_db, agent, n_shards, **kwargs)
+    return ServingFrontEnd.build(small_db, agent, **kwargs)
 
 
 class TestHashRing:
@@ -115,8 +115,8 @@ class TestBatchOrTimeout:
     def test_lone_query_flushed_within_deadline_without_filler(
         self, small_db, agent, featurizer
     ):
-        # A delay that would blow the test budget if waited on: both
-        # shards are idle, so the lone query is dispatched at once.
+        # A delay that would blow the test budget if waited on: the
+        # shard is idle, so the lone query is dispatched at once.
         frontend = make_frontend(
             small_db, agent, featurizer, max_batch=64, max_delay_ms=1900.0
         )
@@ -259,8 +259,7 @@ class TestLifecycle:
         self, small_db, agent, featurizer
     ):
         frontend = make_frontend(
-            small_db, agent, featurizer, n_shards=1, max_batch=64,
-            max_delay_ms=150.0,
+            small_db, agent, featurizer, max_batch=64, max_delay_ms=150.0
         )
         release = threading.Event()
         stall_services(frontend, release)
@@ -381,12 +380,20 @@ class TestDefaultShardCount:
         assert replace(config, executor="thread").shard_count() == 1
 
     @pytest.mark.parametrize(
-        "executor, n_shards", [("thread", 2), ("thread", 3), ("process", 1)]
+        "executor, n_shards", [("thread", 1), ("process", 1), ("process", 3)]
     )
     def test_explicit_count_passes_through(self, executor, n_shards):
         config = FrontEndConfig(n_shards=n_shards, executor=executor)
         assert config.shard_count() == n_shards
         assert config.shard_count(services=5) == n_shards
+
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_several_thread_shards_point_to_processes(self, n_shards):
+        with pytest.raises(ValueError, match='executor="process"'):
+            FrontEndConfig(n_shards=n_shards)
+        with pytest.raises(ValueError, match='executor="process"'):
+            replace(FrontEndConfig(n_shards=n_shards, executor="process"),
+                    executor="thread")
 
     def test_zero_shards_still_raises(self):
         with pytest.raises(ValueError):

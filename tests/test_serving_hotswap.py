@@ -29,7 +29,7 @@ from repro.serving import (
 )
 from repro.workloads.imdb import make_imdb_database
 from repro.workloads.job import job_lite_queries
-from tests.helpers import wait_until
+from tests.helpers import thread_shards, wait_until
 
 MAX_RELATIONS = 10
 ABC = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
@@ -197,14 +197,15 @@ class TestBuildAndDaemonSwap:
             by_version[1][q.name] != by_version[2][q.name] for q in queries
         ) >= len(queries) // 2
 
-        frontend = ServingFrontEnd.build(
+        frontend = thread_shards(
             imdb,
             agent,
+            2,
             featurizer=featurizer,
             serving_config=ServingConfig(
                 regression_threshold=None, collect_experience=False
             ),
-            config=FrontEndConfig(n_shards=2, max_batch=8),
+            config=FrontEndConfig(max_batch=8),
         )
         trainer = Trainer(
             None,
@@ -248,20 +249,21 @@ def small_featurizer(module_small_db):
     return QueryFeaturizer(module_small_db.schema, max_relations=3)
 
 
-def build_frontend(db, featurizer, executor, telemetry=None, **config_kwargs):
-    config_kwargs.setdefault("n_shards", 1)
+def build_frontend(db, featurizer, executor, telemetry=None, n_shards=1):
+    """One shard under either executor, or ``n_shards`` thread shards."""
     agent = fresh_agent(featurizer, 3)
-    frontend = ServingFrontEnd.build(
-        db,
-        agent,
+    kwargs = dict(
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
-        config=FrontEndConfig(
-            executor=executor, supervisor_interval_s=0.02, **config_kwargs
-        ),
         telemetry=telemetry,
     )
-    return frontend, agent
+    if n_shards > 1:
+        config = FrontEndConfig(supervisor_interval_s=0.02)
+        return thread_shards(db, agent, n_shards, config=config, **kwargs), agent
+    config = FrontEndConfig(
+        n_shards=1, executor=executor, supervisor_interval_s=0.02
+    )
+    return ServingFrontEnd.build(db, agent, config=config, **kwargs), agent
 
 
 def inverted(policy):

@@ -306,7 +306,6 @@ def proc_agent(proc_db, proc_featurizer):
 
 
 def build_frontend(db, agent, featurizer, executor, **config_kwargs):
-    config_kwargs.setdefault("n_shards", 2)
     config_kwargs.setdefault("max_batch", 4)
     config_kwargs.setdefault("max_delay_ms", 5.0)
     return ServingFrontEnd.build(
@@ -364,7 +363,7 @@ class TestProcessFrontEnd:
         self, proc_db, proc_agent, proc_featurizer
     ):
         """Drained trajectories cross the control pipe whole: two
-        process shards give back what two thread shards collect for the
+        process shards give back what the thread shard collects for the
         same queries, state stacks bitwise."""
         queries = [parse_query(sql, f"{name}-drain") for sql, name in QUERIES]
         drained = {}

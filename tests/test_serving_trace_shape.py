@@ -169,7 +169,6 @@ COUNTERS = {
     "estimator_fallbacks": 0.0,
     "estimator_stale_fallbacks": 0.0,
     "experience_added": 4.0,
-    "experience_degraded_tagged": 0.0,
     "experience_dropped": 0.0,
     "experience_size": 4.0,
     "expert_plans": 5.0,
