@@ -146,6 +146,14 @@ class PhysicalPlan:
     def aliases(self) -> frozenset:
         raise NotImplementedError
 
+    def __getstate__(self) -> dict:
+        """Pickle without the cached ``aliases``, a derived value rebuilt
+        on first use: a plan sent back from a worker process carries
+        only its own fields."""
+        state = dict(self.__dict__)
+        state.pop("aliases", None)
+        return state
+
     @property
     def children(self) -> Tuple["PhysicalPlan", ...]:
         return ()

@@ -147,6 +147,14 @@ class Query:
             if ref.alias not in self.relations:
                 raise ValueError(f"GROUP BY references unknown alias {ref.alias!r}")
 
+    def __getstate__(self) -> dict:
+        """Pickle without the cached join-graph index, a derived value
+        rebuilt on first use: a query sent to a worker process carries
+        only its own fields."""
+        state = dict(self.__dict__)
+        state.pop("_join_graph_index", None)
+        return state
+
     # ------------------------------------------------------------------
     @property
     def aliases(self) -> List[str]:

@@ -99,8 +99,17 @@ class Trace:
         """Milliseconds since the trace began."""
         return (self._clock() - self._t0) * 1000.0
 
-    def start_span(self, name: str, parent: Span | None = None, **attrs) -> Span:
-        span = Span(name=name, start_ms=self.now_ms(), attrs=attrs)
+    def start_span(
+        self,
+        name: str,
+        parent: Span | None = None,
+        start_ms: float | None = None,
+        **attrs,
+    ) -> Span:
+        """Open a span now, or at ``start_ms`` when the stage began
+        before it was known to be worth a span."""
+        start = self.now_ms() if start_ms is None else start_ms
+        span = Span(name=name, start_ms=start, attrs=attrs)
         (parent or self.root).children.append(span)
         return span
 

@@ -80,15 +80,21 @@ class PlanCache:
             return len(self._entries)
 
     def __contains__(self, key: str) -> bool:
+        """The probe: is ``key`` cached? Counts nothing and leaves LRU
+        recency alone."""
         with self._lock:
             return key in self._entries
 
-    def get(self, key: str) -> Any | None:
-        """Return the cached value or None; refreshes LRU recency."""
+    def get(self, key: str, count_miss: bool = True) -> Any | None:
+        """Return the cached value or None; refreshes LRU recency. With
+        ``count_miss=False`` only a hit is counted: a caller that will
+        look again on a miss (the front end's in-``submit`` answer,
+        whose request is then queued) must not count that miss twice."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.misses += 1
+                if count_miss:
+                    self.stats.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1

@@ -7,7 +7,13 @@ to queue-and-flush:
 
 1. ``submit(query)`` fingerprints the query, routes it to a worker
    shard via a consistent-hash ring, and returns a
-   :class:`concurrent.futures.Future` immediately;
+   :class:`concurrent.futures.Future` immediately. A plan-cache hit on
+   an in-process shard is answered right there, in the caller's thread,
+   when the shard is up and not mid-batch and no fault injector is
+   armed: its future comes back resolved, and steps 2 and 3 never see
+   it. The shard's serve lock, held by its worker around a batch and by
+   ``submit`` around a hit (which only ever try-acquires it), keeps one
+   thread at a time in a shard's service. Every other request is queued;
 2. a background **flusher** drains the pending queue by
    *dispatch-on-idle, batch-behind-busy*: it flushes the moment some
    pending submission's shard has nothing queued and nothing in hand
@@ -57,10 +63,10 @@ Fault tolerance is layered on the same path:
   guardrail threshold, which only the front end's
   ``apply_policy_weights`` / ``set_guardrail_threshold`` change.
 
-Every accepted submission is registered in an outstanding set and
-resolved exactly once through one choke point (``_resolve``), so no
-future dangles — not under close, not under worker death, not under
-cancellation races.
+Every accepted submission is resolved exactly once through one choke
+point (``_resolve``), and every queued one is registered in an
+outstanding set, so no future dangles — not under close, not under
+worker death, not under cancellation races.
 
 Lifecycle: ``drain()`` blocks until every accepted submission has
 resolved (force-expiring overdue deadlines); ``close()`` additionally
@@ -96,6 +102,7 @@ from repro.serving.faults import FAULT_KINDS, FaultInjector, seeded_uniform
 from repro.serving.fingerprint import StatementMemo
 from repro.serving.procpool import ProcessWorkerClient, WorkerSpec
 from repro.serving.service import (
+    ESTIMATOR_METRIC_NAMES,
     STATEMENT_MEMO_ROWS,
     OptimizerService,
     ServedPlan,
@@ -213,6 +220,8 @@ class FrontEndStats:
     each shard's service and are rolled up by :meth:`ServingFrontEnd.counters`)."""
 
     submitted: int = 0
+    #: Plan-cache hits answered inside ``submit()`` (never queued).
+    hits_in_submit: int = 0
     flushes: int = 0
     #: Flushes triggered by a full batch...
     flushes_size: int = 0
@@ -266,6 +275,9 @@ class FrontEndStats:
 _FRONTEND_ROWS = (
     ("repro_frontend_submitted_total", "frontend_submitted", "counter",
      "submissions accepted", lambda f: f.stats.submitted),
+    ("repro_frontend_hits_in_submit_total", "frontend_hits_in_submit", "counter",
+     "plan-cache hits answered inside submit(), never queued",
+     lambda f: f.stats.hits_in_submit),
     ("repro_frontend_flushes_total", "frontend_flushes", "counter",
      "flusher dispatches", lambda f: f.stats.flushes),
     ("repro_frontend_flushes_size_total", "frontend_flushes_size", "counter",
@@ -431,6 +443,10 @@ class ServingFrontEnd:
         self._pending: Deque[_Submission] = deque()
         self._inflight = 0
         self._flush_asap = False
+        #: Plan-cache hits that ``submit()`` has admitted but not yet
+        #: answered or queued; the flusher outlives ``close()`` until
+        #: this is zero.
+        self._answering = 0
         self._closing = False
         self._closed = False
         #: Shards whose worker died and has not been respawned yet.
@@ -449,6 +465,10 @@ class ServingFrontEnd:
         self._holding: List[List[_Submission]] = [
             [] for _ in range(self.n_shards)
         ]
+        #: One per shard, held by its worker around a batch and by
+        #: ``submit`` around a cache hit, so one thread at a time runs a
+        #: shard's service. Front-end owned: it outlives a respawn.
+        self._serve_locks = [threading.Lock() for _ in range(self.n_shards)]
         self.breakers = [
             CircuitBreaker(on_transition=self._breaker_callback(shard))
             for shard in range(self.n_shards)
@@ -654,9 +674,15 @@ class ServingFrontEnd:
     def submit(
         self, query: Query, deadline_ms: float | None = None
     ) -> "Future[ServedPlan]":
-        """Queue one request; the returned future resolves to its
-        :class:`ServedPlan` or to a structured
+        """Answer or queue one request; the returned future resolves to
+        its :class:`ServedPlan` or to a structured
         :class:`~repro.serving.errors.OptimizeError`.
+
+        A plan-cache hit on an in-process shard that is up and not
+        mid-batch, with no fault injector armed, is answered here, in
+        the caller's thread: the future comes back already resolved,
+        and the request never meets the flusher or the shard's worker.
+        Every other request is queued.
 
         ``deadline_ms`` is this request's total budget (submit to
         resolve); omitted, the request has no deadline.
@@ -675,16 +701,12 @@ class ServingFrontEnd:
         # recomputing them.
         names, fp = self.statements.canonicalize(query)
         shard = self.ring.shard_for(fp)
+        # A probe that counts nothing: a miss is counted once, by the
+        # batch that serves it, and never touches the serve lock.
+        cached = self.services[shard].is_cached(fp)
         # Stamped before the trace begins: ``queue_wait`` is measured
         # from here, so it covers the trace from its first instant.
         now = self.clock()
-        trace = (
-            self.telemetry.begin_trace(
-                "request", query=query.name, fingerprint=fp, shard=shard
-            )
-            if self.telemetry is not None
-            else None
-        )
         submission = _Submission(
             query=query,
             fp=fp,
@@ -693,21 +715,78 @@ class ServingFrontEnd:
             future=Future(),
             submitted_at=now,
             deadline=None if deadline_ms is None else now + deadline_ms / 1000.0,
-            trace=trace,
         )
+        if not cached:
+            self._begin_trace(submission)
         with self._work:
             self._check_accepting()
             self.stats.submitted += 1
             submission.seq = self.stats.submitted
-            self._pending.append(submission)
-            self._inflight += 1
-            self._work.notify_all()
+            if cached:
+                # Not in flight unless it is queued: a hit answered here
+                # resolves before submit() returns. Counted instead in
+                # ``_answering``, which keeps the flusher running, even
+                # under close(), until it is answered or queued.
+                self._answering += 1
+                # Chaos draws its faults per request at pickup, so with
+                # an injector armed every request goes the queued way.
+                direct = self.fault_injector is None and shard not in self._down
+            else:
+                self._inflight += 1
+                self._pending.append(submission)
+                self._work.notify_all()
+        if cached:
+            if direct and self._answer_in_submit(submission):
+                return submission.future
+            # Not answerable here (chaos armed, shard down or mid-batch,
+            # or the entry left since the probe): queue it after all.
+            if submission.trace is None:
+                self._begin_trace(submission)
+            with self._work:
+                self._answering -= 1
+                self._inflight += 1
+                self._pending.append(submission)
+                self._work.notify_all()
         # Register after queueing, but never resurrect: if a worker
         # already resolved (claimed) it, adding it back would leak.
         with self._state_lock:
             if not submission.settled:
                 self._outstanding.add(submission)
         return submission.future
+
+    def _begin_trace(self, s: _Submission) -> None:
+        """Begin ``s``'s trace (when telemetry is attached). A queued
+        request's trace begins before it is queued; a hit answered in
+        ``submit`` is traced from its serve on, since it has no other
+        stage."""
+        if self.telemetry is not None:
+            s.trace = self.telemetry.begin_trace(
+                "request", query=s.query.name, fingerprint=s.fp, shard=s.shard
+            )
+
+    def _answer_in_submit(self, s: _Submission) -> bool:
+        """Answer ``s`` from its shard's plan cache, in the caller's
+        thread. ``False`` (nothing settled) when the shard is mid-batch
+        (its serve lock is taken; ``submit`` never waits for it), the
+        entry has left since the probe, or the shard failed the hit; the
+        queued request's batch then serves it, as any other."""
+        lock = self._serve_locks[s.shard]
+        if not lock.acquire(blocking=False):
+            return False
+        try:
+            self._begin_trace(s)
+            plan = self.services[s.shard].cached_answer(
+                s.query, s.fp, s.alias_map, s.trace
+            )
+        except Exception:
+            # The batch path meets the same fault and handles it: the
+            # breaker records it and the future gets the error.
+            return False
+        finally:
+            lock.release()
+        if plan is None:
+            return False
+        return self._resolve(s, plan=plan, counter="hits_in_submit")
 
     def _check_accepting(self) -> None:
         """Raise if the front end cannot take another submission.
@@ -784,7 +863,8 @@ class ServingFrontEnd:
         counter: str | None = None,
     ) -> bool:
         """The one choke point that settles a submission: finish its
-        trace, set the future, release inflight, bump counters."""
+        trace, set the future, release inflight (a hit answered inside
+        ``submit()`` was never in flight), bump counters."""
         if not self._claim(s):
             return False
         # Finish before resolving: the caller must never see a future
@@ -808,6 +888,15 @@ class ServingFrontEnd:
             # cancellations only release inflight.
             self.latency_ms_hist.observe((self.clock() - s.submitted_at) * 1000.0)
         with self._work:
+            if counter == "hits_in_submit":
+                # Answered inside submit(), never in flight: only a
+                # closing flusher waits for it. Waking the flusher on
+                # every hit would cost a thread switch per request.
+                self.stats.hits_in_submit += 1
+                self._answering -= 1
+                if self._closing:
+                    self._work.notify_all()
+                return True
             self._inflight -= 1
             if counter == "deadline_expired":
                 self.stats.deadline_expired += 1
@@ -840,9 +929,9 @@ class ServingFrontEnd:
     def _flusher_body(self) -> None:
         while True:
             with self._work:
-                while not self._pending and not self._closing:
+                while not self._pending and (not self._closing or self._answering):
                     self._work.wait()
-                if not self._pending:  # closing with nothing queued
+                if not self._pending:  # closing, nothing queued or to queue
                     break
                 head = self._pending[0]
                 deadline = head.submitted_at + self.config.max_delay_ms / 1000.0
@@ -1157,17 +1246,18 @@ class ServingFrontEnd:
             for s in ready
         ]
         try:
-            served = service.optimize_batch(
-                [s.query for s in ready],
-                fingerprints=[s.fp for s in ready],
-                alias_maps=[s.alias_map for s in ready],
-                traces=traces,
-                budgets_ms=budgets,
-                # Experience collection is the one non-idempotent side
-                # effect on this path: only attempt 1 collects, so a
-                # retry can never double-count a trajectory.
-                collect=[s.attempts == 1 for s in ready],
-            )
+            with self._serve_locks[shard]:
+                served = service.optimize_batch(
+                    [s.query for s in ready],
+                    fingerprints=[s.fp for s in ready],
+                    alias_maps=[s.alias_map for s in ready],
+                    traces=traces,
+                    budgets_ms=budgets,
+                    # Experience collection is the one non-idempotent
+                    # side effect on this path: only attempt 1 collects,
+                    # so a retry can never double-count a trajectory.
+                    collect=[s.attempts == 1 for s in ready],
+                )
         except WorkerProcessDied:
             # The shard's process is gone: die like it did. Re-raising
             # runs the worker-death path, the one place a death is
@@ -1648,11 +1738,27 @@ class ServingFrontEnd:
         histograms pooled bucket-for-bucket), and the trace-derived
         per-stage histograms when telemetry is attached. This is what
         ``repro metrics`` exposes."""
-        registries = [self.registry] + [s.registry for s in self.services]
+        registries = [self.registry] + self._shard_registries()
         registries.extend(self.extra_registries)
         if self.telemetry is not None:
             registries.append(self.telemetry.registry)
         return MetricsRegistry.merge(registries)
+
+    def _shard_registries(self) -> List[MetricsRegistry]:
+        """Every shard's registry, each database's estimator rows in
+        one of them only: in-process shards over one ``Database`` each
+        register its rows, while a worker process counts its own copy."""
+        seen: List[object] = []
+        registries = []
+        for service in self.services:
+            registry = service.registry
+            if not isinstance(service, ProcessWorkerClient):
+                if any(db is service.db for db in seen):
+                    registry = registry.without(ESTIMATOR_METRIC_NAMES)
+                else:
+                    seen.append(service.db)
+            registries.append(registry)
+        return registries
 
     def counters(self) -> Dict[str, float]:
         """Front-end stats plus every shard's counters rolled up.
@@ -1667,9 +1773,7 @@ class ServingFrontEnd:
         """
         # Shard registries first: in process mode each is a control
         # round-trip, which the transport rows read after it then show.
-        merged = MetricsRegistry.merge(
-            [service.registry for service in self.services] + [self.registry]
-        )
+        merged = MetricsRegistry.merge(self._shard_registries() + [self.registry])
         rolled = render_counters(merged)
         for shard, service in enumerate(self.services):
             rolled[f"shard{shard}_requests"] = service.stats.requests

@@ -465,6 +465,15 @@ class ProcessWorkerClient:
                 )
         return plans
 
+    def is_cached(self, fp: str) -> bool:
+        """Always ``False``: the plan cache lives in the worker, so
+        every request crosses the pipe and is answered by a batch."""
+        return False
+
+    def cached_answer(self, query, fp: str, alias_map, trace=None) -> None:
+        """Always ``None``, for the reason :meth:`is_cached` gives."""
+        return None
+
     def _mirror(self, queries, plans) -> None:
         self.stats.requests += len(queries)
         self.stats.batches += 1

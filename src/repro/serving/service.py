@@ -173,6 +173,9 @@ _ESTIMATOR_ROWS = (
         for lane in ("histogram", "learned", "pessimistic")
     ),
 )
+#: The registry names of the database's rows: in-process shards over
+#: one ``Database`` each register them, and a rollup counts them once.
+ESTIMATOR_METRIC_NAMES = frozenset(row[0] for row in _ESTIMATOR_ROWS)
 #: Read off a :class:`~repro.serving.fingerprint.StatementMemo`: the
 #: front end's, which canonicalizes every submission, and each shard's,
 #: which serves callers that pass no fingerprints. A merge sums them.
@@ -391,7 +394,10 @@ class Shard(Protocol):
     ``exitcode()``, ``is_alive()``, ``ping()``, ``kill()``,
     ``shutdown()``, ``remote_refresh_statistics()`` (it owns a database
     copy), ``fault_fired_counts()``, ``transport`` — stays on the proxy
-    and is all an ``isinstance`` check on a shard may be about."""
+    and is all an ``isinstance`` check on a shard may be about.
+    ``is_cached`` and ``cached_answer`` let the front end answer a
+    plan-cache hit inside ``submit()``; the proxy answers ``False`` and
+    ``None``, since its cache lives in the worker."""
 
     db: Database
     featurizer: QueryFeaturizer
@@ -410,6 +416,12 @@ class Shard(Protocol):
         budgets_ms: Sequence[float | None] | None = None,
         collect=True,
     ) -> List[ServedPlan]: ...
+
+    def is_cached(self, fp: str) -> bool: ...
+
+    def cached_answer(
+        self, query: Query, fp: str, alias_map: Dict[str, str], trace=None
+    ) -> ServedPlan | None: ...
 
     def apply_policy_weights(self, params: Dict[str, object], version: int) -> None: ...
 
@@ -509,6 +521,64 @@ class OptimizerService:
     def optimize(self, query: Query) -> ServedPlan:
         """Answer one request (a micro-batch of one)."""
         return self.optimize_batch([query])[0]
+
+    def is_cached(self, fp: str) -> bool:
+        """Whether the plan cache holds ``fp`` — a probe that counts
+        nothing (see :meth:`cached_answer`)."""
+        return fp in self.cache
+
+    def cached_answer(
+        self,
+        query: Query,
+        fp: str,
+        alias_map: Dict[str, str],
+        trace=None,
+    ) -> ServedPlan | None:
+        """Answer one request from the plan cache alone, or return
+        ``None`` when ``fp`` is not cached.
+
+        ``fp`` and ``alias_map`` are the query's canonical fingerprint
+        and alias map, as :meth:`optimize_batch` takes them. A hit is
+        counted as a batch counts it (``requests``, ``served_from_cache``,
+        the cache hit, the latency histogram; not a batch) and stamped
+        with the live policy version and cardinality lane. A miss counts
+        nothing: the caller then queues the request, and the batch that
+        serves it counts the miss once.
+
+        ``trace`` is a trace begun for this answer, which is all its
+        request does: it gets the ``serve`` subtree of a hit in a batch
+        of one, with ``serve`` running from the trace's start and left
+        open, so that finishing the trace when the request resolves
+        closes it. Not thread-safe against a running
+        :meth:`optimize_batch` on this service: the front end holds the
+        shard's serve lock around both.
+        """
+        began = trace.now_ms() if trace is not None else None
+        start = time.perf_counter()
+        entry = self.cache.get(fp, count_miss=False)
+        if entry is None:
+            return None
+        version, lane = self._generation[1], self.db.estimator_lane
+        span = None
+        if trace is not None:
+            span = trace.start_span("serve", start_ms=0.0, batch_size=1, source="cache")
+            # Opened where the lookup began: it was not worth a span
+            # until it hit.
+            trace.end_span(
+                trace.start_span("cache_lookup", parent=span, start_ms=began, hit=True)
+            )
+            trace.root.attrs.setdefault("fingerprint", fp)
+            trace.root.attrs.setdefault("policy_version", version)
+            trace.root.attrs.setdefault("estimator_lane", lane)
+        plan, cost = self._answer(entry, query, alias_map, trace, span)
+        latency_ms = (time.perf_counter() - start) * 1000.0
+        self.stats.requests += 1
+        self.stats.count("cache")
+        self.request_ms_hist.observe(latency_ms)
+        return ServedPlan(
+            query.name, fp, plan, cost, "cache", latency_ms,
+            policy_version=version, estimator_lane=lane,
+        )
 
     def install_fault_injector(self, injector) -> None:
         """Arm the chaos harness on this service and its engine."""
@@ -860,21 +930,32 @@ class OptimizerService:
         """Answer request ``idx`` with an answer planned for an
         equivalent query, translated into the requester's aliases when
         it spells the query differently."""
-        names = batch.maps[idx]
-        plan, cost = entry.plan, entry.cost
-        if names != entry.alias_map:
-            result = translated(
-                self.planner,
-                batch.queries[idx],
-                names,
-                entry.tree,
-                entry.alias_map,
-                entry.translations,
-                batch.traces[idx],
-                batch.spans[idx],
-            )
-            plan, cost = result.plan, result.cost.total
+        plan, cost = self._answer(
+            entry, batch.queries[idx], batch.maps[idx], batch.traces[idx], batch.spans[idx]
+        )
         batch.answers[idx] = (source, plan, cost, decision)
+
+    def _answer(
+        self, entry: _CacheEntry, query: Query, names: Dict[str, str], trace, parent
+    ) -> tuple:
+        """``(plan, cost)`` of ``entry`` for a requester spelling its
+        query with alias map ``names``: the entry's own answer, or its
+        translation into the requester's aliases (traced under
+        ``parent``) when the spellings differ. Every cache hit, batched
+        or answered alone, is answered here."""
+        if names == entry.alias_map:
+            return entry.plan, entry.cost
+        result = translated(
+            self.planner,
+            query,
+            names,
+            entry.tree,
+            entry.alias_map,
+            entry.translations,
+            trace,
+            parent,
+        )
+        return result.plan, result.cost.total
 
     def _twin(self, batch: _Batch, idx: int, first: int, entry: _CacheEntry) -> None:
         """Answer a burst twin of request ``first`` from its ``entry``,

@@ -149,7 +149,7 @@ def thread_shards(
     theirs here instead: each an ``OptimizerService`` over the shared
     ``db`` with its own planner and serving copy of the policy, and the
     same recipe as the respawn factory. The shards share one database,
-    so a merged registry counts its estimator counters once per shard.
+    whose estimator rows the front end's rollups count once.
     """
     from repro.core.featurize import QueryFeaturizer
     from repro.optimizer.planner import Planner

@@ -1,5 +1,7 @@
 """Tests for repro.db.plans: join trees and physical nodes."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,18 @@ class TestPhysicalNodes:
         j = HashJoin(scan("a"), scan("b"), (jp("a", "b"),))
         assert j.aliases == frozenset(["a", "b"])
         assert j.children == (j.left, j.right)
+
+    def test_pickle_round_trip_rebuilds_aliases(self):
+        j = HashJoin(scan("a"), scan("b"), (jp("a", "b"),))
+        agg = HashAggregate(j, (), (AggregateSpec("count", None),))
+        assert agg.aliases == frozenset(["a", "b"])  # cached on every node
+        for node in agg.iter_nodes():
+            assert "aliases" not in node.__getstate__()
+        loaded = pickle.loads(pickle.dumps(agg))
+        assert loaded == agg
+        assert all("aliases" not in vars(node) for node in loaded.iter_nodes())
+        assert loaded.aliases == frozenset(["a", "b"])
+        assert loaded.child.left.aliases == frozenset(["a"])
 
     def test_join_overlap_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for repro.db.predicates and repro.db.query (IR + parser)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,19 @@ class TestQuery:
         assert q.is_connected()
         jg = q.join_graph_index()
         assert jg.adjacency[jg.index["a"]] & (1 << jg.index["b"])
+
+    def test_pickle_round_trip_rebuilds_the_join_graph_index(self):
+        q = self.make()
+        built = q.join_graph_index()
+        assert "_join_graph_index" not in q.__getstate__()
+        loaded = pickle.loads(pickle.dumps(q))
+        assert loaded == q
+        assert "_join_graph_index" not in vars(loaded)
+        rebuilt = loaded.join_graph_index()
+        assert rebuilt.aliases == built.aliases
+        assert rebuilt.adjacency == built.adjacency
+        assert rebuilt.edges == built.edges
+        assert loaded.is_connected()
 
     def test_joins_between(self):
         q = self.make()

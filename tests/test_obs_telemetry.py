@@ -29,8 +29,10 @@ from repro.serving import (
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
-#: What a thread-mode request's root span holds, in order: the front
-#: end's stages around the service's ``serve``.
+#: What a queued thread-mode request's root span holds, in order: the
+#: front end's stages around the service's ``serve``. A plan-cache hit
+#: answered inside ``submit()`` is never queued, and its root holds
+#: ``serve`` alone.
 FRONTEND_STAGES = [
     "queue_wait", "worker_queue", "pickup", "serve", "resolve",
 ]
@@ -109,11 +111,11 @@ class TestFrontEndTracing:
         self, small_db, agent, featurizer
     ):
         # No flush timer pads the sum: a lone request is dispatched at
-        # once, the nine repeats are cache hits of well under 1 ms, and
-        # the spans must still account for them. The claim is that no
+        # once, and the nine repeats are cache hits answered inside
+        # submit(), whose trace is the serve alone. The claim is that no
         # stage is missing or counted twice, not that no thread was
-        # descheduled between two clock reads: one 30 us hand-off is a
-        # fifth of a 140 us hit, so the hits are judged by their median.
+        # descheduled between two clock reads, so the hits are judged
+        # by their median.
         telemetry = Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=10_000.0))
         frontend = make_frontend(small_db, agent, featurizer, telemetry)
         with frontend:
@@ -125,9 +127,11 @@ class TestFrontEndTracing:
         assert statistics.median(t.coverage() for t in hits) >= 0.9, "\n".join(
             t.format() for t in hits
         )
-        for trace in [cold, *hits]:
-            queue_wait = trace.root.children[0]
-            assert queue_wait.attrs["reason"] == "idle"
+        assert [c.name for c in cold.root.children] == FRONTEND_STAGES
+        assert cold.root.children[0].attrs["reason"] == "idle"
+        for trace in hits:
+            assert [c.name for c in trace.root.children] == ["serve"]
+            assert trace.root.attrs["source"] == "cache"
 
     def test_cache_hit_is_visible_in_the_trace(
         self, small_db, agent, featurizer
@@ -139,7 +143,9 @@ class TestFrontEndTracing:
             hit_plan = frontend.optimize(parse_query(BC, "warm"), timeout=10.0)
         assert hit_plan.source == "cache"
         trace = telemetry.store.all()[-1]
-        serve = trace.root.children[FRONTEND_STAGES.index("serve")]
+        # Answered inside submit(): no queue, no worker, no pickup.
+        (serve,) = trace.root.children
+        assert serve.name == "serve"
         assert serve.children[0].name == "cache_lookup"
         assert serve.children[0].attrs["hit"] is True
         # A cache hit never runs the policy.
@@ -156,7 +162,10 @@ class TestFrontEndTracing:
             registry = frontend.metrics_registry()
         assert registry.get("repro_request_e2e_ms").count == 3
         summary = telemetry.stage_summary()
-        for stage in ("queue_wait", "worker_queue", "serve", "cache_lookup"):
+        # One miss through the queue; the two hits answered in submit().
+        for stage in ("queue_wait", "worker_queue"):
+            assert summary[stage]["count"] == 1.0
+        for stage in ("serve", "cache_lookup"):
             assert summary[stage]["count"] == 3.0
 
     def test_disabled_telemetry_records_nothing(

@@ -12,8 +12,11 @@ guardrail's expert memo and left with it, minus the experience buffer's
 degraded-tag count and registry name, which no collected trajectory
 could ever raise. The thread executor probes its one shard, so its lane
 reads one shard and no ``shard1_requests``; the process lane keeps two
-workers. Keys, values and value types are pinned; registry names may
-only be added to, except by such a removal."""
+workers. Both lanes gained ``frontend_hits_in_submit`` and its registry
+name; the thread lane answers the probe's hit inside ``submit()``, so it
+books one flush, one worker batch and one service batch where the
+process lane books two. Keys, values and value types are pinned;
+registry names may only be added to, except by such a removal."""
 
 import numpy as np
 import pytest
@@ -32,7 +35,6 @@ CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 #: the type ``counters()`` returns it in (``repro info --probe`` prints
 #: these, so ``2`` turning into ``2.0`` is a visible change).
 COUNTS = {
-    "batches": 2.0,
     "cache_evictions": 0.0,
     "cache_hit_rate": 0.5,
     "cache_hits": 1.0,
@@ -58,17 +60,14 @@ COUNTS = {
     "frontend_breakers_open": 0,
     "frontend_circuit_opens": 0,
     "frontend_deadline_expired": 0,
-    "frontend_flushes": 2,
     "frontend_flushes_deadline": 0,
     "frontend_flushes_drain": 0,
-    "frontend_flushes_idle": 2,
     "frontend_flushes_size": 0,
     "frontend_load_shed": 0,
     "frontend_rejected": 0,
     "frontend_rerouted": 0,
     "frontend_retries": 0,
     "frontend_retries_exhausted": 0,
-    "frontend_served_batches": 2,
     "frontend_served_occupancy_mean": 1.0,
     "frontend_submitted": 2,
     "frontend_worker_restarts": 0,
@@ -87,13 +86,27 @@ COUNTS = {
     "statement_memo_hits": 1.0,
     "statement_memo_misses": 1.0,
 }
-#: The thread executor's one shard...
-THREAD_COUNTS = {"frontend_shards": 1}
-#: ...and ``executor="process"``'s two workers, which add two batch
-#: frames, two refresh RPCs and the two registry snapshots
+#: The thread executor's one shard, which answers the hit inside
+#: ``submit()``: one flush and one batch, for the miss...
+THREAD_COUNTS = {
+    "frontend_shards": 1,
+    "frontend_hits_in_submit": 1,
+    "batches": 1.0,
+    "frontend_flushes": 1,
+    "frontend_flushes_idle": 1,
+    "frontend_served_batches": 1,
+}
+#: ...and ``executor="process"``'s two workers, whose plan caches live
+#: in the workers, so both requests are flushed and batched. They add
+#: two batch frames, two refresh RPCs and the two registry snapshots
 #: ``counters()`` itself pulls, each answered by one frame.
 PROCESS_COUNTS = {
     "frontend_shards": 2,
+    "frontend_hits_in_submit": 0,
+    "batches": 2.0,
+    "frontend_flushes": 2,
+    "frontend_flushes_idle": 2,
+    "frontend_served_batches": 2,
     "shard1_requests": 0,
     "frontend_executor_processes": 2,
     "transport_control_roundtrips": 4,
@@ -134,6 +147,7 @@ REGISTRY_NAMES = [
     "repro_frontend_flushes_idle_total",
     "repro_frontend_flushes_size_total",
     "repro_frontend_flushes_total",
+    "repro_frontend_hits_in_submit_total",
     "repro_frontend_inflight",
     "repro_frontend_load_shed_total",
     "repro_frontend_rejected_total",
@@ -229,7 +243,8 @@ def surface(request):
         frontend.optimize(query, timeout=60.0)
         frontend.refresh_statistics(seed=11, sample_size=300, tables=["c"])
         # served_batches is booked just after the future resolves.
-        assert wait_until(lambda: frontend.stats.served_batches == 2)
+        batches = 2 if executor == "process" else 1
+        assert wait_until(lambda: frontend.stats.served_batches == batches)
         counters = frontend.counters()
         names = frontend.metrics_registry().names()
     process = executor == "process"
@@ -246,7 +261,7 @@ def surface(request):
 
 def test_counter_keys_are_the_parents(surface):
     expected = sorted([*surface["counts"], *surface["measured"]])
-    assert len(expected) == (61 if "transport_frames_sent" in expected else 55)
+    assert len(expected) == (62 if "transport_frames_sent" in expected else 56)
     assert sorted(surface["counters"]) == expected
 
 

@@ -217,17 +217,21 @@ class TestLifecycle:
         )
         futures = []
         futures_lock = threading.Lock()
-        rejected = []
+        accepted = [0] * 4
+        #: thread -> the index of the submit that close() refused; the
+        #: thread sends nothing after it.
+        refused = {}
 
         def burst(k):
             for i in range(10):
                 try:
                     future = frontend.submit(parse_query(BC, f"q{k}-{i}"))
                 except RuntimeError:
-                    rejected.append((k, i))
+                    refused[k] = i
                     return
                 with futures_lock:
                     futures.append(future)
+                accepted[k] += 1
 
         threads = [threading.Thread(target=burst, args=(k,)) for k in range(4)]
         for t in threads:
@@ -238,7 +242,10 @@ class TestLifecycle:
         # Everything accepted before close resolved to a real plan.
         for future in futures:
             assert future.result(timeout=1.0).cost > 0
-        assert len(futures) + len(rejected) == 40
+        # Each thread sent all ten, or was refused right after the ones
+        # it had sent.
+        for k in range(4):
+            assert refused.get(k, 10) == accepted[k], (k, accepted, refused)
 
     def test_drain_waits_for_inflight(self, small_db, agent, featurizer):
         frontend = make_frontend(
@@ -346,6 +353,27 @@ class TestCountersRollup:
         assert (
             counters["shard0_requests"] + counters["shard1_requests"] == 5
         )
+
+    @pytest.mark.parametrize("n_shards", [1, 2, 3])
+    def test_a_shared_database_is_counted_once(
+        self, fresh_small_db, agent, featurizer, n_shards
+    ):
+        # Every in-process shard over the one database registers its
+        # estimator rows; the rollup must not multiply them.
+        frontend = make_frontend(fresh_small_db, agent, featurizer, n_shards=n_shards)
+        with frontend:
+            frontend.optimize_batch(
+                [parse_query(BC, "bc"), parse_query(AB, "ab"),
+                 parse_query(CHAIN, "chain")],
+                timeout=2.0,
+            )
+            counters = frontend.counters()
+            registry = frontend.metrics_registry()
+        estimates = fresh_small_db.estimator().counts["estimates"]
+        assert estimates > 0
+        assert counters["estimator_estimates"] == estimates
+        assert registry.get("repro_estimator_estimates_total").value == estimates
+        assert registry.get("repro_estimator_lane_histogram").value == 1.0
 
     def test_latency_summary_covers_queueing(self, small_db, agent, featurizer):
         frontend = make_frontend(small_db, agent, featurizer)

@@ -495,7 +495,8 @@ class TestShardContract:
 
     def test_contract_members_are_the_stated_ones(self):
         assert self.MEMBERS == sorted([
-            "optimize_batch", "apply_policy_weights", "set_guardrail_threshold",
+            "optimize_batch", "is_cached", "cached_answer",
+            "apply_policy_weights", "set_guardrail_threshold",
             "drain_experience", "install_fault_injector", "policy_version",
             "stats", "request_ms_hist", "registry", "db", "featurizer",
             "telemetry",
@@ -510,9 +511,9 @@ class TestShardContract:
             (shard,) = frontend.services
             for member in self.MEMBERS:
                 assert hasattr(shard, member), member
-            for method in ("optimize_batch", "apply_policy_weights",
-                           "set_guardrail_threshold", "drain_experience",
-                           "install_fault_injector"):
+            for method in ("optimize_batch", "is_cached", "cached_answer",
+                           "apply_policy_weights", "set_guardrail_threshold",
+                           "drain_experience", "install_fault_injector"):
                 assert list(
                     inspect.signature(getattr(type(shard), method)).parameters
                 ) == list(inspect.signature(getattr(Shard, method)).parameters)
