@@ -110,7 +110,7 @@ class Setup:
             agent,
             featurizer=self.featurizer,
             serving_config=ServingConfig(regression_threshold=1.5),
-            config=FrontEndConfig(max_batch=BURST, max_delay_ms=2.0),
+            config=FrontEndConfig(max_batch=BURST),
             planner_factory=lambda: Planner(
                 self.db,
                 geqo_threshold=MAX_RELATIONS + 2,

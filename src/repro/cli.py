@@ -207,8 +207,8 @@ def _make_frontend(db, agent=None, featurizer=None, telemetry=None,
                    executor="thread"):
     """A :class:`ServingFrontEnd` over ``db`` (untrained policy unless an
     agent is given — counters and routing behave the same either way):
-    dispatch-on-idle flusher in front of the executor's default shards
-    (one in-process service under ``executor="thread"``; two
+    per-shard queues in front of the executor's default shards (one
+    in-process service under ``executor="thread"``; two
     fingerprint-sharded worker processes under ``executor="process"``)."""
     from repro.core.featurize import QueryFeaturizer
     from repro.rl.ppo import PPOAgent
@@ -224,7 +224,7 @@ def _make_frontend(db, agent=None, featurizer=None, telemetry=None,
         agent,
         featurizer=featurizer,
         serving_config=ServingConfig(),
-        config=FrontEndConfig(max_batch=16, max_delay_ms=2.0, executor=executor),
+        config=FrontEndConfig(max_batch=16, executor=executor),
         telemetry=telemetry,
     )
 

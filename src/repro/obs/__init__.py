@@ -7,7 +7,7 @@ Three cooperating pieces, one facade:
   read time (``MetricsRegistry.merge``) into one rollup with Prometheus
   text exposition and a JSON snapshot;
 - :mod:`repro.obs.trace` — per-request :class:`Trace` span trees
-  (queue wait → batch flush → shard dispatch → cache lookup → policy
+  (queue wait → worker pickup → cache lookup → policy
   forward → guardrail → expert DP → plan construction), head-sampled by
   a seeded :class:`TraceSampler`, always retained for requests over the
   latency SLO;
@@ -64,7 +64,6 @@ __all__ = [
 #: histogram family).
 TELEMETRY_STAGES = (
     "queue_wait",
-    "worker_queue",
     "pickup",
     "serve",
     "cache_lookup",

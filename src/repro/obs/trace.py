@@ -1,14 +1,14 @@
 """Per-request tracing: where did this query's latency go?
 
 A :class:`Trace` is created when a request is accepted and travels with
-it through the serving stack — submit, queue wait, batch flush, shard
-dispatch, cache lookup, policy forward, guardrail, expert DP, plan
+it through the serving stack — submit, queue wait, worker pickup,
+cache lookup, policy forward, guardrail, expert DP, plan
 construction — each stage recording a :class:`Span` with its duration
 and the attributes an operator needs after the fact (fingerprint,
 shard, cache hit/miss, fallback reason, dp_subsets, ...).
 
-Ownership is a sequential handoff (submitter → flusher → one shard
-worker), never concurrent, so spans need no locking; timestamps come
+Ownership is a sequential handoff (submitter → one shard worker),
+never concurrent, so spans need no locking; timestamps come
 from one monotonic clock captured at trace start, so span offsets and
 the end-to-end duration are mutually consistent.
 

@@ -20,11 +20,11 @@ puts it behind a production-shaped ``optimize(query)`` API:
 - :mod:`repro.serving.sharding` — consistent-hash ring routing query
   fingerprints to worker shards;
 - :mod:`repro.serving.frontend` — :class:`ServingFrontEnd`, the
-  concurrent queue-and-flush front end: ``submit()`` returns a future,
-  a background flusher dispatches to idle shards at once and batches
-  behind busy ones, and its shards (each a private
-  ``OptimizerService``: one in-process under ``executor="thread"``)
-  serve the flushes;
+  concurrent queue-and-batch front end: ``submit()`` returns a future
+  and puts the request on its shard's queue, and each shard's worker
+  (a private ``OptimizerService``: one in-process under
+  ``executor="thread"``) serves whatever queued behind it as one
+  batch;
 - :mod:`repro.serving.procpool` / :mod:`repro.serving.transport` —
   the GIL escape: ``executor="process"`` promotes each shard to a
   spawned worker process (:class:`ProcessWorkerClient` implements

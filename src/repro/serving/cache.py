@@ -8,8 +8,9 @@ makes a cached plan stale.
 
 Two serving-layer needs shape the implementation:
 
-- **thread safety** — worker shards, the flusher, and operator threads
-  (``counters()``, ``refresh_statistics``) touch the cache
+- **thread safety** — worker shards, submitters (a hit is answered
+  inside ``submit()``) and operator threads (``counters()``,
+  ``refresh_statistics``) touch the cache
   concurrently, so every operation (including its stats update) runs
   under one re-entrant lock and the counters stay exact;
 - **partial invalidation** — entries can be tagged with the tables the

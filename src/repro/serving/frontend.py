@@ -1,38 +1,35 @@
-"""The concurrent serving front end: dispatch-on-idle + sharded workers.
+"""The concurrent serving front end: per-shard queues + sharded workers.
 
 ``OptimizerService`` answers a burst only when callers arrive
 pre-batched; production traffic arrives as independent concurrent
 requests. This front end converts the serving path from call-and-return
-to queue-and-flush:
+to queue-and-batch:
 
 1. ``submit(query)`` fingerprints the query, routes it to a worker
    shard via a consistent-hash ring, and returns a
    :class:`concurrent.futures.Future` immediately. A plan-cache hit on
    an in-process shard is answered right there, in the caller's thread,
    when the shard is up and not mid-batch and no fault injector is
-   armed: its future comes back resolved, and steps 2 and 3 never see
-   it. The shard's serve lock, held by its worker around a batch and by
+   armed: its future comes back resolved, and step 2 never sees it. The
+   shard's serve lock, held by its worker around a batch and by
    ``submit`` around a hit (which only ever try-acquires it), keeps one
-   thread at a time in a shard's service. Every other request is queued;
-2. a background **flusher** drains the pending queue by
-   *dispatch-on-idle, batch-behind-busy*: it flushes the moment some
-   pending submission's shard has nothing queued and nothing in hand
-   (holding requests in front of an idle worker buys no batching, only
-   latency), and otherwise as soon as ``max_batch`` submissions
-   accumulate or the oldest has waited ``max_delay_ms`` behind busy
-   shards, whichever comes first — so a lone query costs the work it
-   needs and a burst is never served one by one;
-3. each flush is split by shard and dispatched to the shards' worker
-   threads, one :class:`~repro.serving.service.OptimizerService` each
-   (or one worker process each under ``executor="process"``). The
-   thread executor runs exactly **one** in-process shard: one
-   interpreter computes one batch at a time, so a second thread shard
-   would add no parallelism, only half-size batches. Several shards
-   mean worker processes (two by default). Because the ring keys on
-   the canonical query fingerprint, every fingerprint-equivalent query
-   lands on the same shard's plan cache and experience buffer —
-   shard-private caches need no cross-shard coherence, yet still see
-   every repeat of "their" query shapes.
+   thread at a time in a shard's service. Every other request is put
+   straight on its shard's queue;
+2. each shard's worker thread takes everything its queue holds, up to
+   ``max_batch``, and serves it as one micro-batch through the shard's
+   :class:`~repro.serving.service.OptimizerService` (or one worker
+   process under ``executor="process"``). A request in front of an idle
+   worker is served at once; requests that queue behind a busy one are
+   served together when it frees up — so a lone query costs the work it
+   needs and a burst is never served one by one. The thread executor
+   runs exactly **one** in-process shard: one interpreter computes one
+   batch at a time, so a second thread shard would add no parallelism,
+   only half-size batches. Several shards mean worker processes (two by
+   default). Because the ring keys on the canonical query fingerprint,
+   every fingerprint-equivalent query lands on the same shard's plan
+   cache and experience buffer — shard-private caches need no
+   cross-shard coherence, yet still see every repeat of "their" query
+   shapes.
 
 Fault tolerance is layered on the same path:
 
@@ -42,11 +39,11 @@ Fault tolerance is layered on the same path:
   hint; after ``close()`` it raises
   :class:`~repro.serving.errors.ServiceClosed`.
 - **Deadlines** — ``submit(query, deadline_ms=...)`` attaches a budget
-  that travels the whole path: expiry is detected at flush (still
-  queued), at worker pickup, and during a deadline-aware ``drain()``;
-  the remaining budget is forwarded into the shard service so the
-  degradation ladder can answer with a cheaper plan instead of blowing
-  the deadline.
+  that travels the whole path: expiry is detected while still queued
+  (the supervisor sweeps for it every tick), at worker pickup, and
+  during a deadline-aware ``drain()``; the remaining budget is
+  forwarded into the shard service so the degradation ladder can answer
+  with a cheaper plan instead of blowing the deadline.
 - **Retries** — failures typed retryable (injected faults, shard
   deaths, open circuits) are retried up to ``max_attempts`` with
   seeded-jitter exponential backoff; non-idempotent side effects are
@@ -61,7 +58,9 @@ Fault tolerance is layered on the same path:
   the shard with a rebuilt service (fresh policy copy and caches) and
   replays the **live serving state** onto it — the last hot-swap and
   guardrail threshold, which only the front end's
-  ``apply_policy_weights`` / ``set_guardrail_threshold`` change.
+  ``apply_policy_weights`` / ``set_guardrail_threshold`` change. While
+  no shard is up, requests wait for the respawn without spending an
+  attempt.
 
 Every accepted submission is resolved exactly once through one choke
 point (``_resolve``), and every queued one is registered in an
@@ -70,7 +69,7 @@ worker death, not under cancellation races.
 
 Lifecycle: ``drain()`` blocks until every accepted submission has
 resolved (force-expiring overdue deadlines); ``close()`` additionally
-stops the supervisor, flusher, and workers, then sweeps anything still
+stops the supervisor and workers, then sweeps anything still
 unresolved with ``ServiceClosed``. The class is a context manager.
 """
 
@@ -78,11 +77,10 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, replace
 from queue import Empty, SimpleQueue
-from typing import Deque, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.db.query import Query
 from repro.obs import Telemetry
@@ -145,12 +143,8 @@ class FrontEndConfig:
     #: two worker processes); more than one needs ``"process"``. Read
     #: the count through :meth:`shard_count`.
     n_shards: Optional[int] = None
-    #: Flush as soon as this many submissions are pending...
+    #: The most queued requests a worker serves as one batch.
     max_batch: int = 32
-    #: ...or when the oldest pending submission has waited this long
-    #: behind busy shards (a submission whose shard is idle is
-    #: dispatched at once, whatever this says).
-    max_delay_ms: float = 2.0
     #: Backpressure: max submissions accepted but not yet resolved.
     max_pending: int = 65_536
     #: Total tries per request (1 = no retries) for retryable failures.
@@ -187,8 +181,6 @@ class FrontEndConfig:
             )
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.max_delay_ms < 0:
-            raise ValueError("max_delay_ms must be non-negative")
         if self.max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         if self.max_attempts < 1:
@@ -216,26 +208,18 @@ class FrontEndConfig:
 
 @dataclass
 class FrontEndStats:
-    """Flusher/queue health counters (per-shard serving counters live on
-    each shard's service and are rolled up by :meth:`ServingFrontEnd.counters`)."""
+    """Queue health counters (per-shard serving counters live on each
+    shard's service and are rolled up by :meth:`ServingFrontEnd.counters`)."""
 
     submitted: int = 0
     #: Plan-cache hits answered inside ``submit()`` (never queued).
     hits_in_submit: int = 0
+    #: Batches workers took off their queues, and the requests in them...
     flushes: int = 0
-    #: Flushes triggered by a full batch...
-    flushes_size: int = 0
-    #: ...by the max_delay deadline on a partial batch...
-    flushes_deadline: int = 0
-    #: ...by a pending submission's shard sitting idle...
-    flushes_idle: int = 0
-    #: ...or by drain()/close() forcing everything out.
-    flushes_drain: int = 0
-    #: Sum of flush sizes, for mean flush occupancy.
     occupancy_sum: int = 0
-    #: Batches actually served by workers (a worker coalesces every
-    #: dispatch waiting in its queue into one serve call, so under
-    #: backlog the served occupancy exceeds the flush occupancy).
+    #: ...and of those, the batches actually served and their requests
+    #: (a batch's cancelled, expired and faulted requests are not
+    #: served; a batch left with none is not counted here).
     served_batches: int = 0
     served_occupancy_sum: int = 0
     #: Submissions turned away at admission (all causes).
@@ -248,7 +232,7 @@ class FrontEndStats:
     retries_exhausted: int = 0
     #: Requests failed because their deadline budget ran out.
     deadline_expired: int = 0
-    #: Requests dispatched to a fallback shard (down shard/open circuit).
+    #: Requests queued on a fallback shard (down shard/open circuit).
     rerouted: int = 0
     #: Dead workers respawned with a rebuilt service.
     worker_restarts: int = 0
@@ -268,7 +252,7 @@ class FrontEndStats:
         )
 
 
-#: The flusher/queue metrics, one row each — (registry name,
+#: The queue metrics, one row each — (registry name,
 #: ``counters()`` key or None, kind, help, how to read it off the front
 #: end) — registered and rendered like the shard tables in
 #: :mod:`repro.serving.service`.
@@ -279,17 +263,7 @@ _FRONTEND_ROWS = (
      "plan-cache hits answered inside submit(), never queued",
      lambda f: f.stats.hits_in_submit),
     ("repro_frontend_flushes_total", "frontend_flushes", "counter",
-     "flusher dispatches", lambda f: f.stats.flushes),
-    ("repro_frontend_flushes_size_total", "frontend_flushes_size", "counter",
-     "flushes triggered by a full batch", lambda f: f.stats.flushes_size),
-    ("repro_frontend_flushes_deadline_total", "frontend_flushes_deadline",
-     "counter", "flushes triggered by the max_delay deadline",
-     lambda f: f.stats.flushes_deadline),
-    ("repro_frontend_flushes_idle_total", "frontend_flushes_idle", "counter",
-     "flushes triggered by an idle shard with work pending",
-     lambda f: f.stats.flushes_idle),
-    ("repro_frontend_flushes_drain_total", "frontend_flushes_drain", "counter",
-     "flushes forced by drain()/close()", lambda f: f.stats.flushes_drain),
+     "batches workers took off their queues", lambda f: f.stats.flushes),
     ("repro_frontend_rejected_total", "frontend_rejected", "counter",
      "submissions rejected at admission", lambda f: f.stats.rejected),
     ("repro_frontend_load_shed_total", "frontend_load_shed", "counter",
@@ -303,7 +277,7 @@ _FRONTEND_ROWS = (
      "counter", "requests failed on an expired deadline budget",
      lambda f: f.stats.deadline_expired),
     ("repro_frontend_rerouted_total", "frontend_rerouted", "counter",
-     "dispatches rerouted to a fallback shard", lambda f: f.stats.rerouted),
+     "requests rerouted to a fallback shard", lambda f: f.stats.rerouted),
     ("repro_frontend_worker_restarts_total", "frontend_worker_restarts",
      "counter", "dead workers respawned", lambda f: f.stats.worker_restarts),
     ("repro_frontend_circuit_opens_total", "frontend_circuit_opens", "counter",
@@ -334,11 +308,12 @@ class _Submission:
     submitted_at: float
     #: Absolute monotonic deadline (None = no budget).
     deadline: float | None = None
+    #: When it was last put in line: at submit, or when a retry's
+    #: backoff ended (the ``queue_wait`` span runs from here to pickup).
+    queued_at: float = 0.0
     #: Per-request trace (None when telemetry is off). Ownership follows
-    #: the submission: submitter -> flusher -> one worker, sequentially.
+    #: the submission: submitter -> one worker, sequentially.
     trace: object = None
-    #: When the flusher last dispatched this submission (worker_queue span).
-    flushed_at: float | None = None
     #: 1-based try counter; bumped when a retry is scheduled.
     attempts: int = 1
     #: Unique per front end; keys deterministic chaos/backoff draws.
@@ -359,7 +334,7 @@ class _Submission:
 
 
 class ServingFrontEnd:
-    """Queue-and-flush concurrency over per-shard optimizer services.
+    """Queue-and-batch concurrency over per-shard optimizer services.
 
     ``services`` is one :class:`~repro.serving.service.Shard` per
     shard (an :class:`OptimizerService`, or the proxy of one in a worker
@@ -440,18 +415,19 @@ class ServingFrontEnd:
         self._register_metrics()
         self._lock = threading.Lock()
         self._work = threading.Condition(self._lock)
-        self._pending: Deque[_Submission] = deque()
         self._inflight = 0
-        self._flush_asap = False
-        #: Plan-cache hits that ``submit()`` has admitted but not yet
-        #: answered or queued; the flusher outlives ``close()`` until
-        #: this is zero.
+        #: Submissions ``submit()`` has admitted but not yet answered or
+        #: put on a queue; ``close()`` posts ``_STOP`` only once this is
+        #: zero, so every admitted request is queued ahead of it.
         self._answering = 0
         self._closing = False
         self._closed = False
         #: Shards whose worker died and has not been respawned yet.
-        #: Guarded by ``_work``; the flusher routes around them.
+        #: Guarded by ``_work``; routing goes around them.
         self._down: Set[int] = set()
+        #: Requests that met every shard down with a supervisor running;
+        #: the next respawn puts them back in line. Guarded by ``_work``.
+        self._parked: List[_Submission] = []
         # Lock-ordering rule: ``_state_lock`` and ``_work`` are never
         # nested (each is always released before the other is taken).
         self._state_lock = threading.Lock()
@@ -487,10 +463,6 @@ class ServingFrontEnd:
         ]
         for worker in self._workers:
             worker.start()
-        self._flusher = threading.Thread(
-            target=self._flusher_loop, name="serving-flusher", daemon=True
-        )
-        self._flusher.start()
         self.supervisor: Optional[ShardSupervisor] = None
         if self.config.supervise:
             self.supervisor = ShardSupervisor(
@@ -499,7 +471,7 @@ class ServingFrontEnd:
             self.supervisor.start()
 
     def _register_metrics(self) -> None:
-        """Expose the flusher/queue stats (and, in process mode, the
+        """Expose the queue stats (and, in process mode, the
         shared transport counters) as pull-style registry metrics."""
         register_metric_rows(self.registry, _FRONTEND_ROWS, self)
         register_metric_rows(self.registry, STATEMENT_MEMO_ROWS, self.statements)
@@ -681,8 +653,8 @@ class ServingFrontEnd:
         A plan-cache hit on an in-process shard that is up and not
         mid-batch, with no fault injector armed, is answered here, in
         the caller's thread: the future comes back already resolved,
-        and the request never meets the flusher or the shard's worker.
-        Every other request is queued.
+        and the request never meets the shard's worker. Every other
+        request is put on its shard's queue.
 
         ``deadline_ms`` is this request's total budget (submit to
         resolve); omitted, the request has no deadline.
@@ -714,6 +686,7 @@ class ServingFrontEnd:
             shard=shard,
             future=Future(),
             submitted_at=now,
+            queued_at=now,
             deadline=None if deadline_ms is None else now + deadline_ms / 1000.0,
         )
         if not cached:
@@ -722,36 +695,31 @@ class ServingFrontEnd:
             self._check_accepting()
             self.stats.submitted += 1
             submission.seq = self.stats.submitted
-            if cached:
-                # Not in flight unless it is queued: a hit answered here
-                # resolves before submit() returns. Counted instead in
-                # ``_answering``, which keeps the flusher running, even
-                # under close(), until it is answered or queued.
-                self._answering += 1
-                # Chaos draws its faults per request at pickup, so with
-                # an injector armed every request goes the queued way.
-                direct = self.fault_injector is None and shard not in self._down
-            else:
+            self._answering += 1
+            # A hit answered here resolves before submit() returns, so
+            # it is not in flight unless it is queued. Chaos draws its
+            # faults per request at pickup, so with an injector armed
+            # every request goes the queued way.
+            direct = (
+                cached and self.fault_injector is None and shard not in self._down
+            )
+            if not cached:
                 self._inflight += 1
-                self._pending.append(submission)
-                self._work.notify_all()
+        if direct and self._answer_in_submit(submission):
+            return submission.future
         if cached:
-            if direct and self._answer_in_submit(submission):
-                return submission.future
             # Not answerable here (chaos armed, shard down or mid-batch,
             # or the entry left since the probe): queue it after all.
             if submission.trace is None:
                 self._begin_trace(submission)
             with self._work:
-                self._answering -= 1
                 self._inflight += 1
-                self._pending.append(submission)
-                self._work.notify_all()
-        # Register after queueing, but never resurrect: if a worker
-        # already resolved (claimed) it, adding it back would leak.
+        # Registered before it is queued, while nothing else can settle
+        # it: close() sweeps this set, and a request parked on an outage
+        # or stranded behind the stop sentinel must be in it by then.
         with self._state_lock:
-            if not submission.settled:
-                self._outstanding.add(submission)
+            self._outstanding.add(submission)
+        self._enqueue(submission, admitted=True)
         return submission.future
 
     def _begin_trace(self, s: _Submission) -> None:
@@ -889,9 +857,8 @@ class ServingFrontEnd:
             self.latency_ms_hist.observe((self.clock() - s.submitted_at) * 1000.0)
         with self._work:
             if counter == "hits_in_submit":
-                # Answered inside submit(), never in flight: only a
-                # closing flusher waits for it. Waking the flusher on
-                # every hit would cost a thread switch per request.
+                # Answered inside submit(), never in flight: only
+                # close() waits for it.
                 self.stats.hits_in_submit += 1
                 self._answering -= 1
                 if self._closing:
@@ -915,147 +882,63 @@ class ServingFrontEnd:
             self._work.notify_all()
 
     # ------------------------------------------------------------------
-    # Flusher
+    # Routing
     # ------------------------------------------------------------------
-    def _flusher_loop(self) -> None:
-        try:
-            self._flusher_body()
-        except BaseException:
-            # A crashed flusher would silently stall every submission;
-            # wake the supervisor, which respawns it.
-            if self.supervisor is not None:
-                self.supervisor.poke()
+    def _enqueue(self, s: _Submission, admitted: bool = False) -> None:
+        """Put ``s`` on the queue of the first healthy shard in its ring
+        order (see :meth:`_route`).
 
-    def _flusher_body(self) -> None:
-        while True:
-            with self._work:
-                while not self._pending and (not self._closing or self._answering):
-                    self._work.wait()
-                if not self._pending:  # closing, nothing queued or to queue
-                    break
-                head = self._pending[0]
-                deadline = head.submitted_at + self.config.max_delay_ms / 1000.0
-                if head.deadline is not None and head.deadline < deadline:
-                    # Fail fast: an expiring head is flushed (and failed
-                    # at dispatch) instead of held for batch filler.
-                    deadline = head.deadline
-                while True:
-                    # Capacity gate: every shard down with the supervisor
-                    # mid-respawn is an outage, not a request failure —
-                    # dispatching now could only burn retry attempts
-                    # against a guaranteed all-down route, and a process
-                    # respawn (interpreter spawn + service rebuild) takes
-                    # far longer than the whole ms-scale backoff
-                    # schedule. Park until a shard returns; close()
-                    # drains us out. Checked on every pass, in the same
-                    # hold of the lock that takes the batch, because the
-                    # last shard may die while a partial batch waits.
-                    if (
-                        self.supervisor is not None
-                        and not self._closing
-                        and len(self._down) >= len(self.services)
-                    ):
-                        self._work.wait(0.05)
-                        continue
-                    if len(self._pending) >= self.config.max_batch:
-                        reason = "size"
-                        break
-                    if self._closing or self._flush_asap:
-                        reason = "drain"
-                        break
-                    if self._idle_shard_has_work():
-                        reason = "idle"
-                        break
-                    remaining = deadline - self.clock()
-                    if remaining <= 0:
-                        reason = "deadline"
-                        break
-                    self._work.wait(remaining)
-                take = min(len(self._pending), self.config.max_batch)
-                batch = [self._pending.popleft() for _ in range(take)]
-                self.stats.flushes += 1
-                self.stats.occupancy_sum += take
-                if reason == "size":
-                    self.stats.flushes_size += 1
-                elif reason == "deadline":
-                    self.stats.flushes_deadline += 1
-                elif reason == "idle":
-                    self.stats.flushes_idle += 1
-                else:
-                    self.stats.flushes_drain += 1
-                down = set(self._down)
-            # Dispatch outside the lock: queue puts never block, and
-            # workers must be able to grab the lock to finish batches.
-            self._dispatch(batch, reason, down)
+        ``admitted`` means ``submit()`` counted ``s`` in ``_answering``,
+        which holds ``close()`` back from posting ``_STOP``: it is queued
+        even while closing. A retry or a dead shard's leftover instead
+        meets ``ServiceClosed`` then. With a supervisor running and no
+        shard up, ``s`` is parked for the respawn, which spends none of
+        its attempts; otherwise an unroutable ``s`` is retried or failed.
 
-    def _idle_shard_has_work(self) -> bool:
-        """Does some pending submission's ring shard sit idle — up,
-        nothing queued, nothing in its worker's hands? Call with
-        ``self._work`` held.
-
-        Workers already coalesce their queue up to ``max_batch``, so
-        batching happens *behind busy shards*; a request held in front
-        of an idle one only waits. ``_holding`` is written by the
-        workers without this lock: a worker that has popped a batch but
-        not yet published it reads as idle, which makes a flush early,
-        never late or lost — the batch lands in that worker's queue and
-        its next coalescing pass takes it.
+        Routing runs outside ``_work``: a breaker's transition callback
+        takes ``_work``'s lock while holding the breaker's, so calling
+        ``allow()`` under ``_work`` could deadlock. ``_work`` is taken
+        only to check the state and put, so no request lands on a shard
+        marked down (its death handler drains the queue after marking
+        it) or behind ``_STOP``.
         """
-        idle = [
-            shard
-            for shard in range(self.n_shards)
-            if shard not in self._down
-            and not self._holding[shard]
-            and self._queues[shard].empty()
-        ]
-        return bool(idle) and any(s.shard in idle for s in self._pending)
-
-    def _dispatch(
-        self, batch: List[_Submission], reason: str, down: Set[int]
-    ) -> None:
-        """Expire, route, and enqueue one flushed batch."""
-        flushed_at = self.clock()
-        by_shard: Dict[int, List[_Submission]] = {}
-        rerouted = 0
-        for s in batch:
-            if s.settled:
-                continue
-            if s.deadline is not None and flushed_at >= s.deadline:
-                waited = (flushed_at - s.submitted_at) * 1000.0
-                self._resolve(
-                    s,
-                    error=DeadlineExceeded(
-                        f"deadline expired after {waited:.1f}ms in the "
-                        "pending queue",
-                        stage="queue",
-                        **s.identity(),
-                    ),
-                    counter="deadline_expired",
-                )
-                continue
+        while True:
             try:
-                target = self._route(s, down)
+                target, error = self._route(s), None
             except OptimizeError as exc:
-                self._retry_or_fail(s, exc)
-                continue
-            if target != s.shard:
-                rerouted += 1
-                s.shard = target
-            s.flushed_at = flushed_at
-            if s.trace is not None:
-                s.trace.record(
-                    "queue_wait",
-                    (flushed_at - s.submitted_at) * 1000.0,
-                    reason=reason,
-                )
-            by_shard.setdefault(target, []).append(s)
-        if rerouted:
+                target, error = None, exc
             with self._work:
-                self.stats.rerouted += rerouted
-        for shard, submissions in by_shard.items():
-            self._queues[shard].put(submissions)
+                if target in self._down or (
+                    isinstance(error, ShardFailed) and len(self._down) < self.n_shards
+                ):
+                    continue  # a shard died or came back since: route again
+                if self._closing and not admitted:
+                    error = ServiceClosed(
+                        "front end closed before the request was back in line",
+                        **s.identity(),
+                    )
+                elif target is not None:
+                    self._queues[target].put(s)
+                    if target != s.shard:
+                        self.stats.rerouted += 1
+                        s.shard = target
+                elif (
+                    isinstance(error, ShardFailed)
+                    and self.supervisor is not None
+                    and not self._closing
+                ):
+                    self._parked.append(s)
+                    error = None
+                if admitted:
+                    self._answering -= 1
+                    if self._closing:
+                        self._work.notify_all()
+            break
+        if error is not None:
+            # Retryable failures back off; ServiceClosed settles now.
+            self._retry_or_fail(s, error)
 
-    def _route(self, s: _Submission, down: Set[int]) -> int:
+    def _route(self, s: _Submission) -> int:
         """First healthy shard in ``s.fp``'s ring fallback order.
 
         The order is a pure function of the ring, so every request for
@@ -1066,7 +949,7 @@ class ServingFrontEnd:
         """
         waits: List[float] = []
         for shard in self.ring.fallback_order(s.fp):
-            if shard in down:
+            if shard in self._down:
                 continue
             if self.breakers[shard].allow():
                 return shard
@@ -1097,15 +980,14 @@ class ServingFrontEnd:
                 break
             if item is _KILL:
                 raise RuntimeError("injected worker kill")
-            submissions = list(item)
+            submissions = [item]
             # Hand the batch to the death handler *before* serving: if
             # this thread dies mid-batch, these requests are retried or
             # failed structurally, never stranded.
             self._holding[shard] = submissions
-            # Coalesce: when this worker fell behind, several flusher
-            # dispatches are waiting in its queue — serving them as one
-            # micro-batch is the whole point of the front end, so drain
-            # up to max_batch before running the rollout.
+            # Coalesce: every request that queued while this worker was
+            # busy is served in one micro-batch — the whole point of the
+            # front end — up to max_batch.
             while len(submissions) < self.config.max_batch:
                 try:
                     extra = queue.get_nowait()
@@ -1116,16 +998,19 @@ class ServingFrontEnd:
                     break
                 if extra is _KILL:
                     raise RuntimeError("injected worker kill")
-                submissions.extend(extra)
-            self._serve_batch(shard, submissions)
+                submissions.append(extra)
+            served = self._serve_batch(shard, submissions)
             self._holding[shard] = []
-            if queue.empty():
-                # This shard just went idle: wake the flusher once per
-                # batch, so a flush held behind it leaves at once.
-                with self._work:
-                    self._work.notify_all()
+            with self._work:
+                self.stats.flushes += 1
+                self.stats.occupancy_sum += len(submissions)
+                if served:
+                    self.stats.served_batches += 1
+                    self.stats.served_occupancy_sum += served
 
-    def _serve_batch(self, shard: int, submissions: List[_Submission]) -> None:
+    def _serve_batch(self, shard: int, submissions: List[_Submission]) -> int:
+        """Serve one batch; how many of its requests were served (those
+        cancelled, expired or faulted before the serve call are not)."""
         # Transition futures to RUNNING; a future the caller already
         # cancelled is released here, and one already settled elsewhere
         # (drain force-expiry, close sweep) is skipped.
@@ -1146,9 +1031,9 @@ class ServingFrontEnd:
                 continue  # settled in the race window; nothing to do
         picked_up = self.clock()
         for s in live:
-            if s.trace is not None and s.flushed_at is not None:
+            if s.trace is not None:
                 s.trace.record(
-                    "worker_queue", (picked_up - s.flushed_at) * 1000.0, shard=shard
+                    "queue_wait", (picked_up - s.queued_at) * 1000.0, shard=shard
                 )
         ready: List[_Submission] = []
         for s in live:
@@ -1204,7 +1089,7 @@ class ServingFrontEnd:
                 self.breakers[shard].record_failure()
             ready = kept
         if not ready:
-            return
+            return 0
         # The death handler retries what this shard holds: from here on
         # that is the batch being served, not the faulted requests whose
         # retries are already scheduled.
@@ -1290,9 +1175,7 @@ class ServingFrontEnd:
                 if s.attempts > 1:
                     plan = replace(plan, attempts=s.attempts)
                 self._resolve(s, plan=plan)
-        with self._work:
-            self.stats.served_batches += 1
-            self.stats.served_occupancy_sum += len(ready)
+        return len(ready)
 
     # ------------------------------------------------------------------
     # Retry / backoff
@@ -1355,18 +1238,8 @@ class ServingFrontEnd:
             self._timers.pop(s, None)
             if s.settled:
                 return
-        with self._work:
-            if not self._closing:
-                self._pending.append(s)
-                self._work.notify_all()
-                return
-        self._resolve(
-            s,
-            error=ServiceClosed(
-                "front end closed while the request awaited its retry",
-                **s.identity(),
-            ),
-        )
+        s.queued_at = self.clock()
+        self._enqueue(s)
 
     # ------------------------------------------------------------------
     # Death and repair
@@ -1380,7 +1253,7 @@ class ServingFrontEnd:
     def _on_worker_death(self, shard: int, exc: BaseException) -> None:
         """Runs *in* the dying worker thread: mark the shard down, record
         one breaker failure, retry each unsettled request it held once
-        (the death as the cause), put what it had queued back in line,
+        (the death as the cause), route what it had queued around it,
         wake the supervisor."""
         with self._work:
             already = shard in self._down
@@ -1399,7 +1272,7 @@ class ServingFrontEnd:
                 break
             if item is _STOP or item is _KILL:
                 continue
-            requeued.extend(item)
+            requeued.append(item)
         for s in held:
             if s.settled:
                 continue
@@ -1408,13 +1281,9 @@ class ServingFrontEnd:
             )
             error.__cause__ = exc
             self._retry_or_fail(s, error)
-        if requeued:
-            with self._work:
-                # Front of the line: these already waited one full
-                # flush; the next dispatch reroutes them around the
-                # down shard.
-                self._pending.extendleft(reversed(requeued))
-                self._work.notify_all()
+        for s in requeued:
+            if not s.settled:
+                self._enqueue(s)
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.events.emit(
                 "worker_death",
@@ -1445,8 +1314,9 @@ class ServingFrontEnd:
         ``_live_lock``, so a broadcast racing the respawn is either
         replayed or reaches the published shard. Without a factory the
         surviving service object (every broadcast reached it) is
-        reused. Either way the breaker is force-closed and routing
-        returns to normal.
+        reused. Either way the breaker is force-closed, routing returns
+        to normal, and the requests parked on the outage are put back in
+        line.
         """
         with self._work:
             if self._closing or shard not in self._down:
@@ -1488,12 +1358,15 @@ class ServingFrontEnd:
         self._workers[shard] = thread
         self.breakers[shard].reset()
         with self._work:
-            # Reopen routing before the thread starts: anything
-            # dispatched in the gap just waits in the shard queue.
+            # Reopen routing before the thread starts: anything routed
+            # in the gap just waits in the shard queue.
             self._down.discard(shard)
             self.stats.worker_restarts += 1
-            self._work.notify_all()
+            parked, self._parked = self._parked, []
         thread.start()
+        for s in parked:
+            if not s.settled:
+                self._enqueue(s)
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.events.emit(
                 "worker_restart",
@@ -1501,22 +1374,49 @@ class ServingFrontEnd:
                 rebuilt=self._service_factory is not None,
             )
 
-    def _flusher_dead(self) -> bool:
-        """Supervisor hook: does the flusher thread need a respawn?"""
-        with self._work:
-            if self._closing:
-                return False
-        return not self._flusher.is_alive()
+    def _expire_overdue(self, draining: bool = False) -> Optional[float]:
+        """Fail every unresolved request past its deadline that no
+        worker holds (``DeadlineExceeded``, ``stage="queue"``): queued,
+        parked on an outage, or awaiting a retry. ``draining`` fails the
+        held ones too (``stage="drain"``). Returns the earliest deadline
+        still ahead, or None.
 
-    def _restart_flusher(self) -> None:
-        """Supervisor hook: respawn a crashed flusher thread."""
-        with self._work:
-            if self._closing:
-                return
-        self._flusher = threading.Thread(
-            target=self._flusher_loop, name="serving-flusher", daemon=True
-        )
-        self._flusher.start()
+        The supervisor runs this every tick. A request a worker has just
+        taken but not yet published in ``_holding`` reads as queued: it
+        is overdue either way, so only the stage it names differs."""
+        now = self.clock()
+        with self._state_lock:
+            overdue = [
+                s
+                for s in self._outstanding
+                if s.deadline is not None and now >= s.deadline
+            ]
+            ahead = min(
+                (
+                    s.deadline
+                    for s in self._outstanding
+                    if s.deadline is not None and now < s.deadline
+                ),
+                default=None,
+            )
+        if not overdue:
+            return ahead
+        held = set().union(*self._holding)
+        for s in overdue:
+            if s not in held:
+                waited = (now - s.queued_at) * 1000.0
+                message = f"deadline expired after {waited:.1f}ms in the queue"
+                stage = "queue"
+            elif draining:
+                message, stage = "request deadline expired during drain", "drain"
+            else:
+                continue
+            self._resolve(
+                s,
+                error=DeadlineExceeded(message, stage=stage, **s.identity()),
+                counter="deadline_expired",
+            )
+        return ahead
 
     def _check_worker_processes(self) -> None:
         """Supervisor hook (process mode): catch worker-process deaths
@@ -1555,91 +1455,54 @@ class ServingFrontEnd:
     def drain(self, timeout: float | None = None) -> None:
         """Block until every accepted submission has resolved.
 
-        Pending submissions are flushed immediately (no deadline wait),
-        and deadline-carrying submissions that go overdue while
-        draining are force-expired (``DeadlineExceeded``,
-        ``stage="drain"``) — so a drain can never hang past the longest
-        outstanding request deadline. Raises ``TimeoutError`` if
-        ``timeout`` seconds pass first; the front end keeps serving
-        either way.
+        Deadline-carrying submissions that go overdue while draining are
+        force-expired (``DeadlineExceeded``: ``stage="queue"`` while
+        still queued, ``stage="drain"`` once a worker holds them) — so a
+        drain can never hang past the longest outstanding request
+        deadline. Raises ``TimeoutError`` if ``timeout`` seconds pass
+        first; the front end keeps serving either way.
         """
         deadline = None if timeout is None else self.clock() + timeout
-        with self._work:
-            self._flush_asap = True
-            self._work.notify_all()
-        try:
-            while True:
-                now = self.clock()
-                with self._state_lock:
-                    overdue = [
-                        s
-                        for s in self._outstanding
-                        if s.deadline is not None and now >= s.deadline
-                    ]
-                    next_dl = min(
-                        (
-                            s.deadline
-                            for s in self._outstanding
-                            if s.deadline is not None and now < s.deadline
-                        ),
-                        default=None,
-                    )
-                for s in overdue:
-                    self._resolve(
-                        s,
-                        error=DeadlineExceeded(
-                            "request deadline expired during drain",
-                            stage="drain",
-                            **s.identity(),
-                        ),
-                        counter="deadline_expired",
-                    )
-                with self._work:
-                    if self._inflight <= 0:
-                        return
-                    remaining = (
-                        None if deadline is None else deadline - self.clock()
-                    )
-                    if remaining is not None and remaining <= 0:
-                        raise TimeoutError(
-                            f"drain timed out with {self._inflight} in flight"
-                        )
-                    wait = remaining
-                    if next_dl is not None:
-                        # Wake at the next request deadline to force-expire.
-                        until = max(0.0, next_dl - self.clock()) + 0.001
-                        wait = until if wait is None else min(wait, until)
-                    self._work.wait(wait)
-        finally:
+        while True:
+            next_dl = self._expire_overdue(draining=True)
             with self._work:
-                self._flush_asap = False
-                self._work.notify_all()
+                if self._inflight <= 0:
+                    return
+                remaining = None if deadline is None else deadline - self.clock()
+                if remaining is not None and remaining <= 0:
+                    raise TimeoutError(
+                        f"drain timed out with {self._inflight} in flight"
+                    )
+                wait = remaining
+                if next_dl is not None:
+                    # Wake at the next request deadline to force-expire.
+                    until = max(0.0, next_dl - self.clock()) + 0.001
+                    wait = until if wait is None else min(wait, until)
+                self._work.wait(wait)
 
     def close(self, timeout: float | None = None) -> None:
         """Stop accepting work, serve everything queued, stop threads.
 
-        Every future handed out before ``close`` resolves: the flusher
-        drains the pending queue into the shard queues before exiting,
-        each worker finishes its queue before seeing the stop sentinel,
-        and anything still unresolved after that (parked in a retry
-        backoff, stranded on a dead shard) is swept with a structured
+        Every future handed out before ``close`` resolves: each request
+        ``submit()`` admitted is on a queue before the stop sentinel,
+        each worker finishes its queue before seeing it, and anything
+        still unresolved after that (parked in a retry backoff or on an
+        outage, stranded on a dead shard) is swept with a structured
         ``ServiceClosed``. Idempotent.
         """
         with self._work:
             if self._closed:
                 return
             self._closing = True
-            self._work.notify_all()
         if self.supervisor is not None:
             self.supervisor.stop()
-        self._flusher.join(timeout)
-        if self._flusher.is_alive():
-            # The flusher may still be dispatching pending submissions;
-            # stopping workers now would strand those futures. Leave
-            # everything running and let the caller retry close().
-            raise TimeoutError(
-                "close() timed out waiting for the flusher; retry close()"
-            )
+        with self._work:
+            if not self._work.wait_for(lambda: self._answering == 0, timeout):
+                # A submission admitted before close is still on its
+                # way to a queue; stopping workers now would strand it.
+                raise TimeoutError(
+                    "close() timed out waiting for submit(); retry close()"
+                )
         for queue in self._queues:
             queue.put(_STOP)
         for worker in self._workers:

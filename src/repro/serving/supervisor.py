@@ -10,13 +10,15 @@ down with it:
   open). After a cooldown it half-opens and admits a limited number of
   probe requests; one success closes it, one failure re-opens it.
 - :class:`ShardSupervisor` — a daemon thread that health-checks the
-  front end's worker and flusher threads. A dead worker (unhandled
+  front end's worker threads. A dead worker (unhandled
   ``BaseException`` escaping the per-batch guard, or an injected crash)
   is respawned with a **rebuilt** service — fresh policy copy, planner,
   caches — because a worker that died mid-batch may hold arbitrarily
   corrupt state. While the shard is down, the front end reroutes its
-  hash-ring range to the surviving shards; the supervisor's respawn
-  restores the original routing.
+  hash-ring range to the surviving shards (or, with none left, parks
+  requests until the respawn); the supervisor's respawn restores the
+  original routing. Each tick also fails the queued requests whose
+  deadlines have passed.
 
 The supervisor polls on a short interval but can be woken immediately
 (:meth:`ShardSupervisor.poke`) by the front end's death handler, so
@@ -140,10 +142,11 @@ class CircuitBreaker:
 
 
 class ShardSupervisor:
-    """Daemon thread that respawns dead workers (and a dead flusher).
+    """Daemon thread that respawns dead workers and expires overdue
+    queued requests.
 
     The front end exposes the checks (``_dead_shards()``) and the
-    repairs (``_restart_shard``/``_restart_flusher``); the supervisor
+    repairs (``_restart_shard``, ``_expire_overdue``); the supervisor
     owns only the *when*. ``poke()`` wakes it immediately — the front
     end calls it from the worker-death handler so a crash is repaired
     in milliseconds, not at the next poll tick.
@@ -186,11 +189,12 @@ class ShardSupervisor:
 
     def _check(self) -> None:
         frontend = self._frontend
+        # First: a respawn below can take as long as spawning a worker
+        # process, and queued deadlines must not wait for it.
+        frontend._expire_overdue()
         for shard in frontend._dead_shards():
             frontend._restart_shard(shard)
             self.restarts += 1
-        if frontend._flusher_dead():
-            frontend._restart_flusher()
         # Process mode: exit-code reaping of worker processes whose
         # shard thread sits idle, plus the heartbeat that catches hung
         # (alive but unresponsive) workers.

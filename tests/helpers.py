@@ -120,7 +120,7 @@ def stall_services(frontend, release: threading.Event, sleep_s=0.05):
     """Wrap every shard service's optimize_batch to wait on an event
     (bounded by repeated short sleeps so tests cannot hang forever).
     While a shard waits there its worker holds the batch, so the shard
-    is busy: later submissions for it stay in the pending queue."""
+    is busy: later submissions for it stay in its queue."""
     for service in frontend.services:
         original = service.optimize_batch
 

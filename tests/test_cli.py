@@ -98,7 +98,7 @@ class TestObservabilityCommands:
         assert main(TINY + ["trace", "--slowest", "2", "--probe", "2"]) == 0
         out = capsys.readouterr().out
         assert "trace " in out and "request" in out
-        for stage in ("queue_wait", "worker_queue", "serve", "cache_lookup"):
+        for stage in ("queue_wait", "pickup", "serve", "cache_lookup"):
             assert stage in out
         assert "span coverage" in out
 

@@ -278,7 +278,7 @@ def make_loop(small_db, featurizer, seed=3, fault_injector=None, **config_kwargs
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
         config=FrontEndConfig(
-            max_batch=4, max_delay_ms=5.0, supervisor_interval_s=0.02
+            max_batch=4, supervisor_interval_s=0.02
         ),
         telemetry=telemetry,
     )

@@ -471,7 +471,7 @@ class TestServingCounters:
             2,
             featurizer=featurizer,
             serving_config=ServingConfig(regression_threshold=1.0),
-            config=FrontEndConfig(max_batch=4, max_delay_ms=10.0),
+            config=FrontEndConfig(max_batch=4),
         ) as frontend:
             frontend.optimize(query)
             shard_counters = [s.counters() for s in frontend.services]

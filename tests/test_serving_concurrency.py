@@ -1,12 +1,12 @@
 """Multi-threaded hammer tests for the serving-path caches.
 
-The concurrent front end points worker shards, the flusher, and
-operator threads (counters, statistics refreshes) at the same caches.
-These tests drive the caches from many threads at once and assert
-what locking must buy: counter exactness (every lookup is counted
-exactly once — hits + misses equals lookups issued) and bounded size
-under racing inserts and clears. No test sleeps; workloads are sized
-to finish in well under a second.
+The concurrent front end points worker shards, submitters (a hit is
+answered inside ``submit()``) and operator threads (counters,
+statistics refreshes) at the same caches. These tests drive the caches
+from many threads at once and assert what locking must buy: counter
+exactness (every lookup is counted exactly once — hits + misses equals
+lookups issued) and bounded size under racing inserts and clears. No
+test sleeps; workloads are sized to finish in well under a second.
 """
 
 import threading

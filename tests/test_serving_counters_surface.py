@@ -15,8 +15,10 @@ reads one shard and no ``shard1_requests``; the process lane keeps two
 workers. Both lanes gained ``frontend_hits_in_submit`` and its registry
 name; the thread lane answers the probe's hit inside ``submit()``, so it
 books one flush, one worker batch and one service batch where the
-process lane books two. Keys, values and value types are pinned;
-registry names may only be added to, except by such a removal."""
+process lane books two. The four flush-reason counts and their registry
+names left with the flusher thread; a flush is now a batch a worker
+takes off its queue. Keys, values and value types are pinned; registry
+names may only be added to, except by such a removal."""
 
 import numpy as np
 import pytest
@@ -60,9 +62,6 @@ COUNTS = {
     "frontend_breakers_open": 0,
     "frontend_circuit_opens": 0,
     "frontend_deadline_expired": 0,
-    "frontend_flushes_deadline": 0,
-    "frontend_flushes_drain": 0,
-    "frontend_flushes_size": 0,
     "frontend_load_shed": 0,
     "frontend_rejected": 0,
     "frontend_rerouted": 0,
@@ -93,11 +92,10 @@ THREAD_COUNTS = {
     "frontend_hits_in_submit": 1,
     "batches": 1.0,
     "frontend_flushes": 1,
-    "frontend_flushes_idle": 1,
     "frontend_served_batches": 1,
 }
 #: ...and ``executor="process"``'s two workers, whose plan caches live
-#: in the workers, so both requests are flushed and batched. They add
+#: in the workers, so both requests are queued and batched. They add
 #: two batch frames, two refresh RPCs and the two registry snapshots
 #: ``counters()`` itself pulls, each answered by one frame.
 PROCESS_COUNTS = {
@@ -105,7 +103,6 @@ PROCESS_COUNTS = {
     "frontend_hits_in_submit": 0,
     "batches": 2.0,
     "frontend_flushes": 2,
-    "frontend_flushes_idle": 2,
     "frontend_served_batches": 2,
     "shard1_requests": 0,
     "frontend_executor_processes": 2,
@@ -142,10 +139,6 @@ REGISTRY_NAMES = [
     "repro_frontend_circuit_opens_total",
     "repro_frontend_deadline_expired_total",
     "repro_frontend_down_shards",
-    "repro_frontend_flushes_deadline_total",
-    "repro_frontend_flushes_drain_total",
-    "repro_frontend_flushes_idle_total",
-    "repro_frontend_flushes_size_total",
     "repro_frontend_flushes_total",
     "repro_frontend_hits_in_submit_total",
     "repro_frontend_inflight",
@@ -221,8 +214,7 @@ def surface(request):
     """One miss, one hit and one table-scoped refresh through the
     executor's default shards with the guardrail at 1.0, on a database of its own (the
     refresh changes statistics). No supervisor (its heartbeats are
-    frames on a timer) and a flush timer far beyond the probe (every
-    flush is an idle dispatch)."""
+    frames on a timer)."""
     executor = request.param
     db = Database.from_specs(small_specs(), small_fks(), seed=7)
     featurizer = QueryFeaturizer(db.schema, max_relations=3)
@@ -234,9 +226,7 @@ def surface(request):
         agent,
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.0),
-        config=FrontEndConfig(
-            executor=executor, supervise=False, max_delay_ms=1900.0
-        ),
+        config=FrontEndConfig(executor=executor, supervise=False),
     ) as frontend:
         query = parse_query(CHAIN, "probe")
         frontend.optimize(query, timeout=60.0)
@@ -261,7 +251,7 @@ def surface(request):
 
 def test_counter_keys_are_the_parents(surface):
     expected = sorted([*surface["counts"], *surface["measured"]])
-    assert len(expected) == (62 if "transport_frames_sent" in expected else 56)
+    assert len(expected) == (58 if "transport_frames_sent" in expected else 52)
     assert sorted(surface["counters"]) == expected
 
 

@@ -42,7 +42,6 @@ def agent(small_db, featurizer):
 def make_frontend(small_db, agent, featurizer, telemetry=None, **config_kwargs):
     config_kwargs.setdefault("n_shards", 1)
     config_kwargs.setdefault("max_batch", 4)
-    config_kwargs.setdefault("max_delay_ms", 5.0)
     return ServingFrontEnd.build(
         small_db,
         agent,
@@ -55,18 +54,16 @@ def make_frontend(small_db, agent, featurizer, telemetry=None, **config_kwargs):
 
 class TestDeadlines:
     def test_expires_mid_queue_fail_fast(self, small_db, agent, featurizer):
-        # max_delay far beyond the deadline: the flusher must wake at
-        # the head's deadline (fail-fast), not after the full delay.
-        frontend = make_frontend(
-            small_db, agent, featurizer, max_batch=64, max_delay_ms=5000.0
-        )
+        # Queued behind a stalled shard: the supervisor's sweep fails
+        # it within a tick of its deadline, not when the shard frees up.
+        frontend = make_frontend(small_db, agent, featurizer, max_batch=64)
         release = threading.Event()
         stall_services(frontend, release)
         try:
             with frontend:
-                # An idle shard is dispatched to at once, so keep the
-                # shard busy: only then does a request wait in the
-                # pending queue at all.
+                # An idle shard takes a request at once, so keep the
+                # shard busy: only then does a request wait in its
+                # queue at all.
                 blocker = frontend.submit(parse_query(BC, "blocker"))
                 assert wait_until(lambda: frontend._holding[0])
                 start = time.monotonic()
@@ -81,17 +78,19 @@ class TestDeadlines:
         finally:
             release.set()
         assert excinfo.value.stage == "queue"
-        assert elapsed < 2.0  # nowhere near the 5s flush delay
+        assert elapsed < 2.0
         assert frontend.stats.deadline_expired == 1
-        assert frontend.stats.flushes_idle == 1  # the blocker's flush only
+        assert frontend.stats.served_batches == 1  # the blocker's only
         assert frontend._outstanding == set()
 
     def test_expires_mid_serve_at_worker_pickup(self, small_db, agent, featurizer):
         # One shard, one-at-a-time batches: a slow serve in front makes
         # the second request's budget expire while it waits in the
-        # worker queue; the worker detects it at pickup (stage="serve").
+        # worker queue. No supervisor sweeps the queue (its sweep would
+        # fail it first, stage="queue"), so the worker detects it at
+        # pickup (stage="serve").
         frontend = make_frontend(
-            small_db, agent, featurizer, n_shards=1, max_batch=1, max_delay_ms=1.0
+            small_db, agent, featurizer, n_shards=1, max_batch=1, supervise=False
         )
         release = threading.Event()
         stall_services(frontend, release)
@@ -113,7 +112,7 @@ class TestDeadlines:
 
     def test_drain_force_expires_overdue(self, small_db, agent, featurizer):
         frontend = make_frontend(
-            small_db, agent, featurizer, n_shards=1, max_batch=1, max_delay_ms=1.0
+            small_db, agent, featurizer, n_shards=1, max_batch=1
         )
         release = threading.Event()
         stall_services(frontend, release)
@@ -182,7 +181,6 @@ class TestAdmissionControl:
             n_shards=1,
             max_pending=2,
             shed_watermark=1.0,
-            max_delay_ms=1.0,
             max_batch=1,
         )
         release = threading.Event()
@@ -220,7 +218,6 @@ class TestAdmissionControl:
             telemetry=telemetry,
             max_pending=2,
             shed_watermark=1.0,
-            max_delay_ms=1.0,
             max_batch=1,
         )
         release = threading.Event()

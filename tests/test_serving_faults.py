@@ -170,7 +170,6 @@ class TestWorkerFaults:
             config=FrontEndConfig(
                 n_shards=1,
                 max_batch=4,
-                max_delay_ms=5.0,
                 max_attempts=2,
                 backoff_base_ms=1.0,
                 supervise=False,
@@ -200,7 +199,6 @@ class TestWorkerFaults:
             serving_config=ServingConfig(regression_threshold=1.5),
             config=FrontEndConfig(
                 max_batch=8,
-                max_delay_ms=5.0,
                 backoff_base_ms=1.0,
                 backoff_cap_ms=5.0,
             ),

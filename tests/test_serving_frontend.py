@@ -1,4 +1,4 @@
-"""Tests for the concurrent serving front end: flushing (full batch,
+"""Tests for the concurrent serving front end: batching (full batch,
 idle shard, drain), consistent-hash sharding, the executor's default
 shard count, lifecycle (drain/close), and the per-shard counter rollup."""
 
@@ -47,7 +47,6 @@ def agent(small_db, featurizer):
 
 def make_frontend(small_db, agent, featurizer, n_shards=1, **config_kwargs):
     config_kwargs.setdefault("max_batch", 4)
-    config_kwargs.setdefault("max_delay_ms", 25.0)
     kwargs = dict(
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
@@ -97,41 +96,34 @@ class TestBatchOrTimeout:
     def test_full_batch_flushes_without_waiting_for_deadline(
         self, small_db, agent, featurizer
     ):
-        # A generous deadline that would blow the test budget if waited on:
-        # four submissions == max_batch must flush immediately instead.
-        frontend = make_frontend(
-            small_db, agent, featurizer, max_batch=4, max_delay_ms=1900.0
-        )
+        # Ten requests against max_batch=4: every batch the worker takes
+        # off its queue stops at four, so there are at least three.
+        frontend = make_frontend(small_db, agent, featurizer, max_batch=4)
         with frontend:
-            queries = [parse_query(BC, f"bc{i}") for i in range(4)]
+            queries = [parse_query(BC, f"bc{i}") for i in range(10)]
             start = time.monotonic()
             futures = [frontend.submit(q) for q in queries]
             served = [f.result(timeout=1.8) for f in futures]
             elapsed = time.monotonic() - start
         assert elapsed < 1.8
         assert [s.query_name for s in served] == [q.name for q in queries]
-        assert frontend.stats.flushes_size >= 1
+        assert frontend.stats.flushes >= 3
+        assert frontend.stats.occupancy_sum == 10
 
     def test_lone_query_flushed_within_deadline_without_filler(
         self, small_db, agent, featurizer
     ):
-        # A delay that would blow the test budget if waited on: the
-        # shard is idle, so the lone query is dispatched at once.
-        frontend = make_frontend(
-            small_db, agent, featurizer, max_batch=64, max_delay_ms=1900.0
-        )
+        # The shard is idle, so the lone query is served at once.
+        frontend = make_frontend(small_db, agent, featurizer, max_batch=64)
         with frontend:
             start = time.monotonic()
             future = frontend.submit(parse_query(CHAIN, "lone"))
             served = future.result(timeout=1.8)
             elapsed = time.monotonic() - start
         assert served.query_name == "lone"
-        assert elapsed < 0.5  # far below max_delay_ms
-        assert frontend.stats.flushes_idle == 1
-        assert frontend.stats.flushes_deadline == 0
-        assert frontend.stats.flushes_size == 0
-        # The flush carried exactly the one query — no filler batch.
-        assert frontend.stats.occupancy_sum == 1
+        assert elapsed < 0.5
+        # The batch carried exactly the one query — no filler batch.
+        assert (frontend.stats.flushes, frontend.stats.occupancy_sum) == (1, 1)
 
     def test_served_plans_match_synchronous_service(
         self, small_db, agent, featurizer
@@ -213,7 +205,7 @@ class TestLifecycle:
         self, small_db, agent, featurizer
     ):
         frontend = make_frontend(
-            small_db, agent, featurizer, max_batch=4, max_delay_ms=5.0
+            small_db, agent, featurizer, max_batch=4
         )
         futures = []
         futures_lock = threading.Lock()
@@ -248,14 +240,11 @@ class TestLifecycle:
             assert refused.get(k, 10) == accepted[k], (k, accepted, refused)
 
     def test_drain_waits_for_inflight(self, small_db, agent, featurizer):
-        frontend = make_frontend(
-            small_db, agent, featurizer, max_batch=64, max_delay_ms=1500.0
-        )
+        frontend = make_frontend(small_db, agent, featurizer, max_batch=64)
         with frontend:
             futures = [
                 frontend.submit(parse_query(BC, f"bc{i}")) for i in range(3)
             ]
-            # drain() must force the flush immediately (not wait 1.5s).
             start = time.monotonic()
             frontend.drain(timeout=1.9)
             assert time.monotonic() - start < 1.9
@@ -265,14 +254,12 @@ class TestLifecycle:
     def test_cancelled_future_is_skipped_not_fatal(
         self, small_db, agent, featurizer
     ):
-        frontend = make_frontend(
-            small_db, agent, featurizer, max_batch=64, max_delay_ms=150.0
-        )
+        frontend = make_frontend(small_db, agent, featurizer, max_batch=64)
         release = threading.Event()
         stall_services(frontend, release)
         try:
             with frontend:
-                # Dispatch to an idle shard is immediate, so a future is
+                # An idle shard takes a request at once, so a future is
                 # only "still pending" behind a busy shard: stall it.
                 blocker = frontend.submit(parse_query(BC, "blocker"))
                 assert wait_until(lambda: frontend._holding[0])
@@ -457,9 +444,9 @@ class TestDefaultShardSurvivesWorkerDeath:
     def test_every_request_is_served_across_two_deaths_of_the_only_shard(
         self, small_db, agent, featurizer
     ):
-        # One shard and no survivor to reroute to: the flusher parks
-        # while the shard is down, and the supervisor's respawn serves
-        # what was queued, held or retried. A request routed while the
+        # One shard and no survivor to reroute to: a request that meets
+        # the shard down is parked, and the supervisor's respawn serves
+        # it with what was queued, held or retried. A request routed while the
         # only shard is down would instead wait out a retry hint of at
         # least ``stall_s``; a thread shard respawns in milliseconds.
         frontend = ServingFrontEnd.build(

@@ -307,7 +307,6 @@ def proc_agent(proc_db, proc_featurizer):
 
 def build_frontend(db, agent, featurizer, executor, **config_kwargs):
     config_kwargs.setdefault("max_batch", 4)
-    config_kwargs.setdefault("max_delay_ms", 5.0)
     return ServingFrontEnd.build(
         db,
         agent,

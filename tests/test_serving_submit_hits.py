@@ -56,7 +56,6 @@ def agent(small_db, featurizer):
 
 def make_frontend(db, agent, featurizer, telemetry=None, **config_kwargs):
     config_kwargs.setdefault("max_batch", 8)
-    config_kwargs.setdefault("max_delay_ms", 5.0)
     return ServingFrontEnd.build(
         db,
         agent,
@@ -123,7 +122,7 @@ class TestAnsweredInSubmit:
     def test_a_hit_while_the_shard_is_mid_batch_is_queued_and_answered_once(
         self, small_db, agent, featurizer
     ):
-        frontend = make_frontend(small_db, agent, featurizer, max_delay_ms=1900.0)
+        frontend = make_frontend(small_db, agent, featurizer)
         release = threading.Event()
         calls = []
         try:
@@ -138,7 +137,7 @@ class TestAnsweredInSubmit:
                     frontend.submit(parse_query(BC, "hit")), calls
                 )
                 assert not hit.done()
-                assert len(frontend._pending) == 1
+                assert frontend._queues[0].qsize() == 1
                 release.set()
                 assert blocker.result(timeout=5.0).cost > 0
                 served = hit.result(timeout=5.0)
@@ -157,7 +156,7 @@ class TestAnsweredInSubmit:
     def test_a_hit_queued_after_all_while_closing_is_still_served(
         self, small_db, agent, featurizer
     ):
-        frontend = make_frontend(small_db, agent, featurizer, max_delay_ms=1900.0)
+        frontend = make_frontend(small_db, agent, featurizer)
         frontend.optimize(parse_query(BC, "warm"), timeout=5.0)
         closer = threading.Thread(target=frontend.close, kwargs={"timeout": 10.0})
 
@@ -238,7 +237,7 @@ class TestTracedHits:
         }
         for name, children in expected.items():
             trace = traces[name]
-            # No queue_wait, worker_queue, pickup or resolve: none of
+            # No queue_wait, pickup or resolve: none of
             # those stages happened.
             (serve,) = trace.root.children
             assert _shape(serve) == ("serve", ("batch_size", "source"), children)
