@@ -245,9 +245,6 @@ class Query:
             sql += " GROUP BY " + ", ".join(r.render() for r in self.group_by)
         return sql + ";"
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Query({self.name!r}, {self.n_relations} relations)"
-
 
 # ----------------------------------------------------------------------
 # Parser

@@ -399,16 +399,6 @@ class MetricsRegistry:
         with self._lock:
             return list(self._metrics.items())
 
-    def without(self, names: Iterable[str]) -> "MetricsRegistry":
-        """A registry of this one's instruments (the same objects, so it
-        reads live) minus ``names``."""
-        out = MetricsRegistry()
-        drop = frozenset(names)
-        for name, metric in self._items():
-            if name not in drop:
-                out._metrics[name] = metric
-        return out
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._metrics)

@@ -16,12 +16,14 @@ to queue-and-batch:
    thread at a time in a shard's service. Every other request is put
    straight on its shard's queue;
 2. each shard's worker thread takes everything its queue holds, up to
-   ``max_batch``, and serves it as one micro-batch through the shard's
-   :class:`~repro.serving.service.OptimizerService` (or one worker
-   process under ``executor="process"``). A request in front of an idle
-   worker is served at once; requests that queue behind a busy one are
-   served together when it frees up — so a lone query costs the work it
-   needs and a burst is never served one by one. The thread executor
+   ``max_batch``, and serves it as one micro-batch through the shard: an
+   in-process :class:`~repro.serving.service.OptimizerService`, or the
+   proxy of one worker process under ``executor="process"``; all the
+   front end knows of either is the
+   :class:`~repro.serving.service.Shard` protocol. A request in front of
+   an idle worker is served at once; requests that queue behind a busy
+   one are served together when it frees up — so a lone query costs the
+   work it needs and a burst is never served one by one. The thread executor
    runs exactly **one** in-process shard: one interpreter computes one
    batch at a time, so a second thread shard would add no parallelism,
    only half-size batches. Several shards mean worker processes (two by
@@ -100,7 +102,6 @@ from repro.serving.faults import FAULT_KINDS, FaultInjector, seeded_uniform
 from repro.serving.fingerprint import StatementMemo
 from repro.serving.procpool import ProcessWorkerClient, WorkerSpec
 from repro.serving.service import (
-    ESTIMATOR_METRIC_NAMES,
     STATEMENT_MEMO_ROWS,
     OptimizerService,
     ServedPlan,
@@ -162,9 +163,7 @@ class FrontEndConfig:
     #: Shard executor: ``"thread"`` serves from one in-process shard;
     #: ``"process"`` spawns one worker process per shard behind the same
     #: hash ring, so shards roll out truly in parallel.
-    #: :meth:`ServingFrontEnd.build` picks the shard type from this; a
-    #: hand-assembled service list decides that, and its count, for
-    #: itself.
+    #: :meth:`ServingFrontEnd.build` picks the shard type from this.
     executor: str = "thread"
 
     def __post_init__(self) -> None:
@@ -190,19 +189,16 @@ class FrontEndConfig:
         if not 0.0 < self.shed_watermark <= 1.0:
             raise ValueError("shed_watermark must be in (0, 1]")
 
-    def shard_count(self, services: Optional[int] = None) -> int:
+    def shard_count(self) -> int:
         """How many shards this config means: ``n_shards`` when set,
-        else ``services`` (the length of a hand-assembled service list)
-        when given, else the executor's :data:`DEFAULT_SHARDS` — so 1
-        under ``"thread"`` and ``n_shards or 2`` under ``"process"``.
+        else the executor's :data:`DEFAULT_SHARDS` — so 1 under
+        ``"thread"`` and ``n_shards or 2`` under ``"process"``.
 
         Resolved on every read rather than written into the field, so
         ``replace(FrontEndConfig(), executor="process")`` still means
         the process default."""
         if self.n_shards is not None:
             return self.n_shards
-        if services is not None:
-            return services
         return DEFAULT_SHARDS[self.executor]
 
 
@@ -336,40 +332,35 @@ class _Submission:
 class ServingFrontEnd:
     """Queue-and-batch concurrency over per-shard optimizer services.
 
-    ``services`` is one :class:`~repro.serving.service.Shard` per
-    shard (an :class:`OptimizerService`, or the proxy of one in a worker
-    process); use :meth:`build` to construct a standard set
-    (shard-private planners, caches, and policy copies) from a database
-    and an agent. Services must not share mutable planner or cache
-    state, nor serve a policy object that something trains in place.
-
-    ``service_factory(shard)`` (supplied by :meth:`build`) rebuilds a
-    shard's service after a worker death; without one, a respawned
-    worker reuses the surviving service object.
+    ``shard_factory(shard)`` makes shard ``shard``'s
+    :class:`~repro.serving.service.Shard` — an :class:`OptimizerService`,
+    or the proxy of one in a worker process — for each of
+    ``config.shard_count()`` shards, and again each time a dead one is
+    respawned. Use :meth:`build` for the standard factory (shard-private
+    planners, caches, and policy copies) over a database and an agent.
+    Shards must not share mutable planner or cache state, nor serve a
+    policy object that something trains in place. ``transport`` is the
+    :class:`~repro.serving.transport.TransportStats` the factory's
+    proxies count their frames in (None without worker processes).
     """
 
     def __init__(
         self,
-        services: Sequence[Shard],
+        shard_factory,
         config: FrontEndConfig | None = None,
         telemetry: Telemetry | None = None,
-        service_factory=None,
+        transport: TransportStats | None = None,
     ) -> None:
-        if not services:
-            raise ValueError("need at least one shard service")
         self.config = config or FrontEndConfig()
         #: The resolved shard count (see :meth:`FrontEndConfig.shard_count`).
-        self.n_shards = self.config.shard_count(len(services))
-        if self.n_shards != len(services):
-            raise ValueError(
-                f"config says {self.n_shards} shards but "
-                f"{len(services)} services were given"
-            )
-        self.services = list(services)
+        self.n_shards = self.config.shard_count()
+        self._shard_factory = shard_factory
+        self.services: List[Shard] = [
+            shard_factory(shard) for shard in range(self.n_shards)
+        ]
         self.ring = HashRing(self.n_shards)
         self.stats = FrontEndStats()
         self.clock = time.monotonic
-        self._service_factory = service_factory
         #: Armed via :meth:`install_fault_injector`; None = no chaos.
         self.fault_injector: FaultInjector | None = None
         #: The live serving state: the arguments of the last hot-swap,
@@ -386,23 +377,11 @@ class ServingFrontEnd:
         #: daemon) surface their metrics here without owning a shard.
         self.extra_registries: List[MetricsRegistry] = []
         #: Shared telemetry spine: traces begin at submit and finish in
-        #: whatever resolves the future; shard services reuse it for
-        #: their event hooks (guardrail fallbacks, invalidations).
+        #: whatever resolves the future; the factory hands it to the
+        #: shards for their event hooks (guardrail fallbacks,
+        #: invalidations).
         self.telemetry = telemetry
-        if telemetry is not None:
-            for service in self.services:
-                if service.telemetry is None:
-                    service.telemetry = telemetry
-        #: Shared transport counters in process mode (every proxy built
-        #: by :meth:`build` feeds the same instance); None under threads.
-        self.transport: Optional[TransportStats] = next(
-            (
-                s.transport
-                for s in self.services
-                if isinstance(s, ProcessWorkerClient)
-            ),
-            None,
-        )
+        self.transport = transport
         self._last_heartbeat = 0.0
         #: Canonicalizes every submission (a repeated statement is a
         #: lookup); shards reuse its alias maps and fingerprints.
@@ -529,10 +508,9 @@ class ServingFrontEnd:
         ``planner_factory()`` overrides the per-shard planner;
         ``planner_kwargs`` are extra ``Planner(...)`` arguments — the
         picklable alternative a process-mode shard can carry across the
-        spawn boundary (closures cannot). The same recipe is installed
-        as the respawn factory, so a shard that dies is rebuilt from
-        scratch (a worker that died mid-batch may hold arbitrarily
-        corrupt service state).
+        spawn boundary (closures cannot). The same recipe respawns a
+        shard that dies, from scratch (a worker that died mid-batch may
+        hold arbitrarily corrupt service state).
 
         With ``config.executor == "process"`` each shard becomes a
         :class:`~repro.serving.procpool.ProcessWorkerClient`: a spawned
@@ -557,8 +535,8 @@ class ServingFrontEnd:
                 )
             transport = TransportStats()
 
-            def make_spec(shard: int) -> WorkerSpec:
-                return WorkerSpec(
+            def make_shard(shard: int) -> Shard:
+                spec = WorkerSpec(
                     shard=shard,
                     db=db,
                     policy=policy.serving_copy(),
@@ -567,41 +545,28 @@ class ServingFrontEnd:
                     planner_kwargs=dict(planner_kwargs or {}),
                     reward_source=reward_source,
                 )
-
-            def make_worker(shard: int) -> ProcessWorkerClient:
                 return ProcessWorkerClient(
-                    make_spec(shard), transport=transport, telemetry=telemetry
+                    spec, transport=transport, telemetry=telemetry
                 )
 
-            workers = [make_worker(shard) for shard in range(config.shard_count())]
-            return cls(
-                workers,
-                config=config,
-                telemetry=telemetry,
-                service_factory=make_worker,
+        else:
+            transport = None
+            make_planner = planner_factory or (
+                lambda: Planner(db, **dict(planner_kwargs or {}))
             )
 
-        make_planner = planner_factory or (
-            lambda: Planner(db, **dict(planner_kwargs or {}))
-        )
+            def make_shard(shard: int) -> Shard:
+                return OptimizerService(
+                    db,
+                    policy.serving_copy(),
+                    planner=make_planner(),
+                    featurizer=featurizer,
+                    config=serving_config,
+                    reward_source=reward_source,
+                    telemetry=telemetry,
+                )
 
-        def make_service(shard: int) -> OptimizerService:
-            return OptimizerService(
-                db,
-                policy.serving_copy(),
-                planner=make_planner(),
-                featurizer=featurizer,
-                config=serving_config,
-                reward_source=reward_source,
-                telemetry=telemetry,
-            )
-
-        return cls(
-            [make_service(0)],
-            config=config,
-            telemetry=telemetry,
-            service_factory=make_service,
-        )
+        return cls(make_shard, config=config, telemetry=telemetry, transport=transport)
 
     def install_fault_injector(self, injector: FaultInjector) -> None:
         """Arm the chaos harness on the front end and every shard."""
@@ -1095,18 +1060,13 @@ class ServingFrontEnd:
         # retries are already scheduled.
         self._holding[shard] = ready
         service = self.services[shard]
-        if (
-            injector is not None
-            and ready
-            and isinstance(service, ProcessWorkerClient)
-        ):
-            # Chaos: SIGKILL the worker *process* under the batch. The
-            # serve call below then hits EOF and raises
-            # WorkerProcessDied, driving the exact recovery path a real
-            # OOM-kill would: breaker failure, request retries, shard
-            # thread death, supervisor respawn. Draw per request with
-            # no short-circuit (the schedule must not depend on
-            # evaluation order).
+        if injector is not None:
+            # Chaos: kill the shard (SIGKILL a worker process) under the
+            # batch. The serve call below then raises WorkerProcessDied,
+            # driving the exact recovery path a real OOM-kill would:
+            # breaker failure, request retries, shard thread death,
+            # supervisor respawn. Draw per request with no short-circuit
+            # (the schedule must not depend on evaluation order).
             killed = [
                 s
                 for s in ready
@@ -1305,50 +1265,42 @@ class ServingFrontEnd:
     def _restart_shard(self, shard: int) -> None:
         """Supervisor hook: respawn one dead worker.
 
-        With a service factory the shard's service is rebuilt from
-        scratch — fresh policy copy, planner, caches — because a worker
-        that died mid-batch may hold arbitrarily corrupt state (the
-        restarted shard's counters restart with it), and brought to the
-        live serving state: fault injector, guardrail threshold, last
+        The shard is rebuilt from scratch by the shard factory — fresh
+        policy copy, planner, caches — because a worker that died
+        mid-batch may hold arbitrarily corrupt state (the restarted
+        shard's counters restart with it), and brought to the live
+        serving state: fault injector, guardrail threshold, last
         hot-swap. Replay and publication share one hold of
         ``_live_lock``, so a broadcast racing the respawn is either
-        replayed or reaches the published shard. Without a factory the
-        surviving service object (every broadcast reached it) is
-        reused. Either way the breaker is force-closed, routing returns
-        to normal, and the requests parked on the outage are put back in
-        line.
+        replayed or reaches the published shard. The breaker is then
+        force-closed, routing returns to normal, and the requests parked
+        on the outage are put back in line.
         """
         with self._work:
             if self._closing or shard not in self._down:
                 return
-        if self._service_factory is not None:
-            old = self.services[shard]
-            service = self._service_factory(shard)
-            if service.telemetry is None:
-                service.telemetry = self.telemetry
-            if self.fault_injector is not None:
-                service.install_fault_injector(self.fault_injector)
-            if isinstance(old, ProcessWorkerClient):
-                # Reap the zombie and close its pipes (the restarted
-                # shard's counters restart with it, same as a rebuilt
-                # thread-mode service).
-                old.shutdown()
-            with self._live_lock:
-                if self._live_threshold is not None:
-                    service.set_guardrail_threshold(*self._live_threshold)
-                if self._live_weights is not None:
-                    try:
-                        service.apply_policy_weights(*self._live_weights)
-                    except WorkerProcessDied:
-                        # The replacement is dead already: release it;
-                        # the shard stays down and the next tick retries.
-                        service.shutdown()
-                        raise
-                    if self.telemetry is not None and self.telemetry.enabled:
-                        self.telemetry.events.emit(
-                            "policy_sync", shard=shard, version=self._live_weights[1]
-                        )
-                self.services[shard] = service
+        old = self.services[shard]
+        service = self._shard_factory(shard)
+        if self.fault_injector is not None:
+            service.install_fault_injector(self.fault_injector)
+        # Reap a dead worker and close its pipes.
+        old.shutdown()
+        with self._live_lock:
+            if self._live_threshold is not None:
+                service.set_guardrail_threshold(*self._live_threshold)
+            if self._live_weights is not None:
+                try:
+                    service.apply_policy_weights(*self._live_weights)
+                except WorkerProcessDied:
+                    # The replacement is dead already: release it; the
+                    # shard stays down and the next tick retries.
+                    service.shutdown()
+                    raise
+                if self.telemetry is not None and self.telemetry.enabled:
+                    self.telemetry.events.emit(
+                        "policy_sync", shard=shard, version=self._live_weights[1]
+                    )
+            self.services[shard] = service
         thread = threading.Thread(
             target=self._worker_loop,
             args=(shard,),
@@ -1368,11 +1320,7 @@ class ServingFrontEnd:
             if not s.settled:
                 self._enqueue(s)
         if self.telemetry is not None and self.telemetry.enabled:
-            self.telemetry.events.emit(
-                "worker_restart",
-                shard=shard,
-                rebuilt=self._service_factory is not None,
-            )
+            self.telemetry.events.emit("worker_restart", shard=shard)
 
     def _expire_overdue(self, draining: bool = False) -> Optional[float]:
         """Fail every unresolved request past its deadline that no
@@ -1418,18 +1366,18 @@ class ServingFrontEnd:
             )
         return ahead
 
-    def _check_worker_processes(self) -> None:
-        """Supervisor hook (process mode): catch worker-process deaths
-        the shard threads cannot see, and hung workers.
+    def _check_liveness(self) -> None:
+        """Supervisor hook: catch shard deaths the shard threads cannot
+        see, and hung workers.
 
-        A shard thread blocked in ``recv`` notices its process dying by
-        EOF on its own; one parked on an *empty queue* would sit on a
-        corpse forever, so an exit code on a not-down shard gets the
-        thread nudged with the kill sentinel (the normal death path then
-        runs; a sentinel made stale by a racing EOF is discarded by the
+        A shard thread blocked in its serve call notices the shard dying
+        on its own; one parked on an *empty queue* would sit on a corpse
+        forever, so an exit code on a not-down shard gets the thread
+        nudged with the kill sentinel (the normal death path then runs;
+        a sentinel made stale by a racing death is discarded by the
         death handler's queue drain). Every ``HEARTBEAT_INTERVAL_S`` the
-        live workers are pinged over the control channel; a worker that
-        is alive but unresponsive past one interval is SIGKILL'd here
+        live shards are pinged (a worker over its control channel); one
+        that is alive but unresponsive past one interval is killed here
         and reaped by the exit-code check on the next tick.
         """
         now = self.clock()
@@ -1437,8 +1385,6 @@ class ServingFrontEnd:
         if beat:
             self._last_heartbeat = now
         for shard, service in enumerate(self.services):
-            if not isinstance(service, ProcessWorkerClient):
-                continue
             with self._work:
                 if self._closing:
                     return
@@ -1528,14 +1474,8 @@ class ServingFrontEnd:
                     **s.identity(),
                 ),
             )
-        # Process mode: pull one last metric/fault snapshot into each
-        # proxy's cache (so counters()/metrics after close still
-        # answer), then stop the children and close their pipes.
         for service in self.services:
-            if isinstance(service, ProcessWorkerClient):
-                service.registry
-                service.fault_fired_counts()
-                service.shutdown()
+            service.shutdown()
         self._closed = True
 
     def __enter__(self) -> "ServingFrontEnd":
@@ -1553,32 +1493,32 @@ class ServingFrontEnd:
         sample_size: int = 30_000,
         tables: Sequence[str] | None = None,
     ) -> None:
-        """Re-ANALYZE the shared database once and invalidate every
-        shard's caches (all of them, or only the entries reading
-        ``tables`` when given). Safe to call while shards are serving —
-        the caches are thread-safe, and in-flight requests complete
-        against a consistent view at worst one refresh behind.
+        """Re-ANALYZE the front end's database once and bring every
+        shard to it: each evicts its staled cache entries (all of them,
+        or only the entries reading ``tables`` when given). Safe to call
+        while shards are serving — the caches are thread-safe, and
+        in-flight requests complete against a consistent view at worst
+        one refresh behind.
 
-        Process mode: each worker owns a private database copy, so the
-        epoch bump travels the control channel — the worker re-runs the
-        *same seeded* ANALYZE on its copy (bit-identical statistics,
-        plan parity with the parent) and evicts its staled caches, all
-        synchronously before this method returns. No request served
-        after the return can use pre-refresh cached decisions.
+        The in-process shard shares the database, so the one ANALYZE
+        bumps ``stats_epoch`` by one. A worker process owns a private
+        copy, so the refresh travels the control channel — the worker
+        re-runs the *same seeded* ANALYZE on its copy (bit-identical
+        statistics, plan parity with the parent) — all synchronously
+        before this method returns. No request served after the return
+        can use pre-refresh cached decisions.
         """
-        self.services[0].db.analyze(seed=seed, sample_size=sample_size, tables=tables)
+        db = self.services[0].db
+        db.analyze(seed=seed, sample_size=sample_size, tables=tables)
         for service in self.services:
-            if isinstance(service, ProcessWorkerClient):
-                try:
-                    service.remote_refresh_statistics(
-                        seed=seed, sample_size=sample_size, tables=tables
-                    )
-                except OptimizeError:
-                    # Dead worker: its respawn rebuilds from the parent
-                    # database copy, already re-analyzed above.
-                    pass
-            else:
-                service.invalidate_statistics_caches(tables=tables)
+            try:
+                service.refresh_statistics(
+                    seed=seed, sample_size=sample_size, tables=tables, analyzed=db
+                )
+            except OptimizeError:
+                # Dead worker: its respawn rebuilds from the front
+                # end's database, already re-analyzed above.
+                pass
 
     # ------------------------------------------------------------------
     # Observability
@@ -1601,27 +1541,11 @@ class ServingFrontEnd:
         histograms pooled bucket-for-bucket), and the trace-derived
         per-stage histograms when telemetry is attached. This is what
         ``repro metrics`` exposes."""
-        registries = [self.registry] + self._shard_registries()
+        registries = [self.registry] + [s.registry for s in self.services]
         registries.extend(self.extra_registries)
         if self.telemetry is not None:
             registries.append(self.telemetry.registry)
         return MetricsRegistry.merge(registries)
-
-    def _shard_registries(self) -> List[MetricsRegistry]:
-        """Every shard's registry, each database's estimator rows in
-        one of them only: in-process shards over one ``Database`` each
-        register its rows, while a worker process counts its own copy."""
-        seen: List[object] = []
-        registries = []
-        for service in self.services:
-            registry = service.registry
-            if not isinstance(service, ProcessWorkerClient):
-                if any(db is service.db for db in seen):
-                    registry = registry.without(ESTIMATOR_METRIC_NAMES)
-                else:
-                    seen.append(service.db)
-            registries.append(registry)
-        return registries
 
     def counters(self) -> Dict[str, float]:
         """Front-end stats plus every shard's counters rolled up.
@@ -1636,28 +1560,26 @@ class ServingFrontEnd:
         """
         # Shard registries first: in process mode each is a control
         # round-trip, which the transport rows read after it then show.
-        merged = MetricsRegistry.merge(self._shard_registries() + [self.registry])
+        merged = MetricsRegistry.merge(
+            [s.registry for s in self.services] + [self.registry]
+        )
         rolled = render_counters(merged)
         for shard, service in enumerate(self.services):
             rolled[f"shard{shard}_requests"] = service.stats.requests
         rolled.update(
             counter_values(merged, _FRONTEND_ROWS + TRANSPORT_METRIC_ROWS, cast=int)
         )
-        rolled["frontend_batch_occupancy_mean"] = round(
-            self.stats.batch_occupancy_mean, 2
-        )
-        rolled["frontend_served_occupancy_mean"] = round(
-            self.stats.served_occupancy_mean, 2
-        )
+        # Unrounded: ``counters_gained`` multiplies each mean back by its
+        # batch count.
+        rolled["frontend_batch_occupancy_mean"] = self.stats.batch_occupancy_mean
+        rolled["frontend_served_occupancy_mean"] = self.stats.served_occupancy_mean
         rolled["frontend_shards"] = self.n_shards
         rolled["frontend_breakers_open"] = sum(
             1 for breaker in self.breakers if breaker.state != "closed"
         )
         if self.transport is not None:
             rolled["frontend_executor_processes"] = sum(
-                1
-                for s in self.services
-                if isinstance(s, ProcessWorkerClient) and s.is_alive()
+                1 for s in self.services if s.is_alive()
             )
         return rolled
 
@@ -1671,11 +1593,10 @@ class ServingFrontEnd:
         are disjoint, so a plain sum is the whole schedule.
         """
         counts: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
+        sources = [service.fault_fired_counts() for service in self.services]
         if self.fault_injector is not None:
-            for kind, n in self.fault_injector.fired_counts().items():
+            sources.append(self.fault_injector.fired_counts())
+        for fired in sources:
+            for kind, n in fired.items():
                 counts[kind] = counts.get(kind, 0) + n
-        for service in self.services:
-            if isinstance(service, ProcessWorkerClient):
-                for kind, n in service.fault_fired_counts().items():
-                    counts[kind] = counts.get(kind, 0) + n
         return counts

@@ -18,17 +18,22 @@ runs each of several shards as a **worker process** behind the
 - :class:`ProcessWorkerClient` is the parent-side proxy: it implements
   the :class:`~repro.serving.service.Shard` contract by forwarding each
   member to the worker's service (it impersonates none of the service's
-  parts), and adds the process facts — pid, liveness, kill, shutdown.
-  The front end's shard *threads* block in ``os.read`` on the reply
-  pipe — which releases the GIL — while the children roll out policies
-  truly in parallel.
+  parts); liveness, kill and shutdown act on the worker process. The
+  front end's shard *threads* block in ``os.read`` on the reply pipe —
+  which releases the GIL — while the children roll out policies truly
+  in parallel.
+- :func:`spawn_worker` is the proxy's default launcher. A launcher
+  starts :func:`worker_main` on the child's pipe ends and returns a
+  handle with ``pid``, ``exitcode``, ``is_alive()``, ``kill()`` and
+  ``join()``, as :class:`multiprocessing.Process` has; tests pass one
+  that runs the worker on a thread instead.
 
-BLAS pinning: each child is started with ``OMP_NUM_THREADS=1`` (and the
-OpenBLAS/MKL/veclib/numexpr equivalents) exported *before* the spawn,
-so the child's numpy import sees them — N workers x M BLAS threads
-oversubscribing the box is the classic multiprocess perf cliff. A
-variable the operator already set is respected, so the standard
-variables are the override.
+BLAS pinning: :func:`spawn_worker` starts each child with
+``OMP_NUM_THREADS=1`` (and the OpenBLAS/MKL/veclib/numexpr equivalents)
+exported *before* the spawn, so the child's numpy import sees them — N
+workers x M BLAS threads oversubscribing the box is the classic
+multiprocess perf cliff. A variable the operator already set is
+respected, so the standard variables are the override.
 
 Tracing: the worker serves each traced request into a private
 :class:`repro.obs.trace.Trace` and ships its span tree back with the
@@ -43,7 +48,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import signal
 import threading
 import time
 from contextlib import contextmanager
@@ -64,6 +68,7 @@ from repro.serving.transport import FrameConn, TransportStats
 __all__ = [
     "WorkerSpec",
     "ProcessWorkerClient",
+    "spawn_worker",
     "worker_main",
     "WORKER_ENV_PINS",
 ]
@@ -76,6 +81,9 @@ K_CONTROL = 4  # parent -> worker: (op, kwargs) RPC
 K_CONTROL_OK = 5  # worker -> parent: RPC result
 K_CONTROL_ERR = 6  # worker -> parent: RPC raised (pickled exception)
 K_SHUTDOWN = 7  # parent -> worker: exit the serve loop cleanly
+
+#: How long a shutdown waits for a worker to exit before killing it.
+SHUTDOWN_TIMEOUT_S = 2.0
 
 #: Environment variables pinned for worker children so each process
 #: runs single-threaded BLAS (N workers x M BLAS threads oversubscribes
@@ -230,15 +238,13 @@ def _control_loop(service: OptimizerService, ctl: FrameConn) -> None:
             return
 
 
-def worker_main(spec: WorkerSpec, req_conn, ctl_conn) -> None:
-    """Child entrypoint (top-level so ``spawn`` can import it)."""
-    # Defense in depth: the parent exported these before spawning (the
-    # values numpy actually read at import); keep them for any later
-    # library initialization in this process.
-    for key in WORKER_ENV_PINS:
-        os.environ.setdefault(key, "1")
-
-    service = _build_worker_service(spec)
+def worker_main(
+    spec: WorkerSpec, req_conn, ctl_conn, build=_build_worker_service
+) -> None:
+    """The worker: serve batches off ``req_conn`` and RPCs off
+    ``ctl_conn`` until the parent shuts it down or goes away. Top-level
+    so ``spawn`` can import it; ``build(spec)`` makes its service."""
+    service = build(spec)
     req = FrameConn(req_conn)
     ctl = FrameConn(ctl_conn)
     control = threading.Thread(
@@ -304,7 +310,29 @@ def worker_main(spec: WorkerSpec, req_conn, ctl_conn) -> None:
                 break
     finally:
         req.close()
+        # Wake the control thread's read with EOF and wait for it: the
+        # worker ends with no thread of its own left running.
+        ctl.hang_up()
+        control.join()
         ctl.close()
+
+
+def spawn_worker(spec: WorkerSpec, req_conn, ctl_conn) -> mp.Process:
+    """The default launcher: run :func:`worker_main` in a ``spawn``-ed
+    child process, started with the BLAS pins exported. The child's
+    pipe ends are closed here once it has its own, so a dead child
+    reads as EOF in the parent instead of a silent hang."""
+    process = mp.get_context("spawn").Process(
+        target=worker_main,
+        args=(spec, req_conn, ctl_conn),
+        name=f"repro-shard-{spec.shard}",
+        daemon=True,
+    )
+    with _pinned_spawn_env():
+        process.start()
+    req_conn.close()
+    ctl_conn.close()
+    return process
 
 
 # ----------------------------------------------------------------------
@@ -323,6 +351,9 @@ class ProcessWorkerClient:
     (:meth:`set_guardrail_threshold`, :meth:`install_fault_injector`)
     and snapshot reads answer quietly on a dead worker: the front end
     replays the live state onto its replacement.
+
+    ``launcher(spec, req_conn, ctl_conn)`` starts the worker
+    (:func:`spawn_worker` unless a test passes another).
     """
 
     def __init__(
@@ -330,6 +361,7 @@ class ProcessWorkerClient:
         spec: WorkerSpec,
         transport: TransportStats | None = None,
         telemetry=None,
+        launcher=spawn_worker,
     ) -> None:
         self.shard = spec.shard
         self.db = spec.db
@@ -355,25 +387,13 @@ class ProcessWorkerClient:
         self._closed = False
         self._ctl_lock = threading.Lock()
 
-        ctx = mp.get_context("spawn")
-        parent_req, child_req = ctx.Pipe(duplex=True)
-        parent_ctl, child_ctl = ctx.Pipe(duplex=True)
-        self._proc = ctx.Process(
-            target=worker_main,
-            args=(spec, child_req, child_ctl),
-            name=f"repro-shard-{spec.shard}",
-            daemon=True,
-        )
-        with _pinned_spawn_env():
-            self._proc.start()
-        # Close the child's ends in the parent so a dead child reads as
-        # EOF here instead of a silent hang.
-        child_req.close()
-        child_ctl.close()
+        parent_req, child_req = mp.Pipe(duplex=True)
+        parent_ctl, child_ctl = mp.Pipe(duplex=True)
+        self._proc = launcher(spec, child_req, child_ctl)
         self._req = FrameConn(parent_req, stats=self.transport)
         self._ctl = FrameConn(parent_ctl, stats=self.transport)
 
-    # -- process facts -------------------------------------------------
+    # -- liveness ------------------------------------------------------
     @property
     def pid(self) -> int | None:
         return self._proc.pid
@@ -388,11 +408,8 @@ class ProcessWorkerClient:
     def kill(self) -> None:
         """SIGKILL the worker (chaos ``worker_kill`` and hung-worker
         reaping both land here)."""
-        if self._proc.pid is not None and self._proc.is_alive():
-            try:
-                os.kill(self._proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                pass
+        if self._proc.is_alive():
+            self._proc.kill()
 
     def _died(self, cause: BaseException | None = None) -> WorkerProcessDied:
         self._proc.join(timeout=1.0)  # reap; SIGKILL delivery can lag
@@ -547,17 +564,18 @@ class ProcessWorkerClient:
         included."""
         return self._control("drain_experience", safe=True) or []
 
-    def remote_refresh_statistics(
-        self, seed: int = 1, sample_size: int = 30_000, tables=None
-    ) -> int:
+    def refresh_statistics(
+        self, seed: int = 1, sample_size: int = 30_000, tables=None, analyzed=None
+    ) -> None:
         """Have the worker re-run the seeded ANALYZE on its own database
         copy (same seed == same statistics == plan parity) and evict its
-        staled caches. Returns the worker's new stats epoch."""
-        return self._control(
+        staled caches, before this returns. ``analyzed``, a database the
+        caller has re-ANALYZEd itself, is never that copy."""
+        self._control(
             "refresh_statistics",
             seed=seed,
             sample_size=sample_size,
-            tables=list(tables) if tables else None,
+            tables=None if tables is None else list(tables),
         )
 
     def install_fault_injector(self, injector) -> None:
@@ -588,22 +606,24 @@ class ProcessWorkerClient:
         return self._last_registry
 
     # -- lifecycle -----------------------------------------------------
-    def shutdown(self, timeout: float = 2.0) -> None:
-        """Stop the child and close its pipes. Idempotent; escalates
-        clean-exit -> SIGTERM -> SIGKILL."""
+    def shutdown(self) -> None:
+        """Take a last snapshot of the worker's metrics and fault counts
+        (so :attr:`registry` and :meth:`fault_fired_counts` still answer
+        afterwards), stop the worker and close its pipes. Idempotent; a
+        worker that has not exited within :data:`SHUTDOWN_TIMEOUT_S` is
+        killed."""
         if self._closed:
             return
+        self.registry
+        self.fault_fired_counts()
         self._closed = True
         try:
             self._req.send(K_SHUTDOWN, None)
-        except (EOFError, OSError):
+        except EOFError:
             pass
-        self._proc.join(timeout)
+        self._proc.join(SHUTDOWN_TIMEOUT_S)
         if self._proc.is_alive():
-            self._proc.terminate()
-            self._proc.join(1.0)
-        if self._proc.is_alive():
-            self._proc.kill()
+            self.kill()
             self._proc.join(1.0)
         self._req.close()
         self._ctl.close()

@@ -23,6 +23,7 @@ request.
 
 from __future__ import annotations
 
+import signal
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -45,6 +46,7 @@ from repro.optimizer.planner import (
 from repro.rl.env import Trajectory
 from repro.serving.batching import MicroBatchEngine, RolloutRecord
 from repro.serving.cache import PlanCache
+from repro.serving.errors import WorkerProcessDied
 from repro.serving.experience import ExperienceBuffer
 from repro.serving.fingerprint import StatementMemo
 from repro.serving.router import (
@@ -173,9 +175,6 @@ _ESTIMATOR_ROWS = (
         for lane in ("histogram", "learned", "pessimistic")
     ),
 )
-#: The registry names of the database's rows: in-process shards over
-#: one ``Database`` each register them, and a rollup counts them once.
-ESTIMATOR_METRIC_NAMES = frozenset(row[0] for row in _ESTIMATOR_ROWS)
 #: Read off a :class:`~repro.serving.fingerprint.StatementMemo`: the
 #: front end's, which canonicalizes every submission, and each shard's,
 #: which serves callers that pass no fingerprints. A merge sums them.
@@ -385,19 +384,26 @@ class ServiceStats:
 
 class Shard(Protocol):
     """All that the front end, its supervisor and the retraining daemon
-    use of ``frontend.services[i]``, the same under both executors:
+    know of ``frontend.services[i]``, the same under both executors:
     :class:`OptimizerService` is a shard served in-process, and
     :class:`~repro.serving.procpool.ProcessWorkerClient` forwards every
     member to the service inside its worker process. Orchestration code
     never reaches through a shard into its parts (engine, router,
-    caches, buffers). What only a worker *process* has — ``pid``,
-    ``exitcode()``, ``is_alive()``, ``ping()``, ``kill()``,
-    ``shutdown()``, ``remote_refresh_statistics()`` (it owns a database
-    copy), ``fault_fired_counts()``, ``transport`` — stays on the proxy
-    and is all an ``isinstance`` check on a shard may be about.
-    ``is_cached`` and ``cached_answer`` let the front end answer a
-    plan-cache hit inside ``submit()``; the proxy answers ``False`` and
-    ``None``, since its cache lives in the worker."""
+    caches, buffers), and never asks which of the two it holds.
+
+    - ``is_cached`` and ``cached_answer`` let the front end answer a
+      plan-cache hit inside ``submit()``; the proxy answers ``False``
+      and ``None``, since its cache lives in the worker.
+    - ``refresh_statistics`` brings the shard to a re-ANALYZE the
+      front end has run on its own database (``analyzed``): the
+      in-process shard shares that database and only evicts, a worker
+      re-runs the ANALYZE on its copy.
+    - ``fault_fired_counts`` are the chaos draws made by an injector of
+      the shard's own: ``{}`` in-process, where the shard shares the
+      front end's.
+    - ``is_alive``, ``exitcode``, ``ping``, ``kill`` and ``shutdown``
+      are the worker's lifecycle. A killed in-process shard dies as a
+      worker does: its serves raise ``WorkerProcessDied``."""
 
     db: Database
     featurizer: QueryFeaturizer
@@ -430,6 +436,26 @@ class Shard(Protocol):
     def drain_experience(self) -> List[Trajectory]: ...
 
     def install_fault_injector(self, injector) -> None: ...
+
+    def refresh_statistics(
+        self,
+        seed: int = 1,
+        sample_size: int = 30_000,
+        tables: Sequence[str] | None = None,
+        analyzed: Database | None = None,
+    ) -> None: ...
+
+    def fault_fired_counts(self) -> Dict[str, int]: ...
+
+    def is_alive(self) -> bool: ...
+
+    def exitcode(self) -> int | None: ...
+
+    def ping(self, timeout: float = 1.0) -> bool: ...
+
+    def kill(self) -> None: ...
+
+    def shutdown(self) -> None: ...
 
 
 class OptimizerService:
@@ -483,6 +509,8 @@ class OptimizerService:
         #: Generation 1 is the caller's own policy object (in-place
         #: training between calls is served); later ones are private.
         self._generation = (policy, 1)
+        #: None while serving; ``-SIGKILL`` once :meth:`kill` ran.
+        self._exitcode: int | None = None
         self.registry = MetricsRegistry()
         self.request_ms_hist = self.registry.histogram(
             "repro_serving_request_ms",
@@ -553,6 +581,7 @@ class OptimizerService:
         :meth:`optimize_batch` on this service: the front end holds the
         shard's serve lock around both.
         """
+        self._check_alive()
         began = trace.now_ms() if trace is not None else None
         start = time.perf_counter()
         entry = self.cache.get(fp, count_miss=False)
@@ -584,6 +613,37 @@ class OptimizerService:
         """Arm the chaos harness on this service and its engine."""
         self.fault_injector = injector
         self.engine.fault_injector = injector
+
+    def fault_fired_counts(self) -> Dict[str, int]:
+        """``{}``: the injector armed here is its installer's own, which
+        counts what it fires."""
+        return {}
+
+    # ------------------------------------------------------------------
+    # Lifecycle, as a worker process has it
+    # ------------------------------------------------------------------
+    def kill(self) -> None:
+        """Die as a SIGKILL'd worker does: every serve from now on
+        raises :class:`WorkerProcessDied`."""
+        self._exitcode = -signal.SIGKILL
+
+    def exitcode(self) -> int | None:
+        return self._exitcode
+
+    def is_alive(self) -> bool:
+        return self._exitcode is None
+
+    def ping(self, timeout: float = 1.0) -> bool:
+        return self.is_alive()
+
+    def shutdown(self) -> None:
+        """Nothing to stop: the service runs on its caller's threads."""
+
+    def _check_alive(self) -> None:
+        if self._exitcode is not None:
+            raise WorkerProcessDied(
+                "the in-process shard was killed", exitcode=self._exitcode
+            )
 
     def optimize_batch(
         self,
@@ -633,6 +693,7 @@ class OptimizerService:
         rollout of every group), then per group ``_judge`` or
         ``_degrade`` and its burst twins, and ``_publish``.
         """
+        self._check_alive()
         if not queries:
             return []
         batch = self._open(
@@ -1079,6 +1140,7 @@ class OptimizerService:
         seed: int = 1,
         sample_size: int = 30_000,
         tables: Sequence[str] | None = None,
+        analyzed: Database | None = None,
     ) -> None:
         """Re-ANALYZE the database and invalidate every cached decision
         that depended on the old statistics.
@@ -1087,20 +1149,13 @@ class OptimizerService:
         the cached plans (and, behind a memo-backed planner, sub-plan
         cost fragments) that *read* one of them are evicted (the
         ``invalidations_partial`` counters record how many) — everything
-        else keeps serving warm.
+        else keeps serving warm. When ``analyzed`` is this service's
+        database, its caller has already re-ANALYZEd it with these
+        arguments (the front end does, once for its shards), and only
+        the eviction runs.
         """
-        self.db.analyze(seed=seed, sample_size=sample_size, tables=tables)
-        self.invalidate_statistics_caches(tables=tables)
-
-    def invalidate_statistics_caches(
-        self, tables: Sequence[str] | None = None
-    ) -> None:
-        """Evict every cached decision staled by a statistics change.
-
-        The eviction half of :meth:`refresh_statistics`: callers that
-        re-ANALYZE the shared database once for several services (the
-        concurrent front end's shards) invoke this on each of them.
-        """
+        if analyzed is not self.db:
+            self.db.analyze(seed=seed, sample_size=sample_size, tables=tables)
         memo = getattr(self.planner, "cost_memo", None)
         if tables is None:
             self.cache.clear()

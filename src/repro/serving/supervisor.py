@@ -195,7 +195,7 @@ class ShardSupervisor:
         for shard in frontend._dead_shards():
             frontend._restart_shard(shard)
             self.restarts += 1
-        # Process mode: exit-code reaping of worker processes whose
-        # shard thread sits idle, plus the heartbeat that catches hung
-        # (alive but unresponsive) workers.
-        frontend._check_worker_processes()
+        # Exit-code reaping of killed shards whose shard thread sits
+        # idle, plus the heartbeat that catches hung (alive but
+        # unresponsive) workers.
+        frontend._check_liveness()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import socket
 import struct
 import threading
 from typing import List, Optional, Tuple
@@ -148,6 +149,16 @@ class FrameConn:
     def poll(self, timeout: float | None = 0.0) -> bool:
         """Is a frame (or EOF) ready to read?"""
         return self._conn.poll(timeout)
+
+    def hang_up(self) -> None:
+        """Shut the socket under this endpoint down both ways, leaving
+        it open: a read blocked on either end returns EOF and a later
+        write raises, as when the process at one end dies."""
+        try:
+            with socket.socket(fileno=os.dup(self._fd)) as sock:
+                sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed, or not a socket
 
     def close(self) -> None:
         if self._closed:

@@ -1,20 +1,33 @@
 """Test helpers: a reference for query results, tools for steering the
-serving front end's threads, and a front end over several in-process
-shards.
+serving front end's threads, and scripted shard workers.
 
 The reference evaluator applies each alias's selections with
 ``pred.evaluate`` and joins the selected row ids in an in-memory
 ``sqlite3``, independent of any executor code; it validates plan
 execution end-to-end on small databases.
+
+:class:`ScriptedWorkers` runs each shard worker of a front end on a
+thread instead of in a spawned process: the real
+:class:`~repro.serving.procpool.ProcessWorkerClient` speaks to the real
+worker loop over the same pipes, the worker owns a private copy of the
+database, and a script says which of its batches it serves, dies on or
+stalls on. Tests of several shards (ring routing, failover, breakers,
+supervision, hot-swap) build them this way.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import socket
 import sqlite3
 import threading
 import time
+from collections import defaultdict
 from contextlib import closing
+from dataclasses import replace
 from typing import Dict, List
 
 import numpy as np
@@ -133,44 +146,172 @@ def stall_services(frontend, release: threading.Event, sleep_s=0.05):
         service.optimize_batch = stalled
 
 
-def thread_shards(
-    db: Database,
-    agent,
-    n_shards: int,
-    featurizer=None,
-    serving_config=None,
-    config=None,
-    telemetry=None,
-):
-    """A front end over ``n_shards`` hand-assembled in-process shards.
+#: A scripted batch is served (the default), or the worker dies on it
+#: before replying. A ``threading.Event`` in the script stalls the batch
+#: until the event is set, then serves it.
+SERVE, DIE = "serve", "die"
 
-    ``FrontEndConfig`` runs one thread shard; tests of ring routing,
-    failover, breakers, supervision and hot-swap across shards build
-    theirs here instead: each an ``OptimizerService`` over the shared
-    ``db`` with its own planner and serving copy of the policy, and the
-    same recipe as the respawn factory. The shards share one database,
-    whose estimator rows the front end's rollups count once.
-    """
-    from repro.core.featurize import QueryFeaturizer
-    from repro.optimizer.planner import Planner
-    from repro.serving import OptimizerService, ServingFrontEnd
 
-    policy = getattr(agent, "policy", agent)
-    featurizer = featurizer or QueryFeaturizer(db.schema)
+class ThreadWorker:
+    """One shard worker on a daemon thread, as
+    :class:`ScriptedWorkers` launches it: the real ``worker_main`` over
+    the proxy's pipes, with a service built from a pickle round-trip of
+    the spec (so it owns a private database, as a spawned child does).
 
-    def make_service(shard: int) -> OptimizerService:
-        return OptimizerService(
-            db,
-            policy.serving_copy(),
-            planner=Planner(db),
-            featurizer=featurizer,
-            config=serving_config,
-            telemetry=telemetry,
+    It is the handle a launcher returns: ``pid`` (None), ``exitcode``,
+    ``is_alive()``, ``kill()`` and ``join()``. A kill shuts both of the
+    worker's sockets down, which wakes a read blocked at either end with
+    EOF and fails later writes, as a SIGKILL does."""
+
+    pid = None
+
+    def __init__(self, spec, req_conn, ctl_conn, script: "ScriptedWorkers"):
+        self.shard = spec.shard
+        self.service = None
+        self.built = threading.Event()
+        self._script = script
+        self._killed = False
+        # Handles of its own on the worker's sockets: a kill reaches
+        # them whatever the worker has closed.
+        self._sockets = [
+            socket.socket(fileno=os.dup(conn.fileno())) for conn in (req_conn, ctl_conn)
+        ]
+        self._thread = threading.Thread(
+            target=self._run,
+            args=(pickle.loads(pickle.dumps(spec)), req_conn, ctl_conn),
+            name=f"repro-shard-{spec.shard}",
+            daemon=True,
+        )
+        self._thread.start()
+
+    @property
+    def exitcode(self):
+        if self._killed:
+            return -signal.SIGKILL
+        return None if self._thread.is_alive() else 0
+
+    def is_alive(self) -> bool:
+        return self.exitcode is None
+
+    def kill(self) -> None:
+        self._killed = True
+        self._hang_up()
+
+    def join(self, timeout=None) -> None:
+        self._thread.join(timeout)
+
+    def _hang_up(self) -> None:
+        for sock in self._sockets:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    def _run(self, spec, req_conn, ctl_conn) -> None:
+        from repro.serving.procpool import worker_main
+
+        try:
+            worker_main(spec, req_conn, ctl_conn, build=self._build)
+        finally:
+            # However the worker ended, the proxy reads EOF.
+            self._hang_up()
+            for sock in self._sockets:
+                sock.close()
+
+    def _build(self, spec):
+        from repro.serving.procpool import _build_worker_service
+
+        service = _build_worker_service(spec)
+        serve = service.optimize_batch
+
+        def scripted(*args, **kwargs):
+            action = self._script.next_action(self.shard)
+            if action == DIE:
+                self.kill()
+                raise RuntimeError(f"scripted death of shard {self.shard}")
+            if isinstance(action, threading.Event):
+                action.wait(10.0)
+            return serve(*args, **kwargs)
+
+        service.optimize_batch = scripted
+        self.service = service
+        self.built.set()
+        return service
+
+
+class ScriptedWorkers:
+    """A launcher for :class:`~repro.serving.procpool.ProcessWorkerClient`
+    that starts each worker as a :class:`ThreadWorker` and plays
+    ``script``: ``script[(shard, n)]`` is what shard ``shard`` does with
+    its ``n``-th batch, counted from 0 across its respawns — ``SERVE``
+    (the default), ``DIE``, or a ``threading.Event`` to stall on."""
+
+    def __init__(self, script=None):
+        self.script = dict(script or {})
+        self.workers: List[ThreadWorker] = []
+        self._batches: Dict[int, int] = defaultdict(int)
+        self._lock = threading.Lock()
+
+    def __call__(self, spec, req_conn, ctl_conn) -> ThreadWorker:
+        worker = ThreadWorker(spec, req_conn, ctl_conn, self)
+        self.workers.append(worker)
+        return worker
+
+    def next_action(self, shard: int):
+        with self._lock:
+            n = self._batches[shard]
+            self._batches[shard] += 1
+        return self.script.get((shard, n), SERVE)
+
+    def front_end(
+        self,
+        db: Database,
+        agent,
+        n_shards: int,
+        featurizer=None,
+        serving_config=None,
+        config=None,
+        telemetry=None,
+    ):
+        """A front end over ``n_shards`` of these workers, each with a
+        serving copy of ``agent``'s policy, built as
+        ``ServingFrontEnd.build`` builds process shards."""
+        from repro.core.featurize import QueryFeaturizer
+        from repro.serving import (
+            FrontEndConfig,
+            ProcessWorkerClient,
+            ServingConfig,
+            ServingFrontEnd,
+            TransportStats,
+            WorkerSpec,
         )
 
-    return ServingFrontEnd(
-        [make_service(shard) for shard in range(n_shards)],
-        config=config,
-        telemetry=telemetry,
-        service_factory=make_service,
-    )
+        policy = getattr(agent, "policy", agent)
+        featurizer = featurizer or QueryFeaturizer(db.schema)
+        transport = TransportStats()
+
+        def make_shard(shard: int) -> ProcessWorkerClient:
+            spec = WorkerSpec(
+                shard=shard,
+                db=db,
+                policy=policy.serving_copy(),
+                featurizer=featurizer,
+                serving_config=serving_config or ServingConfig(),
+            )
+            return ProcessWorkerClient(
+                spec, transport=transport, telemetry=telemetry, launcher=self
+            )
+
+        config = replace(
+            config or FrontEndConfig(), executor="process", n_shards=n_shards
+        )
+        return ServingFrontEnd(
+            make_shard, config=config, telemetry=telemetry, transport=transport
+        )
+
+
+def worker_service(shard):
+    """The service inside the scripted worker behind proxy ``shard``."""
+    worker = shard._proc
+    assert worker.built.wait(10.0), f"shard {worker.shard}'s worker never built"
+    return worker.service

@@ -79,7 +79,7 @@ class TestServingCopies:
         assert np.array_equal(copy.net.infer(x), policy.net.infer(x))
         assert len(pickle.dumps(copy)) < len(pickle.dumps(policy)) / 2
 
-    def test_thread_shards_and_swapped_generations_hold_no_training_state(
+    def test_served_and_swapped_policies_hold_no_training_state(
         self, imdb, featurizer
     ):
         agent = make_agent(featurizer)

@@ -27,7 +27,7 @@ from repro.serving import (
     RetrainingDaemon,
     ServingConfig,
 )
-from tests.helpers import thread_shards, wait_until
+from tests.helpers import ScriptedWorkers, wait_until, worker_service
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
@@ -271,7 +271,7 @@ def make_loop(small_db, featurizer, seed=3, fault_injector=None, **config_kwargs
     cycle's worth of traffic)."""
     agent = fresh_agent(featurizer, seed=seed)
     telemetry = Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=10_000.0))
-    frontend = thread_shards(
+    frontend = ScriptedWorkers().front_end(
         small_db,
         agent,
         2,
@@ -306,7 +306,7 @@ def burst(frontend, tag, repeat=1):
     """Serve the three fixture shapes with cold caches so every request
     exercises the live policy (cache hits would insulate a bad swap)."""
     for service in frontend.services:
-        service.cache.clear()
+        worker_service(service).cache.clear()
     queries = [
         parse_query(sql, f"{tag}-{i}-{j}")
         for j in range(repeat)
@@ -333,8 +333,8 @@ class TestRetrainingDaemon:
             # Shard 1's deep-copied net received the same weights.
             x = np.random.default_rng(0).normal(size=(4, featurizer.state_dim))
             assert np.allclose(
-                frontend.services[0].engine.policy.net.forward(x),
-                frontend.services[1].engine.policy.net.forward(x),
+                worker_service(frontend.services[0]).engine.policy.net.forward(x),
+                worker_service(frontend.services[1]).engine.policy.net.forward(x),
             )
             served = burst(frontend, "after")
             assert all(plan.policy_version == 2 for plan in served)
@@ -457,7 +457,7 @@ class TestRetrainingDaemon:
             )
             x = np.random.default_rng(0).normal(size=(4, featurizer.state_dim))
             assert np.allclose(
-                frontend.services[1].engine.policy.net.forward(x),
+                worker_service(frontend.services[1]).engine.policy.net.forward(x),
                 agent.policy_net.forward(x),
             )
             served = burst(frontend, "rejoined")
@@ -514,7 +514,7 @@ class TestRetrainingDaemon:
         frontend.install_fault_injector(injector)
         with frontend:
             for service in frontend.services:
-                service.cache.clear()
+                worker_service(service).cache.clear()
             queries = [
                 parse_query(sql, f"retry-{i}-{j}")
                 for j in range(4)

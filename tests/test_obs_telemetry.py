@@ -339,8 +339,8 @@ class TestServiceEvents:
         telemetry = Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=10_000.0))
         service = self.make_service(small_db, agent, featurizer, telemetry)
         service.optimize(parse_query(BC, "pre"))
-        service.invalidate_statistics_caches()
-        service.invalidate_statistics_caches(tables=["b"])
+        service.refresh_statistics(analyzed=small_db)
+        service.refresh_statistics(tables=["b"], analyzed=small_db)
         events = telemetry.events.of_kind("stats_invalidation")
         assert [e["scope"] for e in events] == ["all", "tables"]
         assert events[1]["tables"] == ["b"]

@@ -453,7 +453,7 @@ class TestServingCounters:
         from repro.core.featurize import QueryFeaturizer
         from repro.rl.ppo import PPOAgent
         from repro.serving import FrontEndConfig, ServingConfig
-        from tests.helpers import thread_shards
+        from tests.helpers import ScriptedWorkers, worker_service
 
         featurizer = QueryFeaturizer(small_db.schema, max_relations=3)
         agent = PPOAgent(
@@ -465,7 +465,7 @@ class TestServingCounters:
             "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id",
             name="counter-probe",
         )
-        with thread_shards(
+        with ScriptedWorkers().front_end(
             small_db,
             agent,
             2,
@@ -474,7 +474,9 @@ class TestServingCounters:
             config=FrontEndConfig(max_batch=4),
         ) as frontend:
             frontend.optimize(query)
-            shard_counters = [s.counters() for s in frontend.services]
+            shard_counters = [
+                worker_service(s).counters() for s in frontend.services
+            ]
             rolled = frontend.counters()
         # The guardrail consulted the expert, so exactly one shard's
         # planner planned once; the rollup sums the counts and pools the

@@ -27,7 +27,7 @@ from repro.serving import (
     ServingFrontEnd,
     fingerprint,
 )
-from tests.helpers import stall_services, thread_shards, wait_until
+from tests.helpers import ScriptedWorkers, stall_services, wait_until
 
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
@@ -51,7 +51,7 @@ def agent(small_db, featurizer):
 def make_frontend(
     small_db, agent, featurizer, telemetry=None, n_shards=1, **config_kwargs
 ):
-    """One shard under either executor, or ``n_shards`` thread shards."""
+    """One shard under either executor, or ``n_shards`` scripted workers."""
     config_kwargs.setdefault("max_batch", 64)
     kwargs = dict(
         featurizer=featurizer,
@@ -60,7 +60,9 @@ def make_frontend(
     )
     if n_shards > 1:
         config = FrontEndConfig(**config_kwargs)
-        return thread_shards(small_db, agent, n_shards, config=config, **kwargs)
+        return ScriptedWorkers().front_end(
+            small_db, agent, n_shards, config=config, **kwargs
+        )
     config = FrontEndConfig(n_shards=1, **config_kwargs)
     return ServingFrontEnd.build(small_db, agent, config=config, **kwargs)
 
@@ -200,13 +202,13 @@ class TestOutage:
             backoff_cap_ms=2.0,
         )
         rebuilt = threading.Event()
-        factory = frontend._service_factory
+        factory = frontend._shard_factory
 
         def slow_factory(shard):
             rebuilt.wait(10.0)
             return factory(shard)
 
-        frontend._service_factory = slow_factory
+        frontend._shard_factory = slow_factory
         entered, crash = threading.Event(), threading.Event()
 
         def dying(*args, **kwargs):

@@ -21,7 +21,7 @@ from repro.serving import (
     ServingFrontEnd,
     seeded_uniform,
 )
-from tests.helpers import thread_shards
+from tests.helpers import ScriptedWorkers
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
@@ -191,7 +191,7 @@ class TestWorkerFaults:
     def test_five_percent_faults_all_requests_resolve(
         self, small_db, agent, featurizer
     ):
-        frontend = thread_shards(
+        frontend = ScriptedWorkers().front_end(
             small_db,
             agent,
             2,

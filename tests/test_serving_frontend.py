@@ -1,6 +1,7 @@
 """Tests for the concurrent serving front end: batching (full batch,
-idle shard, drain), consistent-hash sharding, the executor's default
-shard count, lifecycle (drain/close), and the per-shard counter rollup."""
+idle shard, drain), consistent-hash sharding over scripted workers, the
+executor's default shard count, construction from a shard factory,
+lifecycle (drain/close), and the per-shard counter rollup."""
 
 import threading
 import time
@@ -23,7 +24,7 @@ from repro.serving import (
     fingerprint,
 )
 from repro.serving.frontend import HEARTBEAT_INTERVAL_S
-from tests.helpers import stall_services, thread_shards, wait_until
+from tests.helpers import ScriptedWorkers, stall_services, wait_until, worker_service
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
 CHAIN_RENAMED = (
@@ -53,7 +54,7 @@ def make_frontend(small_db, agent, featurizer, n_shards=1, **config_kwargs):
         config=FrontEndConfig(**config_kwargs),
     )
     if n_shards > 1:
-        return thread_shards(small_db, agent, n_shards, **kwargs)
+        return ScriptedWorkers().front_end(small_db, agent, n_shards, **kwargs)
     return ServingFrontEnd.build(small_db, agent, **kwargs)
 
 
@@ -300,6 +301,18 @@ class TestLifecycle:
         counters = frontend.counters()
         assert counters["cache_invalidations_partial"] == 2
 
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_a_refresh_of_no_tables_evicts_nothing(
+        self, fresh_small_db, agent, featurizer, n_shards
+    ):
+        frontend = make_frontend(fresh_small_db, agent, featurizer, n_shards=n_shards)
+        with frontend:
+            frontend.optimize(parse_query(CHAIN, "chain"), timeout=2.0)
+            frontend.refresh_statistics(sample_size=300, tables=[])
+            again = frontend.optimize(parse_query(CHAIN, "again"), timeout=2.0)
+        assert again.source == "cache"
+        assert frontend.counters()["cache_invalidations"] == 0
+
     def test_worker_error_resolves_future_with_exception(
         self, small_db, agent, featurizer
     ):
@@ -345,8 +358,8 @@ class TestCountersRollup:
     def test_a_shared_database_is_counted_once(
         self, fresh_small_db, agent, featurizer, n_shards
     ):
-        # Every in-process shard over the one database registers its
-        # estimator rows; the rollup must not multiply them.
+        # The one in-process shard shares the front end's database, and
+        # each worker owns a copy: the rollup counts each once.
         frontend = make_frontend(fresh_small_db, agent, featurizer, n_shards=n_shards)
         with frontend:
             frontend.optimize_batch(
@@ -356,11 +369,51 @@ class TestCountersRollup:
             )
             counters = frontend.counters()
             registry = frontend.metrics_registry()
-        estimates = fresh_small_db.estimator().counts["estimates"]
+            databases = (
+                [fresh_small_db]
+                if n_shards == 1
+                else [worker_service(s).db for s in frontend.services]
+            )
+        estimates = sum(db.estimator().counts["estimates"] for db in databases)
         assert estimates > 0
         assert counters["estimator_estimates"] == estimates
         assert registry.get("repro_estimator_estimates_total").value == estimates
-        assert registry.get("repro_estimator_lane_histogram").value == 1.0
+        # One lane gauge per database, summed.
+        assert registry.get("repro_estimator_lane_histogram").value == len(databases)
+
+    def test_occupancy_means_times_batches_give_the_raw_sums(
+        self, small_db, agent, featurizer
+    ):
+        # Batches of 1, 1 and 2: means of 4/3, which ``counters()``
+        # reports unrounded.
+        frontend = make_frontend(small_db, agent, featurizer, max_batch=64)
+        release = threading.Event()
+        try:
+            with frontend:
+                frontend.optimize(parse_query(CHAIN, "lone"), timeout=5.0)
+                stall_services(frontend, release)
+                blocker = frontend.submit(parse_query(BC, "blocker"))
+                assert wait_until(lambda: frontend._holding[0])
+                held = [
+                    frontend.submit(parse_query(f"{AB} AND a.x = {i}", f"held{i}"))
+                    for i in range(2)
+                ]
+                release.set()
+                for future in (blocker, *held):
+                    assert future.result(timeout=5.0).cost > 0
+                assert wait_until(lambda: frontend.stats.served_batches == 3)
+                counters = frontend.counters()
+        finally:
+            release.set()
+        stats = frontend.stats
+        assert (stats.flushes, stats.occupancy_sum) == (3, 4)
+        assert (stats.served_batches, stats.served_occupancy_sum) == (3, 4)
+        for mean, batches, raw in (
+            ("frontend_batch_occupancy_mean", "frontend_flushes", stats.occupancy_sum),
+            ("frontend_served_occupancy_mean", "frontend_served_batches",
+             stats.served_occupancy_sum),
+        ):
+            assert abs(counters[mean] * counters[batches] - raw) < 1e-9
 
     def test_latency_summary_covers_queueing(self, small_db, agent, featurizer):
         frontend = make_frontend(small_db, agent, featurizer)
@@ -400,10 +453,9 @@ class TestDefaultShardCount:
     def test_explicit_count_passes_through(self, executor, n_shards):
         config = FrontEndConfig(n_shards=n_shards, executor=executor)
         assert config.shard_count() == n_shards
-        assert config.shard_count(services=5) == n_shards
 
     @pytest.mark.parametrize("n_shards", [2, 3])
-    def test_several_thread_shards_point_to_processes(self, n_shards):
+    def test_in_process_shards_point_to_processes(self, n_shards):
         with pytest.raises(ValueError, match='executor="process"'):
             FrontEndConfig(n_shards=n_shards)
         with pytest.raises(ValueError, match='executor="process"'):
@@ -426,18 +478,35 @@ class TestDefaultShardCount:
         assert counters["frontend_shards"] == 1
         assert counters["shard0_requests"] == 1
 
-    def test_hand_assembled_services_set_the_count(self, small_db, agent, featurizer):
-        def service():
-            return OptimizerService(
-                small_db, agent, planner=Planner(small_db), featurizer=featurizer
-            )
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_the_factory_builds_every_shard(
+        self, small_db, agent, featurizer, n_shards
+    ):
+        workers = ScriptedWorkers()
+        frontend = workers.front_end(
+            small_db,
+            agent,
+            n_shards,
+            featurizer=featurizer,
+            config=FrontEndConfig(supervisor_interval_s=0.02),
+        )
+        factory, respawned = frontend._shard_factory, []
 
-        services = [service(), service()]
-        with ServingFrontEnd(services, config=FrontEndConfig(supervise=False)) as fe:
-            assert fe.counters()["frontend_shards"] == 2
-            assert fe.ring.n_shards == 2
-        with pytest.raises(ValueError):
-            ServingFrontEnd(services, config=FrontEndConfig(n_shards=3))
+        def counted(shard):
+            respawned.append(shard)
+            return factory(shard)
+
+        frontend._shard_factory = counted
+        with frontend:
+            assert [w.shard for w in workers.workers] == list(range(n_shards))
+            assert [s._proc for s in frontend.services] == workers.workers
+            assert frontend.ring.n_shards == n_shards
+            assert frontend.counters()["frontend_shards"] == n_shards
+            frontend.kill_worker(n_shards - 1)
+            assert wait_until(lambda: frontend.stats.worker_restarts == 1)
+            assert respawned == [n_shards - 1]
+            assert frontend.services[-1]._proc is workers.workers[-1]
+            assert frontend.optimize(parse_query(BC, "bc"), timeout=5.0).cost > 0
 
 
 class TestDefaultShardSurvivesWorkerDeath:

@@ -4,6 +4,7 @@ brings a rebuilt shard to the live state under either executor."""
 
 import copy
 import inspect
+import signal
 import sys
 import threading
 
@@ -29,7 +30,7 @@ from repro.serving import (
 )
 from repro.workloads.imdb import make_imdb_database
 from repro.workloads.job import job_lite_queries
-from tests.helpers import thread_shards, wait_until
+from tests.helpers import ScriptedWorkers, wait_until, worker_service
 
 MAX_RELATIONS = 10
 ABC = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
@@ -197,7 +198,7 @@ class TestBuildAndDaemonSwap:
             by_version[1][q.name] != by_version[2][q.name] for q in queries
         ) >= len(queries) // 2
 
-        frontend = thread_shards(
+        frontend = ScriptedWorkers().front_end(
             imdb,
             agent,
             2,
@@ -219,7 +220,7 @@ class TestBuildAndDaemonSwap:
         sys.setswitchinterval(1e-5)
         try:
             with frontend:
-                for service in frontend.services:
+                for service in map(worker_service, frontend.services):
                     serving = params_of(service.engine.policy)
                     assert service.engine.policy is not agent.policy
                     for name, arr in params_of(agent.policy).items():
@@ -250,16 +251,17 @@ def small_featurizer(module_small_db):
 
 
 def build_frontend(db, featurizer, executor, telemetry=None, n_shards=1):
-    """One shard under either executor, or ``n_shards`` thread shards."""
+    """One shard under either executor, or ``n_shards`` scripted workers."""
     agent = fresh_agent(featurizer, 3)
     kwargs = dict(
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
         telemetry=telemetry,
     )
-    if n_shards > 1:
+    if executor == "scripted" or n_shards > 1:
         config = FrontEndConfig(supervisor_interval_s=0.02)
-        return thread_shards(db, agent, n_shards, config=config, **kwargs), agent
+        workers = ScriptedWorkers()
+        return workers.front_end(db, agent, n_shards, config=config, **kwargs), agent
     config = FrontEndConfig(
         n_shards=1, executor=executor, supervisor_interval_s=0.02
     )
@@ -277,14 +279,10 @@ def inverted(policy):
 
 
 def kill_shard(frontend, shard):
-    """Kill shard ``shard``'s worker — the process when it has one, the
-    thread otherwise — and wait for the supervisor's respawn."""
+    """Kill shard ``shard`` and wait for the supervisor's respawn."""
     victim = frontend.services[shard]
     restarts = frontend.stats.worker_restarts
-    if isinstance(victim, ProcessWorkerClient):
-        victim.kill()
-    else:
-        frontend.kill_worker(shard)
+    victim.kill()
     assert wait_until(
         lambda: frontend.stats.worker_restarts > restarts, timeout=30.0
     ), "supervisor did not respawn the killed worker"
@@ -351,7 +349,7 @@ class TestRespawnReplay:
             module_small_db, small_featurizer, "thread", n_shards=2
         )
         live = inverted(agent.policy)
-        factory = frontend._service_factory
+        factory = frontend._shard_factory
 
         def swap_during_build(shard):
             # The replacement exists (built from the deployed weights)
@@ -361,10 +359,10 @@ class TestRespawnReplay:
             frontend.set_guardrail_threshold(2.5)
             return service
 
-        frontend._service_factory = swap_during_build
+        frontend._shard_factory = swap_during_build
         with frontend:
             kill_shard(frontend, 1)
-            for service in frontend.services:
+            for service in map(worker_service, frontend.services):
                 assert service.policy_version == 2
                 assert service.router.regression_threshold == 2.5
                 serving = params_of(service.engine.policy)
@@ -375,7 +373,7 @@ class TestRespawnReplay:
         self, module_small_db, small_featurizer
     ):
         frontend, agent = build_frontend(module_small_db, small_featurizer, "thread")
-        factory = frontend._service_factory
+        factory = frontend._shard_factory
         built, released = [], []
 
         def first_one_is_dead(shard):
@@ -390,7 +388,7 @@ class TestRespawnReplay:
             built.append(service)
             return service
 
-        frontend._service_factory = first_one_is_dead
+        frontend._shard_factory = first_one_is_dead
         with frontend:
             frontend.apply_policy_weights(inverted(agent.policy), 2)
             kill_shard(frontend, 0)
@@ -446,11 +444,13 @@ class TestRespawnReplay:
                 frontend.set_guardrail_threshold(float(version))
                 pushed.append(version)
                 # Whatever is published once the broadcast returns was
-                # either reached by it or replayed it.
+                # either reached by it or replayed it. A killed worker
+                # awaiting its respawn takes no broadcast; the shard
+                # that replaces it replays this one.
                 behind.extend(
                     (version, s.policy_version)
                     for s in list(frontend.services)
-                    if s.policy_version < version
+                    if s.policy_version < version and s.is_alive()
                 )
 
         thread = threading.Thread(target=swapper)
@@ -470,7 +470,7 @@ class TestRespawnReplay:
                 last = pushed[-1]
                 assert last > 16
                 assert behind == []
-                for service in frontend.services:
+                for service in map(worker_service, frontend.services):
                     assert service.policy_version == last
                     assert service.router.regression_threshold == float(last)
                     serving = params_of(service.engine.policy)
@@ -493,16 +493,24 @@ class TestShardContract:
         }
     )
 
+    METHODS = sorted(
+        name
+        for name, value in vars(Shard).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+    )
+
     def test_contract_members_are_the_stated_ones(self):
         assert self.MEMBERS == sorted([
             "optimize_batch", "is_cached", "cached_answer",
             "apply_policy_weights", "set_guardrail_threshold",
-            "drain_experience", "install_fault_injector", "policy_version",
+            "drain_experience", "install_fault_injector",
+            "refresh_statistics", "fault_fired_counts", "is_alive",
+            "exitcode", "ping", "kill", "shutdown", "policy_version",
             "stats", "request_ms_hist", "registry", "db", "featurizer",
             "telemetry",
         ])
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["thread", "process", "scripted"])
     def test_both_executors_implement_it(
         self, module_small_db, small_featurizer, executor
     ):
@@ -511,13 +519,12 @@ class TestShardContract:
             (shard,) = frontend.services
             for member in self.MEMBERS:
                 assert hasattr(shard, member), member
-            for method in ("optimize_batch", "is_cached", "cached_answer",
-                           "apply_policy_weights", "set_guardrail_threshold",
-                           "drain_experience", "install_fault_injector"):
+            for method in self.METHODS:
                 assert list(
                     inspect.signature(getattr(type(shard), method)).parameters
                 ) == list(inspect.signature(getattr(Shard, method)).parameters)
-            if executor == "process":
+            if executor != "thread":
+                assert isinstance(shard, ProcessWorkerClient)
                 for part in ("engine", "router", "experience", "cache"):
                     assert not hasattr(shard, part), part
             # Collecting by default: one policy serve, one trajectory.
@@ -526,3 +533,24 @@ class TestShardContract:
             assert shard.drain_experience() == []
         finally:
             frontend.close()
+
+    def test_a_killed_in_process_shard_dies_as_a_worker_does(
+        self, module_small_db, small_featurizer
+    ):
+        service = OptimizerService(
+            module_small_db,
+            fresh_agent(small_featurizer, 3),
+            featurizer=small_featurizer,
+            config=UNGUARDED,
+        )
+        query = parse_query(ABC, "abc")
+        (plan,) = service.optimize_batch([query])
+        assert service.is_alive() and service.ping() and service.exitcode() is None
+        assert service.fault_fired_counts() == {}
+        service.kill()
+        assert not service.is_alive() and not service.ping()
+        assert service.exitcode() == -signal.SIGKILL
+        with pytest.raises(WorkerProcessDied):
+            service.optimize_batch([query])
+        with pytest.raises(WorkerProcessDied):
+            service.cached_answer(query, plan.fingerprint, {a: a for a in query.aliases})

@@ -358,7 +358,7 @@ class TestProcessFrontEnd:
         for thread_plan, proc_plan in zip(thread_plans, proc_plans):
             assert plan_repr(thread_plan) == plan_repr(proc_plan)
 
-    def test_experience_drains_match_thread_shards(
+    def test_experience_drains_match_the_thread_executor(
         self, proc_db, proc_agent, proc_featurizer
     ):
         """Drained trajectories cross the control pipe whole: two

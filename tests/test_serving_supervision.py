@@ -24,7 +24,7 @@ from repro.serving import (
     WorkerProcessDied,
     fingerprint,
 )
-from tests.helpers import thread_shards, wait_until
+from tests.helpers import ScriptedWorkers, wait_until
 
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
@@ -52,7 +52,7 @@ def make_frontend(small_db, agent, featurizer, n_shards=2, **config_kwargs):
         config=FrontEndConfig(**config_kwargs),
     )
     if n_shards > 1:
-        return thread_shards(small_db, agent, n_shards, **kwargs)
+        return ScriptedWorkers().front_end(small_db, agent, n_shards, **kwargs)
     return ServingFrontEnd.build(small_db, agent, **kwargs)
 
 
