@@ -111,11 +111,7 @@ class Setup:
             featurizer=self.featurizer,
             serving_config=ServingConfig(regression_threshold=1.5),
             config=FrontEndConfig(max_batch=BURST),
-            planner_factory=lambda: Planner(
-                self.db,
-                geqo_threshold=MAX_RELATIONS + 2,
-                cost_memo=SubPlanCostMemo(),
-            ),
+            planner_kwargs={"geqo_threshold": MAX_RELATIONS + 2},
             reward_source=CostModelReward(self.db, "relative", self.baseline),
         )
         trainer = Trainer(

@@ -59,7 +59,6 @@ class MicroBatchEngine:
         featurizer: QueryFeaturizer,
         db: Database,
         max_batch_size: int = 64,
-        forbid_cross_products: bool = False,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be at least 1")
@@ -67,7 +66,6 @@ class MicroBatchEngine:
         self.featurizer = featurizer
         self.db = db
         self.max_batch_size = max_batch_size
-        self.forbid_cross_products = forbid_cross_products
         #: Forward passes made / states scored, for throughput reporting.
         self.forward_passes = 0
         self.states_scored = 0
@@ -140,7 +138,7 @@ class MicroBatchEngine:
         pair_masks = masks[:, :n_pairs]
         hidden = np.empty((width, first.out_features))
         row_ids = np.arange(width)
-        pair_actions, forbid = featurizer.pair_actions, self.forbid_cross_products
+        pair_actions = featurizer.pair_actions
         while active:
             for start in range(0, len(active), self.max_batch_size):
                 chunk = active[start : start + self.max_batch_size]
@@ -148,7 +146,8 @@ class MicroBatchEngine:
                 for row, i in enumerate(chunk):
                     encoder = encoders[i]
                     trees[row] = encoder.tree_block
-                    encoder.pair_mask_into(pair_masks[row], forbid)
+                    # Cross products stay valid actions: any pair joins.
+                    encoder.pair_mask_into(pair_masks[row], False)
                 valid = masks[:n]
                 fwd_start = time.perf_counter()
                 np.matmul(trees[:n], w_tree, out=hidden[:n])

@@ -35,8 +35,8 @@ to queue-and-batch:
 
 Fault tolerance is layered on the same path:
 
-- **Admission control** — past the ``shed_watermark`` fraction of
-  ``max_pending``, ``submit`` sheds load with a structured
+- **Admission control** — with :data:`SHED_AT` submissions in flight,
+  ``submit`` sheds load with a structured
   :class:`~repro.serving.errors.LoadShedded` carrying a retry-after
   hint; after ``close()`` it raises
   :class:`~repro.serving.errors.ServiceClosed`.
@@ -48,15 +48,17 @@ Fault tolerance is layered on the same path:
   with a cheaper plan instead of blowing the deadline.
 - **Retries** — failures typed retryable (injected faults, shard
   deaths, open circuits) are retried up to ``max_attempts`` with
-  seeded-jitter exponential backoff; non-idempotent side effects are
-  guarded (experience is collected only on attempt 1) and
-  deterministic serving bugs are *not* retried.
+  seeded-jitter exponential backoff (:func:`backoff_delay_s`);
+  non-idempotent side effects are guarded (experience is collected
+  only on attempt 1) and deterministic serving bugs are *not* retried.
 - **Circuit breakers** — one per shard; consecutive failures trip it
   open, routing fails over along the hash ring's fallback order, and a
   cooldown half-opens it for probes.
-- **Supervision** — every way a worker thread can die funnels into a
-  death handler that fails over its queue and wakes the
-  :class:`~repro.serving.supervisor.ShardSupervisor`, which respawns
+- **Supervision** — every front end runs a
+  :class:`~repro.serving.supervisor.ShardSupervisor`, ticking every
+  :data:`SUPERVISOR_INTERVAL_S`. Every way a worker thread can die
+  funnels into a death handler that fails over its queue and wakes
+  the supervisor, which respawns
   the shard with a rebuilt service (fresh policy copy and caches) and
   replays the **live serving state** onto it — the last hot-swap and
   guardrail threshold, which only the front end's
@@ -124,6 +126,17 @@ _STOP = object()
 _KILL = object()
 #: retry_after hint handed to shed callers.
 _SHED_RETRY_AFTER_S = 0.05
+#: Admission: ``submit`` sheds load once this many submissions are in
+#: flight (accepted, not yet resolved): 90% of 65,536.
+SHED_AT = 58_982
+#: Retry backoff: attempt k waits ``BACKOFF_BASE_MS * 2**(k-1)`` ms,
+#: capped at ``BACKOFF_CAP_MS``, scaled by a seeded jitter (see
+#: :func:`backoff_delay_s`).
+BACKOFF_BASE_MS = 5.0
+BACKOFF_CAP_MS = 100.0
+#: How often the supervisor wakes when nothing pokes it: to respawn
+#: dead shards, fail overdue queued requests and check liveness.
+SUPERVISOR_INTERVAL_S = 0.05
 #: Process mode: how often the supervisor heartbeats each worker
 #: process (a hung worker that misses one beat is SIGKILL'd and
 #: respawned).
@@ -133,6 +146,26 @@ HEARTBEAT_INTERVAL_S = 1.0
 #: so the thread executor runs one shard; worker processes compute in
 #: parallel.
 DEFAULT_SHARDS = {"thread": 1, "process": 2}
+
+
+def backoff_delay_s(
+    seq: int, attempts: int, retry_after_s: float | None
+) -> float:
+    """Seconds request ``seq`` waits after failing attempt ``attempts``.
+
+    ``min(BACKOFF_BASE_MS * 2**(attempts-1), BACKOFF_CAP_MS)`` ms, scaled
+    by a jitter in [0.5, 1.0) seeded by ``(seq, attempts)``: chaos runs
+    replay the same backoff schedule, yet concurrent retries
+    decorrelate. ``retry_after_s``, when the failure says when retrying
+    can possibly succeed (a circuit breaker's cooldown), is the floor:
+    retrying sooner just burns an attempt against a still-open breaker.
+    """
+    base_ms = min(BACKOFF_BASE_MS * (2 ** (attempts - 1)), BACKOFF_CAP_MS)
+    jitter = 0.5 + 0.5 * seeded_uniform(f"backoff:{seq}:{attempts}")
+    delay_s = base_ms * jitter / 1000.0
+    if retry_after_s is not None:
+        delay_s = max(delay_s, retry_after_s)
+    return delay_s
 
 
 @dataclass(frozen=True)
@@ -146,20 +179,9 @@ class FrontEndConfig:
     n_shards: Optional[int] = None
     #: The most queued requests a worker serves as one batch.
     max_batch: int = 32
-    #: Backpressure: max submissions accepted but not yet resolved.
-    max_pending: int = 65_536
-    #: Total tries per request (1 = no retries) for retryable failures.
+    #: Total tries per request (1 = no retries) for retryable failures,
+    #: each retry after :func:`backoff_delay_s`.
     max_attempts: int = 3
-    #: Exponential backoff: attempt k waits base * 2**(k-1) ms, capped,
-    #: scaled by a deterministic jitter in [0.5, 1.0).
-    backoff_base_ms: float = 5.0
-    backoff_cap_ms: float = 100.0
-    #: Shed load once inflight reaches this fraction of max_pending.
-    shed_watermark: float = 0.9
-    #: Run the supervisor thread that respawns dead workers, polling
-    #: every ``supervisor_interval_s``.
-    supervise: bool = True
-    supervisor_interval_s: float = 0.05
     #: Shard executor: ``"thread"`` serves from one in-process shard;
     #: ``"process"`` spawns one worker process per shard behind the same
     #: hash ring, so shards roll out truly in parallel.
@@ -169,8 +191,6 @@ class FrontEndConfig:
     def __post_init__(self) -> None:
         if self.executor not in ("thread", "process"):
             raise ValueError('executor must be "thread" or "process"')
-        if self.supervisor_interval_s <= 0:
-            raise ValueError("supervisor_interval_s must be positive")
         if self.n_shards is not None and self.n_shards < 1:
             raise ValueError("n_shards must be at least 1")
         if self.executor == "thread" and (self.n_shards or 1) > 1:
@@ -180,14 +200,8 @@ class FrontEndConfig:
             )
         if self.max_batch < 1:
             raise ValueError("max_batch must be at least 1")
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be at least 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.backoff_base_ms < 0 or self.backoff_cap_ms < 0:
-            raise ValueError("backoff times must be non-negative")
-        if not 0.0 < self.shed_watermark <= 1.0:
-            raise ValueError("shed_watermark must be in (0, 1]")
 
     def shard_count(self) -> int:
         """How many shards this config means: ``n_shards`` when set,
@@ -404,8 +418,8 @@ class ServingFrontEnd:
         #: Shards whose worker died and has not been respawned yet.
         #: Guarded by ``_work``; routing goes around them.
         self._down: Set[int] = set()
-        #: Requests that met every shard down with a supervisor running;
-        #: the next respawn puts them back in line. Guarded by ``_work``.
+        #: Requests that met every shard down; the next respawn puts
+        #: them back in line. Guarded by ``_work``.
         self._parked: List[_Submission] = []
         # Lock-ordering rule: ``_state_lock`` and ``_work`` are never
         # nested (each is always released before the other is taken).
@@ -442,12 +456,8 @@ class ServingFrontEnd:
         ]
         for worker in self._workers:
             worker.start()
-        self.supervisor: Optional[ShardSupervisor] = None
-        if self.config.supervise:
-            self.supervisor = ShardSupervisor(
-                self, interval_s=self.config.supervisor_interval_s
-            )
-            self.supervisor.start()
+        self.supervisor = ShardSupervisor(self, SUPERVISOR_INTERVAL_S)
+        self.supervisor.start()
 
     def _register_metrics(self) -> None:
         """Expose the queue stats (and, in process mode, the
@@ -490,7 +500,6 @@ class ServingFrontEnd:
         featurizer=None,
         serving_config: ServingConfig | None = None,
         config: FrontEndConfig | None = None,
-        planner_factory=None,
         reward_source=None,
         telemetry: Telemetry | None = None,
         planner_kwargs: Dict[str, object] | None = None,
@@ -505,10 +514,9 @@ class ServingFrontEnd:
         policy — the weights without the training state, so the agent
         stays its trainer's alone and no shard serves arrays that
         something else writes.
-        ``planner_factory()`` overrides the per-shard planner;
-        ``planner_kwargs`` are extra ``Planner(...)`` arguments — the
-        picklable alternative a process-mode shard can carry across the
-        spawn boundary (closures cannot). The same recipe respawns a
+        ``planner_kwargs`` are extra ``Planner(...)`` arguments, under
+        either executor (a worker process builds its planner from them
+        on its side of the spawn boundary). The same recipe respawns a
         shard that dies, from scratch (a worker that died mid-batch may
         hold arbitrarily corrupt service state).
 
@@ -528,11 +536,6 @@ class ServingFrontEnd:
         policy = getattr(agent_or_policy, "policy", agent_or_policy)
 
         if config.executor == "process":
-            if planner_factory is not None:
-                raise ValueError(
-                    "planner_factory closures cannot cross the spawn "
-                    "boundary; pass planner_kwargs instead"
-                )
             transport = TransportStats()
 
             def make_shard(shard: int) -> Shard:
@@ -551,15 +554,12 @@ class ServingFrontEnd:
 
         else:
             transport = None
-            make_planner = planner_factory or (
-                lambda: Planner(db, **dict(planner_kwargs or {}))
-            )
 
             def make_shard(shard: int) -> Shard:
                 return OptimizerService(
                     db,
                     policy.serving_copy(),
-                    planner=make_planner(),
+                    planner=Planner(db, **(planner_kwargs or {})),
                     featurizer=featurizer,
                     config=serving_config,
                     reward_source=reward_source,
@@ -731,8 +731,7 @@ class ServingFrontEnd:
             raise ServiceClosed(
                 "submit() after close(): front end no longer accepts work"
             )
-        shed_at = max(1, int(self.config.max_pending * self.config.shed_watermark))
-        if self._inflight >= shed_at:
+        if self._inflight >= SHED_AT:
             self.stats.rejected += 1
             self.stats.load_shed += 1
             hint = _SHED_RETRY_AFTER_S
@@ -743,13 +742,12 @@ class ServingFrontEnd:
                 self.telemetry.events.emit_limited(
                     "load_shed",
                     inflight=self._inflight,
-                    max_pending=self.config.max_pending,
+                    shed_at=SHED_AT,
                     retry_after_s=hint,
                 )
             raise LoadShedded(
                 f"backpressure: {self._inflight} submissions in flight "
-                f"(shedding at {shed_at}, max_pending="
-                f"{self.config.max_pending}); retry after {hint:.2f}s",
+                f"(shedding at {SHED_AT}); retry after {hint:.2f}s",
                 retry_after_s=hint,
             )
 
@@ -856,9 +854,9 @@ class ServingFrontEnd:
         ``admitted`` means ``submit()`` counted ``s`` in ``_answering``,
         which holds ``close()`` back from posting ``_STOP``: it is queued
         even while closing. A retry or a dead shard's leftover instead
-        meets ``ServiceClosed`` then. With a supervisor running and no
-        shard up, ``s`` is parked for the respawn, which spends none of
-        its attempts; otherwise an unroutable ``s`` is retried or failed.
+        meets ``ServiceClosed`` then. With no shard up, ``s`` is parked
+        for the respawn, which spends none of its attempts; with every
+        live shard's breaker open, it is retried or failed.
 
         Routing runs outside ``_work``: a breaker's transition callback
         takes ``_work``'s lock while holding the breaker's, so calling
@@ -887,11 +885,7 @@ class ServingFrontEnd:
                     if target != s.shard:
                         self.stats.rerouted += 1
                         s.shard = target
-                elif (
-                    isinstance(error, ShardFailed)
-                    and self.supervisor is not None
-                    and not self._closing
-                ):
+                elif isinstance(error, ShardFailed) and not self._closing:
                     self._parked.append(s)
                     error = None
                 if admitted:
@@ -1155,20 +1149,7 @@ class ServingFrontEnd:
             exhausted.__cause__ = error
             self._resolve(s, error=exhausted, counter="retries_exhausted")
             return
-        base_ms = min(
-            self.config.backoff_base_ms * (2 ** (s.attempts - 1)),
-            self.config.backoff_cap_ms,
-        )
-        # Deterministic jitter in [0.5, 1.0)x, seeded by request
-        # identity + attempt: chaos runs replay the same backoff
-        # schedule, yet concurrent retries decorrelate.
-        jitter = 0.5 + 0.5 * seeded_uniform(f"backoff:{s.seq}:{s.attempts}")
-        delay_s = base_ms * jitter / 1000.0
-        if error.retry_after_s is not None:
-            # The failure told us when retrying can possibly succeed
-            # (e.g. a circuit breaker's cooldown): retrying sooner just
-            # burns an attempt against a still-open breaker.
-            delay_s = max(delay_s, error.retry_after_s)
+        delay_s = backoff_delay_s(s.seq, s.attempts, error.retry_after_s)
         if s.deadline is not None and self.clock() + delay_s >= s.deadline:
             self._resolve(
                 s,
@@ -1206,8 +1187,8 @@ class ServingFrontEnd:
     # ------------------------------------------------------------------
     def kill_worker(self, shard: int) -> None:
         """Crash one worker thread on purpose (tests, chaos drills).
-        The death handler fails over its queue; the supervisor (when
-        enabled) respawns it with a rebuilt service."""
+        The death handler fails over its queue; the supervisor respawns
+        it with a rebuilt service."""
         self._queues[shard].put(_KILL)
 
     def _on_worker_death(self, shard: int, exc: BaseException) -> None:
@@ -1218,7 +1199,6 @@ class ServingFrontEnd:
         with self._work:
             already = shard in self._down
             self._down.add(shard)
-            closing = self._closing
         if already:
             return  # a restarted worker died before repair finished
         self.breakers[shard].record_failure()
@@ -1252,8 +1232,7 @@ class ServingFrontEnd:
                 held=len(held),
                 requeued=len(requeued),
             )
-        if self.supervisor is not None and not closing:
-            self.supervisor.poke()
+        self.supervisor.poke()
 
     def _dead_shards(self) -> List[int]:
         """Supervisor hook: shards needing a respawn."""
@@ -1440,8 +1419,7 @@ class ServingFrontEnd:
             if self._closed:
                 return
             self._closing = True
-        if self.supervisor is not None:
-            self.supervisor.stop()
+        self.supervisor.stop()
         with self._work:
             if not self._work.wait_for(lambda: self._answering == 0, timeout):
                 # A submission admitted before close is still on its

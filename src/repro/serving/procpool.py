@@ -122,8 +122,8 @@ class WorkerSpec:
     """Everything a spawned worker needs to build its shard service.
 
     Must stay picklable end to end: it crosses the spawn boundary as a
-    ``Process`` argument. ``planner_kwargs`` replaces the thread-mode
-    ``planner_factory`` closure (closures do not pickle); the worker
+    ``Process`` argument, so the planner travels as the picklable
+    ``planner_kwargs`` of ``ServingFrontEnd.build``; the worker
     constructs ``Planner(db, **planner_kwargs)`` itself, with no
     sub-plan cost memo: the plan cache and its per-spelling
     translations already answer every repeated statement, so each

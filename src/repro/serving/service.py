@@ -68,6 +68,8 @@ __all__ = [
     "latency_summary",
 ]
 
+#: Entries a shard's plan cache holds (least recently used out first).
+PLAN_CACHE_CAPACITY = 512
 #: Wall-clock cap on the degradation ladder's budgeted-DP rung (the
 #: non-exact pruned bitset search run when the policy failed). The
 #: request's own remaining deadline budget tightens it further.
@@ -263,12 +265,10 @@ def latency_summary(hist: Histogram) -> Dict[str, float]:
 class ServingConfig:
     """Knobs an operator tunes without touching code."""
 
-    #: Entries the plan cache holds (least recently used out first).
-    cache_capacity: int = 512
     #: Max tolerated learned/expert predicted-cost ratio; None disables
     #: the guardrail (the expert is never consulted on the serve path).
     regression_threshold: float | None = 1.2
-    forbid_cross_products: bool = False
+    #: Record every policy rollout for retraining.
     collect_experience: bool = True
 
 
@@ -481,14 +481,9 @@ class OptimizerService:
         self.reward_source = reward_source or CostModelReward(db)
         self.stats = ServiceStats()
         self.statements = StatementMemo()
-        self.cache = PlanCache(capacity=self.config.cache_capacity)
+        self.cache = PlanCache(capacity=PLAN_CACHE_CAPACITY)
         self.router = GuardrailRouter(self.planner, self.config.regression_threshold)
-        self.engine = MicroBatchEngine(
-            policy,
-            self.featurizer,
-            db,
-            forbid_cross_products=self.config.forbid_cross_products,
-        )
+        self.engine = MicroBatchEngine(policy, self.featurizer, db)
         self.experience: ExperienceBuffer | None = (
             ExperienceBuffer()
             if self.config.collect_experience

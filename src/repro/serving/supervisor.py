@@ -9,20 +9,22 @@ down with it:
   ring, or fail fast with ``CircuitOpen`` when every candidate is
   open). After a cooldown it half-opens and admits a limited number of
   probe requests; one success closes it, one failure re-opens it.
-- :class:`ShardSupervisor` — a daemon thread that health-checks the
-  front end's worker threads. A dead worker (unhandled
-  ``BaseException`` escaping the per-batch guard, or an injected crash)
-  is respawned with a **rebuilt** service — fresh policy copy, planner,
-  caches — because a worker that died mid-batch may hold arbitrarily
-  corrupt state. While the shard is down, the front end reroutes its
+- :class:`ShardSupervisor` — a daemon thread, one in every front end,
+  that health-checks the front end's worker threads. A dead worker
+  (unhandled ``BaseException`` escaping the per-batch guard, or an
+  injected crash) is respawned with a **rebuilt** service — fresh
+  policy copy, planner, caches — because a worker that died mid-batch
+  may hold arbitrarily corrupt state. While the shard is down, the front end reroutes its
   hash-ring range to the surviving shards (or, with none left, parks
   requests until the respawn); the supervisor's respawn restores the
   original routing. Each tick also fails the queued requests whose
   deadlines have passed.
 
-The supervisor polls on a short interval but can be woken immediately
-(:meth:`ShardSupervisor.poke`) by the front end's death handler, so
-respawn latency is bounded by the restart cost, not the poll interval.
+The supervisor polls every ``interval_s`` (the front end passes
+:data:`repro.serving.frontend.SUPERVISOR_INTERVAL_S`) but can be woken
+immediately (:meth:`ShardSupervisor.poke`) by the front end's death
+handler, so respawn latency is bounded by the restart cost, not the
+poll interval.
 """
 
 from __future__ import annotations
@@ -152,12 +154,11 @@ class ShardSupervisor:
     in milliseconds, not at the next poll tick.
     """
 
-    def __init__(self, frontend, interval_s: float = 0.05) -> None:
+    def __init__(self, frontend, interval_s: float) -> None:
         self._frontend = frontend
         self._interval_s = interval_s
         self._wake = threading.Event()
         self._stopped = threading.Event()
-        self.restarts = 0
         self._thread = threading.Thread(
             target=self._run, name="serving-supervisor", daemon=True
         )
@@ -194,7 +195,6 @@ class ShardSupervisor:
         frontend._expire_overdue()
         for shard in frontend._dead_shards():
             frontend._restart_shard(shard)
-            self.restarts += 1
         # Exit-code reaping of killed shards whose shard thread sits
         # idle, plus the heartbeat that catches hung (alive but
         # unresponsive) workers.

@@ -146,6 +146,22 @@ def stall_services(frontend, release: threading.Event, sleep_s=0.05):
         service.optimize_batch = stalled
 
 
+def hold_respawns(frontend) -> threading.Event:
+    """Gate the front end's respawns on the returned event: a shard
+    that dies stays down (its requests go to a survivor, or are parked)
+    until the event is set. Set it before the front end closes, so the
+    respawn does not hold ``close()`` back."""
+    respawn = threading.Event()
+    factory = frontend._shard_factory
+
+    def gated(shard):
+        respawn.wait(10.0)
+        return factory(shard)
+
+    frontend._shard_factory = gated
+    return respawn
+
+
 #: A scripted batch is served (the default), or the worker dies on it
 #: before replying. A ``threading.Event`` in the script stalls the batch
 #: until the event is set, then serves it.

@@ -8,7 +8,7 @@ fields the code exposes: ``Planner.__init__``'s parameters after
 fills in, so it is documented but not counted), and of the learning
 loop's ``LearningConfig``, counted on its own. A knob added to the code
 without a README row fails here, and so does a request path that grows
-past 16 caller-settable fields or a learning loop past 8.
+past 8 caller-settable fields or a learning loop past 8.
 """
 
 import dataclasses
@@ -21,7 +21,7 @@ from repro.serving import FrontEndConfig, LearningConfig, ServingConfig, WorkerS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 #: The most caller-settable fields the serving stack may expose.
-MAX_FIELDS = 16
+MAX_FIELDS = 8
 #: The most fields ``LearningConfig`` may expose, apart from the above.
 MAX_LEARNING_FIELDS = 8
 

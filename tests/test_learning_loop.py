@@ -277,9 +277,7 @@ def make_loop(small_db, featurizer, seed=3, fault_injector=None, **config_kwargs
         2,
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
-        config=FrontEndConfig(
-            max_batch=4, supervisor_interval_s=0.02
-        ),
+        config=FrontEndConfig(max_batch=4),
         telemetry=telemetry,
     )
     trainer = Trainer(

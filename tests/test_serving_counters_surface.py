@@ -20,6 +20,8 @@ names left with the flusher thread; a flush is now a batch a worker
 takes off its queue. Keys, values and value types are pinned; registry
 names may only be added to, except by such a removal."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.db.engine import Database
 from repro.db.query import parse_query
 from repro.rl.ppo import PPOAgent
 from repro.serving import FrontEndConfig, ServingConfig, ServingFrontEnd
+from repro.serving import frontend as frontend_module
 from tests.conftest import small_fks, small_specs
 from tests.helpers import wait_until
 
@@ -213,30 +216,32 @@ NOT_SUBTRACTED = ("_mean", "_rate", "_size", "_p50", "_p95")
 def surface(request):
     """One miss, one hit and one table-scoped refresh through the
     executor's default shards with the guardrail at 1.0, on a database of its own (the
-    refresh changes statistics). No supervisor (its heartbeats are
-    frames on a timer)."""
+    refresh changes statistics). No heartbeat (its pings are frames on
+    a timer)."""
     executor = request.param
     db = Database.from_specs(small_specs(), small_fks(), seed=7)
     featurizer = QueryFeaturizer(db.schema, max_relations=3)
     agent = PPOAgent(
         featurizer.state_dim, featurizer.n_pair_actions, np.random.default_rng(3)
     )
-    with ServingFrontEnd.build(
-        db,
-        agent,
-        featurizer=featurizer,
-        serving_config=ServingConfig(regression_threshold=1.0),
-        config=FrontEndConfig(executor=executor, supervise=False),
-    ) as frontend:
-        query = parse_query(CHAIN, "probe")
-        frontend.optimize(query, timeout=60.0)
-        frontend.optimize(query, timeout=60.0)
-        frontend.refresh_statistics(seed=11, sample_size=300, tables=["c"])
-        # served_batches is booked just after the future resolves.
-        batches = 2 if executor == "process" else 1
-        assert wait_until(lambda: frontend.stats.served_batches == batches)
-        counters = frontend.counters()
-        names = frontend.metrics_registry().names()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frontend_module, "HEARTBEAT_INTERVAL_S", math.inf)
+        with ServingFrontEnd.build(
+            db,
+            agent,
+            featurizer=featurizer,
+            serving_config=ServingConfig(regression_threshold=1.0),
+            config=FrontEndConfig(executor=executor),
+        ) as frontend:
+            query = parse_query(CHAIN, "probe")
+            frontend.optimize(query, timeout=60.0)
+            frontend.optimize(query, timeout=60.0)
+            frontend.refresh_statistics(seed=11, sample_size=300, tables=["c"])
+            # served_batches is booked just after the future resolves.
+            batches = 2 if executor == "process" else 1
+            assert wait_until(lambda: frontend.stats.served_batches == batches)
+            counters = frontend.counters()
+            names = frontend.metrics_registry().names()
     process = executor == "process"
     return {
         "counters": counters,

@@ -22,6 +22,7 @@ from repro.serving import (
     ServingConfig,
     ServingFrontEnd,
 )
+from repro.serving import frontend as frontend_module
 from tests.helpers import stall_services, wait_until
 
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
@@ -83,14 +84,17 @@ class TestDeadlines:
         assert frontend.stats.served_batches == 1  # the blocker's only
         assert frontend._outstanding == set()
 
-    def test_expires_mid_serve_at_worker_pickup(self, small_db, agent, featurizer):
+    def test_expires_mid_serve_at_worker_pickup(
+        self, small_db, agent, featurizer, monkeypatch
+    ):
         # One shard, one-at-a-time batches: a slow serve in front makes
         # the second request's budget expire while it waits in the
-        # worker queue. No supervisor sweeps the queue (its sweep would
-        # fail it first, stage="queue"), so the worker detects it at
-        # pickup (stage="serve").
+        # worker queue. The supervisor ticks too rarely to sweep the
+        # queue (its sweep would fail it first, stage="queue"), so the
+        # worker detects it at pickup (stage="serve").
+        monkeypatch.setattr(frontend_module, "SUPERVISOR_INTERVAL_S", 60.0)
         frontend = make_frontend(
-            small_db, agent, featurizer, n_shards=1, max_batch=1, supervise=False
+            small_db, agent, featurizer, n_shards=1, max_batch=1
         )
         release = threading.Event()
         stall_services(frontend, release)
@@ -136,18 +140,13 @@ class TestDeadlines:
         assert frontend._outstanding == set()
 
     def test_backoff_overshooting_deadline_fails_structured(
-        self, small_db, agent, featurizer
+        self, small_db, agent, featurizer, monkeypatch
     ):
         # 100% fault rate + a backoff longer than the remaining budget:
         # instead of sleeping past the deadline, fail now.
-        frontend = make_frontend(
-            small_db,
-            agent,
-            featurizer,
-            max_attempts=3,
-            backoff_base_ms=500.0,
-            backoff_cap_ms=500.0,
-        )
+        monkeypatch.setattr(frontend_module, "BACKOFF_BASE_MS", 500.0)
+        monkeypatch.setattr(frontend_module, "BACKOFF_CAP_MS", 500.0)
+        frontend = make_frontend(small_db, agent, featurizer, max_attempts=3)
         frontend.install_fault_injector(
             FaultInjector(FaultConfig(worker_fault_rate=1.0, seed=9))
         )
@@ -173,15 +172,12 @@ class TestDeadlines:
 
 
 class TestAdmissionControl:
-    def test_load_shed_past_watermark(self, small_db, agent, featurizer):
+    def test_load_shed_past_watermark(
+        self, small_db, agent, featurizer, monkeypatch
+    ):
+        monkeypatch.setattr(frontend_module, "SHED_AT", 2)
         frontend = make_frontend(
-            small_db,
-            agent,
-            featurizer,
-            n_shards=1,
-            max_pending=2,
-            shed_watermark=1.0,
-            max_batch=1,
+            small_db, agent, featurizer, n_shards=1, max_batch=1
         )
         release = threading.Event()
         stall_services(frontend, release)
@@ -203,7 +199,7 @@ class TestAdmissionControl:
         assert frontend.stats.rejected == 1
 
     def test_a_shed_burst_emits_rate_limited_events(
-        self, small_db, agent, featurizer
+        self, small_db, agent, featurizer, monkeypatch
     ):
         # A sustained overload sheds every submission; the event log
         # records one ``load_shed`` a second, and the next one that gets
@@ -211,14 +207,9 @@ class TestAdmissionControl:
         telemetry = Telemetry(TelemetryConfig(sample_rate=0.0))
         now = [1000.0]
         telemetry.events.clock = lambda: now[0]
+        monkeypatch.setattr(frontend_module, "SHED_AT", 2)
         frontend = make_frontend(
-            small_db,
-            agent,
-            featurizer,
-            telemetry=telemetry,
-            max_pending=2,
-            shed_watermark=1.0,
-            max_batch=1,
+            small_db, agent, featurizer, telemetry=telemetry, max_batch=1
         )
         release = threading.Event()
         stall_services(frontend, release)
@@ -240,7 +231,7 @@ class TestAdmissionControl:
             release.set()
         first, second = telemetry.events.of_kind("load_shed")
         assert "suppressed" not in first
-        assert (first["inflight"], first["max_pending"]) == (2, 2)
+        assert (first["inflight"], first["shed_at"]) == (2, 2)
         assert first["retry_after_s"] > 0
         assert second["suppressed"] == 4
         assert frontend.stats.load_shed == 6
@@ -258,17 +249,14 @@ class TestServiceClosed:
         with pytest.raises(ServiceClosed, match="close"):
             frontend.submit(parse_query(BC, "late"))
 
-    def test_close_sweeps_parked_retries(self, small_db, agent, featurizer):
+    def test_close_sweeps_parked_retries(
+        self, small_db, agent, featurizer, monkeypatch
+    ):
         # A request parked in a long retry backoff when close() lands
         # must resolve with ServiceClosed, not dangle.
-        frontend = make_frontend(
-            small_db,
-            agent,
-            featurizer,
-            max_attempts=3,
-            backoff_base_ms=60_000.0,
-            backoff_cap_ms=60_000.0,
-        )
+        monkeypatch.setattr(frontend_module, "BACKOFF_BASE_MS", 60_000.0)
+        monkeypatch.setattr(frontend_module, "BACKOFF_CAP_MS", 60_000.0)
+        frontend = make_frontend(small_db, agent, featurizer, max_attempts=3)
         frontend.install_fault_injector(
             FaultInjector(FaultConfig(worker_fault_rate=1.0, seed=13))
         )

@@ -27,7 +27,13 @@ from repro.serving import (
     ServingFrontEnd,
     fingerprint,
 )
-from tests.helpers import ScriptedWorkers, stall_services, wait_until
+from repro.serving import frontend as frontend_module
+from tests.helpers import (
+    ScriptedWorkers,
+    hold_respawns,
+    stall_services,
+    wait_until,
+)
 
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
@@ -135,9 +141,8 @@ class TestDownShards:
     def test_a_request_for_a_down_shard_is_rerouted_at_once(
         self, small_db, agent, featurizer
     ):
-        frontend = make_frontend(
-            small_db, agent, featurizer, n_shards=2, supervise=False
-        )
+        frontend = make_frontend(small_db, agent, featurizer, n_shards=2)
+        respawn = hold_respawns(frontend)
         query = parse_query(AB, "homeless")
         home = frontend.ring.shard_for(fingerprint(query))
         try:
@@ -147,6 +152,7 @@ class TestDownShards:
             served = frontend.submit(query).result(timeout=5.0)
             elapsed = time.monotonic() - start
         finally:
+            respawn.set()
             frontend.close()
         assert served.query_name == "homeless"
         assert served.attempts == 1
@@ -156,11 +162,10 @@ class TestDownShards:
 
 class TestQueuedDeadlines:
     def test_a_request_queued_behind_a_stalled_shard_expires_within_a_few_ticks(
-        self, small_db, agent, featurizer
+        self, small_db, agent, featurizer, monkeypatch
     ):
-        frontend = make_frontend(
-            small_db, agent, featurizer, supervisor_interval_s=0.02
-        )
+        monkeypatch.setattr(frontend_module, "SUPERVISOR_INTERVAL_S", 0.02)
+        frontend = make_frontend(small_db, agent, featurizer)
         release = threading.Event()
         stall_services(frontend, release)
         try:
@@ -187,28 +192,16 @@ class TestQueuedDeadlines:
 
 class TestOutage:
     def test_requests_meeting_the_only_shard_down_are_served_after_the_respawn(
-        self, small_db, agent, featurizer
+        self, small_db, agent, featurizer, monkeypatch
     ):
         # The respawn waits on ``rebuilt``, so the only shard stays down
         # while one request's retry comes due and three more arrive. A
         # request routed while it is down would burn its attempts on
         # ShardFailed in milliseconds; parked, each spends none.
-        frontend = make_frontend(
-            small_db,
-            agent,
-            featurizer,
-            supervisor_interval_s=0.02,
-            backoff_base_ms=1.0,
-            backoff_cap_ms=2.0,
-        )
-        rebuilt = threading.Event()
-        factory = frontend._shard_factory
-
-        def slow_factory(shard):
-            rebuilt.wait(10.0)
-            return factory(shard)
-
-        frontend._shard_factory = slow_factory
+        monkeypatch.setattr(frontend_module, "BACKOFF_BASE_MS", 1.0)
+        monkeypatch.setattr(frontend_module, "BACKOFF_CAP_MS", 2.0)
+        frontend = make_frontend(small_db, agent, featurizer)
+        rebuilt = hold_respawns(frontend)
         entered, crash = threading.Event(), threading.Event()
 
         def dying(*args, **kwargs):

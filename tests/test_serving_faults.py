@@ -1,6 +1,6 @@
 """Tests for the seeded chaos harness: deterministic injection, the
-policy-NaN degradation path, the stats-epoch race, and retry exhaustion
-under a 100% fault rate."""
+policy-NaN degradation path, the stats-epoch race, retry exhaustion
+under a 100% fault rate, and the retry backoff schedule."""
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from repro.serving import (
     ServingFrontEnd,
     seeded_uniform,
 )
+from repro.serving import frontend as frontend_module
 from tests.helpers import ScriptedWorkers
 
 CHAIN = "SELECT * FROM a, b, c WHERE a.id = b.a_id AND b.id = c.b_id"
@@ -161,19 +162,16 @@ class TestStatsRace:
 
 
 class TestWorkerFaults:
-    def test_rate_one_exhausts_retries(self, small_db, agent, featurizer):
+    def test_rate_one_exhausts_retries(
+        self, small_db, agent, featurizer, monkeypatch
+    ):
+        monkeypatch.setattr(frontend_module, "BACKOFF_BASE_MS", 1.0)
         frontend = ServingFrontEnd.build(
             small_db,
             agent,
             featurizer=featurizer,
             serving_config=ServingConfig(regression_threshold=1.5),
-            config=FrontEndConfig(
-                n_shards=1,
-                max_batch=4,
-                max_attempts=2,
-                backoff_base_ms=1.0,
-                supervise=False,
-            ),
+            config=FrontEndConfig(n_shards=1, max_batch=4, max_attempts=2),
         )
         frontend.install_fault_injector(
             FaultInjector(FaultConfig(worker_fault_rate=1.0, seed=4))
@@ -189,19 +187,17 @@ class TestWorkerFaults:
         assert frontend._outstanding == set()
 
     def test_five_percent_faults_all_requests_resolve(
-        self, small_db, agent, featurizer
+        self, small_db, agent, featurizer, monkeypatch
     ):
+        monkeypatch.setattr(frontend_module, "BACKOFF_BASE_MS", 1.0)
+        monkeypatch.setattr(frontend_module, "BACKOFF_CAP_MS", 5.0)
         frontend = ScriptedWorkers().front_end(
             small_db,
             agent,
             2,
             featurizer=featurizer,
             serving_config=ServingConfig(regression_threshold=1.5),
-            config=FrontEndConfig(
-                max_batch=8,
-                backoff_base_ms=1.0,
-                backoff_cap_ms=5.0,
-            ),
+            config=FrontEndConfig(max_batch=8),
         )
         frontend.install_fault_injector(
             FaultInjector(FaultConfig(worker_fault_rate=0.05, seed=11))
@@ -218,3 +214,40 @@ class TestWorkerFaults:
         assert frontend.stats.retries >= 1
         assert frontend.stats.retries_exhausted == 0
         assert frontend._outstanding == set()
+
+
+class TestBackoffDelay:
+    """``backoff_delay_s`` on its own: no front end, no threads."""
+
+    def test_doubles_per_attempt_up_to_the_cap(self, monkeypatch):
+        # Jitter pinned at its floor, 0.5x: 5, 10, 20, 40, 80 ms, then
+        # the 100 ms cap, each halved.
+        monkeypatch.setattr(frontend_module, "seeded_uniform", lambda key: 0.0)
+        delays = [frontend_module.backoff_delay_s(7, k, None) for k in range(1, 8)]
+        assert delays == pytest.approx(
+            [0.0025, 0.005, 0.01, 0.02, 0.04, 0.05, 0.05]
+        )
+
+    def test_jitter_scales_the_nominal_delay_into_half_to_one(self):
+        ratios = []
+        for seq in range(1, 101):
+            for k in range(1, 8):
+                nominal_s = min(5.0 * 2 ** (k - 1), 100.0) / 1000.0
+                ratios.append(frontend_module.backoff_delay_s(seq, k, None) / nominal_s)
+        assert all(0.5 <= ratio < 1.0 for ratio in ratios)
+        # Concurrent retries decorrelate: the draws fill the range.
+        assert min(ratios) < 0.55 and max(ratios) > 0.95
+
+    def test_retry_after_is_the_floor(self):
+        delay_s = frontend_module.backoff_delay_s(3, 2, None)
+        assert frontend_module.backoff_delay_s(3, 2, 1.5) == 1.5
+        assert frontend_module.backoff_delay_s(3, 2, delay_s / 2) == delay_s
+        assert frontend_module.backoff_delay_s(3, 2, 0.0) == delay_s
+
+    def test_deterministic_in_seq_and_attempts(self):
+        backoff_delay_s = frontend_module.backoff_delay_s
+        pairs = [(seq, k) for seq in range(1, 21) for k in range(1, 4)]
+        first = [backoff_delay_s(seq, k, None) for seq, k in pairs]
+        assert first == [backoff_delay_s(seq, k, None) for seq, k in pairs]
+        # Another request's retry at the same attempt draws its own jitter.
+        assert len({backoff_delay_s(seq, 2, None) for seq in range(1, 21)}) == 20

@@ -488,7 +488,6 @@ class TestDefaultShardCount:
             agent,
             n_shards,
             featurizer=featurizer,
-            config=FrontEndConfig(supervisor_interval_s=0.02),
         )
         factory, respawned = frontend._shard_factory, []
 

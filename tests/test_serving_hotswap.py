@@ -259,12 +259,9 @@ def build_frontend(db, featurizer, executor, telemetry=None, n_shards=1):
         telemetry=telemetry,
     )
     if executor == "scripted" or n_shards > 1:
-        config = FrontEndConfig(supervisor_interval_s=0.02)
         workers = ScriptedWorkers()
-        return workers.front_end(db, agent, n_shards, config=config, **kwargs), agent
-    config = FrontEndConfig(
-        n_shards=1, executor=executor, supervisor_interval_s=0.02
-    )
+        return workers.front_end(db, agent, n_shards, **kwargs), agent
+    config = FrontEndConfig(n_shards=1, executor=executor)
     return ServingFrontEnd.build(db, agent, config=config, **kwargs), agent
 
 

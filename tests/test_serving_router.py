@@ -15,6 +15,7 @@ from repro.core.featurize import QueryFeaturizer
 from repro.optimizer.planner import Planner, PlanningTimeout
 from repro.rl.ppo import PPOAgent
 from repro.serving import OptimizerService, ServingConfig
+from repro.serving import service as service_module
 from tests.golden.regenerate import rename_aliases
 from tests.test_optimizer_bitset_dp import wide_db  # noqa: F401 (fixture)
 from tests.test_optimizer_geqo_parity import shaped_query
@@ -58,13 +59,12 @@ class TestRenamedTwin:
     @pytest.mark.parametrize("dropped_by", ["lru", "invalidate"])
     @pytest.mark.parametrize("source", sorted(SOURCES))
     def test_twin_gets_its_own_aliases_after_the_cache_drops_the_query(
-        self, wide_db, source, dropped_by
+        self, wide_db, source, dropped_by, monkeypatch
     ):
         width, threshold = SOURCES[source]
-        config = {"cache_capacity": 1} if dropped_by == "lru" else {}
-        service = make_service(
-            wide_db, width, regression_threshold=threshold, **config
-        )
+        if dropped_by == "lru":
+            monkeypatch.setattr(service_module, "PLAN_CACHE_CAPACITY", 1)
+        service = make_service(wide_db, width, regression_threshold=threshold)
         reference = Planner(wide_db, geqo_threshold=8)
         queries = wide_queries(9, seed=41)
         other = queries.pop()

@@ -16,7 +16,6 @@ from repro.core.featurize import QueryFeaturizer
 from repro.db.query import parse_query
 from repro.rl.ppo import PPOAgent
 from repro.serving import (
-    FrontEndConfig,
     ProcessWorkerClient,
     RetriesExhausted,
     ServingConfig,
@@ -24,7 +23,14 @@ from repro.serving import (
     WorkerSpec,
     fingerprint,
 )
-from tests.helpers import DIE, ScriptedWorkers, wait_until, worker_service
+from repro.serving import frontend as frontend_module
+from tests.helpers import (
+    DIE,
+    ScriptedWorkers,
+    hold_respawns,
+    wait_until,
+    worker_service,
+)
 
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 
@@ -104,7 +110,6 @@ class TestScriptedWorker:
             agent,
             2,
             featurizer=featurizer,
-            config=FrontEndConfig(supervisor_interval_s=0.02),
         )
         with frontend:
             queries = [parse_query(BC, f"q{i}") for i in range(20)]
@@ -138,12 +143,16 @@ def homed_at(frontend, shard, n):
         "max_attempts=3 though a shard comes back"
     ),
 )
-def test_every_request_is_served_once_a_shard_is_back(small_db, agent, featurizer):
+def test_every_request_is_served_once_a_shard_is_back(
+    small_db, agent, featurizer, monkeypatch
+):
     """Eight requests for shard 0 are held by three deaths on two
     workers: shard 0 dies under them, shard 1 dies under their retries,
     and shard 0's respawn dies under them again, with both shards down
     in between. Every request must still be served once a shard is
     back."""
+    monkeypatch.setattr(frontend_module, "BACKOFF_BASE_MS", 1.0)
+    monkeypatch.setattr(frontend_module, "BACKOFF_CAP_MS", 2.0)
     stall_0, stall_1 = threading.Event(), threading.Event()
     workers = ScriptedWorkers(
         {(0, 0): stall_0, (0, 1): DIE, (0, 2): DIE, (1, 0): stall_1, (1, 1): DIE}
@@ -154,19 +163,9 @@ def test_every_request_is_served_once_a_shard_is_back(small_db, agent, featurize
         2,
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
-        config=FrontEndConfig(
-            supervisor_interval_s=0.02, backoff_base_ms=1.0, backoff_cap_ms=2.0
-        ),
     )
     assert frontend.config.max_attempts == 3
-    respawn = threading.Event()
-    factory = frontend._shard_factory
-
-    def gated(shard):
-        respawn.wait(10.0)
-        return factory(shard)
-
-    frontend._shard_factory = gated
+    respawn = hold_respawns(frontend)
     blocker_0, *requests = homed_at(frontend, 0, 9)
     (blocker_1,) = homed_at(frontend, 1, 1)
     try:

@@ -1,7 +1,6 @@
 """Tests for shard supervision: the circuit breaker state machine (with
-an injectable clock), worker kill/respawn/reroute, failure routing
-when every shard is gone, and one retry per request a dying worker
-held."""
+an injectable clock), worker kill/respawn/reroute, and one retry per
+request a dying worker held."""
 
 import threading
 
@@ -17,14 +16,14 @@ from repro.serving import (
     FaultInjector,
     FrontEndConfig,
     InjectedFault,
-    RetriesExhausted,
     ServingConfig,
     ServingFrontEnd,
     ShardFailed,
     WorkerProcessDied,
     fingerprint,
 )
-from tests.helpers import ScriptedWorkers, wait_until
+from repro.serving import frontend as frontend_module
+from tests.helpers import ScriptedWorkers, hold_respawns, wait_until
 
 BC = "SELECT * FROM b, c WHERE b.id = c.b_id"
 AB = "SELECT * FROM a, b WHERE a.id = b.a_id"
@@ -42,10 +41,15 @@ def agent(small_db, featurizer):
     )
 
 
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """Retries here back off 1-2 ms first, never past 10 ms."""
+    monkeypatch.setattr(frontend_module, "BACKOFF_BASE_MS", 2.0)
+    monkeypatch.setattr(frontend_module, "BACKOFF_CAP_MS", 10.0)
+
+
 def make_frontend(small_db, agent, featurizer, n_shards=2, **config_kwargs):
     config_kwargs.setdefault("max_batch", 4)
-    config_kwargs.setdefault("backoff_base_ms", 2.0)
-    config_kwargs.setdefault("backoff_cap_ms", 10.0)
     kwargs = dict(
         featurizer=featurizer,
         serving_config=ServingConfig(regression_threshold=1.5),
@@ -147,18 +151,10 @@ class TestCircuitBreaker:
 
 
 class TestSupervision:
-    @pytest.mark.parametrize("interval_s", [0.0, -0.05])
-    def test_non_positive_poll_interval_rejected(self, interval_s):
-        # Event.wait(0) returns at once: the supervisor would spin.
-        with pytest.raises(ValueError, match="supervisor_interval_s"):
-            FrontEndConfig(supervisor_interval_s=interval_s)
-
     def test_killed_worker_is_respawned_and_serves(
         self, small_db, agent, featurizer
     ):
-        frontend = make_frontend(
-            small_db, agent, featurizer, n_shards=2, supervisor_interval_s=0.02
-        )
+        frontend = make_frontend(small_db, agent, featurizer, n_shards=2)
         with frontend:
             # Warm both shards, then crash one.
             frontend.optimize_batch(
@@ -176,27 +172,29 @@ class TestSupervision:
         assert frontend._outstanding == set()
 
     def test_down_shard_reroutes_to_survivor(self, small_db, agent, featurizer):
-        # Supervision off: the shard stays down, so the reroute path
+        # The respawn is held: the shard stays down, so the reroute path
         # (not the respawn) must serve its traffic.
-        frontend = make_frontend(
-            small_db, agent, featurizer, n_shards=2, supervise=False
-        )
+        frontend = make_frontend(small_db, agent, featurizer, n_shards=2)
+        respawn = hold_respawns(frontend)
         with frontend:
-            query = parse_query(BC, "bc")
-            home = frontend.ring.shard_for(fingerprint(query))
-            frontend.kill_worker(home)
-            assert wait_until(lambda: home in frontend._down)
-            plan = frontend.optimize(parse_query(BC, "bc-rerouted"), timeout=5.0)
-            assert plan.cost > 0
-            assert frontend.stats.rerouted >= 1
-            survivor = 1 - home
-            assert frontend.services[survivor].stats.requests >= 1
+            try:
+                query = parse_query(BC, "bc")
+                home = frontend.ring.shard_for(fingerprint(query))
+                frontend.kill_worker(home)
+                assert wait_until(lambda: home in frontend._down)
+                plan = frontend.optimize(
+                    parse_query(BC, "bc-rerouted"), timeout=5.0
+                )
+                assert plan.cost > 0
+                assert frontend.stats.rerouted >= 1
+                survivor = 1 - home
+                assert frontend.services[survivor].stats.requests >= 1
+            finally:
+                respawn.set()
         assert frontend._outstanding == set()
 
     def test_fallback_order_is_deterministic(self, small_db, agent, featurizer):
-        frontend = make_frontend(
-            small_db, agent, featurizer, n_shards=3, supervise=False
-        )
+        frontend = make_frontend(small_db, agent, featurizer, n_shards=3)
         with frontend:
             ring = frontend.ring
             for i in range(20):
@@ -205,39 +203,13 @@ class TestSupervision:
                 assert sorted(order) == [0, 1, 2]
                 assert order == ring.fallback_order(f"fp-{i}")
 
-    def test_requests_held_by_dying_worker_are_retried(
-        self, small_db, agent, featurizer
-    ):
-        # Kill the only shard with requests queued behind the kill:
-        # they must fail over through ShardFailed retries, and with no
-        # survivor and no supervisor, exhaust into a structured error.
-        frontend = make_frontend(
-            small_db,
-            agent,
-            featurizer,
-            n_shards=1,
-            supervise=False,
-            max_attempts=2,
-            backoff_base_ms=1.0,
-        )
-        with frontend:
-            frontend.kill_worker(0)
-            assert wait_until(lambda: 0 in frontend._down)
-            future = frontend.submit(parse_query(BC, "stranded"))
-            with pytest.raises(RetriesExhausted) as excinfo:
-                future.result(timeout=5.0)
-            assert isinstance(excinfo.value.__cause__, ShardFailed)
-        assert frontend._outstanding == set()
-
     def test_killed_worker_mid_stream_strands_nothing(
         self, small_db, agent, featurizer
     ):
         # The future-lifecycle audit: kill a shard while a stream of
         # requests is in flight; every future must resolve (plan or
         # structured error), and the registry must end empty.
-        frontend = make_frontend(
-            small_db, agent, featurizer, n_shards=2, supervisor_interval_s=0.02
-        )
+        frontend = make_frontend(small_db, agent, featurizer, n_shards=2)
         with frontend:
             futures = []
             for i in range(30):
@@ -263,23 +235,19 @@ class TestWorkerDeathRetries:
     @pytest.mark.parametrize("fault_rate", [0.0, 0.3])
     @pytest.mark.parametrize("backoff_ms", [0.0, 5.0])
     def test_each_held_request_is_retried_once_after_its_shard_is_down(
-        self, small_db, agent, featurizer, backoff_ms, fault_rate
+        self, small_db, agent, featurizer, backoff_ms, fault_rate, monkeypatch
     ):
         # The home shard's service serves a warm-up request, blocking
         # until 24 more requests for it are queued behind it, then dies
-        # under the batch that coalesces them all. With supervision off
-        # it stays down, so the survivor serves every retry. With
+        # under the batch that coalesces them all. Its respawn is held,
+        # so it stays down and the survivor serves every retry. With
         # faults, some of the 24 fail before the service is called and
         # are already backing off when the shard dies.
+        monkeypatch.setattr(frontend_module, "BACKOFF_BASE_MS", backoff_ms)
         frontend = make_frontend(
-            small_db,
-            agent,
-            featurizer,
-            supervise=False,
-            max_batch=32,
-            max_attempts=5,
-            backoff_base_ms=backoff_ms,
+            small_db, agent, featurizer, max_batch=32, max_attempts=5
         )
+        respawn = hold_respawns(frontend)
         home = frontend.ring.shard_for(fingerprint(parse_query(BC, "bc")))
         service = frontend.services[home]
         serve = service.optimize_batch
@@ -302,18 +270,27 @@ class TestWorkerDeathRetries:
 
         frontend._retry_or_fail = spy
         with frontend:
-            warm = frontend.submit(parse_query(BC, "warm"))
-            assert wait_until(lambda: calls == [1])
-            # Seed 1 faults 8 of the 24 first attempts, and no request
-            # more than three times in five, so none exhausts them.
-            frontend.install_fault_injector(
-                FaultInjector(FaultConfig(worker_fault_rate=fault_rate, seed=1))
-            )
-            futures = [frontend.submit(parse_query(BC, f"q{i}")) for i in range(24)]
-            assert frontend._queues[home].qsize() == 24
-            release.set()
-            plans = [future.result(timeout=10.0) for future in futures]
-            assert warm.result(timeout=10.0).attempts == 1
+            try:
+                warm = frontend.submit(parse_query(BC, "warm"))
+                assert wait_until(lambda: calls == [1])
+                # Seed 1 faults 8 of the 24 first attempts, and no
+                # request more than three times in five, so none
+                # exhausts them.
+                frontend.install_fault_injector(
+                    FaultInjector(FaultConfig(worker_fault_rate=fault_rate, seed=1))
+                )
+                futures = [
+                    frontend.submit(parse_query(BC, f"q{i}")) for i in range(24)
+                ]
+                assert frontend._queues[home].qsize() == 24
+                release.set()
+                plans = [future.result(timeout=10.0) for future in futures]
+                assert warm.result(timeout=10.0).attempts == 1
+                # Read before the respawn force-closes the breaker.
+                failures = frontend.breakers[home]._consecutive_failures
+            finally:
+                release.set()
+                respawn.set()
         # One retry per failure: never two for the same attempt.
         tried = [(name, attempt) for name, attempt, _down, _e in retries]
         assert len(set(tried)) == len(tried)
@@ -330,7 +307,7 @@ class TestWorkerDeathRetries:
             assert isinstance(error.__cause__, WorkerProcessDied)
         for i, plan in enumerate(plans):
             assert plan.attempts == 1 + sum(name == f"q{i}" for name, _a in tried)
-        assert frontend.breakers[home]._consecutive_failures == 1
+        assert failures == 1
         assert frontend._outstanding == set()
         if fault_rate:
             assert faulted
