@@ -38,7 +38,7 @@ real SIGKILLs against spawned shard processes. It asserts at least one kill fire
 >= 99.5% success / zero-unresolved-futures floor and plan parity on
 untouched traffic. Both chaos lanes hot-swap a simulated promotion to
 version 2 through the front end before the stream and assert that
-every shard standing at the end (including any supervisor respawn)
+every shard standing at the end (including any respawned one)
 serves at that live version.
 
 Results land in ``BENCH_faults.json`` for machines to read.
@@ -215,7 +215,7 @@ def run_stream(
     breakers_open = sum(1 for b in frontend.breakers if b.state != "closed")
     process_state = None
     if executor == "process":
-        # Give the supervisor a beat to finish respawning a worker
+        # Give the shard threads a beat to finish respawning a worker
         # killed by the tail of the stream before auditing liveness.
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline and not all(
@@ -425,7 +425,7 @@ def main(argv=None) -> int:
         f"{chaos['policy_versions_at_end']} vs {chaos['live_version']}"
     )
     # Process-executor chaos: SIGKILL is survivable, futures resolve,
-    # and the supervisor's respawn rejoins at the live policy version.
+    # and a respawned shard rejoins at the live policy version.
     assert proc_chaos["worker_kills"] >= 1, (
         "process chaos fired no worker_kill — raise PROC_KILL_RATE or "
         "check the injector wiring"

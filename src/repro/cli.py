@@ -7,11 +7,8 @@ code. Commands mirror the benchmark harness but expose the knobs
 - ``info``       — build the database and print its inventory,
 - ``plan``       — optimize one named JOB-lite query and EXPLAIN it,
 - ``fig3a``      — train ReJOIN and print the convergence series,
-- ``fig3b``      — evaluate a trained agent on the Figure 3b queries,
 - ``fig3c``      — planning-time sweep over relation counts,
-- ``lfd``        — §5.1 learning-from-demonstration comparison,
 - ``bootstrap``  — §5.2 reward-switch comparison,
-- ``incremental``— §5.3 curricula comparison,
 - ``metrics``    — serve sample queries and print the unified metrics
   registry (Prometheus text exposition or JSON snapshot),
 - ``trace``      — print the slowest per-request span trees, from a
@@ -75,22 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     fig3a.add_argument("--episodes", type=int, default=2000)
     fig3a.add_argument("--save", help="directory for the agent checkpoint")
 
-    fig3b = sub.add_parser("fig3b", help="Figure 3b per-query cost table")
-    fig3b.add_argument("--episodes", type=int, default=2000)
-    fig3b.add_argument("--load", help="agent checkpoint to reuse")
-
     fig3c = sub.add_parser("fig3c", help="planning-time sweep")
     fig3c.add_argument("--max-relations", type=int, default=14)
-
-    lfd = sub.add_parser("lfd", help="§5.1 learning from demonstration")
-    lfd.add_argument("--episodes", type=int, default=120)
 
     boot = sub.add_parser("bootstrap", help="§5.2 reward-switch comparison")
     boot.add_argument("--phase1", type=int, default=300)
     boot.add_argument("--phase2", type=int, default=150)
-
-    inc = sub.add_parser("incremental", help="§5.3 curricula comparison")
-    inc.add_argument("--episodes-per-phase", type=int, default=60)
 
     metrics = sub.add_parser(
         "metrics",
@@ -361,13 +348,13 @@ def _trained_setup(args, episodes: int):
     start = time.time()
     log = trainer.run(episodes)
     print(f"trained in {time.time() - start:.0f}s")
-    return db, env, agent, trainer, baseline, log
+    return agent, log
 
 
 def _cmd_fig3a(args) -> int:
     from repro.core.reporting import ascii_table
 
-    _db, _env, agent, _trainer, _baseline, log = _trained_setup(args, args.episodes)
+    agent, log = _trained_setup(args, args.episodes)
     rel = log.relative_costs()
     bucket = max(1, args.episodes // 10)
     rows = [
@@ -381,35 +368,6 @@ def _cmd_fig3a(args) -> int:
 
         path = save_agent(agent, args.save)
         print(f"\nagent checkpoint written to {path}")
-    return 0
-
-
-def _cmd_fig3b(args) -> int:
-    from repro.core.reporting import ascii_table, geometric_mean
-    from repro.workloads.job import FIGURE_3B_QUERIES, job_lite_query
-
-    db, env, agent, trainer, baseline, _ = _trained_setup(args, args.episodes)
-    if args.load:
-        from repro.core.checkpoint import load_agent
-
-        agent = load_agent(args.load)
-        trainer.agent = agent
-        print(f"loaded agent checkpoint from {args.load}")
-    rows = []
-    ratios = []
-    for name in FIGURE_3B_QUERIES:
-        query = job_lite_query(name)
-        if query.n_relations > env.featurizer.max_relations:
-            continue
-        record = trainer.evaluate([query])[name]
-        ratios.append(record.relative_cost)
-        rows.append(
-            (name, f"{record.expert_cost:.0f}", f"{record.cost:.0f}",
-             f"{record.relative_cost:.2f}x")
-        )
-    print("\nFigure 3b — final plan cost (expert vs ReJOIN):")
-    print(ascii_table(["query", "expert", "rejoin", "ratio"], rows))
-    print(f"geometric mean: {geometric_mean(ratios):.2f}")
     return 0
 
 
@@ -445,44 +403,6 @@ def _cmd_fig3c(args) -> int:
     return 0
 
 
-def _cmd_lfd(args) -> int:
-    from repro.core import (
-        DemonstrationSet,
-        ExpertBaseline,
-        JoinOrderEnv,
-        LfDAgent,
-        LfDConfig,
-        LfDTrainer,
-    )
-    from repro.core.rewards import LatencyReward
-    from repro.workloads import job_lite_workload
-
-    db = _database(args)
-    baseline = ExpertBaseline(db)
-    workload = job_lite_workload(variants=("a", "b")).filter(
-        lambda q: 4 <= q.n_relations <= 7
-    )
-    env = JoinOrderEnv(
-        db, workload,
-        reward_source=LatencyReward(db, "relative", baseline, budget_factor=30.0),
-        rng=np.random.default_rng(0), forbid_cross_products=False,
-    )
-    demos = DemonstrationSet.collect(env, list(workload))
-    print(f"collected {len(demos)} demonstrations")
-    for imitate in (True, False):
-        rng = np.random.default_rng(1)
-        agent = LfDAgent(env.state_dim, env.n_actions, rng, LfDConfig())
-        trainer = LfDTrainer(env, agent, demos, baseline, rng)
-        if imitate:
-            trainer.imitation_phase()
-        log = trainer.fine_tune(args.episodes)
-        label = "LfD" if imitate else "tabula rasa"
-        print(f"{label}: catastrophic {log.timeout_fraction() * 100:.0f}%, "
-              f"final median rel. latency "
-              f"{np.median(log.relative_latencies()[-40:]):.2f}")
-    return 0
-
-
 def _cmd_bootstrap(args) -> int:
     from repro.core.bootstrap import BootstrapConfig, BootstrapTrainer
     from repro.workloads import job_lite_workload
@@ -506,42 +426,12 @@ def _cmd_bootstrap(args) -> int:
     return 0
 
 
-def _cmd_incremental(args) -> int:
-    from repro.core.incremental import (
-        IncrementalTrainer,
-        flat_curriculum,
-        hybrid_curriculum,
-        pipeline_curriculum,
-        relations_curriculum,
-    )
-
-    db = _database(args)
-    per_phase = args.episodes_per_phase
-    curricula = {
-        "pipeline": pipeline_curriculum(per_phase, max_relations=5),
-        "relations": relations_curriculum(per_phase, relation_steps=(2, 3, 5)),
-        "hybrid": hybrid_curriculum(per_phase, final_relations=5),
-        "flat": flat_curriculum(per_phase * 4, max_relations=5),
-    }
-    for name, curriculum in curricula.items():
-        trainer = IncrementalTrainer(
-            db, np.random.default_rng(2), queries_per_phase=30, batch_size=8
-        )
-        results = trainer.run(curriculum)
-        print(f"{name:10s} final median rel. cost: "
-              f"{trainer.final_quality(results, tail=per_phase // 2):.2f}")
-    return 0
-
-
 _COMMANDS = {
     "info": _cmd_info,
     "plan": _cmd_plan,
     "fig3a": _cmd_fig3a,
-    "fig3b": _cmd_fig3b,
     "fig3c": _cmd_fig3c,
-    "lfd": _cmd_lfd,
     "bootstrap": _cmd_bootstrap,
-    "incremental": _cmd_incremental,
     "metrics": _cmd_metrics,
     "trace": _cmd_trace,
 }

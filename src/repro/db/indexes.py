@@ -66,12 +66,6 @@ class _SortedIndex:
 class BTreeIndex(_SortedIndex):
     """An ordered index: supports equality and range lookups."""
 
-    @property
-    def depth(self) -> int:
-        """Approximate tree depth for cost formulas (fan-out 256)."""
-        n = max(self.n_entries, 2)
-        return max(1, int(np.ceil(np.log(n) / np.log(256))))
-
     def lookup_range(
         self,
         lo: float | None,

@@ -64,9 +64,6 @@ class Table:
         """Column values at the given row positions."""
         return self.columns[name][row_ids]
 
-    def head(self, n: int = 5) -> Dict[str, np.ndarray]:
-        return {name: arr[:n] for name, arr in self.columns.items()}
-
     @classmethod
     def from_dict(cls, schema: TableSchema, data: Dict[str, list]) -> "Table":
         """Build a table from plain Python lists (used heavily in tests)."""

@@ -277,11 +277,6 @@ class TraceStore:
         """The ``n`` slowest retained traces, slowest first."""
         return sorted(self.all(), key=lambda t: t.duration_ms, reverse=True)[:n]
 
-    def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(trace.to_dict(), default=str) + "\n" for trace in self.all()
-        )
-
     def write_jsonl(self, path) -> int:
         """Dump every retained trace; returns how many were written."""
         traces = self.all()

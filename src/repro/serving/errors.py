@@ -136,8 +136,8 @@ class DeadlineExceeded(OptimizeError):
 
 class ShardFailed(OptimizeError):
     """A worker shard died (thread exited, unhandled error outside the
-    per-batch guard) while holding the request. Retryable: the
-    supervisor respawns the shard and the retry is served by the fresh
+    per-batch guard) while holding the request. Retryable: the shard's
+    thread respawns the shard and the retry is served by the fresh
     worker (or a rerouted one)."""
 
     code = "shard_failed"
@@ -174,8 +174,8 @@ class InjectedFault(OptimizeError):
 class WorkerProcessDied(OptimizeError):
     """A worker *process* (``executor="process"``) died while holding
     the request — SIGKILL chaos, OOM kill, or an interpreter crash.
-    Retryable: the supervisor respawns the process and the retry is
-    served by the fresh worker (or rerouted along the hash ring)."""
+    Retryable: the shard's thread respawns the process and the retry
+    is served by the fresh worker (or rerouted along the hash ring)."""
 
     code = "worker_process_died"
     retryable = True

@@ -48,23 +48,29 @@ Fault tolerance is layered on the same path:
   with a cheaper plan instead of blowing the deadline.
 - **Retries** — failures typed retryable (injected faults, shard
   deaths, open circuits) are retried up to ``max_attempts`` with
-  seeded-jitter exponential backoff (:func:`backoff_delay_s`);
-  non-idempotent side effects are guarded (experience is collected
+  seeded-jitter exponential backoff (:func:`backoff_delay_s`) on the
+  supervisor's clock: a failed request is stamped with the time its
+  retry is due, and the supervisor's sweep puts it back in line then.
+  Non-idempotent side effects are guarded (experience is collected
   only on attempt 1) and deterministic serving bugs are *not* retried.
 - **Circuit breakers** — one per shard; consecutive failures trip it
   open, routing fails over along the hash ring's fallback order, and a
   cooldown half-opens it for probes.
 - **Supervision** — every front end runs a
-  :class:`~repro.serving.supervisor.ShardSupervisor`, ticking every
-  :data:`SUPERVISOR_INTERVAL_S`. Every way a worker thread can die
-  funnels into a death handler that fails over its queue and wakes
-  the supervisor, which respawns
-  the shard with a rebuilt service (fresh policy copy and caches) and
-  replays the **live serving state** onto it — the last hot-swap and
-  guardrail threshold, which only the front end's
-  ``apply_policy_weights`` / ``set_guardrail_threshold`` change. While
-  no shard is up, requests wait for the respawn without spending an
-  attempt.
+  :class:`~repro.serving.supervisor.ShardSupervisor`, which wakes at
+  the next due retry or deadline, and at least every
+  :data:`SUPERVISOR_INTERVAL_S`, to sweep the outstanding requests and
+  check the shards' liveness. Every way a shard thread can die funnels
+  into a death handler that fails over its queue; the same thread then
+  respawns the shard with a rebuilt service (fresh policy copy and
+  caches), replays the **live serving state** onto it — the last
+  hot-swap and guardrail threshold, which only the front end's
+  ``apply_policy_weights`` / ``set_guardrail_threshold`` change — and
+  goes back to its queue. While no shard is up, requests wait for the
+  respawn without spending an attempt.
+
+The front end's threads are fixed when it is built — one per shard and
+the supervisor — and its state sits under one lock, ``_work``.
 
 Every accepted submission is resolved exactly once through one choke
 point (``_resolve``), and every queued one is registered in an
@@ -73,7 +79,8 @@ worker death, not under cancellation races.
 
 Lifecycle: ``drain()`` blocks until every accepted submission has
 resolved (force-expiring overdue deadlines); ``close()`` additionally
-stops the supervisor and workers, then sweeps anything still
+stops the supervisor and the shard threads (one mid-respawn shuts its
+replacement down instead of publishing it), then sweeps anything still
 unresolved with ``ServiceClosed``. The class is a context manager.
 """
 
@@ -134,12 +141,13 @@ SHED_AT = 58_982
 #: :func:`backoff_delay_s`).
 BACKOFF_BASE_MS = 5.0
 BACKOFF_CAP_MS = 100.0
-#: How often the supervisor wakes when nothing pokes it: to respawn
-#: dead shards, fail overdue queued requests and check liveness.
+#: The longest the supervisor sleeps between sweeps (failing overdue
+#: requests, putting due retries back in line) and liveness checks;
+#: also how often a shard thread retries a shard factory that raised.
 SUPERVISOR_INTERVAL_S = 0.05
 #: Process mode: how often the supervisor heartbeats each worker
-#: process (a hung worker that misses one beat is SIGKILL'd and
-#: respawned).
+#: process (a hung worker that misses one beat is SIGKILL'd, and its
+#: shard thread respawns it).
 HEARTBEAT_INTERVAL_S = 1.0
 #: Shards per executor when ``FrontEndConfig.n_shards`` is None: as many
 #: as can compute at once. One interpreter computes one batch at a time,
@@ -305,9 +313,10 @@ _FRONTEND_ROWS = (
 class _Submission:
     """One accepted request travelling from queue to shard to future.
 
-    ``eq=False`` keeps identity hashing: submissions key the timer and
-    outstanding registries. ``settled`` is the exactly-once resolution
-    claim, flipped only under the front end's state lock.
+    ``eq=False`` keeps identity hashing: submissions key the
+    outstanding registry. ``settled`` is the exactly-once resolution
+    claim, and ``retry_at`` the pending retry; both change only under
+    the front end's ``_work``.
     """
 
     query: Query
@@ -328,7 +337,9 @@ class _Submission:
     attempts: int = 1
     #: Unique per front end; keys deterministic chaos/backoff draws.
     seq: int = 0
-    #: Exactly-once resolution claim (guarded by the state lock).
+    #: When a scheduled retry is due back in line (None = none pending).
+    retry_at: float | None = None
+    #: Exactly-once resolution claim.
     settled: bool = False
     #: Whether the future already moved to RUNNING (set once, first pickup).
     started: bool = False
@@ -381,8 +392,9 @@ class ServingFrontEnd:
         #: ``(params, version)``, and of the last guardrail push,
         #: ``(threshold,)`` — ``None`` until there was one — kept to
         #: replay onto rebuilt shards. ``_live_lock`` orders a broadcast
-        #: against a rebuilt shard's publication into ``services``; it
-        #: is never taken on the request path.
+        #: against a rebuilt shard's publication into ``services``, is
+        #: taken before ``_work`` when both are held, and is never taken
+        #: on the request path.
         self._live_lock = threading.Lock()
         self._live_weights: Optional[tuple] = None
         self._live_threshold: Optional[tuple] = None
@@ -421,14 +433,10 @@ class ServingFrontEnd:
         #: Requests that met every shard down; the next respawn puts
         #: them back in line. Guarded by ``_work``.
         self._parked: List[_Submission] = []
-        # Lock-ordering rule: ``_state_lock`` and ``_work`` are never
-        # nested (each is always released before the other is taken).
-        self._state_lock = threading.Lock()
-        #: Every accepted, unresolved submission — the registry close()
-        #: sweeps so no future ever dangles. Guarded by ``_state_lock``.
+        #: Every accepted, unresolved submission — the registry the
+        #: supervisor sweeps for due retries and deadlines, and close()
+        #: sweeps so no future ever dangles. Guarded by ``_work``.
         self._outstanding: Set[_Submission] = set()
-        #: Pending retry-backoff timers, keyed by submission.
-        self._timers: Dict[_Submission, threading.Timer] = {}
         #: Per-shard submissions currently held by the worker thread,
         #: handed to the death handler if the thread dies mid-batch.
         self._holding: List[List[_Submission]] = [
@@ -445,6 +453,8 @@ class ServingFrontEnd:
         self._queues: List["SimpleQueue"] = [
             SimpleQueue() for _ in range(self.n_shards)
         ]
+        # The front end's whole thread set, fixed here: one thread per
+        # shard, which also respawns its shard, and the supervisor.
         self._workers = [
             threading.Thread(
                 target=self._worker_loop,
@@ -454,9 +464,9 @@ class ServingFrontEnd:
             )
             for shard in range(self.n_shards)
         ]
+        self.supervisor = ShardSupervisor(self, SUPERVISOR_INTERVAL_S)
         for worker in self._workers:
             worker.start()
-        self.supervisor = ShardSupervisor(self, SUPERVISOR_INTERVAL_S)
         self.supervisor.start()
 
     def _register_metrics(self) -> None:
@@ -583,7 +593,7 @@ class ServingFrontEnd:
         :meth:`OptimizerService.apply_policy_weights`). A shard whose
         worker process is gone is skipped with an event; the front end
         keeps its own copy of the swap (the caller may reuse ``params``)
-        and :meth:`_restart_shard` replays it onto every shard rebuilt
+        and :meth:`_respawn` replays it onto every shard rebuilt
         from now on, under either executor, daemon or no daemon."""
         params = {name: arr.copy() for name, arr in params.items()}
         with self._live_lock:
@@ -668,8 +678,13 @@ class ServingFrontEnd:
             direct = (
                 cached and self.fault_injector is None and shard not in self._down
             )
+            # Registered before it is queued, while nothing else can
+            # settle it: close() sweeps this set, and a request parked
+            # on an outage or stranded behind the stop sentinel must be
+            # in it by then.
             if not cached:
                 self._inflight += 1
+                self._outstanding.add(submission)
         if direct and self._answer_in_submit(submission):
             return submission.future
         if cached:
@@ -679,11 +694,7 @@ class ServingFrontEnd:
                 self._begin_trace(submission)
             with self._work:
                 self._inflight += 1
-        # Registered before it is queued, while nothing else can settle
-        # it: close() sweeps this set, and a request parked on an outage
-        # or stranded behind the stop sentinel must be in it by then.
-        with self._state_lock:
-            self._outstanding.add(submission)
+                self._outstanding.add(submission)
         self._enqueue(submission, admitted=True)
         return submission.future
 
@@ -775,15 +786,12 @@ class ServingFrontEnd:
     # ------------------------------------------------------------------
     def _claim(self, s: _Submission) -> bool:
         """Atomically claim the right to resolve ``s`` (True at most
-        once per submission); deregisters it and cancels its timer."""
-        with self._state_lock:
+        once per submission) and deregister it."""
+        with self._work:
             if s.settled:
                 return False
             s.settled = True
             self._outstanding.discard(s)
-            timer = self._timers.pop(s, None)
-        if timer is not None:
-            timer.cancel()
         return True
 
     def _resolve(
@@ -925,10 +933,17 @@ class ServingFrontEnd:
     # Workers
     # ------------------------------------------------------------------
     def _worker_loop(self, shard: int) -> None:
-        try:
-            self._worker_body(shard)
-        except BaseException as exc:
-            self._on_worker_death(shard, exc)
+        """Shard ``shard``'s thread: serve its queue until ``_STOP``; after
+        each death, handle it, respawn the shard and serve again — until
+        ``close()`` has begun."""
+        while True:
+            try:
+                self._worker_body(shard)
+                return
+            except BaseException as exc:
+                self._on_worker_death(shard, exc)
+            if not self._respawn(shard):
+                return
 
     def _worker_body(self, shard: int) -> None:
         queue = self._queues[shard]
@@ -1059,7 +1074,7 @@ class ServingFrontEnd:
             # batch. The serve call below then raises WorkerProcessDied,
             # driving the exact recovery path a real OOM-kill would:
             # breaker failure, request retries, shard thread death,
-            # supervisor respawn. Draw per request with no short-circuit
+            # respawn. Draw per request with no short-circuit
             # (the schedule must not depend on evaluation order).
             killed = [
                 s
@@ -1070,40 +1085,51 @@ class ServingFrontEnd:
                 service.kill()
         traces = [s.trace for s in ready]
         serve_start = self.clock()
-        for trace in traces:
-            if trace is not None:
-                # What the shard did between taking the batch off its
-                # queue and calling its service: cancellation and
-                # deadline checks, chaos draws (an injected spike sleeps
-                # here). The service opens ``serve`` first thing, so the
-                # root's children tile the request end to end.
-                trace.record("pickup", (serve_start - picked_up) * 1000.0)
+        # ``pickup`` is what the shard does between taking the batch off
+        # its queue and calling its service: cancellation and deadline
+        # checks, chaos draws (an injected spike sleeps here), building
+        # the call. The service opens ``serve`` first thing, so the
+        # root's children tile the request end to end. Each pickup span
+        # is closed after the last allocation before the call: the
+        # garbage collector runs on an allocation, and a collection
+        # there would be a pause that no span covers.
+        since_pickup_ms = (serve_start - picked_up) * 1000.0
+        pickups = [
+            (t, t.start_span("pickup", start_ms=t.now_ms() - since_pickup_ms))
+            for t in traces
+            if t is not None
+        ]
         budgets = [
             None
             if s.deadline is None
             else max(0.0, (s.deadline - serve_start) * 1000.0)
             for s in ready
         ]
+        queries = [s.query for s in ready]
+        fingerprints = [s.fp for s in ready]
+        alias_maps = [s.alias_map for s in ready]
+        # Experience collection is the one non-idempotent side effect on
+        # this path: only attempt 1 collects, so a retry can never
+        # double-count a trajectory.
+        collect = [s.attempts == 1 for s in ready]
+        for trace, span in pickups:
+            trace.end_span(span)
         try:
             with self._serve_locks[shard]:
                 served = service.optimize_batch(
-                    [s.query for s in ready],
-                    fingerprints=[s.fp for s in ready],
-                    alias_maps=[s.alias_map for s in ready],
+                    queries,
+                    fingerprints=fingerprints,
+                    alias_maps=alias_maps,
                     traces=traces,
                     budgets_ms=budgets,
-                    # Experience collection is the one non-idempotent
-                    # side effect on this path: only attempt 1 collects,
-                    # so a retry can never double-count a trajectory.
-                    collect=[s.attempts == 1 for s in ready],
+                    collect=collect,
                 )
         except WorkerProcessDied:
             # The shard's process is gone: die like it did. Re-raising
             # runs the worker-death path, the one place a death is
             # handled: it marks the shard down before it retries any
             # held request (so no retry can be routed back here), and
-            # the supervisor respawns the process and this thread
-            # together.
+            # this thread then respawns the shard.
             raise
         except OptimizeError as exc:
             self.breakers[shard].record_failure()
@@ -1136,7 +1162,11 @@ class ServingFrontEnd:
     # ------------------------------------------------------------------
     def _retry_or_fail(self, s: _Submission, error: OptimizeError) -> None:
         """Schedule a backoff retry for a retryable failure, or settle
-        the future (``RetriesExhausted`` chains the last cause)."""
+        the future (``RetriesExhausted`` chains the last cause).
+
+        A retry is a time stamp, ``s.retry_at``: the supervisor, poked
+        here, puts ``s`` back in line once it is due (see
+        :meth:`_sweep`)."""
         if not (isinstance(error, OptimizeError) and error.retryable):
             self._resolve(s, error=error)
             return
@@ -1150,7 +1180,8 @@ class ServingFrontEnd:
             self._resolve(s, error=exhausted, counter="retries_exhausted")
             return
         delay_s = backoff_delay_s(s.seq, s.attempts, error.retry_after_s)
-        if s.deadline is not None and self.clock() + delay_s >= s.deadline:
+        retry_at = self.clock() + delay_s
+        if s.deadline is not None and retry_at >= s.deadline:
             self._resolve(
                 s,
                 error=DeadlineExceeded(
@@ -1163,44 +1194,28 @@ class ServingFrontEnd:
             )
             return
         s.attempts += 1
-        timer = threading.Timer(delay_s, self._requeue, args=(s,))
-        timer.daemon = True
-        with self._state_lock:
+        with self._work:
             if s.settled:  # raced with the close sweep
                 return
-            self._timers[s] = timer
-        with self._work:
+            s.retry_at = retry_at
             self.stats.retries += 1
-        timer.start()
-
-    def _requeue(self, s: _Submission) -> None:
-        """Timer callback: put a backed-off submission back in line."""
-        with self._state_lock:
-            self._timers.pop(s, None)
-            if s.settled:
-                return
-        s.queued_at = self.clock()
-        self._enqueue(s)
+        self.supervisor.poke()
 
     # ------------------------------------------------------------------
     # Death and repair
     # ------------------------------------------------------------------
     def kill_worker(self, shard: int) -> None:
         """Crash one worker thread on purpose (tests, chaos drills).
-        The death handler fails over its queue; the supervisor respawns
-        it with a rebuilt service."""
+        The death handler fails over its queue; the same thread then
+        respawns the shard with a rebuilt service."""
         self._queues[shard].put(_KILL)
 
     def _on_worker_death(self, shard: int, exc: BaseException) -> None:
-        """Runs *in* the dying worker thread: mark the shard down, record
+        """Runs *in* the dying shard thread: mark the shard down, record
         one breaker failure, retry each unsettled request it held once
-        (the death as the cause), route what it had queued around it,
-        wake the supervisor."""
+        (the death as the cause), route what it had queued around it."""
         with self._work:
-            already = shard in self._down
             self._down.add(shard)
-        if already:
-            return  # a restarted worker died before repair finished
         self.breakers[shard].record_failure()
         held = self._holding[shard]
         self._holding[shard] = []
@@ -1232,103 +1247,106 @@ class ServingFrontEnd:
                 held=len(held),
                 requeued=len(requeued),
             )
-        self.supervisor.poke()
 
-    def _dead_shards(self) -> List[int]:
-        """Supervisor hook: shards needing a respawn."""
-        with self._work:
-            if self._closing:
-                return []
-            return sorted(self._down)
+    def _respawn(self, shard: int) -> bool:
+        """Runs in shard ``shard``'s thread once its death is handled:
+        bring the shard back and return True, or return False once
+        ``close()`` has begun, and the thread exits.
 
-    def _restart_shard(self, shard: int) -> None:
-        """Supervisor hook: respawn one dead worker.
-
-        The shard is rebuilt from scratch by the shard factory — fresh
-        policy copy, planner, caches — because a worker that died
-        mid-batch may hold arbitrarily corrupt state (the restarted
-        shard's counters restart with it), and brought to the live
-        serving state: fault injector, guardrail threshold, last
-        hot-swap. Replay and publication share one hold of
-        ``_live_lock``, so a broadcast racing the respawn is either
-        replayed or reaches the published shard. The breaker is then
-        force-closed, routing returns to normal, and the requests parked
-        on the outage are put back in line.
+        The dead shard is reaped, then rebuilt from scratch by the
+        shard factory — fresh policy copy, planner, caches — because a
+        worker that died mid-batch may hold arbitrarily corrupt state
+        (the rebuilt shard's counters restart with it). A factory that
+        raises, or a replacement that dies while it is brought to the
+        live serving state (fault injector, guardrail threshold, last
+        hot-swap), is retried every :data:`SUPERVISOR_INTERVAL_S`. The
+        replay, the publication into ``services`` and marking the shard
+        up share one hold of ``_live_lock``, so a broadcast racing the
+        respawn is either replayed or reaches the published shard; the
+        last two share one hold of ``_work``, so the liveness check
+        never pairs the replacement with its predecessor's down flag.
+        Once ``close()`` has begun, a replacement is shut down instead.
+        The requests parked on the outage are then put back in line.
         """
-        with self._work:
-            if self._closing or shard not in self._down:
-                return
-        old = self.services[shard]
-        service = self._shard_factory(shard)
-        if self.fault_injector is not None:
-            service.install_fault_injector(self.fault_injector)
         # Reap a dead worker and close its pipes.
-        old.shutdown()
-        with self._live_lock:
-            if self._live_threshold is not None:
-                service.set_guardrail_threshold(*self._live_threshold)
-            if self._live_weights is not None:
-                try:
-                    service.apply_policy_weights(*self._live_weights)
-                except WorkerProcessDied:
-                    # The replacement is dead already: release it; the
-                    # shard stays down and the next tick retries.
+        self.services[shard].shutdown()
+        while True:
+            with self._work:
+                if self._closing:
+                    return False
+            service = None
+            try:
+                service = self._shard_factory(shard)
+                if self.fault_injector is not None:
+                    service.install_fault_injector(self.fault_injector)
+                self.breakers[shard].reset()
+                with self._live_lock:
+                    if self._live_threshold is not None:
+                        service.set_guardrail_threshold(*self._live_threshold)
+                    if self._live_weights is not None:
+                        service.apply_policy_weights(*self._live_weights)
+                        if self.telemetry is not None and self.telemetry.enabled:
+                            self.telemetry.events.emit(
+                                "policy_sync",
+                                shard=shard,
+                                version=self._live_weights[1],
+                            )
+                    with self._work:
+                        published = not self._closing
+                        if published:
+                            self.services[shard] = service
+                            self._down.discard(shard)
+                            self.stats.worker_restarts += 1
+                            parked, self._parked = self._parked, []
+                break
+            except Exception as exc:
+                if service is not None:
                     service.shutdown()
-                    raise
                 if self.telemetry is not None and self.telemetry.enabled:
                     self.telemetry.events.emit(
-                        "policy_sync", shard=shard, version=self._live_weights[1]
+                        "respawn_failed", shard=shard, error=repr(exc)
                     )
-            self.services[shard] = service
-        thread = threading.Thread(
-            target=self._worker_loop,
-            args=(shard,),
-            name=f"serving-shard-{shard}",
-            daemon=True,
-        )
-        self._workers[shard] = thread
-        self.breakers[shard].reset()
-        with self._work:
-            # Reopen routing before the thread starts: anything routed
-            # in the gap just waits in the shard queue.
-            self._down.discard(shard)
-            self.stats.worker_restarts += 1
-            parked, self._parked = self._parked, []
-        thread.start()
+                time.sleep(SUPERVISOR_INTERVAL_S)
+        if not published:
+            service.shutdown()
+            return False
         for s in parked:
             if not s.settled:
                 self._enqueue(s)
         if self.telemetry is not None and self.telemetry.enabled:
             self.telemetry.events.emit("worker_restart", shard=shard)
+        return True
 
-    def _expire_overdue(self, draining: bool = False) -> Optional[float]:
-        """Fail every unresolved request past its deadline that no
-        worker holds (``DeadlineExceeded``, ``stage="queue"``): queued,
-        parked on an outage, or awaiting a retry. ``draining`` fails the
-        held ones too (``stage="drain"``). Returns the earliest deadline
+    def _sweep(self, draining: bool = False) -> Optional[float]:
+        """Put every retry that has come due back in line, and fail
+        every unresolved request past its deadline that no worker holds
+        (``DeadlineExceeded``, ``stage="queue"``): queued, parked on an
+        outage, or awaiting a retry. ``draining`` fails the held ones
+        too (``stage="drain"``). Returns the earliest retry or deadline
         still ahead, or None.
 
-        The supervisor runs this every tick. A request a worker has just
+        The supervisor runs this every tick, and ``drain()`` on every
+        wake; clearing ``retry_at`` under ``_work`` claims the requeue,
+        so no request is put back twice. A request a worker has just
         taken but not yet published in ``_holding`` reads as queued: it
         is overdue either way, so only the stage it names differs."""
         now = self.clock()
-        with self._state_lock:
-            overdue = [
-                s
-                for s in self._outstanding
-                if s.deadline is not None and now >= s.deadline
-            ]
-            ahead = min(
-                (
-                    s.deadline
-                    for s in self._outstanding
-                    if s.deadline is not None and now < s.deadline
-                ),
-                default=None,
-            )
-        if not overdue:
-            return ahead
-        held = set().union(*self._holding)
+        overdue: List[_Submission] = []
+        due: List[_Submission] = []
+        ahead: List[float] = []
+        with self._work:
+            for s in self._outstanding:
+                if s.deadline is not None and now >= s.deadline:
+                    overdue.append(s)
+                    continue
+                if s.retry_at is not None and now >= s.retry_at:
+                    s.retry_at = None
+                    due.append(s)
+                ahead.extend(t for t in (s.deadline, s.retry_at) if t is not None)
+        for s in due:
+            s.queued_at = now
+            self._enqueue(s)
+        held = set().union(*self._holding) if overdue else set()
         for s in overdue:
             if s not in held:
                 waited = (now - s.queued_at) * 1000.0
@@ -1343,7 +1361,7 @@ class ServingFrontEnd:
                 error=DeadlineExceeded(message, stage=stage, **s.identity()),
                 counter="deadline_expired",
             )
-        return ahead
+        return min(ahead, default=None)
 
     def _check_liveness(self) -> None:
         """Supervisor hook: catch shard deaths the shard threads cannot
@@ -1354,24 +1372,30 @@ class ServingFrontEnd:
         forever, so an exit code on a not-down shard gets the thread
         nudged with the kill sentinel (the normal death path then runs;
         a sentinel made stale by a racing death is discarded by the
-        death handler's queue drain). Every ``HEARTBEAT_INTERVAL_S`` the
-        live shards are pinged (a worker over its control channel); one
-        that is alive but unresponsive past one interval is killed here
-        and reaped by the exit-code check on the next tick.
+        death handler's queue drain). The shard, its down flag and its
+        exit code are read, and the nudge sent, in one hold of
+        ``_work``, which a respawn's publication also takes: a nudge for
+        a dead shard never reaches its replacement. Every
+        ``HEARTBEAT_INTERVAL_S`` the live shards are pinged (a worker
+        over its control channel); one that is alive but unresponsive
+        past one interval is killed here and reaped by the exit-code
+        check on the next tick.
         """
         now = self.clock()
         beat = now - self._last_heartbeat >= HEARTBEAT_INTERVAL_S
         if beat:
             self._last_heartbeat = now
-        for shard, service in enumerate(self.services):
+        for shard in range(self.n_shards):
             with self._work:
                 if self._closing:
                     return
                 if shard in self._down:
                     continue
-            if service.exitcode() is not None:
-                self._queues[shard].put(_KILL)
-            elif beat and not service.ping(timeout=HEARTBEAT_INTERVAL_S):
+                service = self.services[shard]
+                if service.exitcode() is not None:
+                    self._queues[shard].put(_KILL)
+                    continue
+            if beat and not service.ping(timeout=HEARTBEAT_INTERVAL_S):
                 service.kill()
 
     # ------------------------------------------------------------------
@@ -1389,7 +1413,7 @@ class ServingFrontEnd:
         """
         deadline = None if timeout is None else self.clock() + timeout
         while True:
-            next_dl = self._expire_overdue(draining=True)
+            next_dl = self._sweep(draining=True)
             with self._work:
                 if self._inflight <= 0:
                     return
@@ -1400,7 +1424,7 @@ class ServingFrontEnd:
                     )
                 wait = remaining
                 if next_dl is not None:
-                    # Wake at the next request deadline to force-expire.
+                    # Wake at the next retry or request deadline.
                     until = max(0.0, next_dl - self.clock()) + 0.001
                     wait = until if wait is None else min(wait, until)
                 self._work.wait(wait)
@@ -1413,7 +1437,9 @@ class ServingFrontEnd:
         each worker finishes its queue before seeing it, and anything
         still unresolved after that (parked in a retry backoff or on an
         outage, stranded on a dead shard) is swept with a structured
-        ``ServiceClosed``. Idempotent.
+        ``ServiceClosed``. A shard thread mid-respawn is waited for: it
+        shuts its replacement down instead of publishing it, so nothing
+        built by a respawn outlives ``close``. Idempotent.
         """
         with self._work:
             if self._closed:
@@ -1435,14 +1461,9 @@ class ServingFrontEnd:
                 raise TimeoutError(
                     f"close() timed out waiting for {worker.name}; retry close()"
                 )
-        # Workers are gone: no new retry timers can start. Cancel the
-        # parked ones and sweep every submission still unresolved.
-        with self._state_lock:
-            timers = list(self._timers.values())
-            self._timers.clear()
-        for timer in timers:
-            timer.cancel()
-        with self._state_lock:
+        # The shard threads are gone, and the supervisor with them:
+        # sweep every submission still unresolved, retries included.
+        with self._work:
             leftovers = list(self._outstanding)
         for s in leftovers:
             self._resolve(

@@ -346,8 +346,8 @@ class ProcessWorkerClient:
     request pipe (the calling shard *thread* sleeps in ``os.read``,
     releasing the GIL); everything operational rides the control pipe.
     Raises :class:`WorkerProcessDied` when the child is gone — the
-    front end's shard-death path (supervisor respawn, held-request
-    failover) takes it from there. State pushes
+    front end's shard-death path (held-request failover, the shard
+    thread's respawn) takes it from there. State pushes
     (:meth:`set_guardrail_threshold`, :meth:`install_fault_injector`)
     and snapshot reads answer quietly on a dead worker: the front end
     replays the live state onto its replacement.

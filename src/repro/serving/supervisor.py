@@ -1,4 +1,4 @@
-"""Shard supervision: circuit breakers and the worker-respawn loop.
+"""Shard supervision: circuit breakers and the supervisor's clock.
 
 Two cooperating pieces keep a broken shard from taking the front end
 down with it:
@@ -10,21 +10,22 @@ down with it:
   open). After a cooldown it half-opens and admits a limited number of
   probe requests; one success closes it, one failure re-opens it.
 - :class:`ShardSupervisor` — a daemon thread, one in every front end,
-  that health-checks the front end's worker threads. A dead worker
-  (unhandled ``BaseException`` escaping the per-batch guard, or an
-  injected crash) is respawned with a **rebuilt** service — fresh
-  policy copy, planner, caches — because a worker that died mid-batch
-  may hold arbitrarily corrupt state. While the shard is down, the front end reroutes its
-  hash-ring range to the surviving shards (or, with none left, parks
-  requests until the respawn); the supervisor's respawn restores the
-  original routing. Each tick also fails the queued requests whose
-  deadlines have passed.
+  that runs the front end's clock. Each tick it sweeps the outstanding
+  requests — failing those past their deadline, putting the retries
+  that have come due back in line — and checks the shards' liveness:
+  a dead shard whose thread idles on an empty queue is nudged into the
+  death path, and in process mode a worker that misses a heartbeat is
+  killed. It respawns nothing: a shard thread that dies respawns its
+  own shard (:meth:`repro.serving.frontend.ServingFrontEnd._respawn`),
+  while its hash-ring range fails over to the surviving shards (or,
+  with none left, its requests are parked until the respawn).
 
-The supervisor polls every ``interval_s`` (the front end passes
-:data:`repro.serving.frontend.SUPERVISOR_INTERVAL_S`) but can be woken
-immediately (:meth:`ShardSupervisor.poke`) by the front end's death
-handler, so respawn latency is bounded by the restart cost, not the
-poll interval.
+The supervisor sleeps until the earliest pending retry or deadline the
+sweep reports, and at most ``interval_s`` (the front end passes
+:data:`repro.serving.frontend.SUPERVISOR_INTERVAL_S`); a newly
+scheduled retry wakes it at once (:meth:`ShardSupervisor.poke`). A
+ping to a hung worker can hold a tick for up to
+:data:`repro.serving.frontend.HEARTBEAT_INTERVAL_S`.
 """
 
 from __future__ import annotations
@@ -144,14 +145,14 @@ class CircuitBreaker:
 
 
 class ShardSupervisor:
-    """Daemon thread that respawns dead workers and expires overdue
-    queued requests.
+    """Daemon thread that sweeps the front end's outstanding requests
+    for due retries and deadlines, and checks its shards' liveness and
+    heartbeats.
 
-    The front end exposes the checks (``_dead_shards()``) and the
-    repairs (``_restart_shard``, ``_expire_overdue``); the supervisor
-    owns only the *when*. ``poke()`` wakes it immediately — the front
-    end calls it from the worker-death handler so a crash is repaired
-    in milliseconds, not at the next poll tick.
+    The front end exposes the work (``_sweep``, which returns when the
+    next retry or deadline falls due, and ``_check_liveness``); the
+    supervisor owns only the *when*. ``poke()`` wakes it immediately —
+    the front end calls it when it schedules a retry.
     """
 
     def __init__(self, frontend, interval_s: float) -> None:
@@ -176,26 +177,20 @@ class ShardSupervisor:
             self._thread.join(timeout=timeout)
 
     def _run(self) -> None:
+        frontend = self._frontend
+        wait = self._interval_s
         while not self._stopped.is_set():
-            self._wake.wait(timeout=self._interval_s)
+            self._wake.wait(timeout=wait)
             self._wake.clear()
             if self._stopped.is_set():
                 return
+            wait = self._interval_s
             try:
-                self._check()
+                due = frontend._sweep()
+                frontend._check_liveness()
             except Exception:
-                # The supervisor must outlive anything the repair path
-                # throws; a failed repair is retried next tick.
+                # The supervisor must outlive anything a sweep or check
+                # throws; the next tick runs them again.
                 continue
-
-    def _check(self) -> None:
-        frontend = self._frontend
-        # First: a respawn below can take as long as spawning a worker
-        # process, and queued deadlines must not wait for it.
-        frontend._expire_overdue()
-        for shard in frontend._dead_shards():
-            frontend._restart_shard(shard)
-        # Exit-code reaping of killed shards whose shard thread sits
-        # idle, plus the heartbeat that catches hung (alive but
-        # unresponsive) workers.
-        frontend._check_liveness()
+            if due is not None:
+                wait = min(wait, max(0.0, due - frontend.clock()))

@@ -146,20 +146,30 @@ def stall_services(frontend, release: threading.Event, sleep_s=0.05):
         service.optimize_batch = stalled
 
 
-def hold_respawns(frontend) -> threading.Event:
-    """Gate the front end's respawns on the returned event: a shard
-    that dies stays down (its requests go to a survivor, or are parked)
-    until the event is set. Set it before the front end closes, so the
-    respawn does not hold ``close()`` back."""
-    respawn = threading.Event()
+class RespawnGates(list):
+    """One ``threading.Event`` per shard: ``gates[shard].set()`` lets
+    that shard's respawns through, ``gates.set()`` every shard's."""
+
+    def set(self) -> None:
+        for gate in self:
+            gate.set()
+
+
+def hold_respawns(frontend) -> RespawnGates:
+    """Gate the front end's respawns, shard by shard: a shard that dies
+    stays down (its requests go to a survivor, or are parked) until its
+    gate is set. A test that sets the gates one at a time fixes the
+    order in which shards come back. Set them before the front end
+    closes, or ``close()`` waits up to 10 s for the held respawn."""
+    gates = RespawnGates(threading.Event() for _ in range(frontend.n_shards))
     factory = frontend._shard_factory
 
     def gated(shard):
-        respawn.wait(10.0)
+        gates[shard].wait(10.0)
         return factory(shard)
 
     frontend._shard_factory = gated
-    return respawn
+    return gates
 
 
 #: A scripted batch is served (the default), or the worker dies on it

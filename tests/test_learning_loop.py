@@ -544,7 +544,7 @@ class TestRetrainingDaemon:
 
 def respawn_busiest_shard(frontend) -> None:
     """Kill the shard that served the most requests and wait for the
-    supervisor to replace it with a rebuilt one (counters at 0)."""
+    front end to replace it with a rebuilt one (counters at 0)."""
     shard = max(
         range(len(frontend.services)),
         key=lambda i: frontend.services[i].stats.requests,

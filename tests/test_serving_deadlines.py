@@ -261,12 +261,15 @@ class TestServiceClosed:
             FaultInjector(FaultConfig(worker_fault_rate=1.0, seed=13))
         )
         future = frontend.submit(parse_query(BC, "parked"))
-        # Wait until the first attempt failed and the retry timer is armed.
+        # Wait until the first attempt failed and its retry is pending.
         deadline = time.monotonic() + 5.0
-        while not frontend._timers and time.monotonic() < deadline:
+        while (
+            not any(s.retry_at is not None for s in frontend._outstanding)
+            and time.monotonic() < deadline
+        ):
             time.sleep(0.01)
+        assert frontend.stats.retries == 1
         frontend.close(timeout=5.0)
         with pytest.raises(ServiceClosed):
             future.result(timeout=1.0)
         assert frontend._outstanding == set()
-        assert frontend._timers == {}

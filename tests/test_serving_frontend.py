@@ -513,7 +513,7 @@ class TestDefaultShardSurvivesWorkerDeath:
         self, small_db, agent, featurizer
     ):
         # One shard and no survivor to reroute to: a request that meets
-        # the shard down is parked, and the supervisor's respawn serves
+        # the shard down is parked, and the shard thread's respawn serves
         # it with what was queued, held or retried. A request routed while the
         # only shard is down would instead wait out a retry hint of at
         # least ``stall_s``; a thread shard respawns in milliseconds.

@@ -276,13 +276,13 @@ def inverted(policy):
 
 
 def kill_shard(frontend, shard):
-    """Kill shard ``shard`` and wait for the supervisor's respawn."""
+    """Kill shard ``shard`` and wait for its respawn."""
     victim = frontend.services[shard]
     restarts = frontend.stats.worker_restarts
     victim.kill()
     assert wait_until(
         lambda: frontend.stats.worker_restarts > restarts, timeout=30.0
-    ), "supervisor did not respawn the killed worker"
+    ), "the killed worker was not respawned"
     assert frontend.services[shard] is not victim
 
 

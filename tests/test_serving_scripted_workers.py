@@ -121,6 +121,39 @@ class TestScriptedWorker:
         assert not any(w.is_alive() for w in workers.workers)
         assert running_threads() - before == set()
 
+    def test_close_during_a_held_respawn_publishes_no_replacement(
+        self, small_db, agent, featurizer
+    ):
+        before = running_threads()
+        workers = ScriptedWorkers()
+        frontend = workers.front_end(small_db, agent, 2, featurizer=featurizer)
+        respawn = hold_respawns(frontend)
+        gated, entered = frontend._shard_factory, threading.Event()
+
+        def entering(shard):
+            entered.set()
+            return gated(shard)
+
+        frontend._shard_factory = entering
+        original = list(frontend.services)
+        try:
+            frontend.services[1].kill()
+            assert entered.wait(5.0)
+            closer = threading.Thread(target=frontend.close)
+            closer.start()
+            assert wait_until(lambda: frontend._closing)
+            # The respawn is let through while close() waits for it.
+            respawn.set()
+            closer.join(15.0)
+            assert not closer.is_alive()
+        finally:
+            respawn.set()
+        assert frontend.services == original
+        assert frontend.stats.worker_restarts == 0
+        assert len(workers.workers) == 3
+        assert not workers.workers[2].is_alive()
+        assert running_threads() - before == set()
+
 
 def homed_at(frontend, shard, n):
     """``n`` distinct queries whose ring home is ``shard``."""
@@ -182,8 +215,11 @@ def test_every_request_is_served_once_a_shard_is_back(
             # Shard 1 dies under them too: no shard is up, so they park.
             stall_1.set()
             assert wait_until(lambda: len(frontend._parked) == len(requests))
-            # Shard 0 comes back first and dies under them once more.
-            respawn.set()
+            # Shard 0 comes back first and dies under them once more;
+            # shard 1 comes back once shard 0 has been respawned twice.
+            respawn[0].set()
+            assert wait_until(lambda: frontend.stats.worker_restarts == 2)
+            respawn[1].set()
             assert all(f.result(timeout=10.0).cost > 0 for f in blockers)
             assert all(f.result(timeout=10.0).cost > 0 for f in futures)
     finally:

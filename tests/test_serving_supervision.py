@@ -3,12 +3,14 @@ an injectable clock), worker kill/respawn/reroute, and one retry per
 request a dying worker held."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.featurize import QueryFeaturizer
 from repro.db.query import parse_query
+from repro.obs import Telemetry, TelemetryConfig
 from repro.rl.ppo import PPOAgent
 from repro.serving import (
     CircuitBreaker,
@@ -313,3 +315,108 @@ class TestWorkerDeathRetries:
             assert faulted
         else:
             assert [plan.attempts for plan in plans] == [2] * 24
+
+
+class TestFixedThreadSet:
+    """The front end's threads are the ones its constructor starts: a
+    shard thread respawns its own shard, and retries run on the
+    supervisor's clock, not on a thread each."""
+
+    def test_chaos_retries_and_a_respawn_start_no_thread(
+        self, small_db, agent, featurizer
+    ):
+        frontend = make_frontend(small_db, agent, featurizer, n_shards=1)
+        built = set(threading.enumerate())
+        shard_thread = frontend._workers[0]
+        frontend.install_fault_injector(
+            FaultInjector(FaultConfig(worker_fault_rate=0.2, seed=1))
+        )
+        seen = set()
+        with frontend:
+            futures = []
+            for i in range(256):
+                futures.append(frontend.submit(parse_query(BC, f"q{i}")))
+                if i == 128:
+                    frontend.kill_worker(0)
+                seen.update(threading.enumerate())
+            while not all(future.done() for future in futures):
+                seen.update(threading.enumerate())
+                time.sleep(0.001)
+            assert wait_until(lambda: frontend.stats.worker_restarts == 1)
+            seen.update(threading.enumerate())
+            assert frontend.stats.retries >= 50
+        seen.update(threading.enumerate())
+        assert seen - built == set()
+        assert frontend._workers[0] is shard_thread
+        assert frontend._outstanding == set()
+
+    def test_a_killed_workers_own_thread_serves_after_its_respawn(
+        self, small_db, agent, featurizer
+    ):
+        frontend = make_frontend(small_db, agent, featurizer, n_shards=2)
+        query = parse_query(BC, "bc")
+        home = frontend.ring.shard_for(fingerprint(query))
+        shard_thread = frontend._workers[home]
+        with frontend:
+            assert frontend.optimize(query, timeout=5.0).cost > 0
+            frontend.services[home].kill()
+            assert wait_until(lambda: frontend.stats.worker_restarts == 1)
+            service, serving = frontend.services[home], []
+            serve = service.optimize_batch
+
+            def recorded(*args, **kwargs):
+                serving.append(threading.current_thread())
+                return serve(*args, **kwargs)
+
+            service.optimize_batch = recorded
+            assert frontend.optimize(parse_query(BC, "after"), timeout=5.0).cost > 0
+        assert serving == [shard_thread]
+        assert frontend._workers[home] is shard_thread
+
+    def test_a_factory_that_raises_is_retried_by_the_shard_thread(
+        self, small_db, agent, featurizer
+    ):
+        telemetry = Telemetry(TelemetryConfig(sample_rate=1.0, slo_ms=10_000.0))
+        frontend = ServingFrontEnd.build(
+            small_db, agent, featurizer=featurizer, telemetry=telemetry
+        )
+        shard_thread = frontend._workers[0]
+        factory, calls = frontend._shard_factory, []
+
+        def flaky(shard):
+            calls.append(shard)
+            if len(calls) == 1:
+                raise OSError("chaos: no worker could be built")
+            return factory(shard)
+
+        frontend._shard_factory = flaky
+        with frontend:
+            frontend.kill_worker(0)
+            assert wait_until(lambda: frontend.stats.worker_restarts == 1)
+            assert frontend.optimize(parse_query(BC, "bc"), timeout=5.0).cost > 0
+        assert calls == [0, 0]
+        (failed,) = telemetry.events.of_kind("respawn_failed")
+        assert failed["shard"] == 0 and "no worker could be built" in failed["error"]
+        assert frontend._workers[0] is shard_thread
+
+    def test_a_retry_is_served_when_due_not_at_the_next_tick(
+        self, small_db, agent, featurizer, monkeypatch
+    ):
+        monkeypatch.setattr(frontend_module, "SUPERVISOR_INTERVAL_S", 60.0)
+        frontend = make_frontend(small_db, agent, featurizer, n_shards=1)
+        service = frontend.services[0]
+        serve, calls = service.optimize_batch, []
+
+        def fails_once(queries, *args, **kwargs):
+            calls.append(len(queries))
+            if len(calls) == 1:
+                raise InjectedFault("chaos: the first attempt fails")
+            return serve(queries, *args, **kwargs)
+
+        service.optimize_batch = fails_once
+        with frontend:
+            start = time.monotonic()
+            plan = frontend.optimize(parse_query(BC, "once"), timeout=5.0)
+            elapsed = time.monotonic() - start
+        assert plan.attempts == 2 and calls == [1, 1]
+        assert elapsed < 1.0
